@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-import networkx as nx
-
-from .blocks import BlockDecomposition, block_decomposition
+from .blocks import BlockDecomposition, block_cut_tree, block_decomposition
 from .errors import NotAlmostPlanar, StructuralAssertionFailed
 from .model import (
     ALMOST_PLANAR,
@@ -111,33 +109,8 @@ class SplitDecomposition:
         raise KeyError(x)
 
 
-def _nx_graph(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(vertices)
-    g.add_edges_from(edges)
-    return g
-
-
 def _components(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> list[frozenset[Vertex]]:
-    return [frozenset(c) for c in nx.connected_components(_nx_graph(vertices, edges))]
-
-
-def _separating_cuts(edges: Iterable[Edge], comp: frozenset[Vertex], u: Vertex, v: Vertex) -> list[Vertex]:
-    """Cut vertices separating u from v among `edges` restricted to comp,
-    ordered by BFS distance from u (every u,v-path visits them in this order)."""
-    sub_edges = [e for e in edges if e[0] in comp and e[1] in comp]
-    ng = _nx_graph(comp, sub_edges)
-    cuts = []
-    for c in nx.articulation_points(ng):
-        if c in (u, v):
-            continue
-        h = ng.copy()
-        h.remove_node(c)
-        if not nx.has_path(h, u, v):
-            cuts.append(c)
-    dist = nx.single_source_shortest_path_length(ng, u)
-    cuts.sort(key=lambda c: dist[c])
-    return cuts
+    return list(block_cut_tree(vertices, edges).components)
 
 
 def classify_split_components(d: CircularDrawing, e: Edge) -> SplitDecomposition:
@@ -145,9 +118,10 @@ def classify_split_components(d: CircularDrawing, e: Edge) -> SplitDecomposition
     g = d.graph
     u, v = g.edge(*e)
     gp_edges = g.edges - {e}
-    comp = next(c for c in _components(g.vertices, gp_edges) if u in c)
+    tree = block_cut_tree(g.vertices, gp_edges)
+    comp = next(c for c in tree.components if u in c)
     _sassert(v in comp, "split classification requires u, v connected in G - e")
-    cuts = _separating_cuts(gp_edges, comp, u, v)
+    cuts = tree.separating_cuts(u, v)
     _sassert(bool(cuts), "u, v connected but no separating cut vertex (2-connected case)")
     f, l = cuts[0], cuts[-1]
 
@@ -164,25 +138,19 @@ def classify_split_components(d: CircularDrawing, e: Edge) -> SplitDecomposition
     pieces = _components(comp, [ed for ed in sub_edges if ed not in x_edges])
     pieces.sort(key=lambda c: min(d.position(x) for x in c))
 
-    ng_all = _nx_graph(comp, sub_edges)
     comps = []
     for c in pieces:
         on_left = c <= left_plus
         _sassert(on_left or c <= right_plus, "a split component straddles the two sides")
-        if u in c or v in c:
-            connecting = True
-        else:
-            h = ng_all.copy()
-            h.remove_nodes_from(c)
-            connecting = not nx.has_path(h, u, v)
+        # connecting: deleting the piece disconnects u from v (always so when it holds u or v)
+        rest = comp - c
+        rest_edges = [ed for ed in sub_edges if ed[0] in rest and ed[1] in rest]
+        connecting = not any({u, v} <= k for k in _components(rest, rest_edges))
         comps.append(SplitComponent(c, LEFT if on_left else RIGHT, connecting))
 
     adjacency: dict[int, set[int]] = {i: set() for i in range(len(comps))}
     between: dict[tuple[int, int], list[Edge]] = {}
-    index_of = {}
-    for i, c in enumerate(comps):
-        for x in c.vertices:
-            index_of[x] = i
+    index_of = {x: i for i, c in enumerate(comps) for x in c.vertices}
     for ed in x_edges:
         i, j = sorted((index_of[ed[0]], index_of[ed[1]]))
         adjacency[i].add(j)
@@ -757,11 +725,8 @@ def unwrap_linearizations(d: CircularDrawing, comp: frozenset[Vertex], apex: Ver
         lo, hi = min(pa, po), max(pa, po)
         return (lo < x < hi) != (lo < y < hi)
 
-    comp_edges = [ed for ed in sub.edges]
     qualifying = []
-    for bi, b in enumerate(decomp.blocks):
-        if apex not in b.vertices:
-            continue
+    for bi in decomp.incidence[apex]:
         att = decomp.attachment(bi, apex)
         att_edges = [ed for ed in sub.edges if ed[0] in att and ed[1] in att]
         if not any(covers_apex(ed) for ed in att_edges):
@@ -776,7 +741,7 @@ def unwrap_linearizations(d: CircularDrawing, comp: frozenset[Vertex], apex: Ver
                 lin = cyc[k:] + cyc[:k]
                 pos = {x: i for i, x in enumerate(lin)}
                 p_apex = pos[apex]
-                if all(not (min(pos[a], pos[c]) < p_apex < max(pos[a], pos[c])) for a, c in comp_edges):
+                if all(not (min(pos[a], pos[c]) < p_apex < max(pos[a], pos[c])) for a, c in sub.edges):
                     outs.add(lin)
     return sorted(outs)
 
@@ -882,15 +847,8 @@ def _min_untangle_candidates(d: CircularDrawing, e: Edge):
 
 
 def _contiguous_in(seq: tuple[Vertex, ...], subset: frozenset[Vertex]) -> bool:
-    flags = [x in subset for x in seq]
-    k = sum(flags)
-    if k in (0, len(seq)):
-        return True
-    best = max(
-        sum(flags[(i + j) % len(seq)] for j in range(k))
-        for i in range(len(seq))
-    )
-    return best == k
+    """Whether the members of `subset` form at most one cyclic run in `seq`."""
+    return sum(x in subset and seq[i - 1] not in subset for i, x in enumerate(seq)) <= 1
 
 
 def _connected_case_best(d: CircularDrawing, e: Edge, w_comp: frozenset[Vertex]) -> list[VertexMove]:

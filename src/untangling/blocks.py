@@ -1,4 +1,8 @@
-"""Block structure, Hamiltonian cycles of blocks, and planar circular orders.
+"""Block-cut tree, Hamiltonian cycles of blocks, and planar circular orders.
+
+One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973) yields a graph's blocks,
+cut vertices and components in O(n + m); attachments and separating vertices
+are read off the block-cut tree they form.
 
 The outerplanarity recognizer works by peeling: a 2-connected outerplanar
 block always has a vertex of degree 2, and removing it (recording its two
@@ -11,10 +15,8 @@ re-checked with the crossing test, so the recognizer is self-verifying.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
-
-import networkx as nx
+from dataclasses import dataclass, field, replace
+from typing import Collection, Iterable, Optional
 
 from .errors import NotOuterplanar
 from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, rotate_to
@@ -23,39 +25,122 @@ from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, rotat
 @dataclass(frozen=True)
 class Block:
     """A 2-connected component: vertex set, edge set, and (for 3 or more
-    vertices) its unique Hamiltonian cyclic order."""
+    vertices, once decomposed) its unique Hamiltonian cyclic order."""
 
     vertices: frozenset[Vertex]
     edges: frozenset[Edge]
     hamiltonian: Optional[tuple[Vertex, ...]]
 
 
-@dataclass
-class BlockDecomposition:
-    graph: Graph
+@dataclass(frozen=True)
+class BlockCutTree:
+    """Blocks, cut vertices and connected components of a graph.
+
+    Block i is joined in the tree to every cut vertex it contains.  Blocks
+    are ordered by their sorted vertex ranks, components by their first
+    vertex; `incidence` maps each vertex to the indices of the blocks
+    containing it, in block order (none for an isolated vertex).
+    """
+
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[Vertex]
-    # (block index, block vertex) -> connected component of G - E(B) containing it
-    attachments: dict = field(repr=False)
+    components: tuple[frozenset[Vertex], ...]
+    incidence: dict = field(repr=False)
 
     def attachment(self, block_index: int, v: Vertex) -> frozenset[Vertex]:
-        return self.attachments[(block_index, v)]
+        """The component of G - E(B) containing v, for B the block at
+        `block_index`: v plus the tree subtrees hanging off v away from B."""
+        seen, out, stack = {block_index}, {v}, [v]
+        while stack:
+            for bi in self.incidence[stack.pop()]:
+                if bi not in seen:
+                    seen.add(bi)
+                    fresh = self.blocks[bi].vertices - out
+                    out |= fresh
+                    stack.extend(fresh)
+        return frozenset(out)
 
-    def blocks_at(self, v: Vertex) -> list[int]:
-        return [i for i, b in enumerate(self.blocks) if v in b.vertices]
+    def separating_cuts(self, u: Vertex, v: Vertex) -> list[Vertex]:
+        """Vertices whose deletion disconnects u from v: the cut vertices on
+        the tree path from u to v, in path order, which is the order in which
+        every u,v-path visits them."""
+        cuts = dict.fromkeys(self.incidence[u], ())  # block -> cut vertices passed on the way from u
+        todo = list(cuts)
+        while todo:
+            bi = todo.pop()
+            if v in self.blocks[bi].vertices:
+                return list(cuts[bi])
+            for c in self.blocks[bi].vertices:
+                for bj in self.incidence[c]:
+                    if bj not in cuts:
+                        cuts[bj] = cuts[bi] + (c,)
+                        todo.append(bj)
+        return []
+
+
+@dataclass(frozen=True)
+class BlockDecomposition(BlockCutTree):
+    """A block-cut tree whose blocks carry their Hamiltonian cycles."""
+
+    graph: Graph
 
     def block_with_edge(self, e: Edge) -> int:
-        for i, b in enumerate(self.blocks):
-            if e in b.edges:
+        for i in self.incidence[e[0]]:
+            if e in self.blocks[i].edges:
                 return i
         raise KeyError(e)
 
 
-def _to_nx(g: Graph) -> nx.Graph:
-    ng = nx.Graph()
-    ng.add_nodes_from(g.vertices)
-    ng.add_edges_from(g.edges)
-    return ng
+def block_cut_tree(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> BlockCutTree:
+    """The block-cut tree of the graph (vertices, edges); block edges are the
+    given edge tuples, collected from the DFS edge stack."""
+    rank = {x: i for i, x in enumerate(vertices)}
+    adj: dict[Vertex, list[tuple[Vertex, Edge]]] = {x: [] for x in rank}
+    for e in edges:
+        adj[e[0]].append((e[1], e))
+        adj[e[1]].append((e[0], e))
+    disc: dict[Vertex, int] = {}
+    low: dict[Vertex, int] = {}
+    edge_stack: list[Edge] = []
+    blocks: list[Block] = []
+    components = []
+    for root in rank:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        comp = [root]
+        # frames: vertex, tree edge into it, neighbor iterator, edge stack height before that edge
+        stack = [(root, None, iter(adj[root]), 0)]
+        while stack:
+            x, via, it, height = stack[-1]
+            for y, e in it:
+                if y not in disc:
+                    disc[y] = low[y] = len(disc)
+                    comp.append(y)
+                    stack.append((y, e, iter(adj[y]), len(edge_stack)))
+                    edge_stack.append(e)
+                    break
+                if disc[y] < disc[x] and e != via:  # back edge to an ancestor
+                    edge_stack.append(e)
+                    low[x] = min(low[x], disc[y])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[x])
+                    if low[x] >= disc[p]:  # p separates x's subtree: pop its block
+                        es = edge_stack[height:]
+                        del edge_stack[height:]
+                        blocks.append(Block(frozenset(w for f in es for w in f), frozenset(es), None))
+        components.append(frozenset(comp))
+
+    blocks.sort(key=lambda b: sorted(rank[x] for x in b.vertices))
+    incidence: dict[Vertex, list[int]] = {x: [] for x in rank}
+    for i, b in enumerate(blocks):
+        for x in b.vertices:
+            incidence[x].append(i)
+    cut = frozenset(x for x, bs in incidence.items() if len(bs) > 1)
+    return BlockCutTree(tuple(blocks), cut, tuple(components), incidence)
 
 
 def hamiltonian_cycle_of_block(g: Graph, block_vertices: Iterable[Vertex]) -> tuple[Vertex, ...]:
@@ -64,9 +149,12 @@ def hamiltonian_cycle_of_block(g: Graph, block_vertices: Iterable[Vertex]) -> tu
     Raises NotOuterplanar when the peel stalls, a reinsertion target is not
     cycle-adjacent, or the reconstructed order leaves crossing chords.
     """
+    vset = set(block_vertices)
+    return _peel_hamiltonian(g, vset, [e for e in g.edges if e[0] in vset and e[1] in vset])
+
+
+def _peel_hamiltonian(g: Graph, block_vertices: Iterable[Vertex], block_edges: Collection[Edge]) -> tuple[Vertex, ...]:
     verts = sorted(block_vertices, key=g.index)
-    vset = set(verts)
-    block_edges = [e for e in g.edges if e[0] in vset and e[1] in vset]
     adj: dict[Vertex, set[Vertex]] = {v: set() for v in verts}
     for a, b in block_edges:
         adj[a].add(b)
@@ -109,37 +197,16 @@ def hamiltonian_cycle_of_block(g: Graph, block_vertices: Iterable[Vertex]) -> tu
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Blocks, cut vertices, per-block Hamiltonian cycles, and attachments."""
-    ng = _to_nx(g)
-    raw_blocks = [frozenset(bs) for bs in nx.biconnected_components(ng)]
-    raw_blocks.sort(key=lambda bs: sorted(g.index(v) for v in bs))
-    blocks = []
-    for bs in raw_blocks:
-        edges = frozenset(e for e in g.edges if e[0] in bs and e[1] in bs)
-        ham = hamiltonian_cycle_of_block(g, bs) if len(bs) >= 3 else None
-        blocks.append(Block(bs, edges, ham))
-    cut = frozenset(nx.articulation_points(ng))
-
-    attachments = {}
-    for i, b in enumerate(blocks):
-        rest = ng.copy()
-        rest.remove_edges_from(b.edges)
-        comp_of = {}
-        for comp in nx.connected_components(rest):
-            cs = frozenset(comp)
-            for v in cs:
-                comp_of[v] = cs
-        for v in b.vertices:
-            attachments[(i, v)] = comp_of[v]
-    return BlockDecomposition(g, tuple(blocks), cut, attachments)
+    """Blocks, cut vertices, components and per-block Hamiltonian cycles."""
+    tree = block_cut_tree(g.vertices, g.edges)
+    blocks = tuple(
+        replace(b, hamiltonian=_peel_hamiltonian(g, b.vertices, b.edges)) if len(b.vertices) >= 3 else b
+        for b in tree.blocks
+    )
+    return BlockDecomposition(blocks, tree.cut_vertices, tree.components, tree.incidence, g)
 
 
 def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: Optional[random.Random]) -> list[Vertex]:
-    at: dict[Vertex, list[int]] = {v: [] for v in g.vertices}
-    for i, b in enumerate(decomp.blocks):
-        for v in b.vertices:
-            at[v].append(i)
-
     def expand_block(bi: int, entry: Vertex) -> list[Vertex]:
         b = decomp.blocks[bi]
         if b.hamiltonian is None:
@@ -155,8 +222,7 @@ def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: O
         return out
 
     def visit(v: Vertex, from_block: Optional[int]) -> list[Vertex]:
-        children = [bi for bi in at[v] if bi != from_block]
-        children.sort(key=lambda bi: sorted(g.index(x) for x in decomp.blocks[bi].vertices))
+        children = [bi for bi in decomp.incidence[v] if bi != from_block]
         if rng is not None:
             rng.shuffle(children)
         pre: list[Vertex] = []
@@ -180,16 +246,14 @@ def planar_circular_order(g: Graph, rng: Optional[random.Random] = None) -> Circ
     directions, child order, and child side).  Disconnected graphs get their
     components laid out consecutively.  Raises NotOuterplanar otherwise.
     """
-    ng = _to_nx(g)
-    comps = [sorted(c, key=g.index) for c in nx.connected_components(ng)]
-    comps.sort(key=lambda c: g.index(c[0]))
+    decomp = block_decomposition(g)
+    comps = [sorted(c, key=g.index) for c in decomp.components]
     if rng is not None:
         rng.shuffle(comps)
     order: list[Vertex] = []
     for comp in comps:
         root = comp[0] if rng is None else rng.choice(comp)
-        sub = g.subgraph(comp)
-        order.extend(_layout_component(sub, block_decomposition(sub), root, rng))
+        order.extend(_layout_component(g, decomp, root, rng))
     if not is_crossing_free(order, g.edges):
         raise NotOuterplanar("no crossing-free circular order exists")
     return CircularDrawing(g, order)

@@ -7,7 +7,7 @@ import random
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .blocks import planar_circular_order
+from .blocks import block_cut_tree, planar_circular_order
 from .errors import GenerationFailed, InvalidN, NotOuterplanar
 from .model import (
     ALMOST_PLANAR,
@@ -76,20 +76,10 @@ def _random_noncrossing_edges(rng: random.Random, n: int, hull_p: float, diag_p:
         split(0, n - 1)
 
     if connect:
-        parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in edges:
-            parent[find(a)] = find(b)
-        for i in range(n - 1):
-            if find(i) != find(i + 1):
-                edges.append((i, i + 1))
-                parent[find(i)] = find(i + 1)
+        # join each component to the previous position through its first
+        # (smallest) position, which is the DFS root that found it
+        roots = [min(c) for c in block_cut_tree(range(n), edges).components]
+        edges.extend((r - 1, r) for r in roots[1:])
     return sorted(set(edges))
 
 
@@ -237,20 +227,6 @@ def _rotation_canonical(n: int, edges: frozenset[tuple[int, int]]) -> tuple:
     return best
 
 
-def _connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        parent[find(a)] = find(b)
-    return len({find(i) for i in range(n)}) == 1
-
-
 def enumerate_almost_planar_instances(n: int) -> Iterator[CircularDrawing]:
     """Every almost-planar drawing of every connected outerplanar graph on n
     vertices, one per rotation class of the drawn edge pattern (reflections
@@ -275,7 +251,7 @@ def enumerate_almost_planar_instances(n: int) -> Iterator[CircularDrawing]:
             if e in base or not any(crosses(e, f) for f in base):
                 continue
             edges = base | {e}
-            if not _connected(n, edges):
+            if len(block_cut_tree(range(n), edges).components) != 1:
                 continue
             key = _rotation_canonical(n, edges)
             if key in seen:

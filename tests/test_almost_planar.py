@@ -224,3 +224,58 @@ def test_candidate_edge_validation():
     with pytest.raises(NotAlmostPlanar):
         one_side_untangle(d, ("v2", "v3"))  # a real edge, but not a candidate
     assert edges_crossing(d, ("v1", "v2")) == [("v3", "v4")]
+
+
+def _reaches(vertices, edges, a, b):
+    """Plain BFS: is b reachable from a in the graph (vertices, edges)?"""
+    if a not in vertices or b not in vertices:
+        return False
+    seen, queue = {a}, [a]
+    while queue:
+        x = queue.pop()
+        for e in edges:
+            if x in e:
+                y = e[1] if e[0] == x else e[0]
+                if y in vertices and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+    return b in seen
+
+
+def _distances(edges, source):
+    dist, frontier = {source: 0}, [source]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for e in edges:
+                if x in e:
+                    y = e[1] if e[0] == x else e[0]
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def test_classify_split_components_matches_brute_force():
+    checked = 0
+    for n in range(4, 7):
+        for d in enumerate_almost_planar_instances(n):
+            vertices = set(d.graph.vertices)
+            for cand in classify(d).candidates:
+                u, v = cand.edge
+                rest = d.graph.edges - {cand.edge}
+                if not _reaches(vertices, rest, u, v):
+                    continue
+                seps = [c for c in vertices - {u, v} if not _reaches(vertices - {c}, rest, u, v)]
+                if not seps:
+                    continue  # u, v 2-connected in G - e: the other case of min_untangle
+                split = classify_split_components(d, cand.edge)
+                from_u, from_v = _distances(rest, u), _distances(rest, v)
+                assert split.first_cut == min(seps, key=from_u.get)
+                assert split.last_cut == min(seps, key=from_v.get)
+                for comp in split.components:
+                    cut_off = not _reaches(vertices - comp.vertices, rest, u, v)
+                    assert comp.connecting == cut_off
+                checked += 1
+    assert checked > 100

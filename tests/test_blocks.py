@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from untangling import (
@@ -19,7 +19,9 @@ from untangling import (
     path_graph,
     planar_circular_order,
 )
-from untangling.errors import NotOuterplanar
+from untangling.blocks import block_cut_tree
+from untangling.errors import InvalidInstance, NotOuterplanar
+from untangling.generators import PROFILES
 from untangling.model import cyclic_equal, restriction
 
 
@@ -171,3 +173,117 @@ def test_block_chords_noncrossing_property(seed):
     for blk in bd.blocks:
         if blk.hamiltonian is not None:
             assert is_crossing_free(blk.hamiltonian, blk.edges)
+
+
+def test_isolated_vertices_lie_in_no_block():
+    g = Graph(("a", "b", "c", "z", "w"), [("a", "b"), ("b", "c"), ("c", "a")])
+    bd = block_decomposition(g)
+    assert [blk.vertices for blk in bd.blocks] == [frozenset("abc")]
+    assert bd.cut_vertices == frozenset()
+    assert all(bd.attachment(0, v) == frozenset(v) for v in "abc")
+    assert planar_circular_order(g).order == ("a", "b", "c", "z", "w")
+
+
+def test_edgeless_graphs_have_no_blocks():
+    for vs in ((), ("x",), ("x", "y", "z")):
+        g = Graph(vs)
+        bd = block_decomposition(g)
+        assert bd.blocks == () and bd.cut_vertices == frozenset()
+        assert planar_circular_order(g).order == vs
+
+
+def test_attachments_stay_within_their_component():
+    left, right = frozenset("abcd"), frozenset("xyz")
+    g = Graph(
+        ("a", "x", "b", "y", "c", "z", "d"),
+        [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("x", "y"), ("y", "z")],
+    )
+    bd = block_decomposition(g)
+    assert len(bd.blocks) == 4
+    for i, blk in enumerate(bd.blocks):
+        comp = left if blk.vertices <= left else right
+        assert set().union(*(bd.attachment(i, v) for v in blk.vertices)) == comp
+
+
+# -- the block-cut tree against the definitions, by plain BFS -------------------
+
+
+def _bfs_components(vertices, edges):
+    adj = {v: set() for v in vertices}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    comps, seen = [], set()
+    for s in vertices:
+        if s in seen:
+            continue
+        comp, queue = {s}, [s]
+        while queue:
+            for y in adj[queue.pop()] - comp:
+                comp.add(y)
+                queue.append(y)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _check_against_definitions(g, tree):
+    edges = sorted(g.edges)
+    count = len(_bfs_components(g.vertices, edges))
+    assert set(tree.components) == set(_bfs_components(g.vertices, edges))
+    # the blocks partition the edges, and two blocks share at most one vertex
+    assert sorted(e for blk in tree.blocks for e in blk.edges) == edges
+    for i, blk in enumerate(tree.blocks):
+        assert blk.vertices == {x for e in blk.edges for x in e}
+        assert all(len(blk.vertices & other.vertices) <= 1 for other in tree.blocks[i + 1 :])
+    for blk in tree.blocks:
+        if len(blk.edges) == 1:  # a bridge: deleting it splits a component
+            assert len(_bfs_components(g.vertices, set(edges) - blk.edges)) == count + 1
+        else:  # 2-connected: no single vertex deletion disconnects the block
+            for x in blk.vertices:
+                assert len(_bfs_components(blk.vertices - {x}, [e for e in blk.edges if x not in e])) == 1
+    for v in g.vertices:
+        rest = [x for x in g.vertices if x != v]
+        after = len(_bfs_components(rest, [e for e in edges if v not in e]))
+        # deleting an isolated vertex lowers the count, which is not a cut
+        assert (v in tree.cut_vertices) == (after > count)
+    for i, blk in enumerate(tree.blocks):
+        comps = _bfs_components(g.vertices, set(edges) - blk.edges)
+        for v in blk.vertices:
+            assert tree.attachment(i, v) == next(c for c in comps if v in c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PROFILES), st.integers(4, 24), st.integers(0, 10**6), st.integers(0, 2))
+def test_decomposition_matches_definitions(profile, n, seed, isolated):
+    try:
+        d = gen_random(n, seed, profile)
+    except InvalidInstance:
+        assume(False)  # gen_random(profile="disconnected") fails on one-vertex components
+    extra = tuple(f"iso{i}" for i in range(isolated))
+    g = Graph(d.graph.vertices + extra, d.graph.edges)
+    _check_against_definitions(g, block_decomposition(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+def test_block_cut_tree_of_arbitrary_graphs_matches_definitions(spec):
+    n, pairs = spec
+    g = Graph([f"v{i}" for i in range(n)], {(f"v{a}", f"v{b}") for a, b in pairs if a != b})
+    tree = block_cut_tree(g.vertices, g.edges)
+    _check_against_definitions(g, tree)
+    # separating vertices of the first and last vertex, nearest the first one first
+    u, v = g.vertices[0], g.vertices[-1]
+    dist = {u: 0}
+    for layer in range(n):
+        for a, b in g.edges:
+            for x, y in ((a, b), (b, a)):
+                if dist.get(x) == layer and y not in dist:
+                    dist[y] = layer + 1
+
+    def joined_without(c):
+        return any(u in comp and v in comp for comp in _bfs_components(
+            [x for x in g.vertices if x != c], [e for e in g.edges if c not in e]))
+
+    seps = [c for c in g.vertices if c not in (u, v) and v in dist and not joined_without(c)]
+    assert tree.separating_cuts(u, v) == sorted(seps, key=dist.get)

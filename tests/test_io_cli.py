@@ -1,7 +1,13 @@
 """Text formats, rendering, and the command-line pipeline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import untangling
 from untangling import DistIcorInstance, ThreePartitionInstance, gen_fig5, gen_random, render_svg
 from untangling.cli import main
 from untangling.errors import FormatError
@@ -183,3 +189,22 @@ def test_verification_pipeline_random(tmp_path, capsys):
         m.write_text(capsys.readouterr().out)
         assert main(["verify", str(f), str(m)]) == 0
         capsys.readouterr()
+
+
+def test_cli_runs_without_networkx(tmp_path):
+    drawing = tmp_path / "d.cdr"
+    drawing.write_text("vertices 4\norder a b c d\nedge a c\nedge b d\n")
+    script = (
+        "import sys\n"
+        "import untangling\n"
+        "assert 'networkx' not in sys.modules, 'import untangling loaded networkx'\n"
+        "import untangling.cli\n"
+        f"rc = untangling.cli.main(['check', {str(drawing)!r}])\n"
+        "assert 'networkx' not in sys.modules, 'untangling check loaded networkx'\n"
+        "sys.exit(rc)\n"
+    )
+    src = str(Path(untangling.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "crossings 1" in proc.stdout
