@@ -37,7 +37,7 @@ from .model import (
     rotate_to,
     sides_of_edge,
 )
-from .seqs import lccs
+from .seqs import best_target, lccs
 
 LEFT = "left"
 RIGHT = "right"
@@ -834,15 +834,9 @@ def _min_untangle_candidates(d: CircularDrawing, e: Edge):
     source = restriction(d.order, w_set)
     lv_opts = unwrap_linearizations(d, comp_v, v, u)
     lu_opts = unwrap_linearizations(d, comp_u, u, v)
-    best_cost, best_target = None, None
-    for lv in lv_opts:
-        for lu in lu_opts:
-            target = lv + lu
-            cost = len(w_set) - len(lccs(source, target))
-            if best_cost is None or cost < best_cost:
-                best_cost, best_target = cost, target
-    witness = lccs(source, best_target)
-    step2 = moves_to_reach(mid_order, best_target, w_set - set(witness))
+    target = best_target(source, (lv + lu for lv in lv_opts for lu in lu_opts))
+    witness = lccs(source, target)
+    step2 = moves_to_reach(mid_order, target, w_set - set(witness))
     yield step1 + step2
 
 
@@ -861,10 +855,6 @@ def _connected_case_best(d: CircularDrawing, e: Edge, w_comp: frozenset[Vertex])
     _sassert(decomp.blocks[bi].hamiltonian is not None,
              "crossing edge in a bridge block while endpoints are connected")
     source = restriction(d.order, w_comp)
-    best_cost, best_target = None, None
-    for target in _block_attachment_targets(d, sub, decomp, bi):
-        cost = len(w_comp) - len(lccs(source, target))
-        if best_cost is None or cost < best_cost:
-            best_cost, best_target = cost, target
-    witness = lccs(source, best_target)
-    return moves_to_reach(d.order, best_target, set(w_comp) - set(witness))
+    target = best_target(source, _block_attachment_targets(d, sub, decomp, bi))
+    witness = lccs(source, target)
+    return moves_to_reach(d.order, target, set(w_comp) - set(witness))

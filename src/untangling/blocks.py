@@ -207,35 +207,55 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
 
 def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: Optional[random.Random]) -> list[Vertex]:
-    def expand_block(bi: int, entry: Vertex) -> list[Vertex]:
+    """The order of one component: a walk of the block-cut tree from `root`.
+
+    `visit` and `expand_block` call each other once per tree level.  They are
+    generators that yield the call they need and receive its result, and the
+    loop at the end runs them on an explicit stack, so a long path does not
+    exhaust Python's recursion limit.  Calls still run, and draw from `rng`,
+    in the order of plain recursion.
+    """
+    def expand_block(bi: int, entry: Vertex):
         b = decomp.blocks[bi]
         if b.hamiltonian is None:
-            (other,) = b.vertices - {entry}
-            return visit(other, bi)
-        walk = list(rotate_to(b.hamiltonian, entry))
-        forward = g.index(walk[1]) <= g.index(walk[-1]) if rng is None else rng.random() < 0.5
-        if not forward:
-            walk = [walk[0]] + list(reversed(walk[1:]))
+            walk = [entry, *(b.vertices - {entry})]
+        else:
+            walk = list(rotate_to(b.hamiltonian, entry))
+            forward = g.index(walk[1]) <= g.index(walk[-1]) if rng is None else rng.random() < 0.5
+            if not forward:
+                walk = [walk[0]] + list(reversed(walk[1:]))
         out: list[Vertex] = []
         for w in walk[1:]:
-            out.extend(visit(w, bi))
+            if len(decomp.incidence[w]) == 1:  # no other block: nothing to visit or draw
+                out.append(w)
+            else:
+                out.extend((yield visit(w, bi)))
         return out
 
-    def visit(v: Vertex, from_block: Optional[int]) -> list[Vertex]:
+    def visit(v: Vertex, from_block: Optional[int]):
         children = [bi for bi in decomp.incidence[v] if bi != from_block]
         if rng is not None:
             rng.shuffle(children)
         pre: list[Vertex] = []
         post: list[Vertex] = []
         for bi in children:
-            span = expand_block(bi, v)
+            span = yield expand_block(bi, v)
             if rng is not None and rng.random() < 0.5:
                 pre.extend(span)
             else:
                 post.extend(span)
         return pre + [v] + post
 
-    return visit(root, None)
+    stack = [visit(root, None)]
+    result = None
+    while stack:
+        try:
+            stack.append(stack[-1].send(result))
+            result = None
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+    return result
 
 
 def planar_circular_order(g: Graph, rng: Optional[random.Random] = None) -> CircularDrawing:

@@ -104,25 +104,140 @@ def lds(s) -> list:
     return [items[i] for i in lis_indices(neg)]
 
 
-def lics(s, direction: str = INCREASING) -> list:
-    """Longest strictly monotone cyclic subsequence.
+# Rotation bounds use one split point per SPLIT_SPAN items, at most
+# MAX_SPLITS; below 32 items a second split point costs more than it saves.
+SPLIT_SPAN = 32
+MAX_SPLITS = 4
 
-    Computed as the best linear result over all rotations; on ties the
-    smallest rotation index wins, which keeps output deterministic.
+
+def _lis_len(items: Sequence) -> int:
+    """Length of a longest strictly increasing subsequence (patience piles)."""
+    tails: list = []
+    for x in items:
+        j = bisect_left(tails, x)
+        if j == len(tails):
+            tails.append(x)
+        else:
+            tails[j] = x
+    return len(tails)
+
+
+def _prefix_lis_lens(items: Sequence) -> list[int]:
+    """out[k] = LIS length of items[:k], from one patience pass."""
+    tails: list = []
+    out = [0]
+    for x in items:
+        j = bisect_left(tails, x)
+        if j == len(tails):
+            tails.append(x)
+        else:
+            tails[j] = x
+        out.append(len(tails))
+    return out
+
+
+def _split_bounds(items: tuple, c: int) -> list[int]:
+    """bound[r] >= LIS length of rotation r, from split point c.
+
+    Rotation r is the arc [r, c) followed by the arc [c, r + n); an
+    increasing subsequence of it is one of each arc, so its LIS is at most
+    LIS([r, c)) + LIS([c, r + n)).  One forward patience pass from c gives
+    the second term for every r, one backward pass the first.  The bound of
+    rotation c itself is its exact LIS.
+    """
+    n = len(items)
+    rot = items[c:] + items[:c]
+    fwd = _prefix_lis_lens(rot)                           # fwd[j]: arc [c, c + j)
+    bwd = _prefix_lis_lens([-x for x in reversed(rot)])  # bwd[j]: arc [c - j, c)
+    split = [f + b for f, b in zip(fwd, reversed(bwd))]   # rotation c + j, j < n
+    return split[n - c:n] + split[:n - c]
+
+
+def _best_rotation(items: tuple, floor: int) -> tuple[int, int]:
+    """(length, r) for the smallest rotation r whose LIS is longest, if that
+    length exceeds `floor`; otherwise (floor, -1).
+
+    The rotations are bounded from evenly spaced split points, and the
+    sequence is rejected as soon as no bound exceeds `floor`.  Otherwise
+    rotations are tried in order of falling bound until no untried one can
+    beat the best length found, or tie it at a smaller rotation index.
+    """
+    n = len(items)
+    if n == 0:
+        return (0, 0) if floor < 0 else (floor, -1)
+    k = min(MAX_SPLITS, 1 + n // SPLIT_SPAN)
+    bound = None
+    for c in dict.fromkeys(i * n // k for i in range(k)):
+        split = _split_bounds(items, c)
+        bound = split if bound is None else list(map(min, bound, split))
+        if max(bound) <= floor:
+            return floor, -1
+    best, best_r = floor, -1
+    doubled = items + items
+    for r in sorted(range(n), key=bound.__getitem__, reverse=True):  # stable: ties by r
+        b = bound[r]
+        if b < best or (b == best and (best_r < 0 or r >= best_r)):
+            break
+        length = _lis_len(doubled[r:r + n])
+        if length > best or (length == best and r < best_r):
+            best, best_r = length, r
+    return best, best_r
+
+
+def lics(s, direction: str = INCREASING) -> list:
+    """Longest strictly monotone cyclic subsequence: the longest LIS (LDS)
+    over all rotations of `s`.
+
+    Bound: cut the rotation starting at r at a split point c.  An increasing
+    subsequence of it is one of the arc [r, c) followed by one of the arc
+    [c, r + n), so LIS(rotation r) <= LIS([r, c)) + LIS([c, r + n)).  One
+    forward and one backward patience pass from c give this bound for every
+    rotation at once.  Evenly spaced split points are used, one per
+    SPLIT_SPAN items and at most MAX_SPLITS, and rotations are then tried in
+    order of falling bound until no bound can beat the best length found.
+
+    Cost: O(k n log n) for k split points plus O(n log n) per rotation
+    tried.  If every bound is loose, every rotation is tried, which is the
+    O(n^2 log n) of a plain scan.
+
+    Ties: the smallest rotation index among the longest wins, and the
+    witness is the one `lis` (`lds`) returns for that rotation, so the
+    output is the one a scan of the rotations in index order would keep.
+    Items may be any hashable, totally ordered values; the kernel runs on
+    their ranks.
     """
     items = _as_items(s)
     if direction not in (INCREASING, DECREASING):
         raise InvalidInstance(f"unknown direction {direction!r}")
     if not items:
         return []
-    kernel = lis if direction == INCREASING else lds
-    best: list = []
-    for r in range(len(items)):
-        rotated = items[r:] + items[:r]
-        w = kernel(rotated)
-        if len(w) > len(best):
-            best = w
-    return best
+    rank = {x: i for i, x in enumerate(sorted(items))}  # equal items share a rank
+    sign = 1 if direction == INCREASING else -1
+    keys = tuple(sign * rank[x] for x in items)
+    _, r = _best_rotation(keys, 0)
+    n = len(items)
+    return [items[(r + i) % n] for i in lis_indices(keys[r:] + keys[:r])]
+
+
+_NOT_ONE_ITEM_SET = "lccs needs two cyclic orders of the same distinct items"
+
+
+def _rank_map(order: tuple) -> dict:
+    rank = {v: i for i, v in enumerate(order)}
+    if len(rank) != len(order):
+        raise InvalidInstance(_NOT_ONE_ITEM_SET)
+    return rank
+
+
+def _ranked(rank: dict, order: tuple) -> tuple[int, ...]:
+    """`order` read through `rank`; raises unless it lists the same distinct items."""
+    try:
+        ranks = tuple(map(rank.__getitem__, order))
+    except KeyError:
+        raise InvalidInstance(_NOT_ONE_ITEM_SET) from None
+    if len(ranks) != len(rank) or len(set(ranks)) != len(ranks):
+        raise InvalidInstance(_NOT_ONE_ITEM_SET)
+    return ranks
 
 
 def lccs(a, b) -> list:
@@ -130,14 +245,34 @@ def lccs(a, b) -> list:
 
     Returns a largest set of items, listed in the shared cyclic order.
     Positions of `b` are used as ranks, so the answer is the longest
-    increasing cyclic subsequence of `a` mapped through those ranks.
+    increasing cyclic subsequence of `a` mapped through those ranks.  Both
+    orders must list the same distinct items.
     """
     aa, bb = _as_items(a), _as_items(b)
-    if set(aa) != set(bb) or len(set(aa)) != len(aa):
-        raise InvalidInstance("lccs needs two cyclic orders of the same distinct items")
-    pos = {v: i for i, v in enumerate(bb)}
-    mapped = tuple(pos[v] for v in aa)
+    mapped = _ranked(_rank_map(bb), aa)
     return [bb[i] for i in lics(mapped, INCREASING)]
+
+
+def best_target(source, targets):
+    """The first of `targets` whose longest common cyclic subsequence with
+    `source` is longest.
+
+    Equals the first argmax of `len(lccs(source, t))`.  `source` is ranked
+    once and each target is read through that rank map.  A target is scored
+    only as far as needed to tell whether it beats the best so far, so most
+    losing targets stop at the rotation bounds of `lics`.  Every target must
+    list the items of `source`, each once.
+    """
+    rank = _rank_map(_as_items(source))
+    best, best_len = None, -1
+    for t in targets:
+        mapped = _ranked(rank, _as_items(t))
+        length, r = _best_rotation(mapped, best_len)
+        if r >= 0:
+            best, best_len = t, length
+    if best is None:
+        raise InvalidInstance("best_target needs at least one target")
+    return best
 
 
 def moves_between(a, b) -> int:

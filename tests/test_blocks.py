@@ -22,7 +22,7 @@ from untangling import (
 from untangling.blocks import block_cut_tree
 from untangling.errors import InvalidInstance, NotOuterplanar
 from untangling.generators import PROFILES
-from untangling.model import cyclic_equal, restriction
+from untangling.model import cyclic_equal, restriction, rotate_to
 
 
 def k4():
@@ -156,6 +156,67 @@ def test_randomized_layouts_are_planar_and_varied():
         assert len(crossings(d)) == 0
         seen.add(d.canonical_order())
     assert len(seen) > 5
+
+
+def recursive_planar_order(g, rng=None):
+    """Reference: `planar_circular_order` with the block-cut tree walked by
+    plain recursion, which fails on deep trees but defines the order of the
+    walk and of every `rng` draw."""
+    decomp = block_decomposition(g)
+
+    def expand_block(bi, entry):
+        b = decomp.blocks[bi]
+        if b.hamiltonian is None:
+            (other,) = b.vertices - {entry}
+            return visit(other, bi)
+        walk = list(rotate_to(b.hamiltonian, entry))
+        forward = g.index(walk[1]) <= g.index(walk[-1]) if rng is None else rng.random() < 0.5
+        if not forward:
+            walk = [walk[0]] + list(reversed(walk[1:]))
+        return [x for w in walk[1:] for x in visit(w, bi)]
+
+    def visit(v, from_block):
+        children = [bi for bi in decomp.incidence[v] if bi != from_block]
+        if rng is not None:
+            rng.shuffle(children)
+        pre, post = [], []
+        for bi in children:
+            span = expand_block(bi, v)
+            (pre if rng is not None and rng.random() < 0.5 else post).extend(span)
+        return pre + [v] + post
+
+    comps = [sorted(c, key=g.index) for c in decomp.components]
+    if rng is not None:
+        rng.shuffle(comps)
+    order = []
+    for comp in comps:
+        order.extend(visit(comp[0] if rng is None else rng.choice(comp), None))
+    return tuple(order)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_layout_matches_recursive_reference(profile):
+    checked = 0
+    for n in (10, 30):
+        for seed in range(25):
+            try:
+                g = gen_random(n, seed, profile).graph
+            except InvalidInstance:  # disconnected draws with a one-vertex part
+                continue
+            assert planar_circular_order(g).order == recursive_planar_order(g)
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert planar_circular_order(g, rng).order == recursive_planar_order(g, ref_rng)
+            assert rng.random() == ref_rng.random()  # same number of draws
+            checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("rng", [None, random.Random(0)])
+def test_planar_order_of_long_path(rng):
+    g = path_graph(2000)  # block-cut tree of depth ~4000
+    d = planar_circular_order(g, rng)
+    assert sorted(d.order) == sorted(g.vertices)
+    assert is_crossing_free(d.order, g.edges)
 
 
 def test_disconnected_graphs_concatenate():

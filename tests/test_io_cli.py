@@ -126,6 +126,21 @@ def test_cli_generate_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_general_on_long_path(tmp_path, capsys):
+    g = untangling.path_graph(1000)
+    order = list(g.vertices)
+    order[10], order[500] = order[500], order[10]
+    drawing = tmp_path / "path.cdr"
+    drawing.write_text(format_drawing(untangling.CircularDrawing(g, order)))
+    assert main(["untangle", str(drawing), "--algorithm", "general"]) == 0
+    captured = capsys.readouterr()
+    assert "planar=True" in captured.err
+    moves = tmp_path / "path.mv"
+    moves.write_text(captured.out)
+    assert main(["verify", str(drawing), str(moves)]) == 0
+    assert "planarOk true" in capsys.readouterr().out
+
+
 def test_cli_reductions(tmp_path, capsys):
     f3 = tmp_path / "i.3p"
     f3.write_text("3p 1 30 9 9 12\n")

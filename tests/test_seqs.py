@@ -2,13 +2,27 @@
 
 from itertools import combinations, permutations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from untangling import CyclicSequence, RankedSequence, es_tight_cyclic, lccs, lics, lis
 from untangling.errors import InvalidInstance, Unsupported
-from untangling.seqs import DECREASING, INCREASING, lds, moves_between
+from untangling.seqs import DECREASING, INCREASING, best_target, lds, moves_between
+
+
+def scan_lics(items, direction):
+    """Reference: the best `lis` (`lds`) over every rotation, scanned in
+    index order, so the smallest rotation index wins ties."""
+    kernel = lis if direction == INCREASING else lds
+    best = []
+    for r in range(len(items)):
+        w = kernel(items[r:] + items[:r])
+        if len(w) > len(best):
+            best = w
+    return best
 
 
 def brute_lis_len(items):
@@ -93,6 +107,49 @@ def test_lics_at_least_any_rotation_lis(perm):
     assert len(lics(items, INCREASING)) >= best_rot
 
 
+distinct_ints = st.lists(st.integers(-1000, 1000), max_size=60, unique=True)
+
+
+@st.composite
+def tied_rotations(draw):
+    """k shifted copies of one pattern, the copies' offsets in a drawn order:
+    rotations starting at the copies' boundaries tie whenever the offsets
+    fall, so the tie rule decides the witness."""
+    pattern = draw(st.permutations(range(draw(st.integers(1, 8)))))
+    offsets = draw(st.permutations(range(draw(st.integers(2, 6)))))
+    m = len(pattern)
+    return tuple(x + off * m - 20 for off in offsets for x in pattern)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(distinct_ints, tied_rotations()), st.sampled_from([INCREASING, DECREASING]))
+def test_lics_equals_rotation_scan(items, direction):
+    items = tuple(items)
+    assert lics(items, direction) == scan_lics(items, direction)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 999), max_size=20), st.sampled_from([INCREASING, DECREASING]))
+def test_lics_on_ordered_non_numbers(items, direction):
+    # zero-padded words sort like their numbers, repeats included
+    words = tuple(f"w{x:03d}" for x in items)
+    assert lics(words, direction) == [f"w{x:03d}" for x in scan_lics(tuple(items), direction)]
+
+
+def test_lics_equals_rotation_scan_long_perturbed():
+    # long, nearly sorted sequences: the bounds prune most rotations here
+    rng = random.Random(4)
+    for n in (40, 100, 250):
+        for _ in range(4):
+            items = list(range(n))
+            for _ in range(n // 8):
+                items.insert(rng.randrange(n), items.pop(rng.randrange(n)))
+            k = rng.randrange(n)
+            items = tuple(items[k:] + items[:k])
+            for direction in (INCREASING, DECREASING):
+                assert lics(items, direction) == scan_lics(items, direction)
+
+
 def test_erdos_szekeres_cyclic_six():
     # every cyclic permutation of 6 distinct ranks has a monotone cyclic
     # subsequence of 4 terms (s = r = 2)
@@ -132,6 +189,47 @@ def test_lccs_matches_subset_oracle(perm):
     got = lccs(a, b)
     assert len(got) == brute_lccs_len(a, b)
     assert len(lccs(b, a)) == len(got)  # symmetry
+
+
+def test_lccs_rejects_mismatched_orders():
+    with pytest.raises(InvalidInstance):
+        lccs((1, 2), (1, 2, 1))  # repeats in b
+    with pytest.raises(InvalidInstance):
+        lccs((1, 2, 1), (1, 2))  # repeats in a
+    with pytest.raises(InvalidInstance):
+        lccs((1, 2), (1, 3))
+    with pytest.raises(InvalidInstance):
+        lccs(("x",), ())
+
+
+@st.composite
+def targets_with_ties(draw):
+    n = draw(st.integers(0, 12))
+    source = tuple(f"v{i}" for i in draw(st.permutations(range(n))))
+    pool = [tuple(source[i] for i in draw(st.permutations(range(n)))) for _ in range(draw(st.integers(1, 4)))]
+    targets = []
+    for _ in range(draw(st.integers(1, 12))):
+        t = draw(st.sampled_from(pool))
+        k = draw(st.integers(0, max(0, n - 1)))
+        targets.append(tuple([*t[k:], *t[:k]]))  # a fresh object; rotations score alike
+    return source, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(targets_with_ties())
+def test_best_target_is_first_argmax(case):
+    source, targets = case
+    scores = [len(lccs(source, t)) for t in targets]
+    assert best_target(source, targets) is targets[scores.index(max(scores))]
+
+
+def test_best_target_rejects_bad_input():
+    with pytest.raises(InvalidInstance):
+        best_target(("a", "b"), [])
+    with pytest.raises(InvalidInstance):
+        best_target(("a", "b"), [("a", "b"), ("a", "a")])
+    with pytest.raises(InvalidInstance):
+        best_target(("a", "b"), [("a", "b", "c")])
 
 
 def test_moves_between():
