@@ -11,8 +11,9 @@ kernel change left every output unchanged:
 Each line is `section  input  output`, tab-separated.  The inputs are:
 
 - every `enumerate_almost_planar_instances` drawing with n <= 7, through
-  `min_untangle`, `one_side_untangle` and `edge_fixed_untangle`;
-- `untangle_general` on seeded `gen_random` drawings with n = 100..300;
+  `classify`, `min_untangle`, `one_side_untangle` and `edge_fixed_untangle`;
+- `classify` and `untangle_general` on seeded `gen_random` drawings with
+  n = 100..300 (mostly not almost-planar);
 - `planar_circular_order` on seeded `gen_random` graphs of all four
   profiles, without and with an `rng`, and the `rng`'s next draw after it.
 
@@ -47,6 +48,12 @@ def _drawing(d: ut.CircularDrawing) -> str:
     return " ".join(map(str, d.order)) + " | " + " ".join(f"{a}-{b}" for a, b in d.graph.sorted_edges())
 
 
+def _classify(d: ut.CircularDrawing) -> str:
+    cls = ut.classify(d)
+    cands = (f"{c.edge[0]}-{c.edge[1]} L {' '.join(c.left)} R {' '.join(c.right)}" for c in cls.candidates)
+    return " ; ".join((cls.kind, *cands))
+
+
 def _run(f):
     """f(), or the class name of the package error it raised."""
     try:
@@ -58,6 +65,7 @@ def _run(f):
 def almost_planar_lines():
     for n in range(3, ALMOST_PLANAR_MAX_N + 1):
         for d in ut.enumerate_almost_planar_instances(n):
+            yield "classify", _drawing(d), _run(lambda: _classify(d))
             for name, untangle in UNTANGLERS:
                 yield name, _drawing(d), _run(lambda: _moves(untangle(d)))
 
@@ -68,8 +76,11 @@ def general_lines():
             for seed in GENERAL_SEEDS:
                 d = _run(lambda: ut.gen_random(n, seed, profile))
                 key = f"{profile} n={n} seed={seed}"
-                out = d if isinstance(d, str) else _run(lambda: _moves(ut.untangle_general(d)))
-                yield "general", key, out
+                if isinstance(d, str):
+                    yield "general", key, d
+                    continue
+                yield "classify", key, _run(lambda: _classify(d))
+                yield "general", key, _run(lambda: _moves(ut.untangle_general(d)))
 
 
 def layout_lines():

@@ -642,23 +642,42 @@ def _edge_fixed_for(d: CircularDrawing, e: Edge) -> list[VertexMove]:
 # -- minimum untangling --------------------------------------------------
 
 
+def _apex_cuts(cyc: Sequence[Vertex], apex: Vertex, edges: Iterable[Edge]) -> list[int]:
+    """The rotations k, ascending, for which no edge spans `apex` in the
+    linear order cyc[k:] + cyc[:k].
+
+    Cutting the circle before cyc[k] makes an edge span the apex exactly
+    when the cut lies on the edge's arc that avoids the apex; a difference
+    array over cut positions, counted from the apex, marks those cuts.
+    Edges at the apex span nothing.  O(len(cyc) + edges).
+    """
+    n = len(cyc)
+    pa = cyc.index(apex)
+    rel = {x: (i - pa) % n for i, x in enumerate(cyc)}
+    diff = [0] * (n + 1)
+    for a, c in edges:
+        s, t = rel[a], rel[c]
+        if s and t:
+            if s > t:
+                s, t = t, s
+            diff[s + 1] += 1
+            diff[t + 1] -= 1
+    out, covered = [], 0
+    for r in range(n):
+        covered += diff[r]
+        if not covered:
+            out.append((pa + r) % n)
+    out.sort()
+    return out
+
+
 def _attachment_linearizations(
     sigma: tuple[Vertex, ...], b: Vertex, edges: list[Edge]
 ) -> list[tuple[Vertex, ...]]:
     """All rotations of the attachment's cyclic input order in which no
     attachment edge spans the block vertex `b` (those are the planar ways to
     lay the attachment out as one contiguous block around its block vertex)."""
-    n = len(sigma)
-    if n == 1:
-        return [sigma]
-    out = []
-    for k in range(n):
-        lin = sigma[k:] + sigma[:k]
-        pos = {x: i for i, x in enumerate(lin)}
-        pb = pos[b]
-        if all(not (min(pos[a], pos[c]) < pb < max(pos[a], pos[c])) for a, c in edges):
-            out.append(lin)
-    return out
+    return [sigma[k:] + sigma[:k] for k in _apex_cuts(sigma, b, edges)]
 
 
 def _capped_products(parts: list[list[tuple[Vertex, ...]]], cap: int) -> list[list[tuple[Vertex, ...]]]:
@@ -685,25 +704,29 @@ def _block_attachment_targets(
     rev = (ham[0],) + tuple(reversed(ham[1:]))
     if rev != ham:
         walks.append(rev)
-    targets = []
-    for walk in walks:
-        parts = []
-        for b in walk:
-            att = decomp.attachment(bi, b)
-            sigma = restriction(d.order, att)
-            att_edges = [ed for ed in sub.edges if ed[0] in att and ed[1] in att]
-            lins = _attachment_linearizations(sigma, b, att_edges)
-            _sassert(bool(lins), "attachment admits no valid linearization around its block vertex")
-            parts.append(lins)
-        for combo in _capped_products(parts, cap):
-            targets.append(tuple(x for part in combo for x in part))
+    # attachments partition the vertices, and every edge off the block joins
+    # two vertices of one attachment
+    atts = {b: decomp.attachment(bi, b) for b in ham}
+    owner = {x: b for b, att in atts.items() for x in att}
+    att_edges: dict[Vertex, list[Edge]] = {b: [] for b in ham}
+    for ed in sub.edges:
+        b = owner[ed[0]]
+        if owner[ed[1]] == b:
+            att_edges[b].append(ed)
+    lins = {}
+    for b in ham:
+        lins[b] = _attachment_linearizations(restriction(d.order, atts[b]), b, att_edges[b])
+        _sassert(bool(lins[b]), "attachment admits no valid linearization around its block vertex")
+    first = sub.vertices[0]
     seen = set()
     out = []
-    for t in targets:
-        key = rotate_to(t, min(t, key=sub.index))
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
+    for walk in walks:
+        for combo in _capped_products([lins[b] for b in walk], cap):
+            t = tuple(x for part in combo for x in part)
+            key = rotate_to(t, first)
+            if key not in seen:
+                seen.add(key)
+                out.append(t)
     return out
 
 
@@ -736,13 +759,7 @@ def unwrap_linearizations(d: CircularDrawing, comp: frozenset[Vertex], apex: Ver
     outs: set[tuple[Vertex, ...]] = set()
     for bi in qualifying:
         for cyc in _block_attachment_targets(d, sub, decomp, bi):
-            m = len(cyc)
-            for k in range(m):
-                lin = cyc[k:] + cyc[:k]
-                pos = {x: i for i, x in enumerate(lin)}
-                p_apex = pos[apex]
-                if all(not (min(pos[a], pos[c]) < p_apex < max(pos[a], pos[c])) for a, c in sub.edges):
-                    outs.add(lin)
+            outs.update(cyc[k:] + cyc[:k] for k in _apex_cuts(cyc, apex, sub.edges))
     return sorted(outs)
 
 

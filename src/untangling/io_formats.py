@@ -31,10 +31,14 @@ def parse_drawing(text: str) -> CircularDrawing:
     for parts in _payload_lines(text):
         kw = parts[0]
         if kw == "vertices":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise FormatError(f"bad vertices line: {' '.join(parts)}")
+            if n is not None:
+                raise FormatError("drawing file has more than one `vertices` line")
             n = int(parts[1])
         elif kw == "order":
+            if order is not None:
+                raise FormatError("drawing file has more than one `order` line")
             order = tuple(parts[1:])
         elif kw == "edge":
             if len(parts) != 3:
@@ -106,8 +110,10 @@ def parse_icor(text: str) -> DistIcorInstance:
     chunks: list[tuple[int, ...]] = []
     for parts in _payload_lines(text):
         if parts[0] == "icor":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise FormatError(f"bad icor line: {' '.join(parts)}")
+            if m_target is not None:
+                raise FormatError("icor file has more than one `icor` line")
             m_target = int(parts[1])
         elif parts[0] == "chunk":
             try:

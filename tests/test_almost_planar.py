@@ -25,6 +25,7 @@ from untangling import (
     unwrap_linearizations,
     verify_untangling,
 )
+from untangling.almost_planar import _apex_cuts
 from untangling.errors import NotAlmostPlanar
 from untangling.model import all_crossings_on, edges_crossing
 
@@ -208,6 +209,36 @@ def test_unwrap_orders_leave_apex_uncovered():
             pv = pos[v]
             for a, b in sub_edges:
                 assert not (min(pos[a], pos[b]) < pv < max(pos[a], pos[b]))
+
+
+def scan_cuts(cyc, apex, edges):
+    """Reference for `_apex_cuts`: try every rotation and scan every edge."""
+    out = []
+    for k in range(len(cyc)):
+        pos = {x: i for i, x in enumerate(cyc[k:] + cyc[:k])}
+        pa = pos[apex]
+        if all(not (min(pos[a], pos[c]) < pa < max(pos[a], pos[c])) for a, c in edges):
+            out.append(k)
+    return out
+
+
+@st.composite
+def cyclic_orders_with_chords(draw):
+    cyc = tuple(draw(st.permutations(range(draw(st.integers(1, 40))))))
+    n = len(cyc)
+    apex = draw(st.sampled_from(cyc))
+    chords = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+        max_size=2 * n,
+    )) if n > 1 else []
+    return cyc, apex, chords
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_orders_with_chords())
+def test_apex_cuts_match_rotation_scan(case):
+    cyc, apex, chords = case
+    assert _apex_cuts(cyc, apex, chords) == scan_cuts(cyc, apex, chords)
 
 
 @settings(max_examples=30, deadline=None)

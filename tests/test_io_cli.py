@@ -194,6 +194,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("check", "vertices \u00b2\norder a b\n".encode()),          # digit that int() rejects
+        ("check", b"vertices 2\norder a \xff\n"),                     # not UTF-8
+        ("check", b"vertices 2\nvertices 2\norder a b\n"),            # second vertices line
+        ("check", b"vertices 2\norder a b\norder b a\n"),             # second order line
+        ("reduce-icor", "icor \u00b2\nchunk 1 2\n".encode()),         # digit that int() rejects
+        ("reduce-icor", b"icor 2\nicor 3\nchunk 1 2\n"),              # second icor line
+        ("reduce-icor", b"icor 2\nchunk 1 \xfe\n"),                   # not UTF-8
+    ],
+)
+def test_cli_malformed_file_exits_2(tmp_path, capsys, command, data):
+    f = tmp_path / "in.txt"
+    f.write_bytes(data)
+    argv = ["check", str(f)] if command == "check" else ["generate", command, str(f)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verification_pipeline_random(tmp_path, capsys):
     for seed in (1, 2):
         d = gen_random(10, seed, "almost-planar")

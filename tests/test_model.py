@@ -1,7 +1,7 @@
 """Core model: crossings, classification, moves, verification."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from untangling import (
@@ -22,7 +22,8 @@ from untangling import (
     verify_untangling,
 )
 from untangling.errors import InvalidInstance, UnknownVertex
-from untangling.model import rotate_to
+from untangling.generators import PROFILES
+from untangling.model import crossing_pair, rotate_to, sides_of_edge
 
 
 def c4_tangled():
@@ -113,6 +114,46 @@ def test_classify_not_almost_planar():
     )
     d = CircularDrawing(g, g.vertices)
     assert classify(d).kind == NOT_ALMOST_PLANAR
+
+
+@st.composite
+def small_drawings(draw):
+    n = draw(st.integers(1, 9))
+    names = [f"x{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    return CircularDrawing(Graph(names, edges), draw(st.permutations(names)))
+
+
+@st.composite
+def generated_drawings(draw):
+    profile, n, seed = draw(st.sampled_from(PROFILES)), draw(st.integers(6, 16)), draw(st.integers(0, 10**6))
+    try:
+        return gen_random(n, seed, profile)
+    except InvalidInstance:  # the disconnected profile drew a one-vertex component
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_drawings(), generated_drawings()))
+def test_classify_matches_brute_force(d):
+    g = d.graph
+    pairs = crossings(d)
+    want = [
+        e for e in g.sorted_edges()
+        if pairs.involving(e) and not crossings(CircularDrawing(g.without_edge(e), d.order))
+    ]
+    cls = classify(d)
+    kind = PLANAR if not pairs else ALMOST_PLANAR if want else NOT_ALMOST_PLANAR
+    assert cls.kind == kind
+    assert [c.edge for c in cls.candidates] == want
+    for c in cls.candidates:
+        assert (c.left, c.right) == sides_of_edge(d, c.edge)
+
+    pair = crossing_pair(d.order, g.edges)
+    assert (pair is None) == (len(pairs) == 0) == is_crossing_free(d.order, g.edges)
+    if pair is not None:
+        assert frozenset(pair) in pairs.pairs
 
 
 def test_apply_examples():
