@@ -15,13 +15,21 @@ Each line is `section  input  output`, tab-separated.  The inputs are:
 - `classify` and `untangle_general` on seeded `gen_random` drawings with
   n = 100..300 (mostly not almost-planar);
 - `planar_circular_order` on seeded `gen_random` graphs of all four
-  profiles, without and with an `rng`, and the `rng`'s next draw after it.
+  profiles, without and with an `rng`, and the `rng`'s next draw after it;
+- the oracle on every almost-planar drawing with n <= 6 and on seeded
+  almost-planar drawings with n = 8, 9: the count and a sha256 of
+  `enumerate_planar_orders`' list, `exact_min_untangle`'s target and fixed
+  set, and `exact_min_untangle_edge_fixed` for each candidate edge;
+- a sha256 of `reduce_disticor_to_cu`'s order, sorted edges and budget on
+  the 3-partition instances with m = 1 and m = 2 that the benchmark's
+  research-batch workload reduces.
 
 An input that raises prints the error's class name in place of the output.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import untangling as ut
@@ -33,6 +41,14 @@ GENERAL_SEEDS = range(12)
 GENERAL_PROFILES = ("outerplanar-order-perturbed", "disconnected")
 LAYOUT_NS = (10, 20, 40)
 LAYOUT_SEEDS = range(50)
+ORACLE_MAX_N = 6
+ORACLE_RANDOM_NS = (8, 9)
+ORACLE_SEEDS = range(12)
+# (elements, K); all elements divisible by 3m, so no rescaling
+THREE_PARTITIONS = (
+    ((6, 6, 6), 18), ((6, 6, 9), 21), ((9, 9, 9), 27), ((9, 9, 12), 30), ((9, 12, 12), 33), ((9, 9, 15), 33),
+    ((12, 12, 18, 12, 12, 18), 42),
+)
 UNTANGLERS = (
     ("min", ut.min_untangle),
     ("one-side", ut.one_side_untangle),
@@ -102,8 +118,47 @@ def layout_lines():
                 yield "layout-rng", key, _run(with_rng)
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _oracle_lines(key: str, d: ut.CircularDrawing):
+    orders = _run(lambda: ut.enumerate_planar_orders(d.graph))
+    if not isinstance(orders, str):
+        orders = f"{len(orders)} {_sha(';'.join(' '.join(t) for t in orders))}"
+    yield "oracle-orders", key, orders
+
+    def exact():
+        res = ut.exact_min_untangle(d)
+        return f"{res.moved_count} target {' '.join(res.target_order)} fixed {' '.join(res.fixed)}"
+
+    yield "oracle-min", key, _run(exact)
+    for cand in ut.classify(d).candidates:
+        a, b = cand.edge
+        yield "oracle-edge-fixed", f"{key} edge {a}-{b}", _run(lambda: ut.exact_min_untangle_edge_fixed(d, cand.edge))
+
+
+def oracle_lines():
+    for n in range(3, ORACLE_MAX_N + 1):
+        for d in ut.enumerate_almost_planar_instances(n):
+            yield from _oracle_lines(_drawing(d), d)
+    for n in ORACLE_RANDOM_NS:
+        for seed in ORACLE_SEEDS:
+            d = ut.gen_random(n, seed, "almost-planar")
+            yield from _oracle_lines(f"almost-planar n={n} seed={seed} {_drawing(d)}", d)
+
+
+def reduce_lines():
+    for a, k in THREE_PARTITIONS:
+        red = ut.reduce_3p_to_disticor(ut.ThreePartitionInstance(a, k))
+        d, budget = ut.reduce_disticor_to_cu(red.instance)
+        edges = " ".join(f"{x}-{y}" for x, y in sorted(d.graph.edges))
+        text = " ".join(d.order) + f" | {edges} | {budget}"
+        yield "reduce", f"3p {' '.join(map(str, a))} K={k}", f"{len(d.order)} {_sha(text)}"
+
+
 def main() -> None:
-    for lines in (almost_planar_lines, general_lines, layout_lines):
+    for lines in (almost_planar_lines, general_lines, layout_lines, oracle_lines, reduce_lines):
         for section, key, value in lines():
             print(section, key, value, sep="\t")
 

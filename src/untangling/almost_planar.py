@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .blocks import BlockDecomposition, block_cut_tree, block_decomposition
+from .blocks import BlockDecomposition, block_cut_tree, block_decomposition, components
 from .errors import NotAlmostPlanar, StructuralAssertionFailed
 from .model import (
     ALMOST_PLANAR,
@@ -109,10 +109,6 @@ class SplitDecomposition:
         raise KeyError(x)
 
 
-def _components(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> list[frozenset[Vertex]]:
-    return list(block_cut_tree(vertices, edges).components)
-
-
 def classify_split_components(d: CircularDrawing, e: Edge) -> SplitDecomposition:
     """The left/right x connecting/non-connecting component structure around e."""
     g = d.graph
@@ -135,7 +131,7 @@ def classify_split_components(d: CircularDrawing, e: Edge) -> SplitDecomposition
     x_edges = frozenset(
         ed for ed in sub_edges if (ed[0] in left_plus) != (ed[1] in left_plus)
     )
-    pieces = _components(comp, [ed for ed in sub_edges if ed not in x_edges])
+    pieces = components(comp, [ed for ed in sub_edges if ed not in x_edges])
     pieces.sort(key=lambda c: min(d.position(x) for x in c))
 
     comps = []
@@ -145,7 +141,7 @@ def classify_split_components(d: CircularDrawing, e: Edge) -> SplitDecomposition
         # connecting: deleting the piece disconnects u from v (always so when it holds u or v)
         rest = comp - c
         rest_edges = [ed for ed in sub_edges if ed[0] in rest and ed[1] in rest]
-        connecting = not any({u, v} <= k for k in _components(rest, rest_edges))
+        connecting = not any({u, v} <= k for k in components(rest, rest_edges))
         comps.append(SplitComponent(c, LEFT if on_left else RIGHT, connecting))
 
     adjacency: dict[int, set[int]] = {i: set() for i in range(len(comps))}
@@ -295,7 +291,7 @@ class _Mover:
                 "two attachment vertices without a joining edge",
             )
             bridge = (w, x) if (w, x) in self.graph.edges else (x, w)
-            halves = _components(other.vertices, [ed for ed in self._edges_wo_e
+            halves = components(other.vertices, [ed for ed in self._edges_wo_e
                                                   if ed != bridge and ed[0] in other.vertices and ed[1] in other.vertices])
             _sassert(len(halves) == 2, "attachment edge is not a bridge of its component")
             w_half = next(h for h in halves if w in h)
@@ -438,7 +434,7 @@ class _Mover:
         moving = set(left if moving_side == LEFT else right)
         target_side = _opposite(moving_side)
 
-        comps = _components(g.vertices, self._edges_wo_e)
+        comps = components(g.vertices, self._edges_wo_e)
         comps.sort(key=lambda c: min(d0.position(x) for x in c))
         comp_u = next(c for c in comps if u in c)
         comp_v = next(c for c in comps if v in c)
@@ -585,7 +581,7 @@ def _edge_fixed_for(d: CircularDrawing, e: Edge) -> list[VertexMove]:
     lset, rset = set(left), set(right)
     inner = [x for x in g.vertices if x not in (u, v)]
     inner_edges = [ed for ed in g.edges if u not in ed and v not in ed]
-    comps = _components(inner, inner_edges)
+    comps = components(inner, inner_edges)
     comps.sort(key=lambda c: min(d.position(x) for x in c))
     order = list(d.order)
     moves: list[VertexMove] = []
@@ -806,7 +802,7 @@ def _apply_moves(order: Sequence[Vertex], moves: Iterable[VertexMove]) -> list[V
 def _min_untangle_candidates(d: CircularDrawing, e: Edge):
     g = d.graph
     u, v = e
-    comps = _components(g.vertices, g.edges - {e})
+    comps = components(g.vertices, g.edges - {e})
     comp_u = next(c for c in comps if u in c)
     comp_v = next(c for c in comps if v in c)
 

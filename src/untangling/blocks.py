@@ -2,7 +2,8 @@
 
 One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973) yields a graph's blocks,
 cut vertices and components in O(n + m); attachments and separating vertices
-are read off the block-cut tree they form.
+are read off the block-cut tree they form.  `components` gives the same
+components from a plain DFS, for callers that need no blocks.
 
 The outerplanarity recognizer works by peeling: a 2-connected outerplanar
 block always has a vertex of degree 2, and removing it (recording its two
@@ -89,6 +90,31 @@ class BlockDecomposition(BlockCutTree):
             if e in self.blocks[i].edges:
                 return i
         raise KeyError(e)
+
+
+def components(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> list[frozenset[Vertex]]:
+    """The connected components of the graph (vertices, edges), ordered by
+    their first vertex in `vertices`, as in `block_cut_tree`, without the
+    blocks."""
+    adj: dict[Vertex, list[Vertex]] = {x: [] for x in vertices}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen: set[Vertex] = set()
+    out = []
+    for root in adj:
+        if root in seen:
+            continue
+        seen.add(root)
+        comp, stack = [root], [root]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        out.append(frozenset(comp))
+    return out
 
 
 def block_cut_tree(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> BlockCutTree:

@@ -7,7 +7,7 @@ import random
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .blocks import block_cut_tree, planar_circular_order
+from .blocks import components, planar_circular_order
 from .errors import GenerationFailed, InvalidN, NotOuterplanar
 from .model import (
     ALMOST_PLANAR,
@@ -78,7 +78,7 @@ def _random_noncrossing_edges(rng: random.Random, n: int, hull_p: float, diag_p:
     if connect:
         # join each component to the previous position through its first
         # (smallest) position, which is the DFS root that found it
-        roots = [min(c) for c in block_cut_tree(range(n), edges).components]
+        roots = [min(c) for c in components(range(n), edges)]
         edges.extend((r - 1, r) for r in roots[1:])
     return sorted(set(edges))
 
@@ -251,7 +251,7 @@ def enumerate_almost_planar_instances(n: int) -> Iterator[CircularDrawing]:
             if e in base or not any(crosses(e, f) for f in base):
                 continue
             edges = base | {e}
-            if len(block_cut_tree(range(n), edges).components) != 1:
+            if len(components(range(n), edges)) != 1:
                 continue
             key = _rotation_canonical(n, edges)
             if key in seen:

@@ -32,28 +32,24 @@ class Graph:
     vertices: tuple[Vertex, ...]
     edges: frozenset[Edge]
     _index: dict = field(init=False, repr=False)
-    _adj: dict = field(init=False, repr=False)
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]] = ()):
         vs = tuple(vertices)
-        if len(set(vs)) != len(vs):
+        index = dict(zip(vs, range(len(vs))))
+        if len(index) != len(vs):
             raise InvalidInstance("duplicate vertices")
-        index = {v: i for i, v in enumerate(vs)}
         norm = set()
         for a, b in edges:
             if a == b:
                 raise InvalidInstance(f"self-loop at {a!r}")
-            if a not in index or b not in index:
-                raise UnknownVertex(f"edge ({a!r}, {b!r}) references undeclared vertex")
-            norm.add((a, b) if index[a] < index[b] else (b, a))
-        adj: dict[Vertex, set[Vertex]] = {v: set() for v in vs}
-        for a, b in norm:
-            adj[a].add(b)
-            adj[b].add(a)
+            try:
+                ia, ib = index[a], index[b]
+            except KeyError:
+                raise UnknownVertex(f"edge ({a!r}, {b!r}) references undeclared vertex") from None
+            norm.add((a, b) if ia < ib else (b, a))
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_adj", adj)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -77,8 +73,9 @@ class Graph:
         return e
 
     def neighbors(self, v: Vertex) -> set[Vertex]:
+        """The vertices sharing an edge with v, computed from `edges`."""
         self.index(v)
-        return set(self._adj[v])
+        return {b if a == v else a for a, b in self.edges if v == a or v == b}
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges, key=lambda e: (self.index(e[0]), self.index(e[1])))
@@ -108,11 +105,13 @@ class CircularDrawing:
 
     def __init__(self, graph: Graph, order: Iterable[Vertex]):
         ot = tuple(order)
-        if sorted(ot) != sorted(graph.vertices):
+        pos = dict(zip(ot, range(len(ot))))
+        # no repeats, and the same vertex set: compared as dict views, in C
+        if len(pos) != len(ot) or pos.keys() != graph._index.keys():
             raise InvalidInstance("order must be a permutation of the graph vertices")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "order", ot)
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(ot)})
+        object.__setattr__(self, "_pos", pos)
 
     def position(self, v: Vertex) -> int:
         try:

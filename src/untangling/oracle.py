@@ -1,13 +1,18 @@
 """Brute-force ground truth at desk scale.
 
-Everything here is written to be obviously correct rather than fast: the
-planar-order enumerator backtracks over circle positions with an incremental
-crossing check, and the naive variant filters all rotation-normalized
-permutations outright so the two can cross-validate each other.
+Everything here is exhaustive.  The planar-order enumerator backtracks over
+circle positions and keeps the stack of open positions, the placed positions
+that no placed chord passes over.  A vertex may take the next position
+exactly when its placed neighbours all sit at open positions.  A branch ends
+as soon as a placed vertex that still needs a chord is covered, so every
+placed neighbour of an unplaced vertex is open and no chord is ever tested
+against the placed ones.  The naive variant filters all rotation-normalized
+permutations outright, so the two cross-validate each other.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Optional, Sequence
@@ -26,55 +31,58 @@ def enumerate_planar_orders(g: Graph, nmax: int = ORACLE_MAX_N) -> list[tuple[Ve
     """All crossing-free cyclic orders of g, one per rotation class.
 
     The first vertex is pinned to normalize rotation; reflections are kept
-    because clockwise orientation is significant downstream.
+    because clockwise orientation is significant downstream.  Orders come
+    in the lexicographic order of their vertex ranks.
     """
     n = len(g.vertices)
     if n > nmax:
         raise TooLarge(f"enumerate_planar_orders capped at n={nmax}, got {n}")
     if n == 0:
         return [()]
-    first = g.vertices[0]
-    adj = {v: g.neighbors(v) for v in g.vertices}
+    vs = g.vertices
+    adj: list[list[int]] = [[] for _ in vs]
+    for a, b in g.edges:
+        adj[g.index(a)].append(g.index(b))
+        adj[g.index(b)].append(g.index(a))
+    pos = [-1] * n             # position of each placed vertex
+    at = [0] * n               # vertex at each position
+    unplaced = [len(nb) for nb in adj]  # unplaced neighbours of each vertex
+    opened = [0]               # open positions, ascending: no placed chord passes over them
+    pos[0] = 0
+    for y in adj[0]:
+        unplaced[y] -= 1
     out: list[tuple[Vertex, ...]] = []
-    pos: dict[Vertex, int] = {first: 0}
-    prefix: list[Vertex] = [first]
-    placed_edges: list[tuple[int, int]] = []
 
-    def alternates(a: int, b: int, c: int, d: int) -> bool:
-        if a > b:
-            a, b = b, a
-        return (a < c < b) != (a < d < b)
-
-    def extend() -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
+    def extend(p: int) -> None:
+        if p == n:
+            out.append(tuple(vs[x] for x in at))
             return
-        p = len(prefix)
-        for x in g.vertices:
-            if x in pos:
+        for x in range(1, n):
+            if pos[x] >= 0:
                 continue
-            new_edges = [(pos[y], p) for y in adj[x] if y in pos]
-            ok = True
-            for i, j in new_edges:
-                for a, b in placed_edges:
-                    if a in (i, j) or b in (i, j):
-                        continue
-                    if alternates(i, j, a, b):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            pos[x] = p
-            prefix.append(x)
-            placed_edges.extend(new_edges)
-            extend()
-            del pos[x]
-            prefix.pop()
-            del placed_edges[len(placed_edges) - len(new_edges) :]
+            # A chord from p crosses a placed chord exactly when its other end
+            # lies under it.  No placed neighbour of x does: a covered vertex
+            # has no unplaced neighbour left (below).
+            low = p
+            for y in adj[x]:
+                if 0 <= pos[y] < low:
+                    low = pos[y]
+            for y in adj[x]:
+                unplaced[y] -= 1
+            # the chord to the lowest neighbour covers the open positions above
+            # it; a covered vertex can take no later chord without a crossing
+            k = bisect_right(opened, low)
+            covered = opened[k:]
+            if all(unplaced[at[q]] == 0 for q in covered):
+                opened[k:] = [p]
+                pos[x], at[p] = p, x
+                extend(p + 1)
+                pos[x] = -1
+                opened[k:] = covered
+            for y in adj[x]:
+                unplaced[y] += 1
 
-    extend()
+    extend(1)
     return out
 
 

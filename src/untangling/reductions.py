@@ -279,14 +279,13 @@ def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]
     if not inst.distinct:
         raise NotDistinct("the drawing construction needs globally distinct entries")
     values = sorted(x for c in inst.chunks for x in c)
-    rank = {v: i + 1 for i, v in enumerate(values)}
     total = len(values)
     vertices = tuple(f"v{i}" for i in range(total + 1))
-    edges = []
+    name = dict(zip(values, vertices[1:]))  # the vertex of each entry, by its rank
+    hub = vertices[0]
+    edges: list[tuple[str, str]] = []
     for c in inst.chunks:
-        path = ["v0"] + [f"v{rank[x]}" for x in c] + ["v0"]
-        for a, b in zip(path, path[1:]):
-            if a != b:
-                edges.append((a, b))
-    g = Graph(vertices, set(edges))
+        cycle = [name[x] for x in c]
+        edges.extend(zip([hub, *cycle], [*cycle, hub]))
+    g = Graph(vertices, edges)
     return CircularDrawing(g, vertices), total - inst.m_target

@@ -26,6 +26,7 @@ from untangling import (
     verify_untangling,
 )
 from untangling.almost_planar import _apex_cuts
+from untangling.blocks import components
 from untangling.errors import NotAlmostPlanar
 from untangling.model import all_crossings_on, edges_crossing
 
@@ -196,9 +197,7 @@ def test_unwrap_orders_leave_apex_uncovered():
         d = gen_random(8, seed, "almost-planar")
         cand = min(classify(d).candidates, key=lambda c: c.edge)
         u, v = cand.edge
-        from untangling.almost_planar import _components
-
-        comps = _components(d.graph.vertices, d.graph.edges - {cand.edge})
+        comps = components(d.graph.vertices, d.graph.edges - {cand.edge})
         comp_v = next(c for c in comps if v in c)
         comp_u = next(c for c in comps if u in c)
         if comp_u == comp_v:

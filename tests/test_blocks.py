@@ -19,7 +19,7 @@ from untangling import (
     path_graph,
     planar_circular_order,
 )
-from untangling.blocks import block_cut_tree
+from untangling.blocks import block_cut_tree, components
 from untangling.errors import InvalidInstance, NotOuterplanar
 from untangling.generators import PROFILES
 from untangling.model import cyclic_equal, restriction, rotate_to
@@ -292,6 +292,7 @@ def _check_against_definitions(g, tree):
     edges = sorted(g.edges)
     count = len(_bfs_components(g.vertices, edges))
     assert set(tree.components) == set(_bfs_components(g.vertices, edges))
+    assert components(g.vertices, edges) == list(tree.components)
     # the blocks partition the edges, and two blocks share at most one vertex
     assert sorted(e for blk in tree.blocks for e in blk.edges) == edges
     for i, blk in enumerate(tree.blocks):

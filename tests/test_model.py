@@ -1,5 +1,7 @@
 """Core model: crossings, classification, moves, verification."""
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,43 @@ def test_graph_validation():
         Graph(("a", "b"), [("a", "c")])
     g = Graph(("a", "b"), [("b", "a"), ("a", "b")])
     assert g.edges == frozenset({("a", "b")})
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, error, message",
+    [
+        (("a", "b"), [("a", "b"), ("b", "b")], InvalidInstance, "self-loop at 'b'"),
+        (("a", "b"), [("a", "b"), ("z", "z")], InvalidInstance, "self-loop at 'z'"),  # before the unknown vertex
+        (("a", "b"), [("z", "a")], UnknownVertex, "('z', 'a') references undeclared"),
+        (("a", "b"), [("a", "b"), ("b", "z")], UnknownVertex, "('b', 'z') references undeclared"),
+        (("a", "b", "a"), [("a", "z")], InvalidInstance, "duplicate vertices"),  # before any edge
+    ],
+)
+def test_graph_rejects_bad_input(vertices, edges, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        Graph(vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [("a", "b"), ("a", "b", "c", "d"), ("a", "b", "c", "a"), ("a", "b", "b"), ("a", "b", "z"), ()],
+)
+def test_drawing_rejects_non_permutations(order):
+    g = Graph(("a", "b", "c"), [("a", "b")])
+    with pytest.raises(InvalidInstance):
+        CircularDrawing(g, order)
+    assert CircularDrawing(g, ("c", "a", "b")).position("b") == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+def test_neighbors_from_edges(spec):
+    n, pairs = spec
+    g = Graph([f"v{i}" for i in range(n)], [(f"v{a}", f"v{b}") for a, b in pairs if a != b])
+    for v in g.vertices:
+        assert g.neighbors(v) == {a for a, b in g.edges if b == v} | {b for a, b in g.edges if a == v}
+    with pytest.raises(UnknownVertex):
+        g.neighbors("z")
 
 
 def test_drawing_equality_up_to_rotation():

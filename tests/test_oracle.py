@@ -16,8 +16,41 @@ from untangling import (
     lis,
     naive_planar_orders,
 )
-from untangling.errors import NotOuterplanar, TooLarge
+from untangling.errors import InvalidInstance, NotOuterplanar, TooLarge
+from untangling.generators import PROFILES, enumerate_almost_planar_instances
 from untangling.model import cyclic_equal
+
+
+def scan_planar_orders(g):
+    """Reference for `enumerate_planar_orders`: the same backtracking over
+    circle positions, checking each new chord against every placed chord."""
+    n = len(g.vertices)
+    if n == 0:
+        return [()]
+    out, pos, prefix, placed = [], {g.vertices[0]: 0}, [g.vertices[0]], []
+
+    def crosses(i, j, a, b):
+        return len({i, j, a, b}) == 4 and (min(i, j) < a < max(i, j)) != (min(i, j) < b < max(i, j))
+
+    def extend():
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        p = len(prefix)
+        for x in g.vertices:
+            if x in pos:
+                continue
+            new = [(pos[y], p) for y in g.neighbors(x) if y in pos]
+            if any(crosses(i, j, a, b) for i, j in new for a, b in placed):
+                continue
+            pos[x] = p
+            prefix.append(x)
+            placed.extend(new)
+            extend()
+            del pos[x], prefix[-1], placed[len(placed) - len(new) :]
+
+    extend()
+    return out
 
 
 def test_enumerate_c4():
@@ -54,6 +87,52 @@ def test_enumerate_matches_naive_filter():
         fast = set(enumerate_planar_orders(g))
         naive = set(naive_planar_orders(g))
         assert fast == naive
+
+
+def _k4():
+    vs = ("a", "b", "c", "d")
+    return Graph(vs, [(x, y) for i, x in enumerate(vs) for y in vs[i + 1 :]])
+
+
+def test_enumeration_order_matches_scan_on_corpus():
+    graphs = {d.graph for n in range(3, 7) for d in enumerate_almost_planar_instances(n)}
+    assert len(graphs) > 50
+    for g in graphs:
+        assert enumerate_planar_orders(g) == scan_planar_orders(g)
+
+
+def test_enumeration_order_matches_scan_on_random_graphs():
+    tested = dict.fromkeys(PROFILES, 0)
+    for profile in PROFILES:
+        for n in (7, 8, 9):
+            for seed in range(4):
+                try:
+                    g = gen_random(n, seed, profile).graph
+                except InvalidInstance:
+                    continue  # gen_random(profile="disconnected") fails on one-vertex components
+                assert enumerate_planar_orders(g) == scan_planar_orders(g)
+                tested[profile] += 1
+    assert min(tested.values()) >= 4
+
+
+def test_enumeration_order_matches_scan_on_edge_cases():
+    graphs = [
+        Graph(()),
+        Graph(("a",)),
+        Graph(("a", "b")),
+        Graph(("a", "b"), [("a", "b")]),
+        Graph(("a", "b", "c", "d", "e", "f", "g"), [("a", "c"), ("c", "e"), ("b", "d"), ("f", "g")]),
+        Graph(("a", "b", "c", "d", "e"), [("b", "c"), ("c", "d"), ("d", "b")]),
+        _k4(),
+        Graph(("a", "b", "c", "d", "e"), [*_k4().edges, ("d", "e")]),
+    ]
+    for g in graphs:
+        # permutations() runs in rank order too, so the naive filter gives the same list
+        assert enumerate_planar_orders(g) == scan_planar_orders(g) == naive_planar_orders(g)
+    assert enumerate_planar_orders(Graph(())) == [()]
+    assert enumerate_planar_orders(Graph(("a",))) == [("a",)]
+    assert enumerate_planar_orders(Graph(("a", "b"), [("a", "b")])) == [("a", "b")]
+    assert enumerate_planar_orders(_k4()) == []
 
 
 def test_enumeration_budget():
