@@ -12,6 +12,9 @@ Each line is `section  input  output`, tab-separated.  The inputs are:
 
 - every `enumerate_almost_planar_instances` drawing with n <= 7, through
   `classify`, `min_untangle`, `one_side_untangle` and `edge_fixed_untangle`;
+  each untangler prints its move list and, in the `moved` section, its
+  moved set sorted by vertex rank, so that a change of move anchors alone
+  leaves `grep '^moved'` of two dumps identical;
 - `classify` and `untangle_general` on seeded `gen_random` drawings with
   n = 100..300 (mostly not almost-planar);
 - `planar_circular_order` on seeded `gen_random` graphs of all four
@@ -60,6 +63,10 @@ def _moves(u: ut.Untangling) -> str:
     return " ".join(f"{m.vertex}>{m.anchor}" for m in u.moves)
 
 
+def _moved(g: ut.Graph, u: ut.Untangling) -> str:
+    return " ".join(sorted(u.moved_set(), key=g.index))
+
+
 def _drawing(d: ut.CircularDrawing) -> str:
     return " ".join(map(str, d.order)) + " | " + " ".join(f"{a}-{b}" for a, b in d.graph.sorted_edges())
 
@@ -83,7 +90,9 @@ def almost_planar_lines():
         for d in ut.enumerate_almost_planar_instances(n):
             yield "classify", _drawing(d), _run(lambda: _classify(d))
             for name, untangle in UNTANGLERS:
-                yield name, _drawing(d), _run(lambda: _moves(untangle(d)))
+                u = _run(lambda: untangle(d))
+                yield name, _drawing(d), u if isinstance(u, str) else _moves(u)
+                yield "moved", f"{name} {_drawing(d)}", u if isinstance(u, str) else _moved(d.graph, u)
 
 
 def general_lines():

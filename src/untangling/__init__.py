@@ -8,17 +8,20 @@ oracles, hardness-reduction instance builders, and a small CLI.
 
 from .almost_planar import (
     SidePartition,
-    SplitDecomposition,
-    classify_split_components,
     edge_fixed_untangle,
     min_untangle,
-    move_connecting,
-    move_non_connecting,
     one_side_untangle,
     side_partition,
     unwrap_linearizations,
 )
-from .blocks import Block, BlockDecomposition, block_decomposition, hamiltonian_cycle_of_block, planar_circular_order
+from .blocks import (
+    Block,
+    BlockDecomposition,
+    block_decomposition,
+    hamiltonian_cycle_of_block,
+    planar_circular_order,
+    planar_order_keeping,
+)
 from .errors import (
     ConstructionFailed,
     FormatError,

@@ -1,9 +1,11 @@
 """Block-cut tree, Hamiltonian cycles of blocks, and planar circular orders.
 
 One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973) yields a graph's blocks,
-cut vertices and components in O(n + m); attachments and separating vertices
-are read off the block-cut tree they form.  `components` gives the same
-components from a plain DFS, for callers that need no blocks.
+cut vertices and components in O(n + m); attachments are read off the
+block-cut tree they form.  `components` gives the same components from a
+plain DFS, for callers that need no blocks.  `planar_circular_order` lays
+the tree out freely; `planar_order_keeping` lays it out keeping a given set
+of vertices in a given cyclic order.
 
 The outerplanarity recognizer works by peeling: a 2-connected outerplanar
 block always has a vertex of degree 2, and removing it (recording its two
@@ -17,10 +19,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, Optional, Sequence
 
-from .errors import NotOuterplanar
-from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, rotate_to
+from .errors import ConstructionFailed, NotOuterplanar
+from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, restriction, rotate_to
 
 
 @dataclass(frozen=True)
@@ -60,23 +62,6 @@ class BlockCutTree:
                     out |= fresh
                     stack.extend(fresh)
         return frozenset(out)
-
-    def separating_cuts(self, u: Vertex, v: Vertex) -> list[Vertex]:
-        """Vertices whose deletion disconnects u from v: the cut vertices on
-        the tree path from u to v, in path order, which is the order in which
-        every u,v-path visits them."""
-        cuts = dict.fromkeys(self.incidence[u], ())  # block -> cut vertices passed on the way from u
-        todo = list(cuts)
-        while todo:
-            bi = todo.pop()
-            if v in self.blocks[bi].vertices:
-                return list(cuts[bi])
-            for c in self.blocks[bi].vertices:
-                for bj in self.incidence[c]:
-                    if bj not in cuts:
-                        cuts[bj] = cuts[bi] + (c,)
-                        todo.append(bj)
-        return []
 
 
 @dataclass(frozen=True)
@@ -303,3 +288,116 @@ def planar_circular_order(g: Graph, rng: Optional[random.Random] = None) -> Circ
     if not is_crossing_free(order, g.edges):
         raise NotOuterplanar("no crossing-free circular order exists")
     return CircularDrawing(g, order)
+
+
+def planar_order_keeping(g: Graph, order: Sequence[Vertex], fixed: Iterable[Vertex]) -> Optional[tuple[Vertex, ...]]:
+    """A crossing-free cyclic order of `g` whose restriction to `fixed` is
+    `restriction(order, fixed)` up to rotation, or None when there is none.
+
+    The crossing-free orders of a connected outerplanar graph are the
+    frontiers of its block-cut tree read as a PQ-tree: each block is a
+    Q-node whose children follow its Hamiltonian cycle in either direction,
+    and each vertex a P-node over itself and its child blocks (Booth and
+    Lueker, JCSS 13(3), 1976; cyclic form: Hsu and McConnell, TCS 292(1),
+    2003).  `_keep_component` runs the bottom-up reorder test on that tree.
+    Two components never interleave, since each must lie in one gap of the
+    other, so a stack walk along the fixed sequence nests them.  Components
+    with no fixed vertex go last.  Raises NotOuterplanar when `g` is not
+    outerplanar.
+    """
+    decomp = block_decomposition(g)
+    walk = restriction(order, fixed)
+    comp_of = {x: i for i, c in enumerate(decomp.components) for x in c}
+    ranks: list[dict[Vertex, int]] = [{} for _ in decomp.components]
+    last = {}
+    for i, x in enumerate(walk):
+        c = comp_of[x]
+        ranks[c][x] = len(ranks[c])
+        last[c] = i
+    # each component's order, cut before each fixed vertex: the piece from a
+    # fixed vertex up to the next one goes out where the walk reaches it
+    piece: dict[Vertex, list[Vertex]] = {}
+    unfixed: list[Vertex] = []
+    for comp, rank in zip(decomp.components, ranks):
+        laid = _keep_component(decomp, next(iter(rank)) if rank else min(comp, key=g.index), rank)
+        if laid is None:
+            return None
+        if not rank:
+            unfixed.extend(laid)
+            continue
+        for x in laid:  # laid starts at the rank-0 vertex
+            if x in rank:
+                head = piece[x] = []
+            head.append(x)
+    out: list[Vertex] = []
+    nest: list[int] = []  # the components open at this point of the walk
+    for i, x in enumerate(walk):
+        c = comp_of[x]
+        if nest[-1:] != [c]:
+            if ranks[c][x]:  # c was opened before, and another component is open inside it
+                return None
+            nest.append(c)
+        out.extend(piece[x])
+        if i == last[c]:
+            nest.pop()
+    out.extend(unfixed)
+    if not is_crossing_free(out, g.edges):
+        raise ConstructionFailed("the order built to keep the fixed vertices has crossing chords")
+    return tuple(out)
+
+
+def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex, int]) -> Optional[list[Vertex]]:
+    """A crossing-free order of the component of `root`, starting at `root`,
+    that lists the ranked vertices by increasing rank, or None when there is
+    none.  `root` must have rank 0 or the component no ranked vertex.
+
+    Each tree node lays its subtree out as (lowest rank, ranked count,
+    order).  In a crossing-free order every subtree without the root is one
+    arc, so its ranks must run consecutively; a block's children must come
+    in rank order along its Hamiltonian cycle, one way or the other, which
+    sets the block's direction; a vertex and its child blocks go by rank,
+    the unranked ones right after the vertex.  The tree is walked breadth
+    first from `root` and laid out in reverse, so no call recurses.
+    """
+    parent: dict[Vertex, Optional[int]] = {root: None}
+    tree_order = [root]
+    for v in tree_order:
+        for bi in decomp.incidence[v]:
+            if bi != parent[v]:
+                for w in decomp.blocks[bi].vertices - {v}:
+                    parent[w] = bi
+                    tree_order.append(w)
+    laid: dict[Vertex, tuple[int, int, list[Vertex]]] = {}
+    for v in reversed(tree_order):
+        spans = [(rank[v], 1, [v]) if v in rank else (0, 0, [v])]
+        for bi in decomp.incidence[v]:
+            if bi != parent[v]:
+                ham = decomp.blocks[bi].hamiltonian
+                kids = [laid.pop(w) for w in (rotate_to(ham, v)[1:] if ham else decomp.blocks[bi].vertices - {v})]
+                ranked = [lo for lo, count, _ in kids if count]
+                if ranked and ranked[0] > ranked[-1]:
+                    kids.reverse()
+                spans.append(_chain(kids))
+                if spans[-1] is None:
+                    return None
+        own = rank.get(v, -1)
+        spans.sort(key=lambda s: (s[0], 0) if s[1] else (own, 1))
+        laid[v] = _chain(spans)
+        if laid[v] is None:
+            return None
+    return laid[root][2]
+
+
+def _chain(spans: list[tuple[int, int, list[Vertex]]]) -> Optional[tuple[int, int, list[Vertex]]]:
+    """The spans laid end to end, or None unless their ranks run on
+    consecutively in this order."""
+    lo, count, out = 0, 0, []
+    for s_lo, s_count, s_order in spans:
+        if s_count:
+            if not count:
+                lo = s_lo
+            elif s_lo != lo + count:
+                return None
+            count += s_count
+        out.extend(s_order)
+    return lo, count, out

@@ -2,8 +2,9 @@
 line printed per criterion.
 
 Shared corpora are built once per session: the exhaustive family of
-almost-planar drawings of connected outerplanar graphs with n <= 7, plus 500
-seeded random almost-planar instances with n in {8, 9}.
+almost-planar drawings of connected outerplanar graphs with n <= 7 (the
+`exhaustive_corpus` fixture of conftest.py), plus 500 seeded random
+almost-planar instances with n in {8, 9}.
 """
 
 import math
@@ -16,20 +17,11 @@ import untangling as ut
 from untangling import almost_planar as ap
 from untangling.seqs import DECREASING, INCREASING, lics
 
-EXHAUSTIVE_MAX_N = 7
 RANDOM_COUNT = 500
 
 
 def _report(name: str, detail: str) -> None:
     print(f"[acceptance] {name}: PASS ({detail})")
-
-
-@pytest.fixture(scope="session")
-def exhaustive_corpus():
-    corpus = []
-    for n in range(4, EXHAUSTIVE_MAX_N + 1):
-        corpus.extend(ut.enumerate_almost_planar_instances(n))
-    return corpus
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
-"""Block decomposition, Hamiltonian recovery, and planar circular orders."""
+"""Block decomposition, Hamiltonian recovery, and planar circular orders,
+free or keeping a fixed set in input order."""
 
 import random
 
@@ -12,12 +13,17 @@ from untangling import (
     block_decomposition,
     crossings,
     cycle_graph,
+    edge_fixed_untangle,
     enumerate_planar_orders,
     gen_random,
     hamiltonian_cycle_of_block,
     is_crossing_free,
+    min_untangle,
+    one_side_untangle,
     path_graph,
     planar_circular_order,
+    planar_order_keeping,
+    verify_untangling,
 )
 from untangling.blocks import block_cut_tree, components
 from untangling.errors import InvalidInstance, NotOuterplanar
@@ -334,18 +340,76 @@ def test_block_cut_tree_of_arbitrary_graphs_matches_definitions(spec):
     g = Graph([f"v{i}" for i in range(n)], {(f"v{a}", f"v{b}") for a, b in pairs if a != b})
     tree = block_cut_tree(g.vertices, g.edges)
     _check_against_definitions(g, tree)
-    # separating vertices of the first and last vertex, nearest the first one first
-    u, v = g.vertices[0], g.vertices[-1]
-    dist = {u: 0}
-    for layer in range(n):
-        for a, b in g.edges:
-            for x, y in ((a, b), (b, a)):
-                if dist.get(x) == layer and y not in dist:
-                    dist[y] = layer + 1
 
-    def joined_without(c):
-        return any(u in comp and v in comp for comp in _bfs_components(
-            [x for x in g.vertices if x != c], [e for e in g.edges if c not in e]))
 
-    seps = [c for c in g.vertices if c not in (u, v) and v in dist and not joined_without(c)]
-    assert tree.separating_cuts(u, v) == sorted(seps, key=dist.get)
+# -- planar_order_keeping against enumeration -----------------------------------
+
+
+def _check_keeping(g, order, fixed, planar_orders):
+    """`planar_order_keeping` agrees with a scan of every planar order on
+    whether one keeps `fixed` in input order, and its witness is valid."""
+    want = restriction(order, fixed)
+    feasible = any(cyclic_equal(restriction(t, fixed), want) for t in planar_orders)
+    got = planar_order_keeping(g, order, fixed)
+    assert (got is not None) == feasible, (g.vertices, sorted(g.edges), order, fixed)
+    if got is not None:
+        assert sorted(got) == sorted(g.vertices)
+        assert is_crossing_free(got, g.edges)
+        assert cyclic_equal(restriction(got, fixed), want)
+    return feasible
+
+
+def test_planar_order_keeping_matches_enumeration(exhaustive_corpus):
+    rng = random.Random(6)
+    graphs = [d.graph for d in exhaustive_corpus]
+    for profile in PROFILES:
+        for n in range(5, 10):
+            for seed in range(10):
+                try:
+                    graphs.append(gen_random(n, seed, profile).graph)
+                except InvalidInstance:  # disconnected draws with a one-vertex part
+                    pass
+    checks = feasible = 0
+    for g in graphs:
+        planar_orders = enumerate_planar_orders(g, nmax=9)
+        vs = list(g.vertices)
+        # a random order with a random fixed set
+        order = rng.sample(vs, len(vs))
+        fixed = [x for x in vs if rng.random() < 0.5]
+        feasible += _check_keeping(g, order, fixed, planar_orders)
+        # a planar order with 0-2 vertices relocated, most vertices fixed
+        order = list(rng.choice(planar_orders))
+        for _ in range(rng.randint(0, 2)):
+            order.insert(rng.randrange(len(order)), order.pop(rng.randrange(len(order))))
+        fixed = [x for x in vs if rng.random() < 0.8]
+        feasible += _check_keeping(g, order, fixed, planar_orders)
+        checks += 2
+    assert checks > 20_000 and 0.2 * checks < feasible < 0.9 * checks
+
+
+def test_planar_order_keeping_nests_components():
+    g = Graph(("a", "b", "c", "x", "y"), [("a", "b"), ("b", "c"), ("x", "y")])
+    # x-y sits in the gap between b and c
+    assert planar_order_keeping(g, ("a", "b", "x", "y", "c"), g.vertices) == ("a", "b", "x", "y", "c")
+    # x-y interleaves a-b-c, which no crossing-free order does
+    assert planar_order_keeping(g, ("a", "x", "b", "y", "c"), g.vertices) is None
+    # y is free, so it goes next to x
+    got = planar_order_keeping(g, ("a", "x", "b", "y", "c"), ("a", "b", "c", "x"))
+    assert cyclic_equal(restriction(got, "abcx"), ("a", "x", "b", "c"))
+    assert is_crossing_free(got, g.edges)
+    # no fixed vertex at all: some planar order
+    assert is_crossing_free(planar_order_keeping(g, g.vertices, ()), g.edges)
+    assert planar_order_keeping(Graph(()), (), ()) == ()
+    with pytest.raises(NotOuterplanar):
+        planar_order_keeping(k4(), k4().vertices, ())
+
+
+def test_untanglers_on_long_path():
+    # v2 and v3 swapped: v1-v2 crosses v3-v4, and one move untangles it
+    g = path_graph(2000)
+    order = list(g.vertices)
+    order[1], order[2] = order[2], order[1]
+    d = CircularDrawing(g, order)
+    for untangle in (one_side_untangle, edge_fixed_untangle, min_untangle):
+        rep = verify_untangling(d, untangle(d))
+        assert rep.planar_ok and rep.fixed_set_ok and rep.moved_count == 1

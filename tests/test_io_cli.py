@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import untangling
-from untangling import DistIcorInstance, ThreePartitionInstance, gen_fig5, gen_random, render_svg
+from untangling import DistIcorInstance, ThreePartitionInstance, almost_planar, gen_fig5, gen_random, render_svg
 from untangling.cli import main
 from untangling.errors import FormatError
 from untangling.io_formats import (
@@ -179,6 +179,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert main(["untangle", str(nap), "--algorithm", "min"]) == 3
     capsys.readouterr()
+
+    # 3: almost-planar but not outerplanar (K4 in convex position)
+    k4 = tmp_path / "k4.cdr"
+    k4.write_text("vertices 4\norder a b c d\n" + "".join(f"edge {x} {y}\n" for x, y in ("ab", "ac", "ad", "bc", "bd", "cd")))
+    failures = almost_planar.assertion_failures
+    assert main(["untangle", str(k4), "--algorithm", "one-side"]) == 3
+    assert "degree-2 peel stalled" in capsys.readouterr().err
+    assert almost_planar.assertion_failures == failures
 
     # 4: oracle budget exceeded
     d = tmp_path / "d.cdr"
