@@ -25,7 +25,10 @@ Each line is `section  input  output`, tab-separated.  The inputs are:
   set, and `exact_min_untangle_edge_fixed` for each candidate edge;
 - a sha256 of `reduce_disticor_to_cu`'s order, sorted edges and budget on
   the 3-partition instances with m = 1 and m = 2 that the benchmark's
-  research-batch workload reduces.
+  research-batch workload reduces;
+- the `min_untangle` and `edge_fixed_untangle` moved sets of 30 drawings of
+  a triangle with 8 pendant leaves per vertex, whose blocks score up to
+  2 x 9^3 canonical targets each (the `adversarial` section).
 
 An input that raises prints the error's class name in place of the output.
 """
@@ -37,6 +40,7 @@ import random
 
 import untangling as ut
 from untangling.errors import UntanglingError
+from untangling.generators import _almost_planar_from
 
 ALMOST_PLANAR_MAX_N = 7
 GENERAL_NS = range(100, 301, 50)
@@ -52,6 +56,8 @@ THREE_PARTITIONS = (
     ((6, 6, 6), 18), ((6, 6, 9), 21), ((9, 9, 9), 27), ((9, 9, 12), 30), ((9, 12, 12), 33), ((9, 9, 15), 33),
     ((12, 12, 18, 12, 12, 18), 42),
 )
+ADVERSARIAL_LEAVES = 8
+ADVERSARIAL_SEEDS = range(30)
 UNTANGLERS = (
     ("min", ut.min_untangle),
     ("one-side", ut.one_side_untangle),
@@ -166,8 +172,22 @@ def reduce_lines():
         yield "reduce", f"3p {' '.join(map(str, a))} K={k}", f"{len(d.order)} {_sha(text)}"
 
 
+def adversarial_lines():
+    leaves = {x: [f"{x}{i}" for i in range(ADVERSARIAL_LEAVES)] for x in "abc"}
+    g = ut.Graph(
+        ("a", "b", "c", *(y for ys in leaves.values() for y in ys)),
+        [("a", "b"), ("b", "c"), ("a", "c"), *((x, y) for x, ys in leaves.items() for y in ys)],
+    )
+    for seed in ADVERSARIAL_SEEDS:
+        d = _almost_planar_from(g, "a", "b", random.Random(seed), 50)
+        for name, untangle in UNTANGLERS:
+            if name != "one-side":
+                u = _run(lambda: untangle(d))
+                yield "adversarial", f"{name} seed={seed} {_drawing(d)}", u if isinstance(u, str) else _moved(g, u)
+
+
 def main() -> None:
-    for lines in (almost_planar_lines, general_lines, layout_lines, oracle_lines, reduce_lines):
+    for lines in (almost_planar_lines, general_lines, layout_lines, oracle_lines, reduce_lines, adversarial_lines):
         for section, key, value in lines():
             print(section, key, value, sep="\t")
 

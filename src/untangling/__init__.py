@@ -6,14 +6,7 @@ the combinatorial model, guaranteed-bound and minimum untanglers, brute-force
 oracles, hardness-reduction instance builders, and a small CLI.
 """
 
-from .almost_planar import (
-    SidePartition,
-    edge_fixed_untangle,
-    min_untangle,
-    one_side_untangle,
-    side_partition,
-    unwrap_linearizations,
-)
+from .almost_planar import edge_fixed_untangle, min_untangle, one_side_untangle, unwrap_linearizations
 from .blocks import (
     Block,
     BlockDecomposition,

@@ -17,13 +17,13 @@ test suites can require a clean run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .blocks import BlockDecomposition, block_decomposition, components, planar_order_keeping
-from .errors import NotAlmostPlanar, StructuralAssertionFailed
+from .errors import NotAlmostPlanar, StructuralAssertionFailed, TooLarge
 from .model import (
     ALMOST_PLANAR,
     PLANAR,
@@ -41,13 +41,14 @@ from .model import (
     moves_to_reach,
     restriction,
     rotate_to,
-    sides_of_edge,
 )
 from .seqs import best_target, lccs
 
 assertion_failures = 0
 
-CUT_COMBO_CAP = 512
+# Canonical targets one block may produce, over both walk directions, before
+# `_block_attachment_targets` raises TooLarge.
+TARGET_BUDGET = 1 << 14
 
 
 def _sassert(cond: bool, msg: str) -> None:
@@ -55,25 +56,6 @@ def _sassert(cond: bool, msg: str) -> None:
     if not cond:
         assertion_failures += 1
         raise StructuralAssertionFailed(msg)
-
-
-@dataclass(frozen=True)
-class SidePartition:
-    """Vertex sets beside the directed edge (u, v), in arc order.
-
-    `left` is the clockwise arc strictly from v to u, `right` the clockwise
-    arc strictly from u to v.
-    """
-
-    edge: Edge
-    left: tuple[Vertex, ...]
-    right: tuple[Vertex, ...]
-
-
-def side_partition(d: CircularDrawing, e: Edge) -> SidePartition:
-    e = d.graph.edge(*e)
-    left, right = sides_of_edge(d, e)
-    return SidePartition(e, left, right)
 
 
 def _candidate_edges(d: CircularDrawing, e: Optional[Edge]) -> tuple:
@@ -102,11 +84,10 @@ def _cheaper(g: Graph, a: Iterable[Vertex], b: Iterable[Vertex]) -> set[Vertex]:
     return set(min(a, b, key=lambda side: (len(side), _lex_key(g, side))))
 
 
-def _moves_keeping(d: CircularDrawing, moved: set[Vertex]) -> list[VertexMove]:
+def _moves_keeping(d: CircularDrawing, decomp: BlockDecomposition, moved: set[Vertex]) -> list[VertexMove]:
     """Moves of exactly `moved` to a crossing-free order in which every other
-    vertex keeps its input cyclic order."""
-    g = d.graph
-    target = planar_order_keeping(g, d.order, [x for x in g.vertices if x not in moved])
+    vertex keeps its input cyclic order; `decomp` is the graph's tree."""
+    target = planar_order_keeping(decomp, d.order, [x for x in d.order if x not in moved])
     _sassert(target is not None, "no crossing-free order keeps the unmoved vertices in input order")
     return moves_to_reach(d.order, target, moved)
 
@@ -123,7 +104,7 @@ def one_side_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untanglin
         return (min(len(c.left), len(c.right)), g.index(c.edge[0]), g.index(c.edge[1]))
 
     cand = min(cands, key=cand_key)
-    return Untangling(tuple(_moves_keeping(d, _cheaper(g, cand.left, cand.right))))
+    return Untangling(tuple(_moves_keeping(d, block_decomposition(g), _cheaper(g, cand.left, cand.right))))
 
 
 def edge_fixed_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untangling:
@@ -135,7 +116,7 @@ def edge_fixed_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untangl
     g = d.graph
     by_edge = sorted(cands, key=lambda c: (g.index(c.edge[0]), g.index(c.edge[1])))
     moved = min((_edge_fixed_moved(g, c) for c in by_edge), key=lambda s: (len(s), _lex_key(g, s)))
-    return Untangling(tuple(_moves_keeping(d, moved)))
+    return Untangling(tuple(_moves_keeping(d, block_decomposition(g), moved)))
 
 
 def _edge_fixed_moved(g: Graph, cand: EdgeCandidate) -> set[Vertex]:
@@ -199,66 +180,55 @@ def _attachment_linearizations(
     return [sigma[k:] + sigma[:k] for k in _apex_cuts(sigma, b, edges)]
 
 
-def _capped_products(parts: list[list[tuple[Vertex, ...]]], cap: int) -> list[list[tuple[Vertex, ...]]]:
-    total = 1
-    for p in parts:
-        total *= len(p)
-    if total <= cap:
-        return [list(combo) for combo in product(*parts)]
-    # fall back to uniform cut choices per attachment: block vertex first/last
-    first = [p[0] for p in parts]
-    last = [p[-1] for p in parts]
-    return [first, last]
-
-
 def _block_attachment_targets(
-    d: CircularDrawing, sub: Graph, decomp: BlockDecomposition, bi: int, cap: int = CUT_COMBO_CAP
+    d: CircularDrawing, decomp: BlockDecomposition, bi: int, side: frozenset[Vertex]
 ) -> list[tuple[Vertex, ...]]:
-    """Cyclic target orders for the vertex set of `sub` that lay block `bi`
-    along its Hamiltonian cycle (both directions) with each attachment as a
-    contiguous block keeping its input cyclic order."""
+    """Cyclic target orders for the vertex set `side` (block `bi`'s
+    component, less the far side of a bridge the caller leaves out) that
+    lay the block along its Hamiltonian cycle (both directions) with each
+    attachment as a contiguous block keeping its input cyclic order.
+
+    Every combination of attachment linearizations is listed, one walk
+    after the other; raises TooLarge when there are more than TARGET_BUDGET.
+    """
+    g = decomp.graph
     block = decomp.blocks[bi]
-    ham = block.hamiltonian if block.hamiltonian is not None else tuple(sorted(block.vertices, key=sub.index))
+    ham = block.hamiltonian if block.hamiltonian is not None else tuple(sorted(block.vertices, key=g.index))
     walks = [ham]
     rev = (ham[0],) + tuple(reversed(ham[1:]))
     if rev != ham:
         walks.append(rev)
-    # attachments partition the vertices, and every edge off the block joins
-    # two vertices of one attachment
-    atts = {b: decomp.attachment(bi, b) for b in ham}
+    # attachments partition `side`, and every edge off the block inside
+    # `side` joins two vertices of one attachment
+    atts = {b: decomp.attachment(bi, b) & side for b in ham}
     owner = {x: b for b, att in atts.items() for x in att}
     att_edges: dict[Vertex, list[Edge]] = {b: [] for b in ham}
-    for ed in sub.edges:
-        b = owner[ed[0]]
-        if owner[ed[1]] == b:
+    for ed in g.edges:
+        b = owner.get(ed[0])
+        if b is not None and owner.get(ed[1]) == b:
             att_edges[b].append(ed)
     lins = {}
     for b in ham:
         lins[b] = _attachment_linearizations(restriction(d.order, atts[b]), b, att_edges[b])
         _sassert(bool(lins[b]), "attachment admits no valid linearization around its block vertex")
-    first = sub.vertices[0]
-    seen = set()
-    out = []
-    for walk in walks:
-        for combo in _capped_products([lins[b] for b in walk], cap):
-            t = tuple(x for part in combo for x in part)
-            key = rotate_to(t, first)
-            if key not in seen:
-                seen.add(key)
-                out.append(t)
-    return out
+    count = len(walks) * prod(len(lins[b]) for b in ham)
+    if count > TARGET_BUDGET:
+        raise TooLarge(f"a block with {len(ham)} attachments has {count} canonical targets, over {TARGET_BUDGET}")
+    return [tuple(x for part in combo for x in part) for walk in walks for combo in product(*(lins[b] for b in walk))]
 
 
-def unwrap_linearizations(d: CircularDrawing, comp: frozenset[Vertex], apex: Vertex, other: Vertex) -> list[tuple[Vertex, ...]]:
-    """Linear orders of `comp` realizing a canonical unwrapping of `apex`:
-    some qualifying block is laid along its Hamiltonian cycle, attachments
-    keep their input cyclic order, and no component edge spans the apex."""
+def unwrap_linearizations(
+    d: CircularDrawing, decomp: BlockDecomposition, comp: frozenset[Vertex], apex: Vertex, other: Vertex
+) -> list[tuple[Vertex, ...]]:
+    """Linear orders of `comp`, the side of `apex` once the bridge (apex,
+    other) is cut, realizing a canonical unwrapping of `apex`: some
+    qualifying block is laid along its Hamiltonian cycle, attachments keep
+    their input cyclic order, and no component edge spans the apex.
+    `decomp` is the whole graph's tree; the bridge's block is skipped."""
     if len(comp) == 1:
         return [(apex,)]
-    sub = d.graph.subgraph(comp)
-    decomp = block_decomposition(sub)
+    edges = [ed for ed in decomp.graph.edges if ed[0] in comp and ed[1] in comp]
     pa, po = d.position(apex), d.position(other)
-    n = len(d.order)
 
     def covers_apex(ed: Edge) -> bool:
         if apex in ed or other in ed:
@@ -269,16 +239,17 @@ def unwrap_linearizations(d: CircularDrawing, comp: frozenset[Vertex], apex: Ver
 
     qualifying = []
     for bi in decomp.incidence[apex]:
-        att = decomp.attachment(bi, apex)
-        att_edges = [ed for ed in sub.edges if ed[0] in att and ed[1] in att]
-        if not any(covers_apex(ed) for ed in att_edges):
+        if other in decomp.blocks[bi].vertices:  # the bridge
+            continue
+        att = decomp.attachment(bi, apex) & comp
+        if not any(covers_apex(ed) for ed in edges if ed[0] in att and ed[1] in att):
             qualifying.append(bi)
     _sassert(bool(qualifying), "no qualifying block for unwrapping the apex")
 
     outs: set[tuple[Vertex, ...]] = set()
     for bi in qualifying:
-        for cyc in _block_attachment_targets(d, sub, decomp, bi):
-            outs.update(cyc[k:] + cyc[:k] for k in _apex_cuts(cyc, apex, sub.edges))
+        for cyc in _block_attachment_targets(d, decomp, bi, comp):
+            outs.update(cyc[k:] + cyc[:k] for k in _apex_cuts(cyc, apex, edges))
     return sorted(outs)
 
 
@@ -289,16 +260,18 @@ def min_untangle(d: CircularDrawing) -> Untangling:
     component next to the other endpoint and (b) the optimal component-fixed
     untangling, whose moved set comes from canonical target orders scored by
     longest common cyclic subsequence.  The global best moved set wins, with
-    deterministic tie-breaking, and only its moves are built.
+    deterministic tie-breaking, and only its moves are built.  Every step
+    reads the graph's one block-cut tree.
     """
     cls, cands = _candidate_edges(d, None)
     if cls.kind == PLANAR:
         return empty_untangling()
     g = d.graph
+    decomp = block_decomposition(g)
 
     best: Optional[tuple] = None
     for cand in sorted(cands, key=lambda c: (g.index(c.edge[0]), g.index(c.edge[1]))):
-        for moved, build in _min_untangle_candidates(d, cand):
+        for moved, build in _min_untangle_candidates(d, decomp, cand):
             key = (len(moved), _lex_key(g, moved))
             if best is None or key < best[0]:
                 best = (key, build)
@@ -308,57 +281,50 @@ def min_untangle(d: CircularDrawing) -> Untangling:
     return u
 
 
-def _min_untangle_candidates(d: CircularDrawing, cand: EdgeCandidate):
+def _min_untangle_candidates(d: CircularDrawing, decomp: BlockDecomposition, cand: EdgeCandidate):
     """(moved set, function returning its moves) for each way to untangle
     around one candidate edge."""
     g = d.graph
     e = cand.edge
     u, v = e
-    comps = components(g.vertices, g.edges - {e})
-    comp_u = next(c for c in comps if u in c)
-    comp_v = next(c for c in comps if v in c)
-
-    if comp_u == comp_v:
-        yield _connected_case_best(d, e, comp_u)
+    bi = decomp.block_with_edge(e)
+    comp = next(c for c in decomp.components if u in c)
+    if decomp.blocks[bi].hamiltonian is not None:  # e lies on a cycle: u, v stay connected in G - e
+        yield _connected_case_best(d, decomp, bi, comp)
         return
+    # e is a bridge, and G - e splits its component into u's and v's sides
+    comp_u, comp_v = decomp.attachment(bi, u), decomp.attachment(bi, v)
 
-    # whole-component relocations: u's component lands right after v, and
+    # whole-side relocations: u's side lands right after v, and
     # symmetrically, which makes the endpoints circle neighbors
-    for comp, start, anchor in ((comp_u, u, v), (comp_v, v, u)):
-        block = rotate_to(restriction(d.order, comp), start)
-        rest = [x for x in d.order if x not in comp]
+    for side, start, anchor in ((comp_u, u, v), (comp_v, v, u)):
+        block = rotate_to(restriction(d.order, side), start)
+        rest = [x for x in d.order if x not in side]
         ins = rest.index(anchor) + 1
         target = tuple(rest[:ins]) + block + tuple(rest[ins:])
-        yield set(comp), partial(moves_to_reach, d.order, target, set(comp))
+        yield set(side), partial(moves_to_reach, d.order, target, set(side))
 
     # component-fixed branch: every satellite component sends its cheaper
-    # side across, and the endpoint components keep the best canonical
-    # target's common subsequence with the input
+    # side across, and the endpoint sides keep the best canonical target's
+    # common subsequence with the input
     lset, rset = set(cand.left), set(cand.right)
     moved: set[Vertex] = set()
-    for c in comps:
-        if c not in (comp_u, comp_v):
+    for c in decomp.components:
+        if c is not comp:
             moved |= _cheaper(g, c & lset, c & rset)
-    w_set = comp_u | comp_v
-    source = restriction(d.order, w_set)
-    lv_opts = unwrap_linearizations(d, comp_v, v, u)
-    lu_opts = unwrap_linearizations(d, comp_u, u, v)
+    source = restriction(d.order, comp)
+    lv_opts = unwrap_linearizations(d, decomp, comp_v, v, u)
+    lu_opts = unwrap_linearizations(d, decomp, comp_u, u, v)
     target = best_target(source, (lv + lu for lv in lv_opts for lu in lu_opts))
-    moved |= w_set - set(lccs(source, target))
-    yield moved, partial(_moves_keeping, d, moved)
+    moved |= comp - set(lccs(source, target))
+    yield moved, partial(_moves_keeping, d, decomp, moved)
 
 
-def _connected_case_best(d: CircularDrawing, e: Edge, w_comp: frozenset[Vertex]) -> tuple:
-    """u, v connected in G - e: canonical targets arrange the attachments of
-    the block containing e along its Hamiltonian cycle (both directions).
-    Returns the moved set and a function returning its moves."""
-    g = d.graph
-    sub = g.subgraph(w_comp)
-    decomp = block_decomposition(sub)
-    bi = decomp.block_with_edge(e)
-    _sassert(decomp.blocks[bi].hamiltonian is not None,
-             "crossing edge in a bridge block while endpoints are connected")
-    source = restriction(d.order, w_comp)
-    target = best_target(source, _block_attachment_targets(d, sub, decomp, bi))
-    moved = set(w_comp) - set(lccs(source, target))
+def _connected_case_best(d: CircularDrawing, decomp: BlockDecomposition, bi: int, comp: frozenset[Vertex]) -> tuple:
+    """e lies on block `bi`'s cycle: canonical targets arrange the block's
+    attachments along its Hamiltonian cycle (both directions).  Returns the
+    moved set and a function returning its moves."""
+    source = restriction(d.order, comp)
+    target = best_target(source, _block_attachment_targets(d, decomp, bi, comp))
+    moved = set(comp) - set(lccs(source, target))
     return moved, partial(moves_to_reach, d.order, target, moved)

@@ -173,30 +173,38 @@ def _peel_hamiltonian(g: Graph, block_vertices: Iterable[Vertex], block_edges: C
     if len(verts) < 3:
         raise NotOuterplanar("blocks with fewer than 3 vertices have no Hamiltonian cycle")
 
+    # a stack holds every vertex of degree 2; degrees never grow, so a
+    # vertex found on it at another degree (or peeled) is stale
     peel: list[tuple[Vertex, Vertex, Vertex]] = []
-    alive = list(verts)
-    while len(alive) > 2:
-        w = next((x for x in alive if len(adj[x]) == 2), None)
-        if w is None:
+    ready = [x for x in reversed(verts) if len(adj[x]) == 2]
+    while len(adj) > 2:
+        while ready and len(adj.get(ready[-1], ())) != 2:
+            ready.pop()
+        if not ready:
             raise NotOuterplanar("degree-2 peel stalled (K4-like substructure)")
-        a, b = sorted(adj[w], key=g.index)
+        w = ready.pop()
+        a, b = sorted(adj.pop(w), key=g.index)
         peel.append((w, a, b))
-        alive.remove(w)
-        adj[a].discard(w)
-        adj[b].discard(w)
-        adj[a].add(b)
-        adj[b].add(a)
-        del adj[w]
+        for x, y in ((a, b), (b, a)):
+            adj[x].discard(w)
+            adj[x].add(y)
+            if len(adj[x]) == 2:
+                ready.append(x)
 
-    cycle: list[Vertex] = list(alive)
+    # unwind on successor links: w goes between a and b, which must be
+    # cycle neighbours
+    first, second = adj
+    succ = {first: second, second: first}
     for w, a, b in reversed(peel):
-        ia, ib, n = cycle.index(a), cycle.index(b), len(cycle)
-        if (ia + 1) % n == ib:
-            cycle.insert(ib, w)
-        elif (ib + 1) % n == ia:
-            cycle.insert(ia, w)
+        if succ[a] == b:
+            succ[a], succ[w] = w, b
+        elif succ[b] == a:
+            succ[b], succ[w] = w, a
         else:
             raise NotOuterplanar("peeled vertex has no cycle-adjacent reinsertion slot (K2,3-like)")
+    cycle = [first]
+    while len(cycle) < len(verts):
+        cycle.append(succ[cycle[-1]])
 
     if not is_crossing_free(cycle, block_edges):
         raise NotOuterplanar("block chords cross in the reconstructed Hamiltonian order")
@@ -290,9 +298,13 @@ def planar_circular_order(g: Graph, rng: Optional[random.Random] = None) -> Circ
     return CircularDrawing(g, order)
 
 
-def planar_order_keeping(g: Graph, order: Sequence[Vertex], fixed: Iterable[Vertex]) -> Optional[tuple[Vertex, ...]]:
-    """A crossing-free cyclic order of `g` whose restriction to `fixed` is
-    `restriction(order, fixed)` up to rotation, or None when there is none.
+def planar_order_keeping(
+    decomp: BlockDecomposition, order: Sequence[Vertex], fixed: Iterable[Vertex]
+) -> Optional[tuple[Vertex, ...]]:
+    """A crossing-free cyclic order of `decomp.graph` whose restriction to
+    `fixed` is `restriction(order, fixed)` up to rotation, or None when
+    there is none.  `decomp` is the graph's `block_decomposition`, which
+    also certifies that the graph is outerplanar.
 
     The crossing-free orders of a connected outerplanar graph are the
     frontiers of its block-cut tree read as a PQ-tree: each block is a
@@ -302,10 +314,9 @@ def planar_order_keeping(g: Graph, order: Sequence[Vertex], fixed: Iterable[Vert
     2003).  `_keep_component` runs the bottom-up reorder test on that tree.
     Two components never interleave, since each must lie in one gap of the
     other, so a stack walk along the fixed sequence nests them.  Components
-    with no fixed vertex go last.  Raises NotOuterplanar when `g` is not
-    outerplanar.
+    with no fixed vertex go last.
     """
-    decomp = block_decomposition(g)
+    g = decomp.graph
     walk = restriction(order, fixed)
     comp_of = {x: i for i, c in enumerate(decomp.components) for x in c}
     ranks: list[dict[Vertex, int]] = [{} for _ in decomp.components]

@@ -84,12 +84,6 @@ class Graph:
         e = self.edge(*e)
         return Graph(self.vertices, self.edges - {e})
 
-    def subgraph(self, keep: Iterable[Vertex]) -> "Graph":
-        ks = set(keep)
-        vs = tuple(v for v in self.vertices if v in ks)
-        es = [e for e in self.edges if e[0] in ks and e[1] in ks]
-        return Graph(vs, es)
-
 
 @dataclass(frozen=True, eq=False)
 class CircularDrawing:
@@ -276,19 +270,6 @@ def crossing_pair(order: Sequence[Vertex], edges: Iterable[Edge]) -> Optional[tu
 def is_crossing_free(order: Sequence[Vertex], edges: Iterable[Edge]) -> bool:
     """Linear-time planarity test for chords on a circle (stack nesting)."""
     return crossing_pair(order, edges) is None
-
-
-def edges_crossing(d: CircularDrawing, e: Edge) -> list[Edge]:
-    """Edges of the drawing whose endpoints alternate with the endpoints of `e`."""
-    e = d.graph.edge(*e)
-    pos = d._pos
-    out = []
-    for f in d.graph.sorted_edges():
-        if f == e or e[0] in f or e[1] in f:
-            continue
-        if _alternates(pos, e, f):
-            out.append(f)
-    return out
 
 
 def is_planar_drawing(d: CircularDrawing) -> bool:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import NotOuterplanar, TooLarge
 from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, rotate_to
-from .seqs import lccs, lis, lis_indices
+from .seqs import best_target, lccs, lis, lis_indices
 
 ORACLE_MAX_N = 9
 DISTICOR_MAX_CHUNKS = 8
@@ -114,16 +114,9 @@ def exact_min_untangle(d: CircularDrawing, nmax: int = ORACLE_MAX_N) -> ExactUnt
     orders = enumerate_planar_orders(d.graph, nmax)
     if not orders:
         raise NotOuterplanar("graph admits no planar circular order")
-    n = len(d.order)
-    best_w: list[Vertex] = []
-    best_t: tuple[Vertex, ...] = orders[0]
-    for t in orders:
-        w = lccs(d.order, t)
-        if len(w) > len(best_w):
-            best_w, best_t = w, t
-            if len(w) == n:
-                break
-    return ExactUntangleResult(n - len(best_w), best_t, tuple(best_w))
+    t = best_target(d.order, orders)
+    w = lccs(d.order, t)
+    return ExactUntangleResult(len(d.order) - len(w), t, tuple(w))
 
 
 def _lcs_distinct(a: Sequence, b: Sequence) -> int:

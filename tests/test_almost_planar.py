@@ -1,6 +1,7 @@
 """One-side, edge-fixed, and minimum untangling of almost-planar drawings."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from untangling import (
     CircularDrawing,
     Graph,
+    block_decomposition,
     classify,
     crossings,
     cycle_graph,
@@ -22,16 +24,17 @@ from untangling import (
     moves_to_reach,
     one_side_untangle,
     planar_order_keeping,
-    side_partition,
     unwrap_linearizations,
     verify_untangling,
 )
-from untangling import almost_planar
-from untangling.almost_planar import _apex_cuts
+from untangling import almost_planar, blocks
+from untangling.almost_planar import TARGET_BUDGET, _apex_cuts
 from untangling.blocks import components
-from untangling.errors import NotAlmostPlanar, NotOuterplanar
+from untangling.cli import main
+from untangling.errors import NotAlmostPlanar, NotOuterplanar, TooLarge
 from untangling.generators import _almost_planar_from
-from untangling.model import all_crossings_on, edges_crossing
+from untangling.io_formats import format_drawing
+from untangling.model import all_crossings_on, sides_of_edge
 
 
 def c4_tangled():
@@ -50,18 +53,16 @@ def two_path_satellites():
 
 def test_side_partition_examples():
     d = c4_tangled()
-    sp = side_partition(d, ("v1", "v2"))
-    assert sp.left == ("v4",) and sp.right == ("v3",)
+    assert sides_of_edge(d, ("v1", "v2")) == (("v4",), ("v3",))
     # endpoints adjacent on the circle: one side empty
     g = cycle_graph(4)
-    d2 = CircularDrawing(g, g.vertices)
-    sp2 = side_partition(d2, ("v1", "v2"))
-    assert sp2.right == () and len(sp2.left) == 2
+    left, right = sides_of_edge(CircularDrawing(g, g.vertices), ("v1", "v2"))
+    assert right == () and len(left) == 2
     # the tight family: the crossing edge sees all other vertices
     d5 = gen_fig5(6)
     (cand,) = classify(d5).candidates
-    sp5 = side_partition(d5, cand.edge)
-    assert len(sp5.left) + len(sp5.right) == 4
+    left, right = sides_of_edge(d5, cand.edge)
+    assert len(left) + len(right) == 4
 
 
 def test_one_side_planar_input():
@@ -170,7 +171,7 @@ def test_unwrap_orders_leave_apex_uncovered():
         if comp_u == comp_v:
             continue
         sub_edges = [ed for ed in d.graph.edges if ed[0] in comp_v and ed[1] in comp_v]
-        for lin in unwrap_linearizations(d, comp_v, v, u):
+        for lin in unwrap_linearizations(d, block_decomposition(d.graph), comp_v, v, u):
             pos = {x: i for i, x in enumerate(lin)}
             pv = pos[v]
             for a, b in sub_edges:
@@ -220,7 +221,6 @@ def test_candidate_edge_validation():
     d = c4_tangled()
     with pytest.raises(NotAlmostPlanar):
         one_side_untangle(d, ("v2", "v3"))  # a real edge, but not a candidate
-    assert edges_crossing(d, ("v1", "v2")) == [("v3", "v4")]
 
 
 def _pieces(vertices, edges):
@@ -251,7 +251,8 @@ def _smaller(g, a, b):
 def _moving_only(d, moved, edges):
     """The drawing after moving exactly `moved` into a crossing-free order of
     `edges` that keeps the other vertices, and the moves that reach it."""
-    target = planar_order_keeping(Graph(d.graph.vertices, edges), d.order, [x for x in d.order if x not in moved])
+    bd = block_decomposition(Graph(d.graph.vertices, edges))
+    target = planar_order_keeping(bd, d.order, [x for x in d.order if x not in moved])
     assert target is not None
     return CircularDrawing(d.graph, target), moves_to_reach(d.order, target, moved)
 
@@ -306,18 +307,71 @@ def test_non_outerplanar_almost_planar_drawing_raises_not_outerplanar():
     assert almost_planar.assertion_failures == before
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: _capped_products")
 def test_min_untangle_not_worse_than_edge_fixed_on_wide_attachments():
-    # a triangle with 8 pendant leaves per vertex: the attachment product
-    # exceeds CUT_COMBO_CAP, and the capped fallback misses the optimum
+    # a triangle with 8 pendant leaves per vertex: each block scores up to
+    # 2 x 9^3 canonical targets, and min_untangle must find the optimum
     leaves = {x: [f"{x}{i}" for i in range(8)] for x in "abc"}
     g = Graph(
         ("a", "b", "c", *(y for ys in leaves.values() for y in ys)),
         [("a", "b"), ("b", "c"), ("a", "c"), *((x, y) for x, ys in leaves.items() for y in ys)],
     )
-    worse = []
+    bd = block_decomposition(g)
+    optima = {}
     for s in range(30):
         d = _almost_planar_from(g, "a", "b", random.Random(s), 50)
-        if len(min_untangle(d).moved_set()) > len(edge_fixed_untangle(d).moved_set()):
-            worse.append(s)
-    assert not worse, f"min_untangle moves more than edge_fixed_untangle for seeds {worse}"
+        u = min_untangle(d)
+        rep = verify_untangling(d, u)
+        assert rep.planar_ok and rep.fixed_set_ok
+        k = rep.moved_count
+        assert k <= len(edge_fixed_untangle(d).moved_set())
+        # no k - 1 moves suffice: fixed sets that can stay are closed under
+        # taking subsets, so every smaller moved set is covered too
+        for moved in combinations(d.order, k - 1):
+            assert planar_order_keeping(bd, d.order, set(d.order) - set(moved)) is None, (s, moved)
+        optima[s] = k
+    assert [optima[s] for s in (0, 1, 6, 7)] == [4, 2, 3, 2]
+
+
+def _wide_cycle(k: int) -> CircularDrawing:
+    """A k-cycle c0..c(k-1) with 3 leaves per vertex, c0-c1 crossed: each
+    attachment has 4 linearizations, so its block has 2 x 4^k targets."""
+    cyc = [f"c{i}" for i in range(k)]
+    leaves = [(c, f"{c}x{j}") for c in cyc for j in range(3)]
+    g = Graph((*cyc, *(y for _, y in leaves)), [*((cyc[i], cyc[(i + 1) % k]) for i in range(k)), *leaves])
+    return _almost_planar_from(g, "c0", "c1", random.Random(0), 50)
+
+
+def test_min_untangle_target_budget(tmp_path, capsys):
+    d = _wide_cycle(6)
+    assert 2 * 4**6 <= TARGET_BUDGET
+    rep = verify_untangling(d, min_untangle(d))
+    assert rep.planar_ok and rep.fixed_set_ok
+    d = _wide_cycle(7)
+    assert 2 * 4**7 > TARGET_BUDGET
+    with pytest.raises(TooLarge):
+        min_untangle(d)
+    path = tmp_path / "wide.cdr"
+    path.write_text(format_drawing(d))
+    assert main(["untangle", str(path), "--algorithm", "min"]) == 4
+    assert "canonical targets" in capsys.readouterr().err
+
+
+def test_untanglers_decompose_once(monkeypatch):
+    """Each untangler builds one block-cut tree and reads every later step
+    from it, planar_order_keeping included."""
+    calls = []
+    decompose = blocks.block_decomposition
+
+    def counted(g):
+        calls.append(g)
+        return decompose(g)
+
+    monkeypatch.setattr(almost_planar, "block_decomposition", counted)
+    monkeypatch.setattr(blocks, "block_decomposition", counted)
+    drawings = [d for n in range(3, 7) for d in enumerate_almost_planar_instances(n)]
+    assert len(drawings) > 100
+    for d in drawings:
+        for untangle in (min_untangle, one_side_untangle, edge_fixed_untangle):
+            calls.clear()
+            untangle(d)
+            assert calls == [d.graph], (untangle.__name__, d.order)

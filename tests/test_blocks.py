@@ -119,6 +119,25 @@ def test_hamiltonian_peel_matches_enumeration_uniqueness():
             assert cyclic_equal(t, ham) or cyclic_equal(t, (ham[0],) + tuple(reversed(ham[1:])))
 
 
+@pytest.mark.parametrize("shape", ["cycle", "fan"])
+def test_hamiltonian_peel_of_large_blocks(shape):
+    # one block of 20,000 vertices; the fan's peel frees one path vertex per
+    # step, and its hub keeps a high degree to the end
+    g = cycle_graph(20_000)
+    vs = g.vertices
+    if shape == "fan":
+        g = Graph(vs, [*zip(vs, vs[1:]), *((vs[0], x) for x in vs[2:])])
+    (block,) = block_decomposition(g).blocks
+    ham = block.hamiltonian
+    assert sorted(ham, key=g.index) == list(vs)
+    for a, b in zip(ham, ham[1:] + ham[:1]):
+        g.edge(a, b)  # raises unless the cycle runs along edges
+    assert is_crossing_free(ham, g.edges)
+    # normalized: starts at the lowest rank, then its lower-ranked neighbour
+    assert ham[0] == vs[0] and g.index(ham[1]) < g.index(ham[-1])
+    assert ham == vs
+
+
 def test_attachment_consecutive_in_every_planar_order():
     # a block with pendant trees: each attachment occupies a contiguous arc in
     # every crossing-free order
@@ -350,7 +369,7 @@ def _check_keeping(g, order, fixed, planar_orders):
     whether one keeps `fixed` in input order, and its witness is valid."""
     want = restriction(order, fixed)
     feasible = any(cyclic_equal(restriction(t, fixed), want) for t in planar_orders)
-    got = planar_order_keeping(g, order, fixed)
+    got = planar_order_keeping(block_decomposition(g), order, fixed)
     assert (got is not None) == feasible, (g.vertices, sorted(g.edges), order, fixed)
     if got is not None:
         assert sorted(got) == sorted(g.vertices)
@@ -389,19 +408,20 @@ def test_planar_order_keeping_matches_enumeration(exhaustive_corpus):
 
 def test_planar_order_keeping_nests_components():
     g = Graph(("a", "b", "c", "x", "y"), [("a", "b"), ("b", "c"), ("x", "y")])
+    bd = block_decomposition(g)
     # x-y sits in the gap between b and c
-    assert planar_order_keeping(g, ("a", "b", "x", "y", "c"), g.vertices) == ("a", "b", "x", "y", "c")
+    assert planar_order_keeping(bd, ("a", "b", "x", "y", "c"), g.vertices) == ("a", "b", "x", "y", "c")
     # x-y interleaves a-b-c, which no crossing-free order does
-    assert planar_order_keeping(g, ("a", "x", "b", "y", "c"), g.vertices) is None
+    assert planar_order_keeping(bd, ("a", "x", "b", "y", "c"), g.vertices) is None
     # y is free, so it goes next to x
-    got = planar_order_keeping(g, ("a", "x", "b", "y", "c"), ("a", "b", "c", "x"))
+    got = planar_order_keeping(bd, ("a", "x", "b", "y", "c"), ("a", "b", "c", "x"))
     assert cyclic_equal(restriction(got, "abcx"), ("a", "x", "b", "c"))
     assert is_crossing_free(got, g.edges)
     # no fixed vertex at all: some planar order
-    assert is_crossing_free(planar_order_keeping(g, g.vertices, ()), g.edges)
-    assert planar_order_keeping(Graph(()), (), ()) == ()
+    assert is_crossing_free(planar_order_keeping(bd, g.vertices, ()), g.edges)
+    assert planar_order_keeping(block_decomposition(Graph(())), (), ()) == ()
     with pytest.raises(NotOuterplanar):
-        planar_order_keeping(k4(), k4().vertices, ())
+        planar_order_keeping(block_decomposition(k4()), k4().vertices, ())
 
 
 def test_untanglers_on_long_path():
