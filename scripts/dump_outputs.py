@@ -28,7 +28,10 @@ Each line is `section  input  output`, tab-separated.  The inputs are:
   research-batch workload reduces;
 - the `min_untangle` and `edge_fixed_untangle` moved sets of 30 drawings of
   a triangle with 8 pendant leaves per vertex, whose blocks score up to
-  2 x 9^3 canonical targets each (the `adversarial` section).
+  2 x 9^3 canonical targets each (the `adversarial` section);
+- the `min_untangle` and `edge_fixed_untangle` move lists (the `bridge`
+  section) and moved sets (in `moved`) of seeded `gen_random` case-2-2
+  drawings with n = 10, 12, 14, whose crossing edge is a bridge.
 
 An input that raises prints the error's class name in place of the output.
 """
@@ -58,6 +61,8 @@ THREE_PARTITIONS = (
 )
 ADVERSARIAL_LEAVES = 8
 ADVERSARIAL_SEEDS = range(30)
+BRIDGE_NS = (10, 12, 14)
+BRIDGE_SEEDS = range(40)
 UNTANGLERS = (
     ("min", ut.min_untangle),
     ("one-side", ut.one_side_untangle),
@@ -186,8 +191,22 @@ def adversarial_lines():
                 yield "adversarial", f"{name} seed={seed} {_drawing(d)}", u if isinstance(u, str) else _moved(g, u)
 
 
+def bridge_lines():
+    for n in BRIDGE_NS:
+        for seed in BRIDGE_SEEDS:
+            d = ut.gen_random(n, seed, "case-2-2")
+            key = f"case-2-2 n={n} seed={seed} {_drawing(d)}"
+            for name, untangle in UNTANGLERS:
+                if name != "one-side":
+                    u = _run(lambda: untangle(d))
+                    yield "bridge", f"{name} {key}", u if isinstance(u, str) else _moves(u)
+                    yield "moved", f"bridge {name} {key}", u if isinstance(u, str) else _moved(d.graph, u)
+
+
 def main() -> None:
-    for lines in (almost_planar_lines, general_lines, layout_lines, oracle_lines, reduce_lines, adversarial_lines):
+    for lines in (
+        almost_planar_lines, general_lines, layout_lines, oracle_lines, reduce_lines, adversarial_lines, bridge_lines
+    ):
         for section, key, value in lines():
             print(section, key, value, sep="\t")
 

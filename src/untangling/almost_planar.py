@@ -2,13 +2,14 @@
 
 An almost-planar drawing has a single edge e = (u, v) involved in all
 crossings, so the drawing minus e is crossing-free.  Each untangler settles
-which vertices move by counting: the smaller side of e, the smaller side of
-every piece of G - u - v, or the satellites' smaller sides plus what the
-best canonical target (block Hamiltonian cycle plus attachment blocks,
-scored by the longest common cyclic subsequence) drops.  One construction
-then places them: `blocks.planar_order_keeping` gives a crossing-free order
-that keeps every other vertex in input order, and `moves_to_reach` turns it
-into moves.
+which vertices move, as a plain set, by counting: the smaller side of e, the
+smaller side of every piece of G - u - v, or the least of a whole endpoint
+side (e a bridge) and the satellites' smaller sides plus what the best
+canonical target (block Hamiltonian cycle plus attachment blocks, scored by
+the longest common cyclic subsequence, listed under TARGET_BUDGET) drops.
+One construction then places the winning set: `blocks.planar_order_keeping`
+gives a crossing-free order that keeps every other vertex in input order,
+and `moves_to_reach` turns it into moves.
 
 Structural facts the constructions rely on are asserted at runtime and raise
 StructuralAssertionFailed when violated; `assertion_failures` counts them so
@@ -17,10 +18,9 @@ test suites can require a clean run.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import product
+from itertools import chain, product
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .blocks import BlockDecomposition, block_decomposition, components, planar_order_keeping
 from .errors import NotAlmostPlanar, StructuralAssertionFailed, TooLarge
@@ -40,15 +40,15 @@ from .model import (
     is_planar_drawing,
     moves_to_reach,
     restriction,
-    rotate_to,
 )
 from .seqs import best_target, lccs
 
 assertion_failures = 0
 
-# Canonical targets one block may produce, over both walk directions, before
-# `_block_attachment_targets` raises TooLarge.
-TARGET_BUDGET = 1 << 14
+# Canonical targets one product may list before `_concatenations` raises
+# TooLarge: a block's attachment linearizations over both walk directions,
+# or a bridge's pairs of unwrapped endpoint sides.
+TARGET_BUDGET = 1 << 16
 
 
 def _sassert(cond: bool, msg: str) -> None:
@@ -74,14 +74,10 @@ def _candidate_edges(d: CircularDrawing, e: Optional[Edge]) -> tuple:
     return cls, cands
 
 
-def _lex_key(g: Graph, vs: Iterable[Vertex]) -> tuple:
-    return tuple(sorted(g.index(x) for x in vs))
-
-
-def _cheaper(g: Graph, a: Iterable[Vertex], b: Iterable[Vertex]) -> set[Vertex]:
-    """The smaller of two vertex sets, the lexicographically first by rank
-    on a tie."""
-    return set(min(a, b, key=lambda side: (len(side), _lex_key(g, side))))
+def _cheapest(g: Graph, sets: Iterable[Collection[Vertex]]) -> set[Vertex]:
+    """The smallest of some vertex sets: on a tie the lexicographically first
+    by sorted vertex ranks, then the first given."""
+    return set(min(sets, key=lambda s: (len(s), sorted(map(g.index, s)))))
 
 
 def _moves_keeping(d: CircularDrawing, decomp: BlockDecomposition, moved: set[Vertex]) -> list[VertexMove]:
@@ -99,12 +95,8 @@ def one_side_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untanglin
     if cls.kind == PLANAR:
         return empty_untangling()
     g = d.graph
-
-    def cand_key(c):
-        return (min(len(c.left), len(c.right)), g.index(c.edge[0]), g.index(c.edge[1]))
-
-    cand = min(cands, key=cand_key)
-    return Untangling(tuple(_moves_keeping(d, block_decomposition(g), _cheaper(g, cand.left, cand.right))))
+    cand = min(cands, key=lambda c: min(len(c.left), len(c.right)))  # the first by edge rank on a tie
+    return Untangling(tuple(_moves_keeping(d, block_decomposition(g), _cheapest(g, (cand.left, cand.right)))))
 
 
 def edge_fixed_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untangling:
@@ -114,8 +106,7 @@ def edge_fixed_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untangl
     if cls.kind == PLANAR:
         return empty_untangling()
     g = d.graph
-    by_edge = sorted(cands, key=lambda c: (g.index(c.edge[0]), g.index(c.edge[1])))
-    moved = min((_edge_fixed_moved(g, c) for c in by_edge), key=lambda s: (len(s), _lex_key(g, s)))
+    moved = _cheapest(g, (_edge_fixed_moved(g, c) for c in cands))
     return Untangling(tuple(_moves_keeping(d, block_decomposition(g), moved)))
 
 
@@ -135,7 +126,7 @@ def _edge_fixed_moved(g: Graph, cand: EdgeCandidate) -> set[Vertex]:
     inner_edges = [ed for ed in g.edges if u not in ed and v not in ed]
     moved: set[Vertex] = set()
     for c in components(inner, inner_edges):
-        moved |= _cheaper(g, c & lset, c & rset)
+        moved |= _cheapest(g, (c & lset, c & rset))
     return moved
 
 
@@ -171,25 +162,28 @@ def _apex_cuts(cyc: Sequence[Vertex], apex: Vertex, edges: Iterable[Edge]) -> li
     return out
 
 
-def _attachment_linearizations(
-    sigma: tuple[Vertex, ...], b: Vertex, edges: list[Edge]
-) -> list[tuple[Vertex, ...]]:
-    """All rotations of the attachment's cyclic input order in which no
-    attachment edge spans the block vertex `b` (those are the planar ways to
-    lay the attachment out as one contiguous block around its block vertex)."""
-    return [sigma[k:] + sigma[:k] for k in _apex_cuts(sigma, b, edges)]
+def _concatenations(walks: Sequence[Sequence[Sequence[tuple]]]) -> Iterator[tuple]:
+    """Every concatenation of one option per slot, walk after walk, each in
+    `itertools.product` order, yielded lazily; counts first and raises
+    TooLarge when there are more than TARGET_BUDGET."""
+    count = sum(prod(map(len, slots)) for slots in walks)
+    if count > TARGET_BUDGET:
+        raise TooLarge(f"{count} canonical targets, over the budget of {TARGET_BUDGET}")
+    return (tuple(chain.from_iterable(combo)) for slots in walks for combo in product(*slots))
 
 
 def _block_attachment_targets(
     d: CircularDrawing, decomp: BlockDecomposition, bi: int, side: frozenset[Vertex]
-) -> list[tuple[Vertex, ...]]:
+) -> Iterator[tuple[Vertex, ...]]:
     """Cyclic target orders for the vertex set `side` (block `bi`'s
     component, less the far side of a bridge the caller leaves out) that
     lay the block along its Hamiltonian cycle (both directions) with each
     attachment as a contiguous block keeping its input cyclic order.
 
-    Every combination of attachment linearizations is listed, one walk
-    after the other; raises TooLarge when there are more than TARGET_BUDGET.
+    An attachment's linearizations are the rotations of its input order in
+    which no attachment edge spans its block vertex (the planar ways to lay
+    it out as one contiguous block there).  Every combination is listed,
+    one walk after the other, through `_concatenations` and its budget.
     """
     g = decomp.graph
     block = decomp.blocks[bi]
@@ -200,8 +194,11 @@ def _block_attachment_targets(
         walks.append(rev)
     # attachments partition `side`, and every edge off the block inside
     # `side` joins two vertices of one attachment
-    atts = {b: decomp.attachment(bi, b) & side for b in ham}
-    owner = {x: b for b, att in atts.items() for x in att}
+    owner = {x: b for b in ham for x in decomp.attachment(bi, b) & side}
+    att_orders: dict[Vertex, list[Vertex]] = {b: [] for b in ham}
+    for x in d.order:
+        if x in owner:
+            att_orders[owner[x]].append(x)
     att_edges: dict[Vertex, list[Edge]] = {b: [] for b in ham}
     for ed in g.edges:
         b = owner.get(ed[0])
@@ -209,12 +206,10 @@ def _block_attachment_targets(
             att_edges[b].append(ed)
     lins = {}
     for b in ham:
-        lins[b] = _attachment_linearizations(restriction(d.order, atts[b]), b, att_edges[b])
+        sigma = tuple(att_orders[b])
+        lins[b] = [sigma[k:] + sigma[:k] for k in _apex_cuts(sigma, b, att_edges[b])]
         _sassert(bool(lins[b]), "attachment admits no valid linearization around its block vertex")
-    count = len(walks) * prod(len(lins[b]) for b in ham)
-    if count > TARGET_BUDGET:
-        raise TooLarge(f"a block with {len(ham)} attachments has {count} canonical targets, over {TARGET_BUDGET}")
-    return [tuple(x for part in combo for x in part) for walk in walks for combo in product(*(lins[b] for b in walk))]
+    return _concatenations([[lins[b] for b in walk] for walk in walks])
 
 
 def unwrap_linearizations(
@@ -259,50 +254,40 @@ def min_untangle(d: CircularDrawing) -> Untangling:
     For each candidate crossing edge, weighs (a) relocating a whole endpoint
     component next to the other endpoint and (b) the optimal component-fixed
     untangling, whose moved set comes from canonical target orders scored by
-    longest common cyclic subsequence.  The global best moved set wins, with
-    deterministic tie-breaking, and only its moves are built.  Every step
-    reads the graph's one block-cut tree.
+    longest common cyclic subsequence.  The smallest moved set wins, the
+    first by rank on a tie, and only its moves are built.  Every step reads
+    the graph's one block-cut tree.
     """
     cls, cands = _candidate_edges(d, None)
     if cls.kind == PLANAR:
         return empty_untangling()
-    g = d.graph
-    decomp = block_decomposition(g)
-
-    best: Optional[tuple] = None
-    for cand in sorted(cands, key=lambda c: (g.index(c.edge[0]), g.index(c.edge[1]))):
-        for moved, build in _min_untangle_candidates(d, decomp, cand):
-            key = (len(moved), _lex_key(g, moved))
-            if best is None or key < best[0]:
-                best = (key, build)
-    assert best is not None
-    u = Untangling(tuple(best[1]()))
+    decomp = block_decomposition(d.graph)
+    moved = _cheapest(d.graph, (m for cand in cands for m in _min_untangle_candidates(d, decomp, cand)))
+    u = Untangling(tuple(_moves_keeping(d, decomp, moved)))
     _sassert(is_planar_drawing(apply_untangling(d, u)), "minimum untangling is not planar")
     return u
 
 
-def _min_untangle_candidates(d: CircularDrawing, decomp: BlockDecomposition, cand: EdgeCandidate):
-    """(moved set, function returning its moves) for each way to untangle
-    around one candidate edge."""
+def _min_untangle_candidates(
+    d: CircularDrawing, decomp: BlockDecomposition, cand: EdgeCandidate
+) -> Iterator[set[Vertex]]:
+    """The moved set of each way to untangle around one candidate edge."""
     g = d.graph
-    e = cand.edge
-    u, v = e
-    bi = decomp.block_with_edge(e)
+    u, v = cand.edge
+    bi = decomp.block_with_edge(cand.edge)
     comp = next(c for c in decomp.components if u in c)
+    source = restriction(d.order, comp)
     if decomp.blocks[bi].hamiltonian is not None:  # e lies on a cycle: u, v stay connected in G - e
-        yield _connected_case_best(d, decomp, bi, comp)
+        target = best_target(source, _block_attachment_targets(d, decomp, bi, comp))
+        yield set(comp).difference(lccs(source, target))
         return
     # e is a bridge, and G - e splits its component into u's and v's sides
     comp_u, comp_v = decomp.attachment(bi, u), decomp.attachment(bi, v)
 
-    # whole-side relocations: u's side lands right after v, and
-    # symmetrically, which makes the endpoints circle neighbors
-    for side, start, anchor in ((comp_u, u, v), (comp_v, v, u)):
-        block = rotate_to(restriction(d.order, side), start)
-        rest = [x for x in d.order if x not in side]
-        ins = rest.index(anchor) + 1
-        target = tuple(rest[:ins]) + block + tuple(rest[ins:])
-        yield set(side), partial(moves_to_reach, d.order, target, set(side))
+    # whole-side relocations: u's side lands right after v, or v's side
+    # right after u, which makes the endpoints circle neighbors
+    yield set(comp_u)
+    yield set(comp_v)
 
     # component-fixed branch: every satellite component sends its cheaper
     # side across, and the endpoint sides keep the best canonical target's
@@ -311,20 +296,9 @@ def _min_untangle_candidates(d: CircularDrawing, decomp: BlockDecomposition, can
     moved: set[Vertex] = set()
     for c in decomp.components:
         if c is not comp:
-            moved |= _cheaper(g, c & lset, c & rset)
-    source = restriction(d.order, comp)
+            moved |= _cheapest(g, (c & lset, c & rset))
     lv_opts = unwrap_linearizations(d, decomp, comp_v, v, u)
     lu_opts = unwrap_linearizations(d, decomp, comp_u, u, v)
-    target = best_target(source, (lv + lu for lv in lv_opts for lu in lu_opts))
+    target = best_target(source, _concatenations([[lv_opts, lu_opts]]))
     moved |= comp - set(lccs(source, target))
-    yield moved, partial(_moves_keeping, d, decomp, moved)
-
-
-def _connected_case_best(d: CircularDrawing, decomp: BlockDecomposition, bi: int, comp: frozenset[Vertex]) -> tuple:
-    """e lies on block `bi`'s cycle: canonical targets arrange the block's
-    attachments along its Hamiltonian cycle (both directions).  Returns the
-    moved set and a function returning its moves."""
-    source = restriction(d.order, comp)
-    target = best_target(source, _block_attachment_targets(d, decomp, bi, comp))
-    moved = set(comp) - set(lccs(source, target))
-    return moved, partial(moves_to_reach, d.order, target, moved)
+    yield moved

@@ -7,7 +7,7 @@ import random
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .blocks import components, planar_circular_order
+from .blocks import block_decomposition, components, planar_circular_order
 from .errors import GenerationFailed, InvalidN, NotOuterplanar
 from .model import (
     ALMOST_PLANAR,
@@ -193,15 +193,16 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None, retries
     raise GenerationFailed(f"no {profile} instance with n={n} after {retries} retries")
 
 
+def _chords_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
+    """True iff two chords between circle positions cross."""
+    (a, b), (c, d) = sorted(e1), sorted(e2)
+    if len({a, b, c, d}) < 4:
+        return False
+    return (a < c < b) != (a < d < b)
+
+
 def _noncrossing_subsets(n: int) -> Iterator[frozenset[tuple[int, int]]]:
     chords = list(combinations(range(n), 2))
-
-    def crosses(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-        (a, b), (c, d) = sorted(e1), sorted(e2)
-        if len({a, b, c, d}) < 4:
-            return False
-        return (a < c < b) != (a < d < b)
-
     chosen: list[tuple[int, int]] = []
 
     def rec(i: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -210,7 +211,7 @@ def _noncrossing_subsets(n: int) -> Iterator[frozenset[tuple[int, int]]]:
             return
         yield from rec(i + 1)
         e = chords[i]
-        if all(not crosses(e, f) for f in chosen):
+        if all(not _chords_cross(e, f) for f in chosen):
             chosen.append(e)
             yield from rec(i + 1)
             chosen.pop()
@@ -238,17 +239,10 @@ def enumerate_almost_planar_instances(n: int) -> Iterator[CircularDrawing]:
     """
     vs = vertex_names(n)
     all_chords = list(combinations(range(n), 2))
-
-    def crosses(e1, e2) -> bool:
-        (a, b), (c, d) = sorted(e1), sorted(e2)
-        if len({a, b, c, d}) < 4:
-            return False
-        return (a < c < b) != (a < d < b)
-
     seen: set[tuple] = set()
     for base in _noncrossing_subsets(n):
         for e in all_chords:
-            if e in base or not any(crosses(e, f) for f in base):
+            if e in base or not any(_chords_cross(e, f) for f in base):
                 continue
             edges = base | {e}
             if len(components(range(n), edges)) != 1:
@@ -259,7 +253,7 @@ def enumerate_almost_planar_instances(n: int) -> Iterator[CircularDrawing]:
             seen.add(key)
             g = Graph(vs, [(vs[a], vs[b]) for a, b in edges])
             try:
-                planar_circular_order(g)
+                block_decomposition(g)
             except NotOuterplanar:
                 continue
             d = CircularDrawing(g, vs)

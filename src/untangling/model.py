@@ -294,7 +294,8 @@ def sides_of_edge(d: CircularDrawing, e: Edge) -> tuple[tuple[Vertex, ...], tupl
 
 
 def classify(d: CircularDrawing) -> AlmostPlanarClassification:
-    """Planar / almost-planar / neither, with every qualifying edge listed.
+    """Planar / almost-planar / neither, with every qualifying edge listed
+    in order of its endpoints' ranks.
 
     An edge qualifies when it is involved in all crossings, i.e. the drawing
     minus that edge is crossing-free while the drawing itself is not.  Such
@@ -318,14 +319,31 @@ def classify(d: CircularDrawing) -> AlmostPlanarClassification:
 
 def apply_untangling(d: CircularDrawing, u: Untangling) -> CircularDrawing:
     """Apply moves left to right; each deletes the vertex and reinserts it
-    immediately clockwise of its anchor's current position."""
-    order = list(d.order)
+    immediately clockwise of its anchor's current position.  Successor and
+    predecessor links over input positions make each move O(1); the result
+    is read from where a list's index 0 would be: the first vertex, handed
+    to its successor whenever it moves."""
+    order, pos = d.order, d._pos
+    n = len(order)
+    succ = list(range(1, n)) + [0]
+    pred = [n - 1] + list(range(n - 1))
+    head = 0
     for mv in u.moves:
-        if mv.vertex not in d._pos or mv.anchor not in d._pos:
-            raise UnknownVertex(f"move {mv} references unknown vertex")
-        order.remove(mv.vertex)
-        order.insert(order.index(mv.anchor) + 1, mv.vertex)
-    return CircularDrawing(d.graph, order)
+        try:
+            x, a = pos[mv.vertex], pos[mv.anchor]
+        except KeyError:
+            raise UnknownVertex(f"move {mv} references unknown vertex") from None
+        p, s = pred[x], succ[x]
+        succ[p], pred[s] = s, p
+        if x == head:
+            head = s
+        s = succ[a]
+        succ[a], pred[x], succ[x], pred[s] = x, a, s, x
+    out = []
+    for _ in order:
+        out.append(order[head])
+        head = succ[head]
+    return CircularDrawing(d.graph, out)
 
 
 def verify_untangling(d: CircularDrawing, u: Untangling) -> VerificationReport:

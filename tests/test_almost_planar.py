@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -341,19 +342,59 @@ def _wide_cycle(k: int) -> CircularDrawing:
     return _almost_planar_from(g, "c0", "c1", random.Random(0), 50)
 
 
-def test_min_untangle_target_budget(tmp_path, capsys):
-    d = _wide_cycle(6)
-    assert 2 * 4**6 <= TARGET_BUDGET
-    rep = verify_untangling(d, min_untangle(d))
-    assert rep.planar_ok and rep.fixed_set_ok
-    d = _wide_cycle(7)
-    assert 2 * 4**7 > TARGET_BUDGET
+def _exits_over_budget(d: CircularDrawing, tmp_path, capsys) -> None:
     with pytest.raises(TooLarge):
         min_untangle(d)
     path = tmp_path / "wide.cdr"
     path.write_text(format_drawing(d))
     assert main(["untangle", str(path), "--algorithm", "min"]) == 4
     assert "canonical targets" in capsys.readouterr().err
+
+
+def test_min_untangle_target_budget(tmp_path, capsys):
+    d = _wide_cycle(7)
+    assert 2 * 4**7 <= TARGET_BUDGET
+    rep = verify_untangling(d, min_untangle(d))
+    assert rep.planar_ok and rep.fixed_set_ok
+    d = _wide_cycle(8)
+    assert 2 * 4**8 > TARGET_BUDGET
+    _exits_over_budget(d, tmp_path, capsys)
+
+
+def _bridged_triangles(k: int) -> CircularDrawing:
+    """Triangles a0 a1 a2 and b0 b1 b2 with k leaves per vertex, joined by
+    the bridge a0-b0 that carries every crossing."""
+    vs, es = [], [("a0", "b0")]
+    for t in "ab":
+        tri = [f"{t}{i}" for i in range(3)]
+        vs += tri
+        es += [(tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])]
+        for x in tri:
+            vs += [f"{x}x{j}" for j in range(k)]
+            es += [(x, f"{x}x{j}") for j in range(k)]
+    return _almost_planar_from(Graph(vs, es), "a0", "b0", random.Random(0), 50)
+
+
+def test_min_untangle_bridge_target_budget(monkeypatch, tmp_path, capsys):
+    """The bridge case's product of unwrapped sides has the same budget as
+    a block's attachment product."""
+    counts = []
+    concatenations = almost_planar._concatenations
+
+    def counted(walks):
+        counts.append(sum(prod(map(len, slots)) for slots in walks))
+        return concatenations(walks)
+
+    monkeypatch.setattr(almost_planar, "_concatenations", counted)
+    d = _bridged_triangles(2)
+    assert len(d.order) == 18 and ("a0", "b0") in {c.edge for c in classify(d).candidates}
+    rep = verify_untangling(d, min_untangle(d))
+    assert rep.planar_ok and rep.fixed_set_ok
+    assert max(counts) == 216 * 216 <= TARGET_BUDGET
+    d = _bridged_triangles(3)
+    assert len(d.order) == 24
+    _exits_over_budget(d, tmp_path, capsys)
+    assert max(counts) == 640 * 640 > TARGET_BUDGET
 
 
 def test_untanglers_decompose_once(monkeypatch):

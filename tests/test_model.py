@@ -204,6 +204,27 @@ def test_apply_examples():
         apply_untangling(d, Untangling((VertexMove("nope", "v2"),)))
 
 
+def _apply_by_list(d: CircularDrawing, u: Untangling) -> tuple:
+    """The reference: remove and reinsert in a Python list, O(n) per move."""
+    order = list(d.order)
+    for mv in u.moves:
+        order.remove(mv.vertex)
+        order.insert(order.index(mv.anchor) + 1, mv.vertex)
+    return tuple(order)
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 9), st.data())
+def test_apply_matches_list_reference(n, data):
+    """The linked-circle version returns the list version's linear order
+    exactly, head included, over any move sequence."""
+    vs = tuple(f"v{i}" for i in range(n))
+    d = CircularDrawing(Graph(vs), data.draw(st.permutations(vs)))
+    pairs = st.tuples(st.sampled_from(vs), st.sampled_from(vs)).filter(lambda p: p[0] != p[1])
+    u = Untangling(tuple(VertexMove(x, a) for x, a in data.draw(st.lists(pairs, max_size=3 * n))))
+    assert apply_untangling(d, u).order == _apply_by_list(d, u)
+
+
 def test_vertex_move_validation():
     with pytest.raises(InvalidInstance):
         VertexMove("a", "a")
