@@ -26,6 +26,9 @@ Each line is `section  input  output`, tab-separated.  The inputs are:
 - a sha256 of `reduce_disticor_to_cu`'s order, sorted edges and budget on
   the 3-partition instances with m = 1 and m = 2 that the benchmark's
   research-batch workload reduces;
+- a sha256 of every chunk's start numbers, projection and ranks, and of the
+  target length M, that `reduce_3p_to_disticor` builds from the same
+  instances and from one that it rescales (the `chunks` section);
 - the `min_untangle` and `edge_fixed_untangle` moved sets of 30 drawings of
   a triangle with 8 pendant leaves per vertex, whose blocks score up to
   2 x 9^3 canonical targets each (the `adversarial` section);
@@ -59,6 +62,8 @@ THREE_PARTITIONS = (
     ((6, 6, 6), 18), ((6, 6, 9), 21), ((9, 9, 9), 27), ((9, 9, 12), 30), ((9, 12, 12), 33), ((9, 9, 15), 33),
     ((12, 12, 18, 12, 12, 18), 42),
 )
+# (elements, K) that the reduction multiplies through by 3m first
+RESCALED_PARTITIONS = (((3, 3, 4), 10),)
 ADVERSARIAL_LEAVES = 8
 ADVERSARIAL_SEEDS = range(30)
 BRIDGE_NS = (10, 12, 14)
@@ -177,6 +182,17 @@ def reduce_lines():
         yield "reduce", f"3p {' '.join(map(str, a))} K={k}", f"{len(d.order)} {_sha(text)}"
 
 
+def chunk_lines():
+    for a, k in THREE_PARTITIONS + RESCALED_PARTITIONS:
+        red = ut.reduce_3p_to_disticor(ut.ThreePartitionInstance(a, k))
+        text = " ; ".join(
+            " | ".join(" ".join(map(str, xs)) for xs in (ch.start_numbers, ch.projection, ch.ranks))
+            for ch in red.chunks
+        )
+        text += f" | {red.instance.m_target}"
+        yield "chunks", f"3p {' '.join(map(str, a))} K={k}", f"{red.instance.total} {_sha(text)}"
+
+
 def adversarial_lines():
     leaves = {x: [f"{x}{i}" for i in range(ADVERSARIAL_LEAVES)] for x in "abc"}
     g = ut.Graph(
@@ -205,7 +221,14 @@ def bridge_lines():
 
 def main() -> None:
     for lines in (
-        almost_planar_lines, general_lines, layout_lines, oracle_lines, reduce_lines, adversarial_lines, bridge_lines
+        almost_planar_lines,
+        general_lines,
+        layout_lines,
+        oracle_lines,
+        reduce_lines,
+        chunk_lines,
+        adversarial_lines,
+        bridge_lines,
     ):
         for section, key, value in lines():
             print(section, key, value, sep="\t")

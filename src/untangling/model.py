@@ -99,10 +99,13 @@ class CircularDrawing:
 
     def __init__(self, graph: Graph, order: Iterable[Vertex]):
         ot = tuple(order)
-        pos = dict(zip(ot, range(len(ot))))
-        # no repeats, and the same vertex set: compared as dict views, in C
-        if len(pos) != len(ot) or pos.keys() != graph._index.keys():
-            raise InvalidInstance("order must be a permutation of the graph vertices")
+        if ot == graph.vertices:
+            pos = graph._index  # neither object ever writes to it
+        else:
+            pos = dict(zip(ot, range(len(ot))))
+            # no repeats, and the same vertex set: compared as dict views, in C
+            if len(pos) != len(ot) or pos.keys() != graph._index.keys():
+                raise InvalidInstance("order must be a permutation of the graph vertices")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "order", ot)
         object.__setattr__(self, "_pos", pos)

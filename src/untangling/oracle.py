@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import NotOuterplanar, TooLarge
 from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, rotate_to
-from .seqs import best_target, lccs, lis, lis_indices
+from .seqs import best_target, lccs, lis, lis_length
 
 ORACLE_MAX_N = 9
 DISTICOR_MAX_CHUNKS = 8
@@ -122,7 +122,7 @@ def exact_min_untangle(d: CircularDrawing, nmax: int = ORACLE_MAX_N) -> ExactUnt
 def _lcs_distinct(a: Sequence, b: Sequence) -> int:
     pos = {x: i for i, x in enumerate(b)}
     mapped = [pos[x] for x in a if x in pos]
-    return len(lis_indices(mapped))
+    return lis_length(mapped)
 
 
 def _common_through_edge(order: tuple, t: tuple, u: Vertex, v: Vertex) -> int:

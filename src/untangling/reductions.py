@@ -3,10 +3,16 @@
 The chunk construction turns each 3-partition element a_i into a long chunk
 whose strictly increasing subsequences are capped at a_i + X forwards and X
 backwards; a valid triplet partition lines up per-chunk runs into one
-increasing subsequence of length exactly m * (K + 3X).  The second
-construction turns a distinct-chunk instance into a flower of cycles sharing
-one hub vertex, drawn with ranks in clockwise order, so untangling budget
-L - M is equivalent to finding an increasing subsequence of length M.
+increasing subsequence of length exactly m * (K + 3X).  Each chunk word is
+ranked by (value, later position first) over all chunks, and the ranks
+follow by counting, with no sort: a prefix sum over the count of each value
+gives its first rank, and a backward pass hands each run of consecutive
+values its ranks as one slice.
+
+The second construction turns a distinct-chunk instance into a flower of
+cycles sharing one hub vertex, drawn with ranks in clockwise order, so
+untangling budget L - M is equivalent to finding an increasing subsequence
+of length M.
 
 One knob deviates from the narrowest reading of the source casework: the run
 starting offsets go up to K - a_i + 1 (not K - a_i).  With the shorter range
@@ -18,11 +24,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
+from operator import lt, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, NotAWitness, NotDistinct, PropertyViolation
 from .model import CircularDrawing, Graph
-from .seqs import lis_indices
+from .seqs import lis_length
 
 
 @dataclass(frozen=True)
@@ -61,10 +69,9 @@ class DistIcorInstance:
             raise InvalidInstance("M must be positive")
         if any(len(c) == 0 for c in self.chunks):
             raise InvalidInstance("chunks must be nonempty")
-        all_items = [x for c in self.chunks for x in c]
-        if any(x <= 0 for x in all_items):
+        if min(map(min, self.chunks), default=1) <= 0:
             raise InvalidInstance("chunk entries must be positive integers")
-        if self.distinct and len(set(all_items)) != len(all_items):
+        if self.distinct and len(set().union(*self.chunks)) != self.total:
             raise NotDistinct("chunk entries repeat in a distinct instance")
 
     @property
@@ -102,41 +109,44 @@ def reduce_3p_to_disticor(inst: ThreePartitionInstance) -> ReducedDistIcor:
     x = 3 * m * k
     block = k + 3 * x
 
+    # run starts alpha * block + beta * x + gamma, generated in decreasing order
     runs_per_chunk: list[tuple[int, list[int]]] = []
     for ai in inst.a:
-        starts = sorted(
-            (
-                alpha * block + beta * x + gamma
-                for alpha in range(m)
-                for beta in (0, 1, 2)
-                for gamma in range(1, k - ai + 2)
-            ),
-            reverse=True,
-        )
+        starts = [
+            alpha * block + beta * x + gamma
+            for alpha in reversed(range(m))
+            for beta in (2, 1, 0)
+            for gamma in reversed(range(1, k - ai + 2))
+        ]
         runs_per_chunk.append((ai + x, starts))
 
-    projections = []
+    # Words (value, later position first) in lexicographic order become the
+    # ranks 1..L.  They follow by counting: the words of value v take the
+    # ranks after every word of a smaller value, the last of them first.  A
+    # run's values are distinct, so a backward pass over the runs gives each
+    # run its ranks as one slice of the next free rank per value.
+    m_target = m * block  # also the top value
+    count = [0] * (m_target + 2)
     for run_len, starts in runs_per_chunk:
+        for st in starts:
+            count[st] += 1
+            count[st + run_len] -= 1
+    next_rank = list(accumulate(accumulate(count), initial=1))  # 1 + #words below v
+    chunk_ranks: list[tuple[int, ...]] = []
+    for run_len, starts in reversed(runs_per_chunk):
+        run_ranks = []
+        for st in reversed(starts):
+            seg = next_rank[st : st + run_len]
+            run_ranks.append(seg)
+            next_rank[st : st + run_len] = map((1).__add__, seg)
+        chunk_ranks.append(tuple(chain.from_iterable(reversed(run_ranks))))
+    chunk_ranks.reverse()
+
+    chunks: list[ReducedChunk] = []
+    for (run_len, starts), ranks in zip(runs_per_chunk, chunk_ranks):
         proj: list[int] = []
         for st in starts:
             proj.extend(range(st, st + run_len))
-        projections.append(proj)
-
-    # words (value, |C| - position) ordered lexicographically become the ranks
-    total = sum(len(p) for p in projections)
-    words: list[tuple[int, int]] = []
-    pos = 0
-    for proj in projections:
-        for val in proj:
-            pos += 1
-            words.append((val, total - pos))
-    rank_of = {w: r + 1 for r, w in enumerate(sorted(words))}
-
-    chunks: list[ReducedChunk] = []
-    cursor = 0
-    for (run_len, starts), proj in zip(runs_per_chunk, projections):
-        ranks = tuple(rank_of[words[cursor + j]] for j in range(len(proj)))
-        cursor += len(proj)
         chunks.append(
             ReducedChunk(
                 source_element=run_len - x,
@@ -147,7 +157,6 @@ def reduce_3p_to_disticor(inst: ThreePartitionInstance) -> ReducedDistIcor:
             )
         )
 
-    m_target = m * block
     di = DistIcorInstance(tuple(c.ranks for c in chunks), m_target, distinct=True)
     return ReducedDistIcor(inst, scale, x, block, tuple(chunks), di)
 
@@ -236,13 +245,15 @@ def chunk_property_check(reduced: ReducedDistIcor) -> ChunkPropertyReport:
     """
     block = reduced.block
     for ci, ch in enumerate(reduced.chunks):
-        by_rank = sorted(range(len(ch.ranks)), key=lambda j: ch.ranks[j])
-        for j1, j2 in zip(by_rank, by_rank[1:]):
-            p1, p2 = ch.projection[j1], ch.projection[j2]
-            if p1 > p2:
-                raise PropertyViolation("i", (ci, j1, j2))
-            if p1 == p2 and j1 < j2:
-                raise PropertyViolation("i", (ci, j1, j2))
+        # (i) holds iff the keys projection * n - position rise in rank order:
+        # they order words by projection, then later position first
+        n = len(ch.ranks)
+        by_rank = sorted(range(n), key=ch.ranks.__getitem__)
+        keys = list(map(sub, map(mul, ch.projection, repeat(n)), range(n)))
+        in_rank_order = list(map(keys.__getitem__, by_rank))
+        if not all(map(lt, in_rank_order, islice(in_rank_order, 1, None))):
+            t = next(t for t in range(n - 1) if in_rank_order[t] >= in_rank_order[t + 1])
+            raise PropertyViolation("i", (ci, by_rank[t], by_rank[t + 1]))
 
         for st in ch.start_numbers:
             hi = st + ch.run_length - 1
@@ -260,11 +271,11 @@ def chunk_property_check(reduced: ReducedDistIcor) -> ChunkPropertyReport:
             if any(seg_ranks[i] >= seg_ranks[i + 1] for i in range(len(seg_ranks) - 1)):
                 raise PropertyViolation("iii", (ci, st))
 
-        best = len(lis_indices(ch.ranks))
+        best = lis_length(ch.ranks)
         if best != ch.run_length:
             raise PropertyViolation("iv", (ci, best, ch.run_length))
 
-        best_rev = len(lis_indices(tuple(reversed(ch.ranks))))
+        best_rev = lis_length(reversed(ch.ranks))
         if best_rev > reduced.x:
             raise PropertyViolation("v", (ci, best_rev, reduced.x))
     return ChunkPropertyReport(("i", "ii", "iii", "iv", "v"))
@@ -278,14 +289,14 @@ def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]
     """
     if not inst.distinct:
         raise NotDistinct("the drawing construction needs globally distinct entries")
-    values = sorted(x for c in inst.chunks for x in c)
+    values = sorted(chain.from_iterable(inst.chunks))
     total = len(values)
     vertices = tuple(f"v{i}" for i in range(total + 1))
-    name = dict(zip(values, vertices[1:]))  # the vertex of each entry, by its rank
+    name = dict(zip(values, islice(vertices, 1, None)))  # the vertex of each entry, by its rank
     hub = vertices[0]
     edges: list[tuple[str, str]] = []
     for c in inst.chunks:
-        cycle = [name[x] for x in c]
-        edges.extend(zip([hub, *cycle], [*cycle, hub]))
+        cycle = [hub, *map(name.__getitem__, c), hub]
+        edges.extend(zip(cycle, islice(cycle, 1, None)))
     g = Graph(vertices, edges)
     return CircularDrawing(g, vertices), total - inst.m_target

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, Unsupported
 
@@ -91,6 +91,19 @@ def lis_indices(items: Sequence) -> list[int]:
     return out
 
 
+def lis_length(items: Iterable) -> int:
+    """Length of a longest strictly increasing subsequence, from one
+    length-only patience pass that builds no witness and copies no input."""
+    tails: list = []
+    for x in items:
+        j = bisect_left(tails, x)
+        if j == len(tails):
+            tails.append(x)
+        else:
+            tails[j] = x
+    return len(tails)
+
+
 def lis(s) -> list:
     """One longest strictly increasing subsequence of a linear sequence."""
     items = _as_items(s)
@@ -108,18 +121,6 @@ def lds(s) -> list:
 # MAX_SPLITS; below 32 items a second split point costs more than it saves.
 SPLIT_SPAN = 32
 MAX_SPLITS = 4
-
-
-def _lis_len(items: Sequence) -> int:
-    """Length of a longest strictly increasing subsequence (patience piles)."""
-    tails: list = []
-    for x in items:
-        j = bisect_left(tails, x)
-        if j == len(tails):
-            tails.append(x)
-        else:
-            tails[j] = x
-    return len(tails)
 
 
 def _prefix_lis_lens(items: Sequence) -> list[int]:
@@ -178,7 +179,7 @@ def _best_rotation(items: tuple, floor: int) -> tuple[int, int]:
         b = bound[r]
         if b < best or (b == best and (best_r < 0 or r >= best_r)):
             break
-        length = _lis_len(doubled[r:r + n])
+        length = lis_length(doubled[r:r + n])
         if length > best or (length == best and r < best_r):
             best, best_r = length, r
     return best, best_r

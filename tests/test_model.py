@@ -68,6 +68,20 @@ def test_drawing_rejects_non_permutations(order):
     assert CircularDrawing(g, ("c", "a", "b")).position("b") == 2
 
 
+def test_drawing_in_vertex_order_reads_graph_ranks():
+    g = Graph(("a", "b", "c", "d"), [("a", "c")])
+    for order in (g.vertices, list(g.vertices)):
+        d = CircularDrawing(g, order)
+        assert [d.position(v) for v in g.vertices] == [g.index(v) for v in g.vertices]
+        with pytest.raises(UnknownVertex):
+            d.position("z")
+    d = CircularDrawing(g, ("c", "a", "d", "b"))
+    assert [d.position(v) for v in ("c", "a", "d", "b")] == [0, 1, 2, 3]
+    for order in (("a", "b", "c", "c"), ("a", "b", "c"), ("a", "b", "c", "d", "a"), ("b", "a", "c", "c")):
+        with pytest.raises(InvalidInstance):
+            CircularDrawing(g, order)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
 def test_neighbors_from_edges(spec):

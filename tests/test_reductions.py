@@ -1,6 +1,8 @@
 """Reduction constructions: chunk building, witnesses, drawing instances."""
 
 import dataclasses
+import random
+from itertools import chain
 
 import pytest
 
@@ -22,6 +24,66 @@ from untangling.reductions import expected_chunk_length
 @pytest.fixture(scope="module")
 def reduced_m1():
     return reduce_3p_to_disticor(ThreePartitionInstance((9, 9, 12), 30))
+
+
+def reference_ranks(projections):
+    """Ranks by sorting every word (value, later position first) of the
+    concatenated projections, as the construction defines them."""
+    flat = list(chain.from_iterable(projections))
+    ranks = [0] * len(flat)
+    for r, j in enumerate(sorted(range(len(flat)), key=lambda j: (flat[j], -j)), 1):
+        ranks[j] = r
+    out, lo = [], 0
+    for p in projections:
+        out.append(tuple(ranks[lo : lo + len(p)]))
+        lo += len(p)
+    return out
+
+
+# (triplet, K) with K/4 < every element < K/2 and K <= 15
+M1_YES_TRIPLETS = tuple(
+    ((a, b, k - a - b), k)
+    for k in range(7, 16)
+    for a in range(1, k)
+    for b in range(a, k - 2 * a + 1)
+    if b <= k - a - b and all(k < 4 * x < 2 * k for x in (a, b, k - a - b))
+)
+# m = 2 yes-triplets small enough to reduce: K = 7 is rescaled by 3m = 6 to
+# K = 42, and the others are already multiples of 6
+M2_YES_TRIPLETS = (((2, 2, 3), 7), ((12, 12, 12), 36), ((12, 12, 18), 42))
+
+
+def random_yes_instance(seed):
+    """m = 1 for even seeds, 2 for odd ones; elements shuffled."""
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        triplet, k = rng.choice(M1_YES_TRIPLETS)
+        elements = list(triplet)
+    else:
+        triplet, k = rng.choice(M2_YES_TRIPLETS)
+        elements = list(triplet) * 2
+    rng.shuffle(elements)
+    return ThreePartitionInstance(tuple(elements), k)
+
+
+# the first ten distinct ones; some seeds draw the same instance
+RANDOM_YES_INSTANCES = list(dict.fromkeys(map(random_yes_instance, range(30))))[:10]
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        ThreePartitionInstance((9, 9, 12), 30),
+        ThreePartitionInstance((3, 3, 4), 10),
+        ThreePartitionInstance((12, 12, 18, 12, 12, 18), 42),
+        *RANDOM_YES_INSTANCES,
+    ],
+    ids=str,
+)
+def test_counted_ranks_match_word_sort(inst):
+    red = reduce_3p_to_disticor(inst)
+    assert exact_3partition(red.source.a, red.source.k)[0]
+    assert [ch.ranks for ch in red.chunks] == reference_ranks([ch.projection for ch in red.chunks])
 
 
 def test_instance_validation():
@@ -101,6 +163,59 @@ def test_chunk_properties_catch_mutation(reduced_m1):
     )
     with pytest.raises(PropertyViolation):
         chunk_property_check(bad)
+
+
+def _with_chunk0(red, ch0):
+    return dataclasses.replace(red, chunks=(ch0,) + red.chunks[1:])
+
+
+def _rerun(chunk, starts):
+    """`chunk` with its runs replaced by runs at `starts`, ranked as words."""
+    proj = tuple(v for st in starts for v in range(st, st + chunk.run_length))
+    return dataclasses.replace(
+        chunk, start_numbers=tuple(starts), projection=proj, ranks=reference_ranks([proj])[0]
+    )
+
+
+def _violated(red):
+    with pytest.raises(PropertyViolation) as exc:
+        chunk_property_check(red)
+    return exc.value.prop
+
+
+def test_chunk_property_i_catches_tie_swap(reduced_m1):
+    ch0 = reduced_m1.chunks[0]
+    v = ch0.start_numbers[0] + 1  # a value of the first run ...
+    j1 = ch0.projection.index(v)
+    j2 = ch0.projection.index(v, j1 + 1)  # ... that a later run repeats
+    ranks = list(ch0.ranks)
+    ranks[j1], ranks[j2] = ranks[j2], ranks[j1]  # now the earlier word ranks first
+    assert _violated(_with_chunk0(reduced_m1, dataclasses.replace(ch0, ranks=tuple(ranks)))) == "i"
+
+
+def test_chunk_property_iii_catches_run_edit(reduced_m1):
+    ch0 = reduced_m1.chunks[0]
+    starts = list(ch0.start_numbers)
+    starts[0], starts[1] = starts[1], starts[0]
+    assert _violated(_with_chunk0(reduced_m1, dataclasses.replace(ch0, start_numbers=tuple(starts)))) == "iii"
+
+
+def test_chunk_property_iv_catches_rising_runs(reduced_m1):
+    # (i) ties the rank order to the projection, so only edited runs, ranked
+    # again as words, can lengthen the increasing subsequence
+    ch0 = reduced_m1.chunks[0]
+    bad = _rerun(ch0, sorted(ch0.start_numbers))
+    assert bad.ranks != ch0.ranks
+    assert _violated(_with_chunk0(reduced_m1, bad)) == "iv"
+
+
+def test_chunk_property_v_catches_too_many_runs(reduced_m1):
+    # more than X runs give a decreasing subsequence longer than X, one word
+    # per run, while the increasing one stays a_i + X
+    ch0 = reduced_m1.chunks[0]
+    extra = reduced_m1.x + 1 - len(ch0.start_numbers)
+    bad = _rerun(ch0, ch0.start_numbers + (ch0.start_numbers[-1],) * extra)
+    assert _violated(_with_chunk0(reduced_m1, bad)) == "v"
 
 
 def test_reduce_disticor_fig3():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from untangling import CyclicSequence, RankedSequence, es_tight_cyclic, lccs, lics, lis
 from untangling.errors import InvalidInstance, Unsupported
-from untangling.seqs import DECREASING, INCREASING, best_target, lds, moves_between
+from untangling.seqs import DECREASING, INCREASING, best_target, lds, lis_indices, lis_length, moves_between
 
 
 def scan_lics(items, direction):
@@ -80,6 +80,15 @@ def test_lis_matches_bruteforce(items):
     it = iter(items)
     assert all(x in it for x in w)  # subsequence of the input
     assert len(w) == brute_lis_len(tuple(items))
+
+
+def test_lis_length_matches_lis_indices():
+    rng = random.Random(7)
+    for _ in range(300):
+        items = [rng.randrange(rng.choice((3, 30, 1000))) for _ in range(rng.randrange(0, 40))]
+        assert lis_length(items) == len(lis_indices(items))
+        assert lis_length(reversed(items)) == len(lis_indices(items[::-1]))
+    assert lis_length([]) == lis_length(iter(())) == 0
 
 
 def test_lics_examples():
