@@ -30,7 +30,6 @@ from .errors import (
     TooLarge,
     UnknownEdge,
     UnknownVertex,
-    Unsupported,
     UntanglingError,
 )
 from .general import gen_tight_general, general_bound, untangle_general
@@ -78,6 +77,6 @@ from .reductions import (
     witness_3p_to_disticor,
 )
 from .render import render_svg
-from .seqs import CyclicSequence, RankedSequence, es_tight_cyclic, lccs, lics, lis, moves_between
+from .seqs import es_tight_cyclic, lccs, lics, lis, moves_between
 
 __all__ = [name for name in dir() if not name.startswith("_")]

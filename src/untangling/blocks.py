@@ -232,7 +232,8 @@ def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: O
     generators that yield the call they need and receive its result, and the
     loop at the end runs them on an explicit stack, so a long path does not
     exhaust Python's recursion limit.  Calls still run, and draw from `rng`,
-    in the order of plain recursion.
+    in the order of plain recursion.  Each call returns its span as nested
+    lists, flattened once at the end, so no vertex is copied per level.
     """
     def expand_block(bi: int, entry: Vertex):
         b = decomp.blocks[bi]
@@ -243,27 +244,27 @@ def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: O
             forward = g.index(walk[1]) <= g.index(walk[-1]) if rng is None else rng.random() < 0.5
             if not forward:
                 walk = [walk[0]] + list(reversed(walk[1:]))
-        out: list[Vertex] = []
+        out: list = []
         for w in walk[1:]:
             if len(decomp.incidence[w]) == 1:  # no other block: nothing to visit or draw
                 out.append(w)
             else:
-                out.extend((yield visit(w, bi)))
+                out.append((yield visit(w, bi)))
         return out
 
     def visit(v: Vertex, from_block: Optional[int]):
         children = [bi for bi in decomp.incidence[v] if bi != from_block]
         if rng is not None:
             rng.shuffle(children)
-        pre: list[Vertex] = []
-        post: list[Vertex] = []
+        pre: list = []
+        post: list = []
         for bi in children:
             span = yield expand_block(bi, v)
             if rng is not None and rng.random() < 0.5:
-                pre.extend(span)
+                pre.append(span)
             else:
-                post.extend(span)
-        return pre + [v] + post
+                post.append(span)
+        return pre + [v] + post  # copies the child spans, not their vertices
 
     stack = [visit(root, None)]
     result = None
@@ -274,7 +275,23 @@ def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: O
         except StopIteration as done:
             stack.pop()
             result = done.value
-    return result
+    return _flatten(result)
+
+
+def _flatten(nested: list) -> list[Vertex]:
+    """The vertices of nested lists in order, walked on an explicit stack.
+    Vertices are never lists, since they are hashable."""
+    out: list[Vertex] = []
+    stack = [iter(nested)]
+    while stack:
+        for x in stack[-1]:
+            if type(x) is list:
+                stack.append(iter(x))
+                break
+            out.append(x)
+        else:
+            stack.pop()
+    return out
 
 
 def planar_circular_order(g: Graph, rng: Optional[random.Random] = None) -> CircularDrawing:
@@ -368,7 +385,8 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
     in rank order along its Hamiltonian cycle, one way or the other, which
     sets the block's direction; a vertex and its child blocks go by rank,
     the unranked ones right after the vertex.  The tree is walked breadth
-    first from `root` and laid out in reverse, so no call recurses.
+    first from `root` and laid out in reverse, so no call recurses; orders
+    nest as lists and are flattened once at the end.
     """
     parent: dict[Vertex, Optional[int]] = {root: None}
     tree_order = [root]
@@ -378,9 +396,9 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
                 for w in decomp.blocks[bi].vertices - {v}:
                     parent[w] = bi
                     tree_order.append(w)
-    laid: dict[Vertex, tuple[int, int, list[Vertex]]] = {}
+    laid: dict[Vertex, tuple[int, int, object]] = {}  # order: a vertex or nested lists
     for v in reversed(tree_order):
-        spans = [(rank[v], 1, [v]) if v in rank else (0, 0, [v])]
+        spans = [(rank[v], 1, v) if v in rank else (0, 0, v)]
         for bi in decomp.incidence[v]:
             if bi != parent[v]:
                 ham = decomp.blocks[bi].hamiltonian
@@ -391,17 +409,20 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
                 spans.append(_chain(kids))
                 if spans[-1] is None:
                     return None
+        if len(spans) == 1:  # a leaf of the tree lays out as its bare vertex
+            laid[v] = spans[0]
+            continue
         own = rank.get(v, -1)
         spans.sort(key=lambda s: (s[0], 0) if s[1] else (own, 1))
         laid[v] = _chain(spans)
         if laid[v] is None:
             return None
-    return laid[root][2]
+    return _flatten([laid[root][2]])
 
 
-def _chain(spans: list[tuple[int, int, list[Vertex]]]) -> Optional[tuple[int, int, list[Vertex]]]:
-    """The spans laid end to end, or None unless their ranks run on
-    consecutively in this order."""
+def _chain(spans: list[tuple[int, int, list]]) -> Optional[tuple[int, int, list]]:
+    """The spans laid end to end as one nested list, or None unless their
+    ranks run on consecutively in this order."""
     lo, count, out = 0, 0, []
     for s_lo, s_count, s_order in spans:
         if s_count:
@@ -410,5 +431,5 @@ def _chain(spans: list[tuple[int, int, list[Vertex]]]) -> Optional[tuple[int, in
             elif s_lo != lo + count:
                 return None
             count += s_count
-        out.extend(s_order)
+        out.append(s_order)
     return lo, count, out

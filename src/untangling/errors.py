@@ -61,10 +61,6 @@ class InvalidN(UntanglingError):
     """A generator was called with an unusable size parameter."""
 
 
-class Unsupported(UntanglingError):
-    """The requested parameters are outside the supported search range."""
-
-
 class StructuralAssertionFailed(UntanglingError):
     """A runtime structural assertion failed.
 

@@ -70,13 +70,9 @@ def tight_rank_permutation(n: int) -> tuple[int, ...]:
     if n < 4:
         raise InvalidN("tight instances start at n = 4")
     s = isqrt(n - 2)
-    if n == s * s + 2:
-        base = es_tight_cyclic(s, s).items
-        perm = base + (len(base),)  # one extra element only lifts each bound by one
-    elif n <= s * (s + 1) + 1:
-        perm = _sub_permutation(es_tight_cyclic(s + 1, s).items, n)
-    else:
-        perm = _sub_permutation(es_tight_cyclic(s + 1, s + 1).items, n)
+    # every monotone cyclic subsequence of a prefix is one of the whole
+    # sequence, so the prefix keeps its bound of s + 2 terms
+    perm = _sub_permutation(es_tight_cyclic(s + 1, s + 1), n)
     best = max(len(lics(perm, INCREASING)), len(lics(perm, DECREASING)))
     if best != s + 2:
         raise ConstructionFailed(f"tight permutation for n={n} has monotone length {best}")
@@ -89,7 +85,8 @@ def gen_tight_general(n: int) -> CircularDrawing:
     The cycle's planar order is unique up to reflection, so its minimum move
     count is n minus the longest monotone cyclic subsequence of the rank
     permutation realized by the drawing; a tight permutation pins that to the
-    general bound.  Raises Unsupported outside the verified search range.
+    general bound.  Raises TooLarge above n = ES_TIGHT_MAX_LEN, where the
+    underlying sequence would exceed its verification budget.
     """
     perm = tight_rank_permutation(n)
     g = cycle_graph(n)

@@ -19,6 +19,7 @@ from .model import (
 )
 
 PROFILES = ("outerplanar-order-perturbed", "almost-planar", "case-2-2", "disconnected")
+GENERATION_RETRIES = 64  # graphs drawn per almost-planar or case-2-2 request
 
 
 def vertex_names(n: int, prefix: str = "v") -> tuple[Vertex, ...]:
@@ -130,7 +131,7 @@ def _almost_planar_from(g: Graph, u: Vertex, v: Vertex, rng: random.Random, trie
     return None
 
 
-def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None, retries: int = 64) -> CircularDrawing:
+def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None) -> CircularDrawing:
     """Seed-deterministic random drawings.
 
     outerplanar-order-perturbed: random planar order plus non-crossing chords,
@@ -176,7 +177,7 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None, retries
             order.insert(rng.randrange(len(order) + 1), w)
         return CircularDrawing(Graph(vs, edges), order)
 
-    for _ in range(retries):
+    for _ in range(GENERATION_RETRIES):
         if profile == "almost-planar":
             base = _perturbed(rng, n, k=0, connect=True)
             g = base.graph
@@ -190,7 +191,7 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None, retries
             d = _almost_planar_from(g, u, v, rng, tries=8)
         if d is not None:
             return d
-    raise GenerationFailed(f"no {profile} instance with n={n} after {retries} retries")
+    raise GenerationFailed(f"no {profile} instance with n={n} after {GENERATION_RETRIES} retries")
 
 
 def _chords_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:

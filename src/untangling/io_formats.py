@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import FormatError
+from .errors import FormatError, UntanglingError
 from .model import CircularDrawing, Graph, Untangling, Vertex, VertexMove
 from .reductions import DistIcorInstance, ThreePartitionInstance
 
@@ -52,7 +52,7 @@ def parse_drawing(text: str) -> CircularDrawing:
         raise FormatError(f"order line must list {n} distinct vertices")
     try:
         return CircularDrawing(Graph(order, edges), order)
-    except Exception as exc:
+    except UntanglingError as exc:
         raise FormatError(str(exc)) from exc
 
 
@@ -97,7 +97,7 @@ def parse_3p(text: str) -> ThreePartitionInstance:
         raise FormatError(f"expected {3 * m} elements, found {len(a)}")
     try:
         return ThreePartitionInstance(a, k)
-    except Exception as exc:
+    except UntanglingError as exc:
         raise FormatError(str(exc)) from exc
 
 
@@ -126,7 +126,7 @@ def parse_icor(text: str) -> DistIcorInstance:
         raise FormatError("icor file needs an `icor M` line and chunk lines")
     try:
         return DistIcorInstance(tuple(chunks), m_target)
-    except Exception as exc:
+    except UntanglingError as exc:
         raise FormatError(str(exc)) from exc
 
 

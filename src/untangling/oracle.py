@@ -156,68 +156,51 @@ class DistIcorAnswer:
     arrangement: Optional[tuple[tuple[int, int], ...]]  # (chunk index, +1/-1) per slot
 
 
-def _check_disticor_budget(chunks: Sequence[Sequence[int]], max_chunks: int, max_total: int) -> None:
+def _arrangements(chunks: Sequence[Sequence[int]]):
+    """Every arrangement of the chunks, one (chunk index, +1/-1) pair per
+    slot, over all permutations and reversals, each with one longest
+    strictly increasing subsequence of its concatenation.  Raises TooLarge
+    above DISTICOR_MAX_CHUNKS chunks or DISTICOR_MAX_TOTAL items."""
     total = sum(len(c) for c in chunks)
-    if len(chunks) > max_chunks or total > max_total:
+    if len(chunks) > DISTICOR_MAX_CHUNKS or total > DISTICOR_MAX_TOTAL:
         raise TooLarge(
-            f"exact Dist-ICOR capped at {max_chunks} chunks / {max_total} items, "
+            f"exact Dist-ICOR capped at {DISTICOR_MAX_CHUNKS} chunks / {DISTICOR_MAX_TOTAL} items, "
             f"got {len(chunks)} / {total}"
         )
-
-
-def best_chunk_arrangement(
-    chunks: Sequence[Sequence[int]],
-    max_chunks: int = DISTICOR_MAX_CHUNKS,
-    max_total: int = DISTICOR_MAX_TOTAL,
-) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Exhaustive best: (longest strictly increasing subsequence over all chunk
-    permutations and reversals, one witness, the arrangement achieving it)."""
-    _check_disticor_budget(chunks, max_chunks, max_total)
-    best_len, best_wit, best_arr = 0, (), ()
     for perm in permutations(range(len(chunks))):
         for signs in product((1, -1), repeat=len(chunks)):
             concat: list[int] = []
             for ci, s in zip(perm, signs):
-                seq = list(chunks[ci])
-                concat.extend(seq if s == 1 else reversed(seq))
-            w = lis(concat)
-            if len(w) > best_len:
-                best_len = len(w)
-                best_wit = tuple(w)
-                best_arr = tuple(zip(perm, signs))
+                concat.extend(chunks[ci] if s == 1 else reversed(chunks[ci]))
+            yield tuple(zip(perm, signs)), lis(concat)
+
+
+def best_chunk_arrangement(chunks: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Exhaustive best: (longest strictly increasing subsequence over all chunk
+    permutations and reversals, one witness, the arrangement achieving it)."""
+    best_len, best_wit, best_arr = 0, (), ()
+    for arr, w in _arrangements(chunks):
+        if len(w) > best_len:
+            best_len, best_wit, best_arr = len(w), tuple(w), arr
     return best_len, best_wit, best_arr
 
 
-def exact_disticor(
-    chunks: Sequence[Sequence[int]],
-    M: int,
-    max_chunks: int = DISTICOR_MAX_CHUNKS,
-    max_total: int = DISTICOR_MAX_TOTAL,
-) -> DistIcorAnswer:
+def exact_disticor(chunks: Sequence[Sequence[int]], M: int) -> DistIcorAnswer:
     """Exhaustive yes/no with witness for the chunk-ordering problem."""
-    _check_disticor_budget(chunks, max_chunks, max_total)
-    for perm in permutations(range(len(chunks))):
-        for signs in product((1, -1), repeat=len(chunks)):
-            concat: list[int] = []
-            for ci, s in zip(perm, signs):
-                seq = list(chunks[ci])
-                concat.extend(seq if s == 1 else reversed(seq))
-            w = lis(concat)
-            if len(w) >= M:
-                return DistIcorAnswer(True, tuple(w[:M]), tuple(zip(perm, signs)))
+    for arr, w in _arrangements(chunks):
+        if len(w) >= M:
+            return DistIcorAnswer(True, tuple(w[:M]), arr)
     return DistIcorAnswer(False, None, None)
 
 
-def exact_3partition(
-    a: Sequence[int], k: int, max_m: int = THREE_PARTITION_MAX_M
-) -> tuple[bool, Optional[tuple[tuple[int, int, int], ...]]]:
+def exact_3partition(a: Sequence[int], k: int) -> tuple[bool, Optional[tuple[tuple[int, int, int], ...]]]:
     """Exhaustive 3-partition over index triplets; witness is index triplets."""
     n = len(a)
     if n % 3 != 0:
         return False, None
     m = n // 3
-    if m > max_m:
-        raise TooLarge(f"exact_3partition capped at m={max_m}, got {m}")
+    if m > THREE_PARTITION_MAX_M:
+        raise TooLarge(f"exact_3partition capped at m={THREE_PARTITION_MAX_M}, got {m}")
     if sum(a) != m * k:
         return False, None
 

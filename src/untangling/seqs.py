@@ -8,62 +8,12 @@ monotone or common cyclic subsequence.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import permutations
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import ConstructionFailed, InvalidInstance, Unsupported
+from .errors import ConstructionFailed, InvalidInstance, TooLarge
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
-
-
-@dataclass(frozen=True)
-class RankedSequence:
-    """A linear sequence of distinct comparable ranks."""
-
-    items: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.items)) != len(self.items):
-            raise InvalidInstance("ranked sequence items must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-@dataclass(frozen=True, eq=False)
-class CyclicSequence:
-    """A cyclic sequence of distinct ranks; equal up to rotation."""
-
-    items: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.items)) != len(self.items):
-            raise InvalidInstance("cyclic sequence items must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def canonical(self) -> tuple[int, ...]:
-        if not self.items:
-            return ()
-        k = self.items.index(min(self.items))
-        return self.items[k:] + self.items[:k]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclicSequence):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
-
-
-def _as_items(s) -> tuple:
-    if isinstance(s, (RankedSequence, CyclicSequence)):
-        return tuple(s.items)
-    return tuple(s)
 
 
 def lis_indices(items: Sequence) -> list[int]:
@@ -106,13 +56,13 @@ def lis_length(items: Iterable) -> int:
 
 def lis(s) -> list:
     """One longest strictly increasing subsequence of a linear sequence."""
-    items = _as_items(s)
+    items = tuple(s)
     return [items[i] for i in lis_indices(items)]
 
 
 def lds(s) -> list:
     """One longest strictly decreasing subsequence of a linear sequence."""
-    items = _as_items(s)
+    items = tuple(s)
     neg = [-x for x in items]
     return [items[i] for i in lis_indices(neg)]
 
@@ -207,7 +157,7 @@ def lics(s, direction: str = INCREASING) -> list:
     Items may be any hashable, totally ordered values; the kernel runs on
     their ranks.
     """
-    items = _as_items(s)
+    items = tuple(s)
     if direction not in (INCREASING, DECREASING):
         raise InvalidInstance(f"unknown direction {direction!r}")
     if not items:
@@ -249,8 +199,8 @@ def lccs(a, b) -> list:
     increasing cyclic subsequence of `a` mapped through those ranks.  Both
     orders must list the same distinct items.
     """
-    aa, bb = _as_items(a), _as_items(b)
-    mapped = _ranked(_rank_map(bb), aa)
+    bb = tuple(b)
+    mapped = _ranked(_rank_map(bb), a)
     return [bb[i] for i in lics(mapped, INCREASING)]
 
 
@@ -264,10 +214,10 @@ def best_target(source, targets):
     losing targets stop at the rotation bounds of `lics`.  Every target must
     list the items of `source`, each once.
     """
-    rank = _rank_map(_as_items(source))
+    rank = _rank_map(tuple(source))
     best, best_len = None, -1
     for t in targets:
-        mapped = _ranked(rank, _as_items(t))
+        mapped = _ranked(rank, t)
         length, r = _best_rotation(mapped, best_len)
         if r >= 0:
             best, best_len = t, length
@@ -278,41 +228,31 @@ def best_target(source, targets):
 
 def moves_between(a, b) -> int:
     """Minimum vertex moves transforming cyclic order `a` into cyclic order `b`."""
-    return len(_as_items(a)) - len(lccs(a, b))
+    return len(a) - len(lccs(a, b))
 
 
-def _is_tight(items: tuple[int, ...], s: int, r: int) -> bool:
-    return len(lics(items, INCREASING)) <= s + 1 and len(lics(items, DECREASING)) <= r + 1
+# Verifying a witness costs two `lics` calls on it; 1,025 = 32 * 32 + 1
+# items covers every tight general-bound instance with n <= 1,025.
+ES_TIGHT_MAX_LEN = 1025
 
 
-ES_TIGHT_MAX_LEN = 12
-
-
-def es_tight_cyclic(s: int, r: int) -> CyclicSequence:
+def es_tight_cyclic(s: int, r: int) -> tuple[int, ...]:
     """A cyclic sequence of s*r + 1 distinct ranks with no increasing cyclic
     subsequence of s+2 terms and no decreasing one of r+2 terms.
 
-    Starts from the sheared grid pattern k -> r*k mod (s*r+1), which lays the
-    classical grid construction around the circle without a monotone wrap,
-    and falls back to exhaustive repair for tiny sizes.  Output is verified
-    before return.
+    The sequence is k -> r*k mod (s*r+1): r increasing runs of step r, the
+    first from 0 and the others from r-1, r-2, ..., 1, which is the grid of
+    Erdos and Szekeres (Compositio Math. 2, 1935) laid around the circle.
+    It is verified before return, which costs two `lics` calls; above
+    ES_TIGHT_MAX_LEN items that check is out of budget and TooLarge is
+    raised.
     """
     if s < 1 or r < 1:
         raise InvalidInstance("es_tight_cyclic needs s, r >= 1")
     n = s * r + 1
     if n > ES_TIGHT_MAX_LEN:
-        raise Unsupported(f"es_tight_cyclic supports lengths up to {ES_TIGHT_MAX_LEN}, got {n}")
-    for cand in (
-        tuple((r * k) % n for k in range(n)),
-        tuple((s * k) % n for k in range(n)),
-        tuple((-r * k) % n for k in range(n)),
-        tuple((-s * k) % n for k in range(n)),
-    ):
-        if _is_tight(cand, s, r):
-            return CyclicSequence(cand)
-    if n <= 8:
-        for tail in permutations(range(1, n)):
-            cand = (0,) + tail
-            if _is_tight(cand, s, r):
-                return CyclicSequence(cand)
-    raise ConstructionFailed(f"no tight cyclic sequence found for s={s}, r={r}")
+        raise TooLarge(f"es_tight_cyclic verifies lengths up to {ES_TIGHT_MAX_LEN}, got {n}")
+    items = tuple(r * k % n for k in range(n))
+    if len(lics(items, INCREASING)) > s + 1 or len(lics(items, DECREASING)) > r + 1:
+        raise ConstructionFailed(f"the grid sequence for s={s}, r={r} is not tight")
+    return items

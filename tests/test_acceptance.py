@@ -137,9 +137,9 @@ def test_criterion_6_erdos_szekeres_cyclic():
             assert inc >= s + 2 or dec >= r + 2, (s, r, seq)
             cases += 1
         tight = ut.es_tight_cyclic(s, r)
-        assert len(tight.items) == s * r + 1
-        assert len(lics(tight.items, INCREASING)) < s + 2
-        assert len(lics(tight.items, DECREASING)) < r + 2
+        assert len(tight) == s * r + 1
+        assert len(lics(tight, INCREASING)) < s + 2
+        assert len(lics(tight, DECREASING)) < r + 2
     _report("criterion 6 (cyclic monotone-subsequence bound)", f"{cases} cyclic permutations + 4 tight witnesses")
 
 

@@ -238,10 +238,11 @@ def test_layout_matches_recursive_reference(profile):
 
 @pytest.mark.parametrize("rng", [None, random.Random(0)])
 def test_planar_order_of_long_path(rng):
-    g = path_graph(2000)  # block-cut tree of depth ~4000
-    d = planar_circular_order(g, rng)
-    assert sorted(d.order) == sorted(g.vertices)
-    assert is_crossing_free(d.order, g.edges)
+    for n in (2000, 20_000):  # block-cut trees of depth ~2n
+        g = path_graph(n)
+        d = planar_circular_order(g, rng)
+        assert sorted(d.order) == sorted(g.vertices)
+        assert is_crossing_free(d.order, g.edges)
 
 
 def test_disconnected_graphs_concatenate():
@@ -426,10 +427,11 @@ def test_planar_order_keeping_nests_components():
 
 def test_untanglers_on_long_path():
     # v2 and v3 swapped: v1-v2 crosses v3-v4, and one move untangles it
-    g = path_graph(2000)
-    order = list(g.vertices)
-    order[1], order[2] = order[2], order[1]
-    d = CircularDrawing(g, order)
-    for untangle in (one_side_untangle, edge_fixed_untangle, min_untangle):
-        rep = verify_untangling(d, untangle(d))
-        assert rep.planar_ok and rep.fixed_set_ok and rep.moved_count == 1
+    for n in (2000, 20_000):
+        g = path_graph(n)
+        order = list(g.vertices)
+        order[1], order[2] = order[2], order[1]
+        d = CircularDrawing(g, order)
+        for untangle in (one_side_untangle, edge_fixed_untangle, min_untangle):
+            rep = verify_untangling(d, untangle(d))
+            assert rep.planar_ok and rep.fixed_set_ok and rep.moved_count == 1

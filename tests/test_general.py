@@ -19,8 +19,9 @@ from untangling import (
     untangle_general,
     verify_untangling,
 )
-from untangling.errors import InvalidN, Unsupported
+from untangling.errors import InvalidN, TooLarge
 from untangling.model import cyclic_equal, restriction
+from untangling.seqs import ES_TIGHT_MAX_LEN
 
 
 def test_planar_input_needs_no_moves():
@@ -47,7 +48,9 @@ def test_fig5_n8_within_bound_optimum_three():
     assert exact_min_untangle(d).moved_count == 3
 
 
-@pytest.mark.parametrize("n,expect", [(4, 1), (6, 2), (11, 6)])
+@pytest.mark.parametrize(
+    "n,expect", [(4, 1), (6, 2), (11, 6), (12, 7), (20, 14), (102, 90), (ES_TIGHT_MAX_LEN, 992)]
+)
 def test_gen_tight_values(n, expect):
     d = gen_tight_general(n)
     assert general_bound(n) == expect
@@ -62,8 +65,8 @@ def test_gen_tight_values(n, expect):
 
 
 def test_gen_tight_out_of_range():
-    with pytest.raises(Unsupported):
-        gen_tight_general(20)
+    with pytest.raises(TooLarge):
+        gen_tight_general(ES_TIGHT_MAX_LEN + 1)
     with pytest.raises(InvalidN):
         gen_tight_general(3)
 

@@ -11,6 +11,7 @@ import untangling
 from untangling import DistIcorInstance, ThreePartitionInstance, almost_planar, gen_fig5, gen_random, render_svg
 from untangling.cli import main
 from untangling.errors import FormatError
+from untangling import io_formats
 from untangling.io_formats import (
     format_3p,
     format_drawing,
@@ -57,6 +58,26 @@ def test_drawing_parse_tolerates_whitespace_and_comments():
 def test_drawing_parse_errors(text):
     with pytest.raises(FormatError):
         parse_drawing(text)
+
+
+@pytest.mark.parametrize(
+    "parse, name, text",
+    [
+        (parse_drawing, "Graph", "vertices 2\norder a b\nedge a b\n"),
+        (parse_3p, "ThreePartitionInstance", "3p 1 30 9 9 12\n"),
+        (parse_icor, "DistIcorInstance", "icor 2\nchunk 1 2\n"),
+    ],
+    ids=["drawing", "3p", "icor"],
+)
+def test_parsers_let_foreign_errors_through(monkeypatch, parse, name, text):
+    # only the package's own errors mean malformed input; anything else is a
+    # bug and must not turn into FormatError (exit 2)
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a format problem")
+
+    monkeypatch.setattr(io_formats, name, broken)
+    with pytest.raises(RuntimeError):
+        parse(text)
 
 
 def test_moves_roundtrip():
@@ -193,6 +214,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     main(["generate", "fig5", "--n", "6"])
     d.write_text(capsys.readouterr().out)
     assert main(["untangle", str(d), "--algorithm", "exact", "--oracle-max-n", "4"]) == 4
+    capsys.readouterr()
+
+    # 4: tight general-bound instance above the verification budget
+    assert main(["generate", "es-tight", "--n", "1026"]) == 4
     capsys.readouterr()
 
     # 1: verify reports non-planar result

@@ -187,7 +187,7 @@ def test_exact_disticor_budget():
 
 
 def test_exact_3partition():
-    ok, triplets = exact_3partition((9, 9, 12), 30, max_m=1)
+    ok, triplets = exact_3partition((9, 9, 12), 30)
     assert ok and triplets == ((0, 1, 2),)
     ok, _ = exact_3partition((9, 9, 13), 30)
     assert not ok

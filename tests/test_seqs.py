@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from untangling import CyclicSequence, RankedSequence, es_tight_cyclic, lccs, lics, lis
-from untangling.errors import InvalidInstance, Unsupported
-from untangling.seqs import DECREASING, INCREASING, best_target, lds, lis_indices, lis_length, moves_between
+from untangling import es_tight_cyclic, lccs, lics, lis
+from untangling.errors import InvalidInstance, TooLarge
+from untangling.seqs import DECREASING, ES_TIGHT_MAX_LEN, INCREASING, best_target, lds, lis_indices, lis_length, moves_between
 
 
 def scan_lics(items, direction):
@@ -246,23 +246,23 @@ def test_moves_between():
     assert moves_between((1, 2, 3, 4), (1, 3, 2, 4)) == 1
 
 
-def test_ranked_and_cyclic_types():
-    with pytest.raises(InvalidInstance):
-        RankedSequence((1, 1, 2))
-    assert CyclicSequence((2, 3, 1)) == CyclicSequence((1, 2, 3))
-    assert CyclicSequence((1, 3, 2)) != CyclicSequence((1, 2, 3))
-
-
-@pytest.mark.parametrize("s,r", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (1, 11), (11, 1), (2, 5), (5, 2)])
+@pytest.mark.parametrize(
+    "s,r",
+    [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (1, 11), (11, 1), (2, 5), (5, 2), (4, 3), (12, 12), (32, 32)],
+)
 def test_es_tight_cyclic(s, r):
     t = es_tight_cyclic(s, r)
-    assert len(t.items) == s * r + 1
-    assert len(lics(t.items, INCREASING)) <= s + 1
-    assert len(lics(t.items, DECREASING)) <= r + 1
+    n = s * r + 1
+    assert sorted(t) == list(range(n))
+    assert len(lics(t, INCREASING)) == s + 1
+    assert len(lics(t, DECREASING)) == r + 1
+    assert t == tuple(r * k % n for k in range(n))
 
 
 def test_es_tight_cyclic_caps():
-    with pytest.raises(Unsupported):
-        es_tight_cyclic(4, 3)
+    assert ES_TIGHT_MAX_LEN == 32 * 32 + 1
+    es_tight_cyclic(ES_TIGHT_MAX_LEN - 1, 1)
+    with pytest.raises(TooLarge):
+        es_tight_cyclic(ES_TIGHT_MAX_LEN, 1)
     with pytest.raises(InvalidInstance):
         es_tight_cyclic(0, 1)
