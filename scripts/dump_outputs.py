@@ -19,10 +19,11 @@ Each line is `section  input  output`, tab-separated.  The inputs are:
   n = 100..300 (mostly not almost-planar);
 - `planar_circular_order` on seeded `gen_random` graphs of all four
   profiles, without and with an `rng`, and the `rng`'s next draw after it;
-- the oracle on every almost-planar drawing with n <= 6 and on seeded
-  almost-planar drawings with n = 8, 9: the count and a sha256 of
-  `enumerate_planar_orders`' list, `exact_min_untangle`'s target and fixed
-  set, and `exact_min_untangle_edge_fixed` for each candidate edge;
+- the oracle on every almost-planar drawing with n <= 6, on seeded
+  almost-planar drawings with n = 8, 9 and on `gen_fig5(n)` for even
+  n = 10..20: the count and a sha256 of `enumerate_planar_orders`' list,
+  `exact_min_untangle`'s target and fixed set, and
+  `exact_min_untangle_edge_fixed` for each candidate edge;
 - a sha256 of `reduce_disticor_to_cu`'s order, sorted edges and budget on
   the 3-partition instances with m = 1 and m = 2 that the benchmark's
   research-batch workload reduces;
@@ -57,6 +58,7 @@ LAYOUT_SEEDS = range(50)
 ORACLE_MAX_N = 6
 ORACLE_RANDOM_NS = (8, 9)
 ORACLE_SEEDS = range(12)
+ORACLE_FIG5_NS = range(10, 21, 2)
 # (elements, K); all elements divisible by 3m, so no rescaling
 THREE_PARTITIONS = (
     ((6, 6, 6), 18), ((6, 6, 9), 21), ((9, 9, 9), 27), ((9, 9, 12), 30), ((9, 12, 12), 33), ((9, 9, 15), 33),
@@ -171,6 +173,8 @@ def oracle_lines():
         for seed in ORACLE_SEEDS:
             d = ut.gen_random(n, seed, "almost-planar")
             yield from _oracle_lines(f"almost-planar n={n} seed={seed} {_drawing(d)}", d)
+    for n in ORACLE_FIG5_NS:
+        yield from _oracle_lines(f"fig5 n={n}", ut.gen_fig5(n))
 
 
 def reduce_lines():

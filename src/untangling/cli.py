@@ -64,7 +64,7 @@ def _cmd_untangle(args) -> int:
     elif args.algorithm == "min":
         u = almost_planar.min_untangle(d)
     else:  # exact
-        res = oracle.exact_min_untangle(d, nmax=args.oracle_max_n)
+        res = oracle.exact_min_untangle(d)
         moved = set(d.order) - set(res.fixed)
         u = Untangling(tuple(moves_to_reach(d.order, res.target_order, moved)))
     rep = verify_untangling(d, u)
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["general", "one-side", "edge-fixed", "min", "exact"],
         default="min",
     )
-    u.add_argument("--oracle-max-n", type=int, default=oracle.ORACLE_MAX_N)
     u.set_defaults(fn=_cmd_untangle)
 
     v = sub.add_parser("verify", help="verify a move list against a drawing")

@@ -1,13 +1,17 @@
-"""Brute-force ground truth at desk scale.
+"""Ground truth at desk scale.
 
-Everything here is exhaustive.  The planar-order enumerator backtracks over
-circle positions and keeps the stack of open positions, the placed positions
-that no placed chord passes over.  A vertex may take the next position
-exactly when its placed neighbours all sit at open positions.  A branch ends
-as soon as a placed vertex that still needs a chord is covered, so every
-placed neighbour of an unplaced vertex is open and no chord is ever tested
-against the placed ones.  The naive variant filters all rotation-normalized
-permutations outright, so the two cross-validate each other.
+Both exact untanglers are one branch and bound over fixed sets: a set can
+stay put exactly when `blocks.planar_order_keeping` keeps it, a linear test
+that holds for every subset of a kept set too, so the search takes vertices
+in drawing order while it passes and cuts branches that cannot beat the best.
+
+The planar-order enumerators are exhaustive and independent of `blocks`, the
+reference that tests check the search against.  The enumerator backtracks
+over circle positions and keeps the stack of open positions, which no placed
+chord passes over.  A vertex may take the next position exactly when its
+placed neighbours are all open, and a branch ends as soon as a placed vertex
+that still needs a chord is covered, so no chord is tested against placed
+ones.  The naive variant filters all rotation-normalized permutations.
 """
 
 from __future__ import annotations
@@ -15,13 +19,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
-from .errors import NotOuterplanar, TooLarge
-from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, rotate_to
-from .seqs import best_target, lccs, lis, lis_length
+from .blocks import BlockDecomposition, block_decomposition, planar_order_keeping
+from .errors import TooLarge
+from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, restriction
+from .seqs import lis
 
 ORACLE_MAX_N = 9
+FIXED_SET_BUDGET = 1 << 20  # vertex-tests per exact fixed-set search, about 1-2 s
 DISTICOR_MAX_CHUNKS = 8
 DISTICOR_MAX_TOTAL = 10_000
 THREE_PARTITION_MAX_M = 4
@@ -108,45 +114,53 @@ class ExactUntangleResult:
     fixed: tuple[Vertex, ...]
 
 
-def exact_min_untangle(d: CircularDrawing, nmax: int = ORACLE_MAX_N) -> ExactUntangleResult:
-    """Ground-truth minimum untangling cost: n minus the best common cyclic
-    subsequence between the drawing and any planar order of its graph."""
-    orders = enumerate_planar_orders(d.graph, nmax)
-    if not orders:
-        raise NotOuterplanar("graph admits no planar circular order")
-    t = best_target(d.order, orders)
-    w = lccs(d.order, t)
-    return ExactUntangleResult(len(d.order) - len(w), t, tuple(w))
+def _max_fixed_set(decomp: BlockDecomposition, order: Sequence[Vertex], forced: Collection[Vertex] = ()) -> tuple[Vertex, ...]:
+    """A largest set containing `forced` (which must be keepable, as any two
+    vertices are) that a crossing-free order of `decomp.graph` keeps in its
+    cyclic order in `order`, listed in drawing order.  Branch and bound: each
+    vertex is taken, while `planar_order_keeping` passes, before it is left
+    out, and ties keep the first set found.  Each test charges n against
+    FIXED_SET_BUDGET, past which it raises TooLarge."""
+    n = len(order)
+    free = [x for x in order if x not in forced]
+    fixed, best, spent = set(forced), None, 0
+    taken: list[int] = []  # the indices into `free` taken on this branch, ascending
+    i = 0
+    while True:
+        if best is None or len(fixed) + len(free) - i > len(best):  # else no better set below
+            if i == len(free):
+                best = restriction(order, fixed)
+            else:
+                spent += n
+                if spent > FIXED_SET_BUDGET:
+                    raise TooLarge(f"exact fixed-set search exceeded {FIXED_SET_BUDGET} vertex-tests at n={n}")
+                fixed.add(free[i])
+                if planar_order_keeping(decomp, order, fixed) is None:
+                    fixed.discard(free[i])
+                else:
+                    taken.append(i)
+                i += 1
+                continue
+        if not taken:
+            return best
+        i = taken.pop()
+        fixed.discard(free[i])
+        i += 1
 
 
-def _lcs_distinct(a: Sequence, b: Sequence) -> int:
-    pos = {x: i for i, x in enumerate(b)}
-    mapped = [pos[x] for x in a if x in pos]
-    return lis_length(mapped)
+def exact_min_untangle(d: CircularDrawing) -> ExactUntangleResult:
+    """n minus a largest fixed set, an order keeping it, and the set in
+    drawing order.  Raises NotOuterplanar if the graph is not outerplanar."""
+    decomp = block_decomposition(d.graph)
+    fixed = _max_fixed_set(decomp, d.order)
+    return ExactUntangleResult(len(d.order) - len(fixed), planar_order_keeping(decomp, d.order, fixed), fixed)
 
 
-def _common_through_edge(order: tuple, t: tuple, u: Vertex, v: Vertex) -> int:
-    """Largest common cyclic subsequence of `order` and `t` containing u and v."""
-    a = rotate_to(order, u)[1:]
-    b = rotate_to(t, u)[1:]
-    ia, ib = a.index(v), b.index(v)
-    return 2 + _lcs_distinct(a[:ia], b[:ib]) + _lcs_distinct(a[ia + 1 :], b[ib + 1 :])
-
-
-def exact_min_untangle_edge_fixed(d: CircularDrawing, e: Edge, nmax: int = ORACLE_MAX_N) -> int:
+def exact_min_untangle_edge_fixed(d: CircularDrawing, e: Edge) -> int:
     """Minimum moves over planar orders in which both endpoints of `e` stay
     fixed (and keep their cyclic position relative to all fixed vertices)."""
-    u, v = d.graph.edge(*e)
-    orders = enumerate_planar_orders(d.graph, nmax)
-    if not orders:
-        raise NotOuterplanar("graph admits no planar circular order")
-    n = len(d.order)
-    best = 0
-    for t in orders:
-        best = max(best, _common_through_edge(d.order, t, u, v))
-        if best == n:
-            break
-    return n - best
+    fixed = _max_fixed_set(block_decomposition(d.graph), d.order, d.graph.edge(*e))
+    return len(d.order) - len(fixed)
 
 
 @dataclass(frozen=True)
@@ -204,32 +218,18 @@ def exact_3partition(a: Sequence[int], k: int) -> tuple[bool, Optional[tuple[tup
     if sum(a) != m * k:
         return False, None
 
-    used = [False] * n
-    chosen: list[tuple[int, int, int]] = []
+    def rec(left: tuple[int, ...]) -> Optional[tuple[tuple[int, int, int], ...]]:
+        """Triplets covering `left`, the lowest index first, or None."""
+        if not left:
+            return ()
+        i, rest = left[0], left[1:]
+        for p, j in enumerate(rest):
+            for l in rest[p + 1 :]:
+                if a[i] + a[j] + a[l] == k:
+                    found = rec(tuple(x for x in rest if x != j and x != l))
+                    if found is not None:
+                        return ((i, j, l),) + found
+        return None
 
-    def rec() -> bool:
-        try:
-            i = used.index(False)
-        except ValueError:
-            return True
-        used[i] = True
-        for j in range(i + 1, n):
-            if used[j]:
-                continue
-            used[j] = True
-            for l in range(j + 1, n):
-                if used[l] or a[i] + a[j] + a[l] != k:
-                    continue
-                used[l] = True
-                chosen.append((i, j, l))
-                if rec():
-                    return True
-                chosen.pop()
-                used[l] = False
-            used[j] = False
-        used[i] = False
-        return False
-
-    if rec():
-        return True, tuple(chosen)
-    return False, None
+    chosen = rec(tuple(range(n)))
+    return chosen is not None, chosen

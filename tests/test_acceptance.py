@@ -160,7 +160,7 @@ def test_criterion_7_chunk_ordering_reduction():
         total = sum(len(c) for c in chunks)
         inst = ut.DistIcorInstance(chunks, 1)
         d, _ = ut.reduce_disticor_to_cu(inst)
-        exact = ut.exact_min_untangle(d, nmax=10).moved_count
+        exact = ut.exact_min_untangle(d).moved_count
         for m_target in range(1, total + 1):
             ans = ut.exact_disticor(chunks, m_target)
             assert ans.solvable == (exact <= total - m_target), (chunks, m_target)

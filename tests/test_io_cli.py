@@ -185,7 +185,7 @@ def test_cli_render(tmp_path, capsys):
     assert out.read_text().startswith("<svg")
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # 2: unparsable input file
     bad = tmp_path / "bad.cdr"
     bad.write_text("vertices 2\norder a\n")
@@ -209,11 +209,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "degree-2 peel stalled" in capsys.readouterr().err
     assert almost_planar.assertion_failures == failures
 
-    # 4: oracle budget exceeded
+    # 4: the exact search's budget exceeded
     d = tmp_path / "d.cdr"
     main(["generate", "fig5", "--n", "6"])
     d.write_text(capsys.readouterr().out)
-    assert main(["untangle", str(d), "--algorithm", "exact", "--oracle-max-n", "4"]) == 4
+    assert main(["untangle", str(d), "--algorithm", "exact"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(untangling.oracle, "FIXED_SET_BUDGET", 6 * 3)
+    assert main(["untangle", str(d), "--algorithm", "exact"]) == 4
     capsys.readouterr()
 
     # 4: tight general-bound instance above the verification budget

@@ -12,13 +12,19 @@ from untangling import (
     exact_disticor,
     exact_min_untangle,
     exact_min_untangle_edge_fixed,
+    gen_fig5,
     gen_random,
+    lccs,
     lis,
+    min_untangle,
     naive_planar_orders,
+    oracle,
+    verify_untangling,
 )
 from untangling.errors import InvalidInstance, NotOuterplanar, TooLarge
 from untangling.generators import PROFILES, enumerate_almost_planar_instances
-from untangling.model import cyclic_equal
+from untangling.model import cyclic_equal, is_crossing_free, restriction, rotate_to
+from untangling.seqs import best_target, lis_length
 
 
 def scan_planar_orders(g):
@@ -51,6 +57,93 @@ def scan_planar_orders(g):
 
     extend()
     return out
+
+
+def scan_exact_min(d):
+    """Reference for `exact_min_untangle`'s count: n minus the longest common
+    cyclic subsequence of the drawing and any planar order, found by
+    enumerating the orders and scoring them with `lccs`."""
+    orders = enumerate_planar_orders(d.graph)
+    if not orders:
+        raise NotOuterplanar("graph admits no planar circular order")
+    return len(d.order) - len(lccs(d.order, best_target(d.order, orders)))
+
+
+def _lcs_distinct(a, b):
+    pos = {x: i for i, x in enumerate(b)}
+    return lis_length([pos[x] for x in a if x in pos])
+
+
+def scan_edge_fixed(d, e, orders):
+    """Reference for `exact_min_untangle_edge_fixed`: n minus the longest
+    common cyclic subsequence through both ends of `e` of the drawing and any
+    of `orders`, the graph's planar orders.  Cut at u, such a subsequence is
+    u, a common subsequence of the arcs before v, v, and one of the arcs
+    after it."""
+    u, v = e
+    best = 0
+    for t in orders:
+        a, b = rotate_to(d.order, u)[1:], rotate_to(t, u)[1:]
+        ia, ib = a.index(v), b.index(v)
+        best = max(best, 2 + _lcs_distinct(a[:ia], b[:ib]) + _lcs_distinct(a[ia + 1 :], b[ib + 1 :]))
+    return len(d.order) - best
+
+
+def _cross_check_drawings():
+    for n in range(3, 7):
+        yield from enumerate_almost_planar_instances(n)
+    for profile in ("almost-planar", "outerplanar-order-perturbed", "disconnected"):
+        for n in (8, 9):
+            for seed in range(8):
+                try:
+                    yield gen_random(n, seed, profile)
+                except InvalidInstance:
+                    continue  # gen_random(profile="disconnected") fails on one-vertex components
+
+
+def test_exact_solvers_match_enumeration():
+    checked = dict.fromkeys(("corpus", "random", "edges"), 0)
+    for d in _cross_check_drawings():
+        n = len(d.order)
+        res = exact_min_untangle(d)
+        assert res.moved_count == scan_exact_min(d) == n - len(res.fixed), d
+        assert res.fixed == restriction(d.order, res.fixed)
+        assert is_crossing_free(res.target_order, d.graph.edges)
+        assert cyclic_equal(restriction(res.target_order, res.fixed), res.fixed)
+        orders = enumerate_planar_orders(d.graph)
+        for e in d.graph.sorted_edges():
+            assert exact_min_untangle_edge_fixed(d, e) == scan_edge_fixed(d, e, orders), (d, e)
+            checked["edges"] += 1
+        checked["corpus" if n <= 6 else "random"] += 1
+    assert checked["corpus"] == 965 and checked["random"] >= 36, checked
+
+
+def test_exact_solvers_edge_cases():
+    empty = exact_min_untangle(CircularDrawing(Graph(()), ()))
+    assert (empty.moved_count, empty.target_order, empty.fixed) == (0, (), ())
+    one = exact_min_untangle(CircularDrawing(Graph(("a",)), ("a",)))
+    assert (one.moved_count, one.target_order, one.fixed) == (0, ("a",), ("a",))
+    k4 = CircularDrawing(_k4(), _k4().vertices)
+    with pytest.raises(NotOuterplanar):
+        exact_min_untangle(k4)
+    with pytest.raises(NotOuterplanar):
+        exact_min_untangle_edge_fixed(k4, ("a", "b"))
+
+
+def test_exact_min_meets_the_almost_planar_bound_past_enumeration():
+    for n in range(10, 23, 2):
+        d = gen_fig5(n)
+        rep = verify_untangling(d, min_untangle(d))
+        assert rep.planar_ok and exact_min_untangle(d).moved_count == rep.moved_count == n // 2 - 1, n
+
+
+def test_exact_solvers_budget(monkeypatch):
+    d = gen_fig5(8)
+    monkeypatch.setattr(oracle, "FIXED_SET_BUDGET", 8 * 5)
+    with pytest.raises(TooLarge):
+        exact_min_untangle(d)
+    with pytest.raises(TooLarge):
+        exact_min_untangle_edge_fixed(d, d.graph.sorted_edges()[0])
 
 
 def test_enumerate_c4():
