@@ -34,14 +34,13 @@ from .model import (
     Untangling,
     Vertex,
     VertexMove,
-    apply_untangling,
     classify,
     empty_untangling,
-    is_planar_drawing,
+    is_crossing_free,
     moves_to_reach,
     restriction,
 )
-from .seqs import best_target, lccs
+from .seqs import best_target
 
 assertion_failures = 0
 
@@ -82,9 +81,11 @@ def _cheapest(g: Graph, sets: Iterable[Collection[Vertex]]) -> set[Vertex]:
 
 def _moves_keeping(d: CircularDrawing, decomp: BlockDecomposition, moved: set[Vertex]) -> list[VertexMove]:
     """Moves of exactly `moved` to a crossing-free order in which every other
-    vertex keeps its input cyclic order; `decomp` is the graph's tree."""
+    vertex keeps its input cyclic order; `decomp` is the graph's tree.  The
+    crossing test of that order here is every untangler's one answer check."""
     target = planar_order_keeping(decomp, d.order, [x for x in d.order if x not in moved])
-    _sassert(target is not None, "no crossing-free order keeps the unmoved vertices in input order")
+    ok = target is not None and is_crossing_free(target, d.graph.edges)
+    _sassert(ok, "no crossing-free order was built keeping the unmoved vertices in input order")
     return moves_to_reach(d.order, target, moved)
 
 
@@ -263,9 +264,7 @@ def min_untangle(d: CircularDrawing) -> Untangling:
         return empty_untangling()
     decomp = block_decomposition(d.graph)
     moved = _cheapest(d.graph, (m for cand in cands for m in _min_untangle_candidates(d, decomp, cand)))
-    u = Untangling(tuple(_moves_keeping(d, decomp, moved)))
-    _sassert(is_planar_drawing(apply_untangling(d, u)), "minimum untangling is not planar")
-    return u
+    return Untangling(tuple(_moves_keeping(d, decomp, moved)))
 
 
 def _min_untangle_candidates(
@@ -278,8 +277,8 @@ def _min_untangle_candidates(
     comp = next(c for c in decomp.components if u in c)
     source = restriction(d.order, comp)
     if decomp.blocks[bi].hamiltonian is not None:  # e lies on a cycle: u, v stay connected in G - e
-        target = best_target(source, _block_attachment_targets(d, decomp, bi, comp))
-        yield set(comp).difference(lccs(source, target))
+        _, kept = best_target(source, _block_attachment_targets(d, decomp, bi, comp))
+        yield set(comp).difference(kept)
         return
     # e is a bridge, and G - e splits its component into u's and v's sides
     comp_u, comp_v = decomp.attachment(bi, u), decomp.attachment(bi, v)
@@ -299,6 +298,6 @@ def _min_untangle_candidates(
             moved |= _cheapest(g, (c & lset, c & rset))
     lv_opts = unwrap_linearizations(d, decomp, comp_v, v, u)
     lu_opts = unwrap_linearizations(d, decomp, comp_u, u, v)
-    target = best_target(source, _concatenations([[lv_opts, lu_opts]]))
-    moved |= comp - set(lccs(source, target))
+    _, kept = best_target(source, _concatenations([[lv_opts, lu_opts]]))
+    moved |= comp.difference(kept)
     yield moved

@@ -19,7 +19,7 @@ from .io_formats import (
     parse_icor,
     parse_moves,
 )
-from .model import classify, moves_to_reach, Untangling, verify_untangling
+from .model import classify, crossings, moves_to_reach, Untangling, verify_untangling
 from .reductions import reduce_3p_to_disticor, reduce_disticor_to_cu
 from .render import render_svg
 
@@ -42,8 +42,6 @@ def _read(path: str) -> str:
 def _cmd_check(args) -> int:
     d = parse_drawing(_read(args.file))
     cls = classify(d)
-    from .model import crossings
-
     ncross = len(crossings(d))
     cands = " ".join(f"{e.edge[0]}-{e.edge[1]}" for e in cls.candidates)
     print(f"crossings {ncross}")
@@ -74,7 +72,7 @@ def _cmd_untangle(args) -> int:
         f"algorithm={args.algorithm} moved={rep.moved_count} planar={rep.planar_ok}",
         file=sys.stderr,
     )
-    return EXIT_OK
+    return EXIT_OK if rep.planar_ok and rep.fixed_set_ok else EXIT_VERIFY_FAILED
 
 
 def _cmd_verify(args) -> int:

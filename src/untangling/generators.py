@@ -22,19 +22,19 @@ PROFILES = ("outerplanar-order-perturbed", "almost-planar", "case-2-2", "disconn
 GENERATION_RETRIES = 64  # graphs drawn per almost-planar or case-2-2 request
 
 
-def vertex_names(n: int, prefix: str = "v") -> tuple[Vertex, ...]:
-    return tuple(f"{prefix}{i + 1}" for i in range(n))
+def vertex_names(n: int) -> tuple[Vertex, ...]:
+    return tuple(f"v{i + 1}" for i in range(n))
 
 
-def cycle_graph(n: int, prefix: str = "v") -> Graph:
+def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidN("cycles need at least 3 vertices")
-    vs = vertex_names(n, prefix)
+    vs = vertex_names(n)
     return Graph(vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)])
 
 
-def path_graph(n: int, prefix: str = "v") -> Graph:
-    vs = vertex_names(n, prefix)
+def path_graph(n: int) -> Graph:
+    vs = vertex_names(n)
     return Graph(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
 
 

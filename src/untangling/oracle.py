@@ -22,18 +22,19 @@ from itertools import permutations, product
 from typing import Collection, Optional, Sequence
 
 from .blocks import BlockDecomposition, block_decomposition, planar_order_keeping
-from .errors import TooLarge
+from .errors import ConstructionFailed, TooLarge
 from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, restriction
 from .seqs import lis
 
 ORACLE_MAX_N = 9
+NAIVE_MAX_N = 7
 FIXED_SET_BUDGET = 1 << 20  # vertex-tests per exact fixed-set search, about 1-2 s
 DISTICOR_MAX_CHUNKS = 8
 DISTICOR_MAX_TOTAL = 10_000
 THREE_PARTITION_MAX_M = 4
 
 
-def enumerate_planar_orders(g: Graph, nmax: int = ORACLE_MAX_N) -> list[tuple[Vertex, ...]]:
+def enumerate_planar_orders(g: Graph) -> list[tuple[Vertex, ...]]:
     """All crossing-free cyclic orders of g, one per rotation class.
 
     The first vertex is pinned to normalize rotation; reflections are kept
@@ -41,8 +42,8 @@ def enumerate_planar_orders(g: Graph, nmax: int = ORACLE_MAX_N) -> list[tuple[Ve
     in the lexicographic order of their vertex ranks.
     """
     n = len(g.vertices)
-    if n > nmax:
-        raise TooLarge(f"enumerate_planar_orders capped at n={nmax}, got {n}")
+    if n > ORACLE_MAX_N:
+        raise TooLarge(f"enumerate_planar_orders capped at n={ORACLE_MAX_N}, got {n}")
     if n == 0:
         return [()]
     vs = g.vertices
@@ -92,11 +93,11 @@ def enumerate_planar_orders(g: Graph, nmax: int = ORACLE_MAX_N) -> list[tuple[Ve
     return out
 
 
-def naive_planar_orders(g: Graph, nmax: int = 7) -> list[tuple[Vertex, ...]]:
+def naive_planar_orders(g: Graph) -> list[tuple[Vertex, ...]]:
     """Independent cross-check: filter every rotation-normalized permutation."""
     n = len(g.vertices)
-    if n > nmax:
-        raise TooLarge(f"naive_planar_orders capped at n={nmax}, got {n}")
+    if n > NAIVE_MAX_N:
+        raise TooLarge(f"naive_planar_orders capped at n={NAIVE_MAX_N}, got {n}")
     if n == 0:
         return [()]
     first, rest = g.vertices[0], g.vertices[1:]
@@ -150,10 +151,14 @@ def _max_fixed_set(decomp: BlockDecomposition, order: Sequence[Vertex], forced: 
 
 def exact_min_untangle(d: CircularDrawing) -> ExactUntangleResult:
     """n minus a largest fixed set, an order keeping it, and the set in
-    drawing order.  Raises NotOuterplanar if the graph is not outerplanar."""
+    drawing order.  Raises NotOuterplanar if the graph is not outerplanar.
+    Only the order is checked for crossings, not the search's probes."""
     decomp = block_decomposition(d.graph)
     fixed = _max_fixed_set(decomp, d.order)
-    return ExactUntangleResult(len(d.order) - len(fixed), planar_order_keeping(decomp, d.order, fixed), fixed)
+    target = planar_order_keeping(decomp, d.order, fixed)
+    if target is None or not is_crossing_free(target, d.graph.edges):
+        raise ConstructionFailed("no crossing-free order was built for the largest fixed set")
+    return ExactUntangleResult(len(d.order) - len(fixed), target, fixed)
 
 
 def exact_min_untangle_edge_fixed(d: CircularDrawing, e: Edge) -> int:

@@ -173,57 +173,51 @@ def lics(s, direction: str = INCREASING) -> list:
 _NOT_ONE_ITEM_SET = "lccs needs two cyclic orders of the same distinct items"
 
 
-def _rank_map(order: tuple) -> dict:
-    rank = {v: i for i, v in enumerate(order)}
-    if len(rank) != len(order):
-        raise InvalidInstance(_NOT_ONE_ITEM_SET)
-    return rank
-
-
-def _ranked(rank: dict, order: tuple) -> tuple[int, ...]:
-    """`order` read through `rank`; raises unless it lists the same distinct items."""
-    try:
-        ranks = tuple(map(rank.__getitem__, order))
-    except KeyError:
-        raise InvalidInstance(_NOT_ONE_ITEM_SET) from None
-    if len(ranks) != len(rank) or len(set(ranks)) != len(ranks):
-        raise InvalidInstance(_NOT_ONE_ITEM_SET)
-    return ranks
-
-
 def lccs(a, b) -> list:
-    """Longest common cyclic subsequence of two cyclic orders of one item set.
+    """Longest common cyclic subsequence of two cyclic orders of one item set,
+    `best_target(a, (b,))`'s kept items.
 
     Returns a largest set of items, listed in the shared cyclic order.
     Positions of `b` are used as ranks, so the answer is the longest
     increasing cyclic subsequence of `a` mapped through those ranks.  Both
     orders must list the same distinct items.
     """
-    bb = tuple(b)
-    mapped = _ranked(_rank_map(bb), a)
-    return [bb[i] for i in lics(mapped, INCREASING)]
+    return best_target(a, (tuple(b),))[1]
 
 
-def best_target(source, targets):
-    """The first of `targets` whose longest common cyclic subsequence with
-    `source` is longest.
+def best_target(source, targets) -> tuple:
+    """`(target, kept)`: the first of `targets` (as given) whose longest
+    common cyclic subsequence with `source` is longest, and `kept`, that
+    subsequence, equal to `lccs(source, target)`.
 
-    Equals the first argmax of `len(lccs(source, t))`.  `source` is ranked
-    once and each target is read through that rank map.  A target is scored
-    only as far as needed to tell whether it beats the best so far, so most
+    `source` is ranked once, and each target is read as its positions of
+    the source's items by inverting that rank map.  A target is scored only
+    as far as needed to tell whether it beats the best so far, so most
     losing targets stop at the rotation bounds of `lics`.  Every target must
     list the items of `source`, each once.
     """
-    rank = _rank_map(tuple(source))
-    best, best_len = None, -1
+    items = tuple(source)
+    n = len(items)
+    rank = {v: i for i, v in enumerate(items)}
+    if len(rank) != n:
+        raise InvalidInstance(_NOT_ONE_ITEM_SET)
+    best, best_len, best_pos, best_r = None, -1, (), 0
     for t in targets:
-        mapped = _ranked(rank, t)
-        length, r = _best_rotation(mapped, best_len)
+        pos = [-1] * n  # pos[i]: the position in t of items[i]
+        try:
+            for j, x in enumerate(t):
+                pos[rank[x]] = j
+        except KeyError:
+            raise InvalidInstance(_NOT_ONE_ITEM_SET) from None
+        if len(t) != n or -1 in pos:
+            raise InvalidInstance(_NOT_ONE_ITEM_SET)
+        pos = tuple(pos)
+        length, r = _best_rotation(pos, best_len)
         if r >= 0:
-            best, best_len = t, length
-    if best is None:
+            best, best_len, best_pos, best_r = t, length, pos, r
+    if best_len < 0:
         raise InvalidInstance("best_target needs at least one target")
-    return best
+    return best, [items[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
 
 
 def moves_between(a, b) -> int:

@@ -32,10 +32,10 @@ from untangling import almost_planar, blocks
 from untangling.almost_planar import TARGET_BUDGET, _apex_cuts
 from untangling.blocks import components
 from untangling.cli import main
-from untangling.errors import NotAlmostPlanar, NotOuterplanar, TooLarge
+from untangling.errors import NotAlmostPlanar, NotOuterplanar, StructuralAssertionFailed, TooLarge
 from untangling.generators import _almost_planar_from
 from untangling.io_formats import format_drawing
-from untangling.model import all_crossings_on, sides_of_edge
+from untangling.model import all_crossings_on, cyclic_equal, sides_of_edge
 
 
 def c4_tangled():
@@ -416,3 +416,43 @@ def test_untanglers_decompose_once(monkeypatch):
             calls.clear()
             untangle(d)
             assert calls == [d.graph], (untangle.__name__, d.order)
+
+
+def test_untanglers_check_the_order_they_build(monkeypatch):
+    """A crossing order from the construction raises a counted structural
+    assertion in every untangler."""
+    monkeypatch.setattr(almost_planar, "planar_order_keeping", lambda decomp, order, fixed: tuple(order))
+    monkeypatch.setattr(almost_planar, "assertion_failures", almost_planar.assertion_failures)
+    before = almost_planar.assertion_failures
+    d = c4_tangled()
+    for untangle in (one_side_untangle, edge_fixed_untangle, min_untangle):
+        with pytest.raises(StructuralAssertionFailed):
+            untangle(d)
+    assert almost_planar.assertion_failures == before + 3
+
+
+def test_each_untangling_is_checked_for_crossings_once(monkeypatch):
+    """The order each untangler builds gets one crossing test, in
+    `_moves_keeping`; `planar_order_keeping` itself runs none."""
+    checked = []
+    check = almost_planar.is_crossing_free
+
+    def counted(order, edges):
+        checked.append(order)
+        return check(order, edges)
+
+    def no_check(order, edges):
+        raise AssertionError("planar_order_keeping ran a crossing test")
+
+    monkeypatch.setattr(almost_planar, "is_crossing_free", counted)
+    drawings = [c4_tangled(), two_path_satellites(), gen_fig5(10), gen_random(12, 1, "case-2-2")]
+    for d in drawings:
+        for untangle in (one_side_untangle, edge_fixed_untangle, min_untangle):
+            checked.clear()
+            u = untangle(d)
+            assert len(checked) == 1, (untangle.__name__, d.order)
+            assert cyclic_equal(verify_untangling(d, u).result.order, checked[0])
+    decomps = [block_decomposition(d.graph) for d in drawings]  # the recognizer runs crossing tests
+    monkeypatch.setattr(blocks, "is_crossing_free", no_check)
+    for d, bd in zip(drawings, decomps):
+        assert planar_order_keeping(bd, d.order, d.order[:2]) is not None

@@ -391,7 +391,7 @@ def test_planar_order_keeping_matches_enumeration(exhaustive_corpus):
                     pass
     checks = feasible = 0
     for g in graphs:
-        planar_orders = enumerate_planar_orders(g, nmax=9)
+        planar_orders = enumerate_planar_orders(g)
         vs = list(g.vertices)
         # a random order with a random fixed set
         order = rng.sample(vs, len(vs))

@@ -230,6 +230,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_untangle_exits_1_when_its_answer_fails_verification(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "d.cdr"
+    main(["generate", "fig5", "--n", "6"])
+    d.write_text(capsys.readouterr().out)
+    monkeypatch.setattr(almost_planar, "min_untangle", lambda drawing: Untangling(()))
+    assert main(["untangle", str(d), "--algorithm", "min"]) == 1
+    assert "planar=False" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, data",
     [

@@ -14,14 +14,13 @@ from untangling import (
     exact_min_untangle_edge_fixed,
     gen_fig5,
     gen_random,
-    lccs,
     lis,
     min_untangle,
     naive_planar_orders,
     oracle,
     verify_untangling,
 )
-from untangling.errors import InvalidInstance, NotOuterplanar, TooLarge
+from untangling.errors import ConstructionFailed, InvalidInstance, NotOuterplanar, TooLarge
 from untangling.generators import PROFILES, enumerate_almost_planar_instances
 from untangling.model import cyclic_equal, is_crossing_free, restriction, rotate_to
 from untangling.seqs import best_target, lis_length
@@ -62,11 +61,11 @@ def scan_planar_orders(g):
 def scan_exact_min(d):
     """Reference for `exact_min_untangle`'s count: n minus the longest common
     cyclic subsequence of the drawing and any planar order, found by
-    enumerating the orders and scoring them with `lccs`."""
+    enumerating the orders and scoring them with `best_target`."""
     orders = enumerate_planar_orders(d.graph)
     if not orders:
         raise NotOuterplanar("graph admits no planar circular order")
-    return len(d.order) - len(lccs(d.order, best_target(d.order, orders)))
+    return len(d.order) - len(best_target(d.order, orders)[1])
 
 
 def _lcs_distinct(a, b):
@@ -232,7 +231,8 @@ def test_enumeration_budget():
     g = cycle_graph(10)
     with pytest.raises(TooLarge):
         enumerate_planar_orders(g)
-    assert enumerate_planar_orders(g, nmax=10)
+    with pytest.raises(TooLarge):
+        naive_planar_orders(cycle_graph(8))
 
 
 def test_exact_min_untangle_examples():
@@ -245,6 +245,13 @@ def test_exact_min_untangle_examples():
     assert cyclic_equal(res.target_order, ("v1", "v2", "v3", "v4")) or cyclic_equal(
         res.target_order, ("v1", "v4", "v3", "v2")
     )
+
+
+def test_exact_min_untangle_checks_its_target(monkeypatch):
+    # every probe passes and the target is the drawing's own crossing order
+    monkeypatch.setattr(oracle, "planar_order_keeping", lambda decomp, order, fixed: tuple(order))
+    with pytest.raises(ConstructionFailed):
+        exact_min_untangle(gen_fig5(6))
 
 
 def test_exact_edge_fixed_examples():

@@ -173,6 +173,8 @@ def test_lccs_examples():
     assert len(lccs(a, ("v1", "v3", "v2", "v4"))) == 3
     five = ("a", "b", "c", "d", "e")
     assert len(lccs(five, tuple(reversed(five)))) == 2
+    # the kept items start where the positions in b rise longest
+    assert lccs(five, ("c", "d", "e", "a", "b")) == ["c", "d", "e", "a", "b"]
 
 
 def brute_lccs_len(a, b):
@@ -224,12 +226,36 @@ def targets_with_ties(draw):
     return source, targets
 
 
+def scan_kept(source, target):
+    """Reference for `best_target`'s kept list: the smallest rotation of
+    `source`, read through the target's positions, with the longest `lis`,
+    read back as items."""
+    pos = {x: i for i, x in enumerate(target)}
+    best = []
+    for r in range(len(source)):
+        w = lis(pos[x] for x in source[r:] + source[:r])
+        if len(w) > len(best):
+            best = w
+    return [target[i] for i in best]
+
+
 @settings(max_examples=150, deadline=None)
 @given(targets_with_ties())
 def test_best_target_is_first_argmax(case):
     source, targets = case
-    scores = [len(lccs(source, t)) for t in targets]
-    assert best_target(source, targets) is targets[scores.index(max(scores))]
+    scores = [len(scan_kept(source, t)) for t in targets]
+    target, kept = best_target(source, targets)
+    assert target is targets[scores.index(max(scores))]
+    assert kept == scan_kept(source, target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_best_target_keeps_the_scanned_subsequence(pair):
+    a, b = map(tuple, pair)
+    target, kept = best_target(a, (b,))
+    assert target is b
+    assert kept == lccs(a, b) == scan_kept(a, b)
 
 
 def test_best_target_rejects_bad_input():
