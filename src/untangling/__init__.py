@@ -11,7 +11,6 @@ from .blocks import (
     Block,
     BlockDecomposition,
     block_decomposition,
-    hamiltonian_cycle_of_block,
     planar_circular_order,
     planar_order_keeping,
 )
@@ -48,7 +47,6 @@ from .model import (
     apply_untangling,
     classify,
     crossings,
-    empty_untangling,
     is_crossing_free,
     is_planar_drawing,
     moves_to_reach,

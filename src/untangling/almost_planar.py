@@ -35,7 +35,6 @@ from .model import (
     Vertex,
     VertexMove,
     classify,
-    empty_untangling,
     is_crossing_free,
     moves_to_reach,
     restriction,
@@ -83,7 +82,7 @@ def _moves_keeping(d: CircularDrawing, decomp: BlockDecomposition, moved: set[Ve
     """Moves of exactly `moved` to a crossing-free order in which every other
     vertex keeps its input cyclic order; `decomp` is the graph's tree.  The
     crossing test of that order here is every untangler's one answer check."""
-    target = planar_order_keeping(decomp, d.order, [x for x in d.order if x not in moved])
+    target = planar_order_keeping(decomp, [x for x in d.order if x not in moved])
     ok = target is not None and is_crossing_free(target, d.graph.edges)
     _sassert(ok, "no crossing-free order was built keeping the unmoved vertices in input order")
     return moves_to_reach(d.order, target, moved)
@@ -94,7 +93,7 @@ def one_side_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untanglin
     set is exactly the smaller side of the chosen candidate edge."""
     cls, cands = _candidate_edges(d, e)
     if cls.kind == PLANAR:
-        return empty_untangling()
+        return Untangling(())
     g = d.graph
     cand = min(cands, key=lambda c: min(len(c.left), len(c.right)))  # the first by edge rank on a tie
     return Untangling(tuple(_moves_keeping(d, block_decomposition(g), _cheapest(g, (cand.left, cand.right)))))
@@ -105,7 +104,7 @@ def edge_fixed_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untangl
     each piece of G - u - v independently sends its smaller side across."""
     cls, cands = _candidate_edges(d, e)
     if cls.kind == PLANAR:
-        return empty_untangling()
+        return Untangling(())
     g = d.graph
     moved = _cheapest(g, (_edge_fixed_moved(g, c) for c in cands))
     return Untangling(tuple(_moves_keeping(d, block_decomposition(g), moved)))
@@ -261,7 +260,7 @@ def min_untangle(d: CircularDrawing) -> Untangling:
     """
     cls, cands = _candidate_edges(d, None)
     if cls.kind == PLANAR:
-        return empty_untangling()
+        return Untangling(())
     decomp = block_decomposition(d.graph)
     moved = _cheapest(d.graph, (m for cand in cands for m in _min_untangle_candidates(d, decomp, cand)))
     return Untangling(tuple(_moves_keeping(d, decomp, moved)))

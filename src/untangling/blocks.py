@@ -1,11 +1,12 @@
 """Block-cut tree, Hamiltonian cycles of blocks, and planar circular orders.
 
 One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973) yields a graph's blocks,
-cut vertices and components in O(n + m); attachments are read off the
-block-cut tree they form.  `components` gives the same components from a
-plain DFS, for callers that need no blocks.  `planar_circular_order` lays
-the tree out freely; `planar_order_keeping` lays it out keeping a given set
-of vertices in a given cyclic order.
+cut vertices and components in O(n + m), and peels each block's Hamiltonian
+cycle as it pops the block; attachments are read off the block-cut tree they
+form.  `components` gives the same components from a plain DFS, for callers
+that need no blocks.  `planar_circular_order` lays the tree out freely;
+`planar_order_keeping` lays it out keeping a given sequence of vertices in
+its cyclic order.
 
 The outerplanarity recognizer works by peeling: a 2-connected outerplanar
 block always has a vertex of degree 2, and removing it (recording its two
@@ -18,17 +19,17 @@ re-checked with the crossing test, so the recognizer is self-verifying.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import NotOuterplanar
-from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, restriction, rotate_to
+from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, rotate_to
 
 
 @dataclass(frozen=True)
 class Block:
     """A 2-connected component: vertex set, edge set, and (for 3 or more
-    vertices, once decomposed) its unique Hamiltonian cyclic order."""
+    vertices) its unique Hamiltonian cyclic order."""
 
     vertices: frozenset[Vertex]
     edges: frozenset[Edge]
@@ -36,17 +37,19 @@ class Block:
 
 
 @dataclass(frozen=True)
-class BlockCutTree:
-    """Blocks, cut vertices and connected components of a graph.
+class BlockDecomposition:
+    """The block-cut tree of `graph`, whose blocks carry their Hamiltonian
+    cycles.
 
     Block i is joined in the tree to every cut vertex it contains.  Blocks
     are ordered by their sorted vertex ranks, components by their first
     vertex; `incidence` maps each vertex to the indices of the blocks
-    containing it, in block order (none for an isolated vertex).
+    containing it, in block order (none for an isolated vertex), so the cut
+    vertices are those in more than one block.
     """
 
+    graph: Graph
     blocks: tuple[Block, ...]
-    cut_vertices: frozenset[Vertex]
     components: tuple[frozenset[Vertex], ...]
     incidence: dict = field(repr=False)
 
@@ -63,13 +66,6 @@ class BlockCutTree:
                     stack.extend(fresh)
         return frozenset(out)
 
-
-@dataclass(frozen=True)
-class BlockDecomposition(BlockCutTree):
-    """A block-cut tree whose blocks carry their Hamiltonian cycles."""
-
-    graph: Graph
-
     def block_with_edge(self, e: Edge) -> int:
         for i in self.incidence[e[0]]:
             if e in self.blocks[i].edges:
@@ -79,8 +75,8 @@ class BlockDecomposition(BlockCutTree):
 
 def components(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> list[frozenset[Vertex]]:
     """The connected components of the graph (vertices, edges), ordered by
-    their first vertex in `vertices`, as in `block_cut_tree`, without the
-    blocks."""
+    their first vertex in `vertices`, as in `block_decomposition`, without
+    the blocks."""
     adj: dict[Vertex, list[Vertex]] = {x: [] for x in vertices}
     for a, b in edges:
         adj[a].append(b)
@@ -102,12 +98,16 @@ def components(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> list[frozen
     return out
 
 
-def block_cut_tree(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> BlockCutTree:
-    """The block-cut tree of the graph (vertices, edges); block edges are the
-    given edge tuples, collected from the DFS edge stack."""
-    rank = {x: i for i, x in enumerate(vertices)}
+def block_decomposition(g: Graph) -> BlockDecomposition:
+    """The block-cut tree of `g` with each block's Hamiltonian cycle.
+
+    Block edges are the graph's edge tuples, collected from the DFS edge
+    stack; each block of 3 or more vertices is peeled as the DFS pops it.
+    Raises NotOuterplanar at the first popped block that is not outerplanar.
+    """
+    rank = {x: i for i, x in enumerate(g.vertices)}
     adj: dict[Vertex, list[tuple[Vertex, Edge]]] = {x: [] for x in rank}
-    for e in edges:
+    for e in g.edges:
         adj[e[0]].append((e[1], e))
         adj[e[1]].append((e[0], e))
     disc: dict[Vertex, int] = {}
@@ -140,9 +140,10 @@ def block_cut_tree(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> BlockCu
                     p = stack[-1][0]
                     low[p] = min(low[p], low[x])
                     if low[x] >= disc[p]:  # p separates x's subtree: pop its block
-                        es = edge_stack[height:]
+                        es = frozenset(edge_stack[height:])
                         del edge_stack[height:]
-                        blocks.append(Block(frozenset(w for f in es for w in f), frozenset(es), None))
+                        vs = frozenset(w for f in es for w in f)
+                        blocks.append(Block(vs, es, _peel_hamiltonian(g, vs, es) if len(vs) >= 3 else None))
         components.append(frozenset(comp))
 
     blocks.sort(key=lambda b: sorted(rank[x] for x in b.vertices))
@@ -150,28 +151,21 @@ def block_cut_tree(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> BlockCu
     for i, b in enumerate(blocks):
         for x in b.vertices:
             incidence[x].append(i)
-    cut = frozenset(x for x, bs in incidence.items() if len(bs) > 1)
-    return BlockCutTree(tuple(blocks), cut, tuple(components), incidence)
+    return BlockDecomposition(g, tuple(blocks), tuple(components), incidence)
 
 
-def hamiltonian_cycle_of_block(g: Graph, block_vertices: Iterable[Vertex]) -> tuple[Vertex, ...]:
-    """Unique Hamiltonian cyclic order of a 2-connected outerplanar block.
+def _peel_hamiltonian(g: Graph, block_vertices: Iterable[Vertex], block_edges: Collection[Edge]) -> tuple[Vertex, ...]:
+    """Unique Hamiltonian cyclic order of a 2-connected outerplanar block of
+    3 or more vertices.
 
     Raises NotOuterplanar when the peel stalls, a reinsertion target is not
     cycle-adjacent, or the reconstructed order leaves crossing chords.
     """
-    vset = set(block_vertices)
-    return _peel_hamiltonian(g, vset, [e for e in g.edges if e[0] in vset and e[1] in vset])
-
-
-def _peel_hamiltonian(g: Graph, block_vertices: Iterable[Vertex], block_edges: Collection[Edge]) -> tuple[Vertex, ...]:
     verts = sorted(block_vertices, key=g.index)
     adj: dict[Vertex, set[Vertex]] = {v: set() for v in verts}
     for a, b in block_edges:
         adj[a].add(b)
         adj[b].add(a)
-    if len(verts) < 3:
-        raise NotOuterplanar("blocks with fewer than 3 vertices have no Hamiltonian cycle")
 
     # a stack holds every vertex of degree 2; degrees never grow, so a
     # vertex found on it at another degree (or peeled) is stale
@@ -210,19 +204,9 @@ def _peel_hamiltonian(g: Graph, block_vertices: Iterable[Vertex], block_edges: C
         raise NotOuterplanar("block chords cross in the reconstructed Hamiltonian order")
 
     ham = rotate_to(tuple(cycle), min(cycle, key=g.index))
-    if len(ham) > 2 and g.index(ham[-1]) < g.index(ham[1]):
+    if g.index(ham[-1]) < g.index(ham[1]):
         ham = (ham[0],) + tuple(reversed(ham[1:]))
     return ham
-
-
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Blocks, cut vertices, components and per-block Hamiltonian cycles."""
-    tree = block_cut_tree(g.vertices, g.edges)
-    blocks = tuple(
-        replace(b, hamiltonian=_peel_hamiltonian(g, b.vertices, b.edges)) if len(b.vertices) >= 3 else b
-        for b in tree.blocks
-    )
-    return BlockDecomposition(blocks, tree.cut_vertices, tree.components, tree.incidence, g)
 
 
 def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: Optional[random.Random]) -> list[Vertex]:
@@ -315,13 +299,13 @@ def planar_circular_order(g: Graph, rng: Optional[random.Random] = None) -> Circ
     return CircularDrawing(g, order)
 
 
-def planar_order_keeping(
-    decomp: BlockDecomposition, order: Sequence[Vertex], fixed: Iterable[Vertex]
-) -> Optional[tuple[Vertex, ...]]:
+def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> Optional[tuple[Vertex, ...]]:
     """A crossing-free cyclic order of `decomp.graph` whose restriction to
-    `fixed` is `restriction(order, fixed)` up to rotation, or None when
-    there is none.  `decomp` is the graph's `block_decomposition`, which
-    also certifies that the graph is outerplanar.
+    the vertices of `walk` is `walk` up to rotation, or None when there is
+    none.  `walk` lists distinct vertices in the cyclic order to keep, e.g.
+    `restriction(order, fixed)`.  `decomp` is the graph's
+    `block_decomposition`, which also certifies that the graph is
+    outerplanar.
 
     The crossing-free orders of a connected outerplanar graph are the
     frontiers of its block-cut tree read as a PQ-tree: each block is a
@@ -335,7 +319,6 @@ def planar_order_keeping(
     that hand an order out check it once.
     """
     g = decomp.graph
-    walk = restriction(order, fixed)
     comp_of = {x: i for i, c in enumerate(decomp.components) for x in c}
     ranks: list[dict[Vertex, int]] = [{} for _ in decomp.components]
     last = {}

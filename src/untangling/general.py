@@ -1,11 +1,11 @@
 """Untangling arbitrary drawings with the n - floor(sqrt(n-2)) - 2 guarantee.
 
-Number the vertices along any planar circular order; the drawing's vertex
-sequence becomes a cyclic permutation of those numbers, and whichever of its
-longest increasing / decreasing cyclic subsequences is longer can stay fixed
-while everything else moves into the planar order (or its reversal).  The
-cyclic Erdos-Szekeres bound makes that fixed set at least
-floor(sqrt(n-2)) + 2 vertices large.
+Fix any planar circular order.  The longest common cyclic subsequence of
+the drawing with that order or with its mirror, whichever is longer, can
+stay fixed while everything else moves into that order; it is the longest
+increasing or decreasing cyclic subsequence of the drawing's ranks in the
+planar order.  The cyclic Erdos-Szekeres bound makes that fixed set at
+least floor(sqrt(n-2)) + 2 vertices large.
 """
 
 from __future__ import annotations
@@ -15,14 +15,8 @@ from math import isqrt
 from .blocks import planar_circular_order
 from .errors import ConstructionFailed, InvalidN
 from .generators import cycle_graph
-from .model import (
-    CircularDrawing,
-    Untangling,
-    empty_untangling,
-    is_planar_drawing,
-    moves_to_reach,
-)
-from .seqs import DECREASING, INCREASING, es_tight_cyclic, lics
+from .model import CircularDrawing, Untangling, is_planar_drawing, moves_to_reach
+from .seqs import DECREASING, INCREASING, best_target, es_tight_cyclic, lics
 
 
 def general_bound(n: int) -> int:
@@ -38,18 +32,13 @@ def untangle_general(d: CircularDrawing) -> Untangling:
     Raises NotOuterplanar when the graph admits no planar circular order.
     """
     if is_planar_drawing(d):
-        return empty_untangling()
+        return Untangling(())
     base = planar_circular_order(d.graph).order
-    rank = {v: i for i, v in enumerate(base)}
-    seq = tuple(rank[x] for x in d.order)
-    inc = lics(seq, INCREASING)
-    dec = lics(seq, DECREASING)
-    if len(inc) >= len(dec):
-        target, kept_ranks = base, inc
-    else:
-        target, kept_ranks = (base[0],) + tuple(reversed(base[1:])), dec
-    kept = {base[r] for r in kept_ranks}
-    moves = moves_to_reach(d.order, target, set(d.order) - kept)
+    mirror = base[::-1]
+    target, kept = best_target(d.order, (base, mirror))  # a tie keeps base
+    if target is mirror:
+        target = base[:1] + mirror[:-1]  # the mirror rotated to start at base[0], where moves anchor
+    moves = moves_to_reach(d.order, target, set(d.order).difference(kept))
     n = len(d.order)
     if len(moves) > general_bound(n):
         raise ConstructionFailed(

@@ -91,11 +91,17 @@ def _perturbed(rng: random.Random, n: int, k: Optional[int], connect: bool) -> C
     pos_edges = _random_noncrossing_edges(rng, n, hull_p=0.85, diag_p=0.45, connect=connect)
     g = Graph(vs, [(layout[i], layout[j]) for i, j in pos_edges])
     order = list(layout)
-    moves = rng.randrange(0, max(1, n // 2)) if k is None else k
+    _relocate(rng, order, k)
+    return CircularDrawing(g, order)
+
+
+def _relocate(rng: random.Random, order: list[Vertex], k: Optional[int]) -> None:
+    """Moves k random vertices of `order` to random places, in place; with
+    k None, a random number of them below half the order's length."""
+    moves = rng.randrange(0, max(1, len(order) // 2)) if k is None else k
     for _ in range(moves):
         v = order.pop(rng.randrange(len(order)))
         order.insert(rng.randrange(len(order) + 1), v)
-    return CircularDrawing(g, order)
 
 
 def _chain_graph(rng: random.Random, n: int) -> tuple[Graph, Vertex, Vertex]:
@@ -144,6 +150,12 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None) -> Circ
     """
     if profile not in PROFILES:
         raise InvalidN(f"unknown profile {profile!r}")
+    if n < 0:
+        raise InvalidN(f"a drawing needs n >= 0, got {n}")
+    if n < 4 and profile == "almost-planar":
+        raise InvalidN("almost-planar instances need n >= 4: no drawing on fewer vertices has a crossing")
+    if k is not None and k < 0:
+        raise InvalidN(f"k counts relocations and must be >= 0, got {k}")
     rng = _rng(seed, profile, n)
     if profile == "outerplanar-order-perturbed":
         return _perturbed(rng, n, k, connect=False)
@@ -171,10 +183,7 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None) -> Circ
             edges.extend((mapping[a], mapping[b]) for a, b in sub.graph.edges)
             order.extend(mapping[w] for w in sub.order)
             offset += sz
-        moves = rng.randrange(0, max(1, n // 2)) if k is None else k
-        for _ in range(moves):
-            w = order.pop(rng.randrange(len(order)))
-            order.insert(rng.randrange(len(order) + 1), w)
+        _relocate(rng, order, k)
         return CircularDrawing(Graph(vs, edges), order)
 
     for _ in range(GENERATION_RETRIES):

@@ -385,7 +385,3 @@ def moves_to_reach(
         raise InvalidInstance("fixed vertices are not in target order already")
     walk = rotate_to(tt, fixed[0])
     return [VertexMove(walk[i], walk[i - 1]) for i in range(1, len(walk)) if walk[i] in moved]
-
-
-def empty_untangling() -> Untangling:
-    return Untangling(())

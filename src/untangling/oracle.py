@@ -136,7 +136,7 @@ def _max_fixed_set(decomp: BlockDecomposition, order: Sequence[Vertex], forced: 
                 if spent > FIXED_SET_BUDGET:
                     raise TooLarge(f"exact fixed-set search exceeded {FIXED_SET_BUDGET} vertex-tests at n={n}")
                 fixed.add(free[i])
-                if planar_order_keeping(decomp, order, fixed) is None:
+                if planar_order_keeping(decomp, restriction(order, fixed)) is None:
                     fixed.discard(free[i])
                 else:
                     taken.append(i)
@@ -155,7 +155,7 @@ def exact_min_untangle(d: CircularDrawing) -> ExactUntangleResult:
     Only the order is checked for crossings, not the search's probes."""
     decomp = block_decomposition(d.graph)
     fixed = _max_fixed_set(decomp, d.order)
-    target = planar_order_keeping(decomp, d.order, fixed)
+    target = planar_order_keeping(decomp, fixed)
     if target is None or not is_crossing_free(target, d.graph.edges):
         raise ConstructionFailed("no crossing-free order was built for the largest fixed set")
     return ExactUntangleResult(len(d.order) - len(fixed), target, fixed)

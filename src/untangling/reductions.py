@@ -52,9 +52,6 @@ class ThreePartitionInstance:
     def m(self) -> int:
         return len(self.a) // 3
 
-    def balanced(self) -> bool:
-        return sum(self.a) == self.m * self.k
-
 
 @dataclass(frozen=True)
 class DistIcorInstance:

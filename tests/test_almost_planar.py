@@ -253,7 +253,7 @@ def _moving_only(d, moved, edges):
     """The drawing after moving exactly `moved` into a crossing-free order of
     `edges` that keeps the other vertices, and the moves that reach it."""
     bd = block_decomposition(Graph(d.graph.vertices, edges))
-    target = planar_order_keeping(bd, d.order, [x for x in d.order if x not in moved])
+    target = planar_order_keeping(bd, [x for x in d.order if x not in moved])
     assert target is not None
     return CircularDrawing(d.graph, target), moves_to_reach(d.order, target, moved)
 
@@ -328,7 +328,7 @@ def test_min_untangle_not_worse_than_edge_fixed_on_wide_attachments():
         # no k - 1 moves suffice: fixed sets that can stay are closed under
         # taking subsets, so every smaller moved set is covered too
         for moved in combinations(d.order, k - 1):
-            assert planar_order_keeping(bd, d.order, set(d.order) - set(moved)) is None, (s, moved)
+            assert planar_order_keeping(bd, [x for x in d.order if x not in moved]) is None, (s, moved)
         optima[s] = k
     assert [optima[s] for s in (0, 1, 6, 7)] == [4, 2, 3, 2]
 
@@ -421,10 +421,10 @@ def test_untanglers_decompose_once(monkeypatch):
 def test_untanglers_check_the_order_they_build(monkeypatch):
     """A crossing order from the construction raises a counted structural
     assertion in every untangler."""
-    monkeypatch.setattr(almost_planar, "planar_order_keeping", lambda decomp, order, fixed: tuple(order))
+    d = c4_tangled()
+    monkeypatch.setattr(almost_planar, "planar_order_keeping", lambda decomp, walk: d.order)
     monkeypatch.setattr(almost_planar, "assertion_failures", almost_planar.assertion_failures)
     before = almost_planar.assertion_failures
-    d = c4_tangled()
     for untangle in (one_side_untangle, edge_fixed_untangle, min_untangle):
         with pytest.raises(StructuralAssertionFailed):
             untangle(d)
@@ -455,4 +455,4 @@ def test_each_untangling_is_checked_for_crossings_once(monkeypatch):
     decomps = [block_decomposition(d.graph) for d in drawings]  # the recognizer runs crossing tests
     monkeypatch.setattr(blocks, "is_crossing_free", no_check)
     for d, bd in zip(drawings, decomps):
-        assert planar_order_keeping(bd, d.order, d.order[:2]) is not None
+        assert planar_order_keeping(bd, d.order[:2]) is not None

@@ -16,7 +16,6 @@ from untangling import (
     edge_fixed_untangle,
     enumerate_planar_orders,
     gen_random,
-    hamiltonian_cycle_of_block,
     is_crossing_free,
     min_untangle,
     one_side_untangle,
@@ -25,7 +24,7 @@ from untangling import (
     planar_order_keeping,
     verify_untangling,
 )
-from untangling.blocks import block_cut_tree, components
+from untangling.blocks import components
 from untangling.errors import InvalidInstance, NotOuterplanar
 from untangling.generators import PROFILES
 from untangling.model import cyclic_equal, restriction, rotate_to
@@ -47,7 +46,7 @@ def test_cycle_is_one_block():
     g = cycle_graph(6)
     bd = block_decomposition(g)
     assert len(bd.blocks) == 1
-    assert bd.cut_vertices == frozenset()
+    assert not any(len(bd.incidence[v]) > 1 for v in g.vertices)
     ham = bd.blocks[0].hamiltonian
     assert cyclic_equal(ham, g.vertices) or cyclic_equal(ham, tuple(reversed(g.vertices)))
     assert all(len(bd.attachment(0, v)) == 1 for v in g.vertices)
@@ -60,7 +59,7 @@ def test_two_triangles_sharing_a_vertex():
     )
     bd = block_decomposition(g)
     assert len(bd.blocks) == 2
-    assert bd.cut_vertices == frozenset({"c"})
+    assert {v for v in g.vertices if len(bd.incidence[v]) > 1} == {"c"}
     for i, blk in enumerate(bd.blocks):
         other = {"a1", "a2", "b1", "b2"} - set(blk.vertices)
         assert bd.attachment(i, "c") == frozenset(other | {"c"})
@@ -112,7 +111,8 @@ def test_hamiltonian_peel_matches_enumeration_uniqueness():
         Graph(("a", "b", "c", "d"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]),
     ]
     for g in samples:
-        ham = hamiltonian_cycle_of_block(g, g.vertices)
+        (block,) = block_decomposition(g).blocks
+        ham = block.hamiltonian
         orders = enumerate_planar_orders(g)
         assert len(orders) == 2  # the cycle and its reflection
         for t in orders:
@@ -266,7 +266,7 @@ def test_isolated_vertices_lie_in_no_block():
     g = Graph(("a", "b", "c", "z", "w"), [("a", "b"), ("b", "c"), ("c", "a")])
     bd = block_decomposition(g)
     assert [blk.vertices for blk in bd.blocks] == [frozenset("abc")]
-    assert bd.cut_vertices == frozenset()
+    assert not any(len(bd.incidence[v]) > 1 for v in g.vertices)
     assert all(bd.attachment(0, v) == frozenset(v) for v in "abc")
     assert planar_circular_order(g).order == ("a", "b", "c", "z", "w")
 
@@ -275,7 +275,7 @@ def test_edgeless_graphs_have_no_blocks():
     for vs in ((), ("x",), ("x", "y", "z")):
         g = Graph(vs)
         bd = block_decomposition(g)
-        assert bd.blocks == () and bd.cut_vertices == frozenset()
+        assert bd.blocks == () and all(bd.incidence[v] == [] for v in vs)
         assert planar_circular_order(g).order == vs
 
 
@@ -334,7 +334,7 @@ def _check_against_definitions(g, tree):
         rest = [x for x in g.vertices if x != v]
         after = len(_bfs_components(rest, [e for e in edges if v not in e]))
         # deleting an isolated vertex lowers the count, which is not a cut
-        assert (v in tree.cut_vertices) == (after > count)
+        assert (len(tree.incidence[v]) > 1) == (after > count)
     for i, blk in enumerate(tree.blocks):
         comps = _bfs_components(g.vertices, set(edges) - blk.edges)
         for v in blk.vertices:
@@ -355,11 +355,18 @@ def test_decomposition_matches_definitions(profile, n, seed, isolated):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
-def test_block_cut_tree_of_arbitrary_graphs_matches_definitions(spec):
+def test_decomposition_of_arbitrary_graphs_matches_definitions(spec):
+    """An arbitrary graph is decomposed exactly when it is outerplanar, and
+    then its tree matches the definitions."""
     n, pairs = spec
     g = Graph([f"v{i}" for i in range(n)], {(f"v{a}", f"v{b}") for a, b in pairs if a != b})
-    tree = block_cut_tree(g.vertices, g.edges)
-    _check_against_definitions(g, tree)
+    try:
+        decomp = block_decomposition(g)
+    except NotOuterplanar:
+        assert enumerate_planar_orders(g) == []
+        return
+    assert enumerate_planar_orders(g) != []
+    _check_against_definitions(g, decomp)
 
 
 # -- planar_order_keeping against enumeration -----------------------------------
@@ -370,7 +377,7 @@ def _check_keeping(g, order, fixed, planar_orders):
     whether one keeps `fixed` in input order, and its witness is valid."""
     want = restriction(order, fixed)
     feasible = any(cyclic_equal(restriction(t, fixed), want) for t in planar_orders)
-    got = planar_order_keeping(block_decomposition(g), order, fixed)
+    got = planar_order_keeping(block_decomposition(g), want)
     assert (got is not None) == feasible, (g.vertices, sorted(g.edges), order, fixed)
     if got is not None:
         assert sorted(got) == sorted(g.vertices)
@@ -411,18 +418,18 @@ def test_planar_order_keeping_nests_components():
     g = Graph(("a", "b", "c", "x", "y"), [("a", "b"), ("b", "c"), ("x", "y")])
     bd = block_decomposition(g)
     # x-y sits in the gap between b and c
-    assert planar_order_keeping(bd, ("a", "b", "x", "y", "c"), g.vertices) == ("a", "b", "x", "y", "c")
+    assert planar_order_keeping(bd, ("a", "b", "x", "y", "c")) == ("a", "b", "x", "y", "c")
     # x-y interleaves a-b-c, which no crossing-free order does
-    assert planar_order_keeping(bd, ("a", "x", "b", "y", "c"), g.vertices) is None
+    assert planar_order_keeping(bd, ("a", "x", "b", "y", "c")) is None
     # y is free, so it goes next to x
-    got = planar_order_keeping(bd, ("a", "x", "b", "y", "c"), ("a", "b", "c", "x"))
+    got = planar_order_keeping(bd, restriction(("a", "x", "b", "y", "c"), ("a", "b", "c", "x")))
     assert cyclic_equal(restriction(got, "abcx"), ("a", "x", "b", "c"))
     assert is_crossing_free(got, g.edges)
     # no fixed vertex at all: some planar order
-    assert is_crossing_free(planar_order_keeping(bd, g.vertices, ()), g.edges)
-    assert planar_order_keeping(block_decomposition(Graph(())), (), ()) == ()
+    assert is_crossing_free(planar_order_keeping(bd, ()), g.edges)
+    assert planar_order_keeping(block_decomposition(Graph(())), ()) == ()
     with pytest.raises(NotOuterplanar):
-        planar_order_keeping(block_decomposition(k4()), k4().vertices, ())
+        planar_order_keeping(block_decomposition(k4()), ())
 
 
 def test_untanglers_on_long_path():

@@ -19,9 +19,9 @@ from untangling import (
     untangle_general,
     verify_untangling,
 )
-from untangling.errors import InvalidN, TooLarge
-from untangling.model import cyclic_equal, restriction
-from untangling.seqs import ES_TIGHT_MAX_LEN
+from untangling.errors import InvalidInstance, InvalidN, TooLarge
+from untangling.model import cyclic_equal, is_planar_drawing, moves_to_reach, restriction
+from untangling.seqs import DECREASING, ES_TIGHT_MAX_LEN, INCREASING, lics
 
 
 def test_planar_input_needs_no_moves():
@@ -113,3 +113,39 @@ def test_disconnected_graphs_supported():
 def test_general_bound_values():
     assert [general_bound(n) for n in (2, 3, 4, 6, 11)] == [0, 0, 1, 2, 6]
     assert general_bound(8) == 8 - isqrt(6) - 2 == 4
+
+
+def _two_lics_untangle(d):
+    """Reference: the general untangler from the longest increasing and
+    decreasing cyclic subsequences of the drawing's ranks in the planar
+    order, increasing on a tie.  Returns the moves and which one won."""
+    base = planar_circular_order(d.graph).order
+    rank = {v: i for i, v in enumerate(base)}
+    seq = tuple(rank[x] for x in d.order)
+    inc, dec = lics(seq, INCREASING), lics(seq, DECREASING)
+    if len(inc) >= len(dec):
+        target, kept_ranks = base, inc
+    else:
+        target, kept_ranks = (base[0],) + tuple(reversed(base[1:])), dec
+    kept = {base[r] for r in kept_ranks}
+    winner = "tie" if len(inc) == len(dec) else "increasing" if len(inc) > len(dec) else "decreasing"
+    return moves_to_reach(d.order, target, set(d.order) - kept), winner
+
+
+def test_untangle_general_matches_two_lics_reference():
+    """Scoring the planar order and its mirror as targets gives the moves of
+    the two-`lics` construction, with the planar order kept on a tie."""
+    wins = {"increasing": 0, "decreasing": 0, "tie": 0}
+    for profile in ("outerplanar-order-perturbed", "disconnected"):
+        for n in (8, 13, 30):
+            for seed in range(15):
+                try:
+                    d = gen_random(n, seed, profile)
+                except InvalidInstance:  # disconnected draws with a one-vertex part
+                    continue
+                if is_planar_drawing(d):
+                    continue
+                moves, winner = _two_lics_untangle(d)
+                assert list(untangle_general(d).moves) == moves, (profile, n, seed)
+                wins[winner] += 1
+    assert min(wins.values()) >= 1, wins

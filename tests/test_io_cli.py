@@ -185,6 +185,20 @@ def test_cli_render(tmp_path, capsys):
     assert out.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "-3", "--profile", "outerplanar-order-perturbed"],
+        ["--n", "2", "--profile", "almost-planar"],
+        ["--n", "8", "--profile", "disconnected", "--k", "-1"],
+    ],
+)
+def test_cli_generate_random_refuses_unusable_sizes(args, capsys):
+    assert main(["generate", "random", *args]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # 2: unparsable input file
     bad = tmp_path / "bad.cdr"

@@ -23,7 +23,7 @@ from untangling import (
     moves_to_reach,
     verify_untangling,
 )
-from untangling.errors import InvalidInstance, UnknownVertex
+from untangling.errors import InvalidInstance, InvalidN, UnknownVertex
 from untangling.generators import PROFILES
 from untangling.model import crossing_pair, rotate_to, sides_of_edge
 
@@ -176,6 +176,24 @@ def small_drawings(draw):
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
     return CircularDrawing(Graph(names, edges), draw(st.permutations(names)))
+
+
+@pytest.mark.parametrize(
+    "n,profile,k",
+    [
+        (-3, "outerplanar-order-perturbed", None),
+        (0, "almost-planar", None),
+        (1, "almost-planar", None),
+        (3, "almost-planar", None),
+        (8, "outerplanar-order-perturbed", -1),
+        (8, "disconnected", -2),
+    ],
+)
+def test_gen_random_rejects_sizes_it_cannot_honour(n, profile, k):
+    """A negative n or k, or an almost-planar drawing on fewer than 4
+    vertices (none has a crossing), is refused before any drawing is made."""
+    with pytest.raises(InvalidN):
+        gen_random(n, 0, profile, k)
 
 
 @st.composite

@@ -249,7 +249,7 @@ def test_exact_min_untangle_examples():
 
 def test_exact_min_untangle_checks_its_target(monkeypatch):
     # every probe passes and the target is the drawing's own crossing order
-    monkeypatch.setattr(oracle, "planar_order_keeping", lambda decomp, order, fixed: tuple(order))
+    monkeypatch.setattr(oracle, "planar_order_keeping", lambda decomp, walk: tuple(walk))
     with pytest.raises(ConstructionFailed):
         exact_min_untangle(gen_fig5(6))
 
