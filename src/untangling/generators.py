@@ -156,6 +156,8 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None) -> Circ
         raise InvalidN("almost-planar instances need n >= 4: no drawing on fewer vertices has a crossing")
     if k is not None and k < 0:
         raise InvalidN(f"k counts relocations and must be >= 0, got {k}")
+    if n == 0 and k:
+        raise InvalidN(f"{k} relocations need a vertex to move, but n = 0")
     rng = _rng(seed, profile, n)
     if profile == "outerplanar-order-perturbed":
         return _perturbed(rng, n, k, connect=False)
@@ -204,38 +206,10 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None) -> Circ
 
 
 def _chords_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """True iff two chords between circle positions cross."""
-    (a, b), (c, d) = sorted(e1), sorted(e2)
-    if len({a, b, c, d}) < 4:
-        return False
-    return (a < c < b) != (a < d < b)
-
-
-def _noncrossing_subsets(n: int) -> Iterator[frozenset[tuple[int, int]]]:
-    chords = list(combinations(range(n), 2))
-    chosen: list[tuple[int, int]] = []
-
-    def rec(i: int) -> Iterator[frozenset[tuple[int, int]]]:
-        if i == len(chords):
-            yield frozenset(chosen)
-            return
-        yield from rec(i + 1)
-        e = chords[i]
-        if all(not _chords_cross(e, f) for f in chosen):
-            chosen.append(e)
-            yield from rec(i + 1)
-            chosen.pop()
-
-    yield from rec(0)
-
-
-def _rotation_canonical(n: int, edges: frozenset[tuple[int, int]]) -> tuple:
-    best = None
-    for r in range(n):
-        rot = tuple(sorted(tuple(sorted(((a + r) % n, (b + r) % n))) for a, b in edges))
-        if best is None or rot < best:
-            best = rot
-    return best
+    """True iff two chords (a, b) and (c, d) between circle positions, with
+    a < b and c < d, cross."""
+    (a, b), (c, d) = e1, e2
+    return a < c < b < d or c < a < d < b
 
 
 def enumerate_almost_planar_instances(n: int) -> Iterator[CircularDrawing]:
@@ -245,22 +219,41 @@ def enumerate_almost_planar_instances(n: int) -> Iterator[CircularDrawing]:
 
     A drawing is almost-planar iff its edge set is one non-crossing chord set
     plus one extra chord crossing at least one of them, so enumeration walks
-    exactly those shapes over the fixed clockwise order v1..vn.
+    exactly those shapes over the fixed clockwise order v1..vn.  A chord set
+    is a bit mask over `combinations(range(n), 2)`; each class is represented
+    by the first of its sets met, and all n of its rotations are marked seen
+    at once, so a later candidate costs one set lookup.
     """
     vs = vertex_names(n)
-    all_chords = list(combinations(range(n), 2))
-    seen: set[tuple] = set()
-    for base in _noncrossing_subsets(n):
-        for e in all_chords:
-            if e in base or not any(_chords_cross(e, f) for f in base):
+    chords = list(combinations(range(n), 2))
+    index = {c: i for i, c in enumerate(chords)}
+    crosses = [sum(1 << j for j, f in enumerate(chords) if _chords_cross(e, f)) for e in chords]
+    # rotated[r][i]: the bit of chord i turned r places clockwise
+    rotated = [[1 << index[tuple(sorted(((a + r) % n, (b + r) % n)))] for a, b in chords] for r in range(n)]
+    seen: set[int] = set()
+
+    def bases(i: int, chosen: int, crossed: int) -> Iterator[tuple[int, int]]:
+        """Non-crossing chord sets over chords i.., with `crossed` the chords
+        crossing one in `chosen`; each set excludes chord i before it includes it."""
+        if i == len(chords):
+            yield chosen, crossed
+            return
+        yield from bases(i + 1, chosen, crossed)
+        if not crossed >> i & 1:
+            yield from bases(i + 1, chosen | 1 << i, crossed | crosses[i])
+
+    for base, extras in bases(0, 0, 0):
+        while extras:
+            extra = extras & -extras
+            extras ^= extra
+            mask = base | extra
+            if mask in seen:
                 continue
-            edges = base | {e}
+            members = [i for i in range(len(chords)) if mask >> i & 1]
+            seen.update(sum(rot[i] for i in members) for rot in rotated)
+            edges = [chords[i] for i in members]
             if len(components(range(n), edges)) != 1:
                 continue
-            key = _rotation_canonical(n, edges)
-            if key in seen:
-                continue
-            seen.add(key)
             g = Graph(vs, [(vs[a], vs[b]) for a, b in edges])
             try:
                 block_decomposition(g)

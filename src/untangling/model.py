@@ -378,6 +378,8 @@ def moves_to_reach(
     """
     moved = set(moved)
     tt = tuple(target)
+    if not tt:
+        return []
     fixed = [v for v in tt if v not in moved]
     if not fixed:
         raise InvalidInstance("moves_to_reach needs at least one fixed vertex as anchor")

@@ -22,7 +22,6 @@ length exists; the extended range keeps all five chunk properties intact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import lt, mul, sub
@@ -59,7 +58,6 @@ class DistIcorInstance:
 
     chunks: tuple[tuple[int, ...], ...]
     m_target: int
-    distinct: bool = True
 
     def __post_init__(self):
         if self.m_target <= 0:
@@ -68,8 +66,8 @@ class DistIcorInstance:
             raise InvalidInstance("chunks must be nonempty")
         if min(map(min, self.chunks), default=1) <= 0:
             raise InvalidInstance("chunk entries must be positive integers")
-        if self.distinct and len(set().union(*self.chunks)) != self.total:
-            raise NotDistinct("chunk entries repeat in a distinct instance")
+        if len(set().union(*self.chunks)) != self.total:
+            raise NotDistinct("chunk entries repeat")
 
     @property
     def total(self) -> int:
@@ -154,7 +152,7 @@ def reduce_3p_to_disticor(inst: ThreePartitionInstance) -> ReducedDistIcor:
             )
         )
 
-    di = DistIcorInstance(tuple(c.ranks for c in chunks), m_target, distinct=True)
+    di = DistIcorInstance(tuple(c.ranks for c in chunks), m_target)
     return ReducedDistIcor(inst, scale, x, block, tuple(chunks), di)
 
 
@@ -173,10 +171,10 @@ class PartitionWitness:
 
 
 def _run_slice(chunk: ReducedChunk, start: int) -> tuple[int, int]:
-    starts = chunk.start_numbers  # decreasing
-    idx = bisect_left([-s for s in starts], -start)
-    if idx >= len(starts) or starts[idx] != start:
-        raise NotAWitness(f"no run starting at {start} in chunk of element {chunk.source_element}")
+    try:
+        idx = chunk.start_numbers.index(start)
+    except ValueError:
+        raise NotAWitness(f"no run starting at {start} in chunk of element {chunk.source_element}") from None
     lo = idx * chunk.run_length
     return lo, lo + chunk.run_length
 
@@ -284,8 +282,6 @@ def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]
     Entries are renumbered by rank to 1..L; the graph is one cycle per chunk,
     all sharing the hub v0, drawn in the clockwise order v0, v1, ..., vL.
     """
-    if not inst.distinct:
-        raise NotDistinct("the drawing construction needs globally distinct entries")
     values = sorted(chain.from_iterable(inst.chunks))
     total = len(values)
     vertices = tuple(f"v{i}" for i in range(total + 1))

@@ -140,6 +140,19 @@ def test_cli_all_algorithms_untangle(tmp_path, capsys, algo):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("algo", ["general", "one-side", "edge-fixed", "min", "exact"])
+def test_cli_untangles_the_empty_drawing(tmp_path, capsys, algo):
+    drawing = tmp_path / "empty.cdr"
+    drawing.write_text("vertices 0\norder\n")
+    assert main(["untangle", str(drawing), "--algorithm", algo]) == 0
+    captured = capsys.readouterr()
+    assert f"algorithm={algo} moved=0 planar=True" in captured.err
+    moves = tmp_path / "empty.mv"
+    moves.write_text(captured.out)
+    assert main(["verify", str(drawing), str(moves)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_generate_deterministic(capsys):
     main(["generate", "random", "--n", "12", "--seed", "9"])
     first = capsys.readouterr().out
@@ -191,6 +204,7 @@ def test_cli_render(tmp_path, capsys):
         ["--n", "-3", "--profile", "outerplanar-order-perturbed"],
         ["--n", "2", "--profile", "almost-planar"],
         ["--n", "8", "--profile", "disconnected", "--k", "-1"],
+        ["--n", "0", "--profile", "outerplanar-order-perturbed", "--k", "1"],
     ],
 )
 def test_cli_generate_random_refuses_unusable_sizes(args, capsys):

@@ -187,11 +187,13 @@ def small_drawings(draw):
         (3, "almost-planar", None),
         (8, "outerplanar-order-perturbed", -1),
         (8, "disconnected", -2),
+        (0, "outerplanar-order-perturbed", 1),
     ],
 )
 def test_gen_random_rejects_sizes_it_cannot_honour(n, profile, k):
-    """A negative n or k, or an almost-planar drawing on fewer than 4
-    vertices (none has a crossing), is refused before any drawing is made."""
+    """A negative n or k, an almost-planar drawing on fewer than 4 vertices
+    (none has a crossing), or relocations with no vertex to move, is refused
+    before any drawing is made."""
     with pytest.raises(InvalidN):
         gen_random(n, 0, profile, k)
 
@@ -282,6 +284,12 @@ def test_moves_to_reach_roundtrip():
     moves = moves_to_reach(d.order, target, {"v3"})
     res = apply_untangling(d, Untangling(tuple(moves)))
     assert res.canonical_order() == target
+
+
+def test_moves_to_reach_needs_an_anchor_only_to_move():
+    assert moves_to_reach((), (), ()) == []
+    with pytest.raises(InvalidInstance):
+        moves_to_reach(("a", "b"), ("b", "a"), {"a", "b"})
 
 
 @settings(max_examples=40)

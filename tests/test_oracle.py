@@ -1,5 +1,8 @@
 """Brute-force oracles: enumeration soundness and exact solvers."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from untangling import (
@@ -20,9 +23,10 @@ from untangling import (
     oracle,
     verify_untangling,
 )
+from untangling.blocks import block_decomposition, components
 from untangling.errors import ConstructionFailed, InvalidInstance, NotOuterplanar, TooLarge
-from untangling.generators import PROFILES, enumerate_almost_planar_instances
-from untangling.model import cyclic_equal, is_crossing_free, restriction, rotate_to
+from untangling.generators import PROFILES, enumerate_almost_planar_instances, vertex_names
+from untangling.model import ALMOST_PLANAR, classify, cyclic_equal, is_crossing_free, restriction, rotate_to
 from untangling.seqs import best_target, lis_length
 
 
@@ -86,6 +90,41 @@ def scan_edge_fixed(d, e, orders):
         ia, ib = a.index(v), b.index(v)
         best = max(best, 2 + _lcs_distinct(a[:ia], b[:ib]) + _lcs_distinct(a[ia + 1 :], b[ib + 1 :]))
     return len(d.order) - best
+
+
+def _rotation_class(n, chords):
+    """The least rotation of a set of chords between positions 0..n-1."""
+    return min(tuple(sorted(tuple(sorted(((a + r) % n, (b + r) % n))) for a, b in chords)) for r in range(n))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_corpus_is_one_drawing_per_rotation_class_of_its_definition(n):
+    """Brute force over every chord set on v1..vn: the connected,
+    outerplanar, almost-planar ones, up to rotation, are the corpus."""
+    vs = vertex_names(n)
+    chords = list(combinations(range(n), 2))
+    want = set()
+    for bits in range(1 << len(chords)):
+        edges = [c for i, c in enumerate(chords) if bits >> i & 1]
+        g = Graph(vs, [(vs[a], vs[b]) for a, b in edges])
+        if classify(CircularDrawing(g, vs)).kind != ALMOST_PLANAR or len(components(vs, g.edges)) != 1:
+            continue
+        try:
+            block_decomposition(g)
+        except NotOuterplanar:
+            continue
+        want.add(_rotation_class(n, edges))
+    got = []
+    for d in enumerate_almost_planar_instances(n):
+        assert d.order == d.graph.vertices == vs
+        got.append(_rotation_class(n, [(vs.index(a), vs.index(b)) for a, b in d.graph.edges]))
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_corpus_sizes(exhaustive_corpus):
+    sizes = Counter(len(d.order) for d in exhaustive_corpus)
+    sizes[3] = sum(1 for _ in enumerate_almost_planar_instances(3))
+    assert [sizes[n] for n in range(3, 8)] == [0, 4, 67, 894, 10_282]
 
 
 def _cross_check_drawings():

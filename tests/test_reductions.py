@@ -18,7 +18,7 @@ from untangling import (
     witness_3p_to_disticor,
 )
 from untangling.errors import InvalidInstance, NotAWitness, NotDistinct, PropertyViolation
-from untangling.reductions import expected_chunk_length
+from untangling.reductions import _run_slice, expected_chunk_length
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +140,16 @@ def test_witness_m2():
     assert all(a < b for a, b in zip(w.ranks, w.ranks[1:]))
 
 
+def test_run_slice_finds_each_run_and_only_runs(reduced_m1):
+    ch = reduced_m1.chunks[0]
+    width = ch.run_length
+    for i, start in enumerate(ch.start_numbers):
+        assert _run_slice(ch, start) == (i * width, (i + 1) * width)
+    for start in (ch.start_numbers[0] + 1, ch.start_numbers[-1] - 1):
+        with pytest.raises(NotAWitness):
+            _run_slice(ch, start)
+
+
 def test_witness_rejects_bad_partition(reduced_m1):
     with pytest.raises(NotAWitness):
         witness_3p_to_disticor(reduced_m1, [(0, 1, 1)])
@@ -236,12 +246,6 @@ def test_reduce_disticor_increasing_chunk_is_planar():
     d, budget = reduce_disticor_to_cu(inst)
     assert budget == 0
     assert len(crossings(d)) == 0
-
-
-def test_reduce_disticor_requires_distinct():
-    inst = DistIcorInstance(((1, 2), (3, 4)), 2, distinct=False)
-    with pytest.raises(NotDistinct):
-        reduce_disticor_to_cu(inst)
 
 
 def test_reduced_drawings_classify_almost_planar_or_planar():
