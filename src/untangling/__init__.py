@@ -39,7 +39,6 @@ from .model import (
     PLANAR,
     AlmostPlanarClassification,
     CircularDrawing,
-    CrossingSet,
     Graph,
     Untangling,
     VerificationReport,
@@ -55,7 +54,6 @@ from .model import (
 from .oracle import (
     DistIcorAnswer,
     ExactUntangleResult,
-    best_chunk_arrangement,
     enumerate_planar_orders,
     exact_3partition,
     exact_disticor,
@@ -64,7 +62,6 @@ from .oracle import (
     naive_planar_orders,
 )
 from .reductions import (
-    ChunkPropertyReport,
     DistIcorInstance,
     PartitionWitness,
     ReducedDistIcor,
@@ -75,6 +72,6 @@ from .reductions import (
     witness_3p_to_disticor,
 )
 from .render import render_svg
-from .seqs import es_tight_cyclic, lccs, lics, lis, moves_between
+from .seqs import es_tight_cyclic, lccs, lics, lis
 
 __all__ = [name for name in dir() if not name.startswith("_")]

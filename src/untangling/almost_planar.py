@@ -177,8 +177,8 @@ def _block_attachment_targets(
 ) -> Iterator[tuple[Vertex, ...]]:
     """Cyclic target orders for the vertex set `side` (block `bi`'s
     component, less the far side of a bridge the caller leaves out) that
-    lay the block along its Hamiltonian cycle (both directions) with each
-    attachment as a contiguous block keeping its input cyclic order.
+    lay the block along its cycle (both directions) with each attachment
+    as a contiguous block keeping its input cyclic order.
 
     An attachment's linearizations are the rotations of its input order in
     which no attachment edge spans its block vertex (the planar ways to lay
@@ -186,26 +186,24 @@ def _block_attachment_targets(
     one walk after the other, through `_concatenations` and its budget.
     """
     g = decomp.graph
-    block = decomp.blocks[bi]
-    ham = block.hamiltonian if block.hamiltonian is not None else tuple(sorted(block.vertices, key=g.index))
-    walks = [ham]
-    rev = (ham[0],) + tuple(reversed(ham[1:]))
-    if rev != ham:
-        walks.append(rev)
+    cycle = decomp.blocks[bi].cycle
+    walks = [cycle]
+    if len(cycle) > 2:  # a bridge's reverse walk is the same walk
+        walks.append((cycle[0],) + tuple(reversed(cycle[1:])))
     # attachments partition `side`, and every edge off the block inside
     # `side` joins two vertices of one attachment
-    owner = {x: b for b in ham for x in decomp.attachment(bi, b) & side}
-    att_orders: dict[Vertex, list[Vertex]] = {b: [] for b in ham}
+    owner = {x: b for b in cycle for x in decomp.attachment(bi, b) & side}
+    att_orders: dict[Vertex, list[Vertex]] = {b: [] for b in cycle}
     for x in d.order:
         if x in owner:
             att_orders[owner[x]].append(x)
-    att_edges: dict[Vertex, list[Edge]] = {b: [] for b in ham}
+    att_edges: dict[Vertex, list[Edge]] = {b: [] for b in cycle}
     for ed in g.edges:
         b = owner.get(ed[0])
         if b is not None and owner.get(ed[1]) == b:
             att_edges[b].append(ed)
     lins = {}
-    for b in ham:
+    for b in cycle:
         sigma = tuple(att_orders[b])
         lins[b] = [sigma[k:] + sigma[:k] for k in _apex_cuts(sigma, b, att_edges[b])]
         _sassert(bool(lins[b]), "attachment admits no valid linearization around its block vertex")
@@ -217,8 +215,8 @@ def unwrap_linearizations(
 ) -> list[tuple[Vertex, ...]]:
     """Linear orders of `comp`, the side of `apex` once the bridge (apex,
     other) is cut, realizing a canonical unwrapping of `apex`: some
-    qualifying block is laid along its Hamiltonian cycle, attachments keep
-    their input cyclic order, and no component edge spans the apex.
+    qualifying block is laid along its cycle, attachments keep their input
+    cyclic order, and no component edge spans the apex.
     `decomp` is the whole graph's tree; the bridge's block is skipped."""
     if len(comp) == 1:
         return [(apex,)]
@@ -273,9 +271,9 @@ def _min_untangle_candidates(
     g = d.graph
     u, v = cand.edge
     bi = decomp.block_with_edge(cand.edge)
-    comp = next(c for c in decomp.components if u in c)
+    comp = decomp.components[decomp.component_of[u]]
     source = restriction(d.order, comp)
-    if decomp.blocks[bi].hamiltonian is not None:  # e lies on a cycle: u, v stay connected in G - e
+    if len(decomp.blocks[bi].cycle) > 2:  # e lies on a cycle: u, v stay connected in G - e
         _, kept = best_target(source, _block_attachment_targets(d, decomp, bi, comp))
         yield set(comp).difference(kept)
         return

@@ -1,12 +1,12 @@
-"""Block-cut tree, Hamiltonian cycles of blocks, and planar circular orders.
+"""Block-cut tree, the cycles of blocks, and planar circular orders.
 
 One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973) yields a graph's blocks,
 cut vertices and components in O(n + m), and peels each block's Hamiltonian
-cycle as it pops the block; attachments are read off the block-cut tree they
-form.  `components` gives the same components from a plain DFS, for callers
-that need no blocks.  `planar_circular_order` lays the tree out freely;
-`planar_order_keeping` lays it out keeping a given sequence of vertices in
-its cyclic order.
+cycle as it pops the block (a bridge's cycle is its two ends); attachments
+are read off the block-cut tree they form.  `components` gives the same
+components from a plain DFS, for callers that need no blocks.
+`planar_circular_order` lays the tree out freely; `planar_order_keeping`
+lays it out keeping a given sequence of vertices in its cyclic order.
 
 The outerplanarity recognizer works by peeling: a 2-connected outerplanar
 block always has a vertex of degree 2, and removing it (recording its two
@@ -22,36 +22,38 @@ import random
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
-from .errors import NotOuterplanar
+from .errors import NotOuterplanar, UnknownVertex
 from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, rotate_to
 
 
 @dataclass(frozen=True)
 class Block:
-    """A 2-connected component: vertex set, edge set, and (for 3 or more
-    vertices) its unique Hamiltonian cyclic order."""
+    """A 2-connected component: vertex set, edge set, and its unique
+    Hamiltonian cyclic order, from its first vertex by rank; a bridge's is
+    its two ends by rank."""
 
     vertices: frozenset[Vertex]
     edges: frozenset[Edge]
-    hamiltonian: Optional[tuple[Vertex, ...]]
+    cycle: tuple[Vertex, ...]
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """The block-cut tree of `graph`, whose blocks carry their Hamiltonian
-    cycles.
+    """The block-cut tree of `graph`, whose blocks carry their cycles.
 
     Block i is joined in the tree to every cut vertex it contains.  Blocks
     are ordered by their sorted vertex ranks, components by their first
     vertex; `incidence` maps each vertex to the indices of the blocks
     containing it, in block order (none for an isolated vertex), so the cut
-    vertices are those in more than one block.
+    vertices are those in more than one block.  `component_of` maps each
+    vertex to the index of its component.
     """
 
     graph: Graph
     blocks: tuple[Block, ...]
     components: tuple[frozenset[Vertex], ...]
     incidence: dict = field(repr=False)
+    component_of: dict = field(repr=False)
 
     def attachment(self, block_index: int, v: Vertex) -> frozenset[Vertex]:
         """The component of G - E(B) containing v, for B the block at
@@ -99,7 +101,7 @@ def components(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> list[frozen
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """The block-cut tree of `g` with each block's Hamiltonian cycle.
+    """The block-cut tree of `g` with each block's cycle.
 
     Block edges are the graph's edge tuples, collected from the DFS edge
     stack; each block of 3 or more vertices is peeled as the DFS pops it.
@@ -112,6 +114,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         adj[e[1]].append((e[0], e))
     disc: dict[Vertex, int] = {}
     low: dict[Vertex, int] = {}
+    component_of: dict[Vertex, int] = {}
     edge_stack: list[Edge] = []
     blocks: list[Block] = []
     components = []
@@ -143,7 +146,9 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                         es = frozenset(edge_stack[height:])
                         del edge_stack[height:]
                         vs = frozenset(w for f in es for w in f)
-                        blocks.append(Block(vs, es, _peel_hamiltonian(g, vs, es) if len(vs) >= 3 else None))
+                        # a bridge's one edge has its ends in rank order already
+                        blocks.append(Block(vs, es, _peel_hamiltonian(g, vs, es) if len(vs) >= 3 else next(iter(es))))
+        component_of.update(dict.fromkeys(comp, len(components)))
         components.append(frozenset(comp))
 
     blocks.sort(key=lambda b: sorted(rank[x] for x in b.vertices))
@@ -151,7 +156,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     for i, b in enumerate(blocks):
         for x in b.vertices:
             incidence[x].append(i)
-    return BlockDecomposition(g, tuple(blocks), tuple(components), incidence)
+    return BlockDecomposition(g, tuple(blocks), tuple(components), incidence, component_of)
 
 
 def _peel_hamiltonian(g: Graph, block_vertices: Iterable[Vertex], block_edges: Collection[Edge]) -> tuple[Vertex, ...]:
@@ -220,11 +225,8 @@ def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: O
     lists, flattened once at the end, so no vertex is copied per level.
     """
     def expand_block(bi: int, entry: Vertex):
-        b = decomp.blocks[bi]
-        if b.hamiltonian is None:
-            walk = [entry, *(b.vertices - {entry})]
-        else:
-            walk = list(rotate_to(b.hamiltonian, entry))
+        walk = list(rotate_to(decomp.blocks[bi].cycle, entry))
+        if len(walk) > 2:  # a bridge has one direction, and draws nothing
             forward = g.index(walk[1]) <= g.index(walk[-1]) if rng is None else rng.random() < 0.5
             if not forward:
                 walk = [walk[0]] + list(reversed(walk[1:]))
@@ -319,11 +321,14 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
     that hand an order out check it once.
     """
     g = decomp.graph
-    comp_of = {x: i for i, c in enumerate(decomp.components) for x in c}
+    comp_of = decomp.component_of
     ranks: list[dict[Vertex, int]] = [{} for _ in decomp.components]
     last = {}
     for i, x in enumerate(walk):
-        c = comp_of[x]
+        try:
+            c = comp_of[x]
+        except KeyError:
+            raise UnknownVertex(repr(x)) from None
         ranks[c][x] = len(ranks[c])
         last[c] = i
     # each component's order, cut before each fixed vertex: the piece from a
@@ -383,8 +388,7 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
         spans = [(rank[v], 1, v) if v in rank else (0, 0, v)]
         for bi in decomp.incidence[v]:
             if bi != parent[v]:
-                ham = decomp.blocks[bi].hamiltonian
-                kids = [laid.pop(w) for w in (rotate_to(ham, v)[1:] if ham else decomp.blocks[bi].vertices - {v})]
+                kids = [laid.pop(w) for w in rotate_to(decomp.blocks[bi].cycle, v)[1:]]
                 ranked = [lo for lo, count, _ in kids if count]
                 if ranked and ranked[0] > ranked[-1]:
                     kids.reverse()

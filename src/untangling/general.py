@@ -13,10 +13,10 @@ from __future__ import annotations
 from math import isqrt
 
 from .blocks import planar_circular_order
-from .errors import ConstructionFailed, InvalidN
+from .errors import ConstructionFailed, InvalidN, TooLarge
 from .generators import cycle_graph
 from .model import CircularDrawing, Untangling, is_planar_drawing, moves_to_reach
-from .seqs import DECREASING, INCREASING, best_target, es_tight_cyclic, lics
+from .seqs import DECREASING, ES_TIGHT_MAX_LEN, INCREASING, best_target, es_tight_cyclic, lics
 
 
 def general_bound(n: int) -> int:
@@ -58,6 +58,8 @@ def tight_rank_permutation(n: int) -> tuple[int, ...]:
     subsequence has exactly floor(sqrt(n-2)) + 2 terms."""
     if n < 4:
         raise InvalidN("tight instances start at n = 4")
+    if n > ES_TIGHT_MAX_LEN:
+        raise TooLarge(f"tight general instances are verified up to n = {ES_TIGHT_MAX_LEN}, got n = {n}")
     s = isqrt(n - 2)
     # every monotone cyclic subsequence of a prefix is one of the whole
     # sequence, so the prefix keeps its bound of s + 2 terms

@@ -147,6 +147,8 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None) -> Circ
     case-2-2: almost-planar with the crossing edge's endpoints joined only
     through cut vertices.
     disconnected: a few perturbed components interleaved by relocations.
+    Only outerplanar-order-perturbed and disconnected take k; almost-planar
+    and case-2-2 raise InvalidN when given one.
     """
     if profile not in PROFILES:
         raise InvalidN(f"unknown profile {profile!r}")
@@ -158,6 +160,8 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None) -> Circ
         raise InvalidN(f"k counts relocations and must be >= 0, got {k}")
     if n == 0 and k:
         raise InvalidN(f"{k} relocations need a vertex to move, but n = 0")
+    if k is not None and profile in ("almost-planar", "case-2-2"):
+        raise InvalidN(f"the {profile} profile draws its own crossings and takes no k")
     rng = _rng(seed, profile, n)
     if profile == "outerplanar-order-perturbed":
         return _perturbed(rng, n, k, connect=False)

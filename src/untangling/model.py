@@ -129,22 +129,6 @@ class CircularDrawing:
 
 
 @dataclass(frozen=True)
-class CrossingSet:
-    """Unordered pairs of edges whose endpoints alternate in the order."""
-
-    pairs: frozenset[frozenset[Edge]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def edges(self) -> set[Edge]:
-        return {e for pair in self.pairs for e in pair}
-
-    def involving(self, e: Edge) -> set[frozenset[Edge]]:
-        return {pair for pair in self.pairs if e in pair}
-
-
-@dataclass(frozen=True)
 class VertexMove:
     """Remove `vertex` and reinsert it immediately clockwise of `anchor`."""
 
@@ -224,8 +208,9 @@ def _alternates(pos: dict, e1: Edge, e2: Edge) -> bool:
     return (a < c < b) != (a < d < b)
 
 
-def crossings(d: CircularDrawing) -> CrossingSet:
-    """All crossing edge pairs of the drawing (endpoints alternate)."""
+def crossings(d: CircularDrawing) -> frozenset[frozenset[Edge]]:
+    """All crossing edge pairs of the drawing (endpoints alternate), each
+    a frozenset of two edges."""
     pos = d._pos
     es = d.graph.sorted_edges()
     pairs = set()
@@ -235,7 +220,7 @@ def crossings(d: CircularDrawing) -> CrossingSet:
                 continue
             if _alternates(pos, e1, e2):
                 pairs.add(frozenset((e1, e2)))
-    return CrossingSet(frozenset(pairs))
+    return frozenset(pairs)
 
 
 def crossing_pair(order: Sequence[Vertex], edges: Iterable[Edge]) -> Optional[tuple[Edge, Edge]]:

@@ -175,11 +175,11 @@ class DistIcorAnswer:
     arrangement: Optional[tuple[tuple[int, int], ...]]  # (chunk index, +1/-1) per slot
 
 
-def _arrangements(chunks: Sequence[Sequence[int]]):
-    """Every arrangement of the chunks, one (chunk index, +1/-1) pair per
-    slot, over all permutations and reversals, each with one longest
-    strictly increasing subsequence of its concatenation.  Raises TooLarge
-    above DISTICOR_MAX_CHUNKS chunks or DISTICOR_MAX_TOTAL items."""
+def exact_disticor(chunks: Sequence[Sequence[int]], M: int) -> DistIcorAnswer:
+    """Exhaustive yes/no with witness for the chunk-ordering problem: the
+    first arrangement, over all chunk permutations and reversals, whose
+    concatenation has a strictly increasing subsequence of M items.  Raises
+    TooLarge above DISTICOR_MAX_CHUNKS chunks or DISTICOR_MAX_TOTAL items."""
     total = sum(len(c) for c in chunks)
     if len(chunks) > DISTICOR_MAX_CHUNKS or total > DISTICOR_MAX_TOTAL:
         raise TooLarge(
@@ -191,24 +191,9 @@ def _arrangements(chunks: Sequence[Sequence[int]]):
             concat: list[int] = []
             for ci, s in zip(perm, signs):
                 concat.extend(chunks[ci] if s == 1 else reversed(chunks[ci]))
-            yield tuple(zip(perm, signs)), lis(concat)
-
-
-def best_chunk_arrangement(chunks: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Exhaustive best: (longest strictly increasing subsequence over all chunk
-    permutations and reversals, one witness, the arrangement achieving it)."""
-    best_len, best_wit, best_arr = 0, (), ()
-    for arr, w in _arrangements(chunks):
-        if len(w) > best_len:
-            best_len, best_wit, best_arr = len(w), tuple(w), arr
-    return best_len, best_wit, best_arr
-
-
-def exact_disticor(chunks: Sequence[Sequence[int]], M: int) -> DistIcorAnswer:
-    """Exhaustive yes/no with witness for the chunk-ordering problem."""
-    for arr, w in _arrangements(chunks):
-        if len(w) >= M:
-            return DistIcorAnswer(True, tuple(w[:M]), arr)
+            w = lis(concat)
+            if len(w) >= M:
+                return DistIcorAnswer(True, tuple(w[:M]), tuple(zip(perm, signs)))
     return DistIcorAnswer(False, None, None)
 
 

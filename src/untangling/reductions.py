@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import lt, mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, NotAWitness, NotDistinct, PropertyViolation
 from .model import CircularDrawing, Graph
@@ -216,21 +216,9 @@ def witness_3p_to_disticor(
     return PartitionWitness(tuple(chunk_order), tuple(ranks), tuple(projection))
 
 
-@dataclass(frozen=True)
-class ChunkPropertyReport:
-    checked: tuple[str, ...]
-
-
-def _existence_samples(n_starts: int) -> list[int]:
-    if n_starts <= 64:
-        return list(range(n_starts))
-    step = n_starts // 48
-    return sorted(set(list(range(0, n_starts, step)) + [n_starts - 1]))
-
-
-def chunk_property_check(reduced: ReducedDistIcor) -> ChunkPropertyReport:
-    """Verify the five structural chunk properties; raise PropertyViolation
-    with a witness on the first failure.
+def chunk_property_check(reduced: ReducedDistIcor) -> None:
+    """Verify the five structural chunk properties on every chunk and run;
+    raise PropertyViolation with a witness on the first failure.
 
     (i)   rank order refines projection order (equal projections rank backwards),
     (ii)  no run crosses a multiple of K + 3X,
@@ -256,14 +244,11 @@ def chunk_property_check(reduced: ReducedDistIcor) -> ChunkPropertyReport:
             if st <= first_multiple <= hi - 1:
                 raise PropertyViolation("ii", (ci, st))
 
-        for ri in _existence_samples(len(ch.start_numbers)):
-            st = ch.start_numbers[ri]
-            lo = ri * ch.run_length
-            seg = ch.projection[lo : lo + ch.run_length]
-            if list(seg) != list(range(st, st + ch.run_length)):
-                raise PropertyViolation("iii", (ci, st))
-            seg_ranks = ch.ranks[lo : lo + ch.run_length]
-            if any(seg_ranks[i] >= seg_ranks[i + 1] for i in range(len(seg_ranks) - 1)):
+        for ri, st in enumerate(ch.start_numbers):
+            run = slice(ri * ch.run_length, (ri + 1) * ch.run_length)
+            seg_ranks = ch.ranks[run]
+            in_order = all(map(lt, seg_ranks, islice(seg_ranks, 1, None)))
+            if not in_order or ch.projection[run] != tuple(range(st, st + ch.run_length)):
                 raise PropertyViolation("iii", (ci, st))
 
         best = lis_length(ch.ranks)
@@ -273,7 +258,6 @@ def chunk_property_check(reduced: ReducedDistIcor) -> ChunkPropertyReport:
         best_rev = lis_length(reversed(ch.ranks))
         if best_rev > reduced.x:
             raise PropertyViolation("v", (ci, best_rev, reduced.x))
-    return ChunkPropertyReport(("i", "ii", "iii", "iv", "v"))
 
 
 def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]:

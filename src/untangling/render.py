@@ -26,7 +26,7 @@ def _xy(i: int, n: int, radius: float) -> tuple[float, float]:
 def render_svg(d: CircularDrawing, moved: Iterable[Vertex] = ()) -> str:
     n = len(d.order)
     moved = set(moved)
-    crossing_edges = crossings(d).edges()
+    crossing_edges = frozenset().union(*crossings(d))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="0 0 {_SIZE} {_SIZE}">',

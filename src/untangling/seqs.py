@@ -220,11 +220,6 @@ def best_target(source, targets) -> tuple:
     return best, [items[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
 
 
-def moves_between(a, b) -> int:
-    """Minimum vertex moves transforming cyclic order `a` into cyclic order `b`."""
-    return len(a) - len(lccs(a, b))
-
-
 # Verifying a witness costs two `lics` calls on it; 1,025 = 32 * 32 + 1
 # items covers every tight general-bound instance with n <= 1,025.
 ES_TIGHT_MAX_LEN = 1025

@@ -206,8 +206,7 @@ def test_criterion_8_partition_reduction_forward():
         w = ut.witness_3p_to_disticor(red, partition)
         assert len(w.ranks) == red.instance.m_target == inst.m * red.block
         assert all(a < b for a, b in zip(w.ranks, w.ranks[1:]))
-        report = ut.chunk_property_check(red)
-        assert report.checked == ("i", "ii", "iii", "iv", "v")
+        assert ut.chunk_property_check(red) is None
         count += 1
     _report("criterion 8 (partition-to-chunks, forward witness + properties)", f"{count} yes-instances, m in 1..2")
 

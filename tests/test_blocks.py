@@ -25,7 +25,7 @@ from untangling import (
     verify_untangling,
 )
 from untangling.blocks import components
-from untangling.errors import InvalidInstance, NotOuterplanar
+from untangling.errors import InvalidInstance, NotOuterplanar, UnknownVertex
 from untangling.generators import PROFILES
 from untangling.model import cyclic_equal, restriction, rotate_to
 
@@ -47,9 +47,32 @@ def test_cycle_is_one_block():
     bd = block_decomposition(g)
     assert len(bd.blocks) == 1
     assert not any(len(bd.incidence[v]) > 1 for v in g.vertices)
-    ham = bd.blocks[0].hamiltonian
+    ham = bd.blocks[0].cycle
     assert cyclic_equal(ham, g.vertices) or cyclic_equal(ham, tuple(reversed(g.vertices)))
     assert all(len(bd.attachment(0, v)) == 1 for v in g.vertices)
+
+
+def test_every_block_has_its_cycle_and_every_vertex_its_component():
+    # a triangle with a pendant path, a bridge, and an isolated vertex
+    g = Graph(
+        ("z", "c", "a", "b", "p", "q", "s", "t"),
+        [("a", "b"), ("b", "c"), ("c", "a"), ("a", "p"), ("p", "q"), ("t", "s")],
+    )
+    bd = block_decomposition(g)
+    assert {blk.vertices: blk.cycle for blk in bd.blocks} == {
+        frozenset("abc"): ("c", "a", "b"),  # from its first vertex by rank, towards the lower-ranked neighbour
+        frozenset("ap"): ("a", "p"),
+        frozenset("pq"): ("p", "q"),
+        frozenset("st"): ("s", "t"),  # a bridge's two ends, by rank
+    }
+    for i, comp in enumerate(bd.components):
+        assert all(bd.component_of[x] == i for x in comp)
+    assert sorted(bd.component_of) == sorted(g.vertices)
+
+
+def test_planar_order_keeping_rejects_unknown_vertex():
+    with pytest.raises(UnknownVertex):
+        planar_order_keeping(block_decomposition(cycle_graph(4)), ("v1", "x"))
 
 
 def test_two_triangles_sharing_a_vertex():
@@ -87,7 +110,7 @@ def test_block_edges_are_hull_or_noncrossing_chords():
     )
     bd = block_decomposition(g)
     (blk,) = bd.blocks
-    assert is_crossing_free(blk.hamiltonian, blk.edges)
+    assert is_crossing_free(blk.cycle, blk.edges)
 
 
 def test_not_outerplanar_inputs():
@@ -112,7 +135,7 @@ def test_hamiltonian_peel_matches_enumeration_uniqueness():
     ]
     for g in samples:
         (block,) = block_decomposition(g).blocks
-        ham = block.hamiltonian
+        ham = block.cycle
         orders = enumerate_planar_orders(g)
         assert len(orders) == 2  # the cycle and its reflection
         for t in orders:
@@ -128,7 +151,7 @@ def test_hamiltonian_peel_of_large_blocks(shape):
     if shape == "fan":
         g = Graph(vs, [*zip(vs, vs[1:]), *((vs[0], x) for x in vs[2:])])
     (block,) = block_decomposition(g).blocks
-    ham = block.hamiltonian
+    ham = block.cycle
     assert sorted(ham, key=g.index) == list(vs)
     for a, b in zip(ham, ham[1:] + ham[:1]):
         g.edge(a, b)  # raises unless the cycle runs along edges
@@ -191,10 +214,10 @@ def recursive_planar_order(g, rng=None):
 
     def expand_block(bi, entry):
         b = decomp.blocks[bi]
-        if b.hamiltonian is None:
+        if len(b.cycle) == 2:
             (other,) = b.vertices - {entry}
             return visit(other, bi)
-        walk = list(rotate_to(b.hamiltonian, entry))
+        walk = list(rotate_to(b.cycle, entry))
         forward = g.index(walk[1]) <= g.index(walk[-1]) if rng is None else rng.random() < 0.5
         if not forward:
             walk = [walk[0]] + list(reversed(walk[1:]))
@@ -258,8 +281,7 @@ def test_block_chords_noncrossing_property(seed):
     d = gen_random(9, seed, "outerplanar-order-perturbed", k=0)
     bd = block_decomposition(d.graph)
     for blk in bd.blocks:
-        if blk.hamiltonian is not None:
-            assert is_crossing_free(blk.hamiltonian, blk.edges)
+        assert is_crossing_free(blk.cycle, blk.edges)
 
 
 def test_isolated_vertices_lie_in_no_block():

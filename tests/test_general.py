@@ -65,7 +65,7 @@ def test_gen_tight_values(n, expect):
 
 
 def test_gen_tight_out_of_range():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=f"up to n = {ES_TIGHT_MAX_LEN}, got n = {ES_TIGHT_MAX_LEN + 1}$"):
         gen_tight_general(ES_TIGHT_MAX_LEN + 1)
     with pytest.raises(InvalidN):
         gen_tight_general(3)

@@ -205,6 +205,8 @@ def test_cli_render(tmp_path, capsys):
         ["--n", "2", "--profile", "almost-planar"],
         ["--n", "8", "--profile", "disconnected", "--k", "-1"],
         ["--n", "0", "--profile", "outerplanar-order-perturbed", "--k", "1"],
+        ["--n", "12", "--seed", "3", "--profile", "almost-planar", "--k", "3"],
+        ["--n", "12", "--profile", "case-2-2", "--k", "0"],
     ],
 )
 def test_cli_generate_random_refuses_unusable_sizes(args, capsys):
@@ -247,9 +249,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["untangle", str(d), "--algorithm", "exact"]) == 4
     capsys.readouterr()
 
-    # 4: tight general-bound instance above the verification budget
+    # 4: tight general-bound instance above the verification budget, named
+    # by the requested n and not by the internal grid's length (1090)
     assert main(["generate", "es-tight", "--n", "1026"]) == 4
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "n = 1026" in err and "n = 1025" in err and "1090" not in err
 
     # 1: verify reports non-planar result
     mv = tmp_path / "noop.mv"

@@ -104,7 +104,7 @@ def test_drawing_equality_up_to_rotation():
 
 def test_crossings_c4():
     got = crossings(c4_tangled())
-    assert got.pairs == frozenset({frozenset({("v1", "v2"), ("v3", "v4")})})
+    assert got == frozenset({frozenset({("v1", "v2"), ("v3", "v4")})})
 
 
 def test_adjacent_edges_never_cross():
@@ -112,7 +112,7 @@ def test_adjacent_edges_never_cross():
     for order in (("a", "b", "c", "d"), ("a", "c", "b", "d"), ("b", "d", "a", "c")):
         assert all(
             ("b" not in e1 or "b" not in e2)
-            for pair in crossings(CircularDrawing(g, order)).pairs
+            for pair in crossings(CircularDrawing(g, order))
             for e1 in pair
             for e2 in pair
         )
@@ -137,7 +137,7 @@ def test_crossing_detection_agrees_with_stack_check(seed):
 def test_alternation_soundness(seed):
     # for every reported crossing the endpoints alternate ABAB from any start
     d = gen_random(8, seed, "outerplanar-order-perturbed")
-    for pair in crossings(d).pairs:
+    for pair in crossings(d):
         e1, e2 = sorted(pair)
         for start in d.order:
             walk = rotate_to(d.order, start)
@@ -188,12 +188,15 @@ def small_drawings(draw):
         (8, "outerplanar-order-perturbed", -1),
         (8, "disconnected", -2),
         (0, "outerplanar-order-perturbed", 1),
+        (12, "almost-planar", 3),
+        (12, "case-2-2", 0),
     ],
 )
 def test_gen_random_rejects_sizes_it_cannot_honour(n, profile, k):
     """A negative n or k, an almost-planar drawing on fewer than 4 vertices
-    (none has a crossing), or relocations with no vertex to move, is refused
-    before any drawing is made."""
+    (none has a crossing), relocations with no vertex to move, or a k for a
+    profile that draws its own crossings, is refused before any drawing is
+    made."""
     with pytest.raises(InvalidN):
         gen_random(n, 0, profile, k)
 
@@ -214,7 +217,7 @@ def test_classify_matches_brute_force(d):
     pairs = crossings(d)
     want = [
         e for e in g.sorted_edges()
-        if pairs.involving(e) and not crossings(CircularDrawing(g.without_edge(e), d.order))
+        if any(e in pair for pair in pairs) and not crossings(CircularDrawing(g.without_edge(e), d.order))
     ]
     cls = classify(d)
     kind = PLANAR if not pairs else ALMOST_PLANAR if want else NOT_ALMOST_PLANAR
@@ -226,7 +229,7 @@ def test_classify_matches_brute_force(d):
     pair = crossing_pair(d.order, g.edges)
     assert (pair is None) == (len(pairs) == 0) == is_crossing_free(d.order, g.edges)
     if pair is not None:
-        assert frozenset(pair) in pairs.pairs
+        assert frozenset(pair) in pairs
 
 
 def test_apply_examples():

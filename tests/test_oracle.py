@@ -8,7 +8,6 @@ import pytest
 from untangling import (
     CircularDrawing,
     Graph,
-    best_chunk_arrangement,
     cycle_graph,
     enumerate_planar_orders,
     exact_3partition,
@@ -305,19 +304,28 @@ def test_exact_disticor_trivial():
     chunks = ((2, 5), (1, 8, 4), (6, 7, 9, 3))
     assert exact_disticor(chunks, 1).solvable
     assert not exact_disticor(chunks, 10).solvable  # M = L + 1
-    best, wit, arr = best_chunk_arrangement(chunks)
-    assert best == 6  # golden, frozen after first computation
-    assert list(wit) == sorted(wit)
+    six = exact_disticor(chunks, 6)
+    assert six.solvable and list(six.witness) == sorted(six.witness)
+    assert not exact_disticor(chunks, 7).solvable  # 6 is golden, frozen after first computation
 
 
 def test_exact_disticor_agrees_with_lis_per_arrangement():
     chunks = ((3, 1), (2, 4))
-    best, _, arr = best_chunk_arrangement(chunks)
-    concat = []
-    for ci, s in arr:
-        seq = list(chunks[ci])
-        concat.extend(seq if s == 1 else reversed(seq))
-    assert len(lis(concat)) == best
+
+    def concat(arr):
+        return [x for ci, s in arr for x in (chunks[ci] if s == 1 else reversed(chunks[ci]))]
+
+    every = [((a, sa), (b, sb)) for a, b in ((0, 1), (1, 0)) for sa in (1, -1) for sb in (1, -1)]
+    best = max(len(lis(concat(arr))) for arr in every)
+    assert best == 3
+    for m in range(1, 5):
+        ans = exact_disticor(chunks, m)
+        assert ans.solvable == (m <= best)
+        if ans.solvable:
+            # the witness is M increasing items of the arrangement it names
+            items = iter(concat(ans.arrangement))
+            assert len(ans.witness) == m and all(x in items for x in ans.witness)
+            assert list(ans.witness) == sorted(ans.witness)
 
 
 def test_exact_disticor_budget():

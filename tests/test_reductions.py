@@ -160,8 +160,7 @@ def test_witness_rejects_bad_partition(reduced_m1):
 
 
 def test_chunk_properties_pass(reduced_m1):
-    report = chunk_property_check(reduced_m1)
-    assert report.checked == ("i", "ii", "iii", "iv", "v")
+    assert chunk_property_check(reduced_m1) is None
 
 
 def test_chunk_properties_catch_mutation(reduced_m1):
@@ -208,6 +207,16 @@ def test_chunk_property_iii_catches_run_edit(reduced_m1):
     starts = list(ch0.start_numbers)
     starts[0], starts[1] = starts[1], starts[0]
     assert _violated(_with_chunk0(reduced_m1, dataclasses.replace(ch0, start_numbers=tuple(starts)))) == "iii"
+
+
+def test_chunk_property_iii_checks_every_run():
+    # 186 runs per chunk; a check of a sample of them could miss runs 1 and 2
+    red = reduce_3p_to_disticor(ThreePartitionInstance((12, 12, 18, 12, 12, 18), 42))
+    ch0 = red.chunks[0]
+    starts = list(ch0.start_numbers)
+    assert len(starts) == 186
+    starts[1], starts[2] = starts[2], starts[1]
+    assert _violated(_with_chunk0(red, dataclasses.replace(ch0, start_numbers=tuple(starts)))) == "iii"
 
 
 def test_chunk_property_iv_catches_rising_runs(reduced_m1):
