@@ -8,7 +8,6 @@ oracles, hardness-reduction instance builders, and a small CLI.
 
 from .almost_planar import edge_fixed_untangle, min_untangle, one_side_untangle, unwrap_linearizations
 from .blocks import (
-    Block,
     BlockDecomposition,
     block_decomposition,
     planar_circular_order,

@@ -186,7 +186,7 @@ def _block_attachment_targets(
     one walk after the other, through `_concatenations` and its budget.
     """
     g = decomp.graph
-    cycle = decomp.blocks[bi].cycle
+    cycle = decomp.blocks[bi]
     walks = [cycle]
     if len(cycle) > 2:  # a bridge's reverse walk is the same walk
         walks.append((cycle[0],) + tuple(reversed(cycle[1:])))
@@ -232,7 +232,7 @@ def unwrap_linearizations(
 
     qualifying = []
     for bi in decomp.incidence[apex]:
-        if other in decomp.blocks[bi].vertices:  # the bridge
+        if other in decomp.blocks[bi]:  # the bridge
             continue
         att = decomp.attachment(bi, apex) & comp
         if not any(covers_apex(ed) for ed in edges if ed[0] in att and ed[1] in att):
@@ -273,7 +273,7 @@ def _min_untangle_candidates(
     bi = decomp.block_with_edge(cand.edge)
     comp = decomp.components[decomp.component_of[u]]
     source = restriction(d.order, comp)
-    if len(decomp.blocks[bi].cycle) > 2:  # e lies on a cycle: u, v stay connected in G - e
+    if len(decomp.blocks[bi]) > 2:  # e lies on a cycle: u, v stay connected in G - e
         _, kept = best_target(source, _block_attachment_targets(d, decomp, bi, comp))
         yield set(comp).difference(kept)
         return

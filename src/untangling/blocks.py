@@ -1,10 +1,11 @@
 """Block-cut tree, the cycles of blocks, and planar circular orders.
 
-One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973) yields a graph's blocks,
-cut vertices and components in O(n + m), and peels each block's Hamiltonian
-cycle as it pops the block (a bridge's cycle is its two ends); attachments
-are read off the block-cut tree they form.  `components` gives the same
-components from a plain DFS, for callers that need no blocks.
+One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973) over vertex ranks
+yields a graph's blocks, cut vertices and components in O(n + m), and peels
+each block's Hamiltonian cycle as it pops the block.  A block is that cycle
+(a bridge's is its two ends); attachments are read off the block-cut tree
+the blocks form.  `components` gives the same components from a plain DFS,
+for callers that need no blocks.
 `planar_circular_order` lays the tree out freely; `planar_order_keeping`
 lays it out keeping a given sequence of vertices in its cyclic order.
 
@@ -20,26 +21,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Collection, Iterable, Optional, Sequence
 
-from .errors import NotOuterplanar, UnknownVertex
+from .errors import InvalidInstance, NotOuterplanar, UnknownVertex
 from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, rotate_to
 
 
 @dataclass(frozen=True)
-class Block:
-    """A 2-connected component: vertex set, edge set, and its unique
-    Hamiltonian cyclic order, from its first vertex by rank; a bridge's is
-    its two ends by rank."""
-
-    vertices: frozenset[Vertex]
-    edges: frozenset[Edge]
-    cycle: tuple[Vertex, ...]
-
-
-@dataclass(frozen=True)
 class BlockDecomposition:
-    """The block-cut tree of `graph`, whose blocks carry their cycles.
+    """The block-cut tree of `graph`.  A block is its cycle (see
+    `_peel_hamiltonian`); a bridge's is its two ends by rank.
 
     Block i is joined in the tree to every cut vertex it contains.  Blocks
     are ordered by their sorted vertex ranks, components by their first
@@ -50,7 +42,7 @@ class BlockDecomposition:
     """
 
     graph: Graph
-    blocks: tuple[Block, ...]
+    blocks: tuple[tuple[Vertex, ...], ...]
     components: tuple[frozenset[Vertex], ...]
     incidence: dict = field(repr=False)
     component_of: dict = field(repr=False)
@@ -63,16 +55,17 @@ class BlockDecomposition:
             for bi in self.incidence[stack.pop()]:
                 if bi not in seen:
                     seen.add(bi)
-                    fresh = self.blocks[bi].vertices - out
-                    out |= fresh
+                    fresh = [w for w in self.blocks[bi] if w not in out]
+                    out.update(fresh)
                     stack.extend(fresh)
         return frozenset(out)
 
     def block_with_edge(self, e: Edge) -> int:
-        for i in self.incidence[e[0]]:
-            if e in self.blocks[i].edges:
-                return i
-        raise KeyError(e)
+        """The index of the block holding the edge e (UnknownEdge if the
+        graph has no such edge): the one block containing both ends, since
+        two blocks share at most one vertex."""
+        a, b = self.graph.edge(*e)
+        return next(i for i in self.incidence[a] if i in self.incidence[b])
 
 
 def components(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> list[frozenset[Vertex]]:
@@ -103,78 +96,79 @@ def components(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> list[frozen
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """The block-cut tree of `g` with each block's cycle.
 
-    Block edges are the graph's edge tuples, collected from the DFS edge
-    stack; each block of 3 or more vertices is peeled as the DFS pops it.
-    Raises NotOuterplanar at the first popped block that is not outerplanar.
+    The DFS runs on vertex ranks: its edge stack holds rank pairs, and each
+    block of 3 or more vertices is peeled as the DFS pops it.  Names are put
+    on the finished cycles and components.  Raises NotOuterplanar at the
+    first popped block that is not outerplanar.
     """
-    rank = {x: i for i, x in enumerate(g.vertices)}
-    adj: dict[Vertex, list[tuple[Vertex, Edge]]] = {x: [] for x in rank}
-    for e in g.edges:
-        adj[e[0]].append((e[1], e))
-        adj[e[1]].append((e[0], e))
-    disc: dict[Vertex, int] = {}
-    low: dict[Vertex, int] = {}
-    component_of: dict[Vertex, int] = {}
-    edge_stack: list[Edge] = []
-    blocks: list[Block] = []
-    components = []
-    for root in rank:
-        if root in disc:
+    vs, index = g.vertices, g._index
+    n = len(vs)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in g.edges:
+        i, j = index[a], index[b]
+        adj[i].append(j)
+        adj[j].append(i)
+    disc, low, tick = [-1] * n, [0] * n, count()
+    edge_stack: list[tuple[int, int]] = []
+    cycles: list[tuple[int, ...]] = []
+    comps: list[list[int]] = []
+    for root in range(n):
+        if disc[root] >= 0:
             continue
-        disc[root] = low[root] = len(disc)
+        disc[root] = low[root] = next(tick)
         comp = [root]
-        # frames: vertex, tree edge into it, neighbor iterator, edge stack height before that edge
-        stack = [(root, None, iter(adj[root]), 0)]
+        # frames: vertex, its DFS parent, neighbour iterator, edge stack height before the tree edge
+        stack = [(root, -1, iter(adj[root]), 0)]
         while stack:
-            x, via, it, height = stack[-1]
-            for y, e in it:
-                if y not in disc:
-                    disc[y] = low[y] = len(disc)
+            x, parent, it, height = stack[-1]
+            for y in it:
+                if disc[y] < 0:
+                    disc[y] = low[y] = next(tick)
                     comp.append(y)
-                    stack.append((y, e, iter(adj[y]), len(edge_stack)))
-                    edge_stack.append(e)
+                    stack.append((y, x, iter(adj[y]), len(edge_stack)))
+                    edge_stack.append((x, y))
                     break
-                if disc[y] < disc[x] and e != via:  # back edge to an ancestor
-                    edge_stack.append(e)
+                if disc[y] < disc[x] and y != parent:  # back edge to an ancestor
+                    edge_stack.append((x, y))
                     low[x] = min(low[x], disc[y])
             else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[x])
-                    if low[x] >= disc[p]:  # p separates x's subtree: pop its block
-                        es = frozenset(edge_stack[height:])
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[x])
+                    if low[x] >= disc[parent]:  # the parent separates x's subtree: pop its block
+                        es = edge_stack[height:]
                         del edge_stack[height:]
-                        vs = frozenset(w for f in es for w in f)
-                        # a bridge's one edge has its ends in rank order already
-                        blocks.append(Block(vs, es, _peel_hamiltonian(g, vs, es) if len(vs) >= 3 else next(iter(es))))
-        component_of.update(dict.fromkeys(comp, len(components)))
-        components.append(frozenset(comp))
+                        cycles.append(_peel_hamiltonian(es) if len(es) > 1 else (min(x, parent), max(x, parent)))
+        comps.append(comp)
 
-    blocks.sort(key=lambda b: sorted(rank[x] for x in b.vertices))
-    incidence: dict[Vertex, list[int]] = {x: [] for x in rank}
-    for i, b in enumerate(blocks):
-        for x in b.vertices:
-            incidence[x].append(i)
-    return BlockDecomposition(g, tuple(blocks), tuple(components), incidence, component_of)
+    cycles.sort(key=sorted)
+    blocks = tuple(tuple(vs[i] for i in cyc) for cyc in cycles)
+    incidence: dict[Vertex, list[int]] = {x: [] for x in vs}
+    for bi, cyc in enumerate(blocks):
+        for x in cyc:
+            incidence[x].append(bi)
+    component_of = {vs[x]: ci for ci, comp in enumerate(comps) for x in comp}
+    components = tuple(frozenset(vs[i] for i in comp) for comp in comps)
+    return BlockDecomposition(g, blocks, components, incidence, component_of)
 
 
-def _peel_hamiltonian(g: Graph, block_vertices: Iterable[Vertex], block_edges: Collection[Edge]) -> tuple[Vertex, ...]:
+def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ...]:
     """Unique Hamiltonian cyclic order of a 2-connected outerplanar block of
-    3 or more vertices.
+    3 or more vertices, given by its edges as rank pairs, from its lowest
+    rank towards the lower of that vertex's two cycle neighbours.
 
     Raises NotOuterplanar when the peel stalls, a reinsertion target is not
     cycle-adjacent, or the reconstructed order leaves crossing chords.
     """
-    verts = sorted(block_vertices, key=g.index)
-    adj: dict[Vertex, set[Vertex]] = {v: set() for v in verts}
+    verts = sorted({x for e in block_edges for x in e})
+    adj: dict[int, set[int]] = {v: set() for v in verts}
     for a, b in block_edges:
         adj[a].add(b)
         adj[b].add(a)
 
     # a stack holds every vertex of degree 2; degrees never grow, so a
     # vertex found on it at another degree (or peeled) is stale
-    peel: list[tuple[Vertex, Vertex, Vertex]] = []
+    peel: list[tuple[int, int, int]] = []
     ready = [x for x in reversed(verts) if len(adj[x]) == 2]
     while len(adj) > 2:
         while ready and len(adj.get(ready[-1], ())) != 2:
@@ -182,7 +176,7 @@ def _peel_hamiltonian(g: Graph, block_vertices: Iterable[Vertex], block_edges: C
         if not ready:
             raise NotOuterplanar("degree-2 peel stalled (K4-like substructure)")
         w = ready.pop()
-        a, b = sorted(adj.pop(w), key=g.index)
+        a, b = sorted(adj.pop(w))
         peel.append((w, a, b))
         for x, y in ((a, b), (b, a)):
             adj[x].discard(w)
@@ -208,9 +202,9 @@ def _peel_hamiltonian(g: Graph, block_vertices: Iterable[Vertex], block_edges: C
     if not is_crossing_free(cycle, block_edges):
         raise NotOuterplanar("block chords cross in the reconstructed Hamiltonian order")
 
-    ham = rotate_to(tuple(cycle), min(cycle, key=g.index))
-    if g.index(ham[-1]) < g.index(ham[1]):
-        ham = (ham[0],) + tuple(reversed(ham[1:]))
+    ham = rotate_to(tuple(cycle), min(cycle))
+    if ham[-1] < ham[1]:
+        ham = (ham[0],) + ham[:0:-1]
     return ham
 
 
@@ -225,7 +219,7 @@ def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: O
     lists, flattened once at the end, so no vertex is copied per level.
     """
     def expand_block(bi: int, entry: Vertex):
-        walk = list(rotate_to(decomp.blocks[bi].cycle, entry))
+        walk = list(rotate_to(decomp.blocks[bi], entry))
         if len(walk) > 2:  # a bridge has one direction, and draws nothing
             forward = g.index(walk[1]) <= g.index(walk[-1]) if rng is None else rng.random() < 0.5
             if not forward:
@@ -305,9 +299,9 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
     """A crossing-free cyclic order of `decomp.graph` whose restriction to
     the vertices of `walk` is `walk` up to rotation, or None when there is
     none.  `walk` lists distinct vertices in the cyclic order to keep, e.g.
-    `restriction(order, fixed)`.  `decomp` is the graph's
-    `block_decomposition`, which also certifies that the graph is
-    outerplanar.
+    `restriction(order, fixed)`; a repeat raises InvalidInstance.  `decomp`
+    is the graph's `block_decomposition`, which also certifies that the
+    graph is outerplanar.
 
     The crossing-free orders of a connected outerplanar graph are the
     frontiers of its block-cut tree read as a PQ-tree: each block is a
@@ -329,6 +323,8 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
             c = comp_of[x]
         except KeyError:
             raise UnknownVertex(repr(x)) from None
+        if x in ranks[c]:
+            raise InvalidInstance(f"walk repeats vertex {x!r}")
         ranks[c][x] = len(ranks[c])
         last[c] = i
     # each component's order, cut before each fixed vertex: the piece from a
@@ -380,15 +376,16 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
     for v in tree_order:
         for bi in decomp.incidence[v]:
             if bi != parent[v]:
-                for w in decomp.blocks[bi].vertices - {v}:
-                    parent[w] = bi
-                    tree_order.append(w)
+                for w in decomp.blocks[bi]:
+                    if w != v:
+                        parent[w] = bi
+                        tree_order.append(w)
     laid: dict[Vertex, tuple[int, int, object]] = {}  # order: a vertex or nested lists
     for v in reversed(tree_order):
         spans = [(rank[v], 1, v) if v in rank else (0, 0, v)]
         for bi in decomp.incidence[v]:
             if bi != parent[v]:
-                kids = [laid.pop(w) for w in rotate_to(decomp.blocks[bi].cycle, v)[1:]]
+                kids = [laid.pop(w) for w in rotate_to(decomp.blocks[bi], v)[1:]]
                 ranked = [lo for lo, count, _ in kids if count]
                 if ranked and ranked[0] > ranked[-1]:
                     kids.reverse()

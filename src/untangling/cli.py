@@ -116,7 +116,11 @@ def _cmd_render(args) -> int:
         rep = verify_untangling(d, u)
         d = rep.result
         moved = tuple(u.moved_set())
-    Path(args.output).write_text(render_svg(d, moved=moved), encoding="utf-8")
+    svg = render_svg(d, moved=moved)
+    try:
+        Path(args.output).write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot write {args.output}: {exc}") from exc
     return EXIT_OK
 
 

@@ -70,7 +70,10 @@ def parse_moves(text: str) -> Untangling:
     for parts in _payload_lines(text):
         if len(parts) != 4 or parts[0] != "move" or parts[2] != "after":
             raise FormatError(f"bad move line: {' '.join(parts)}")
-        moves.append(VertexMove(parts[1], parts[3]))
+        try:
+            moves.append(VertexMove(parts[1], parts[3]))
+        except UntanglingError as exc:
+            raise FormatError(f"bad move line: {' '.join(parts)}: {exc}") from exc
     return Untangling(tuple(moves))
 
 

@@ -8,6 +8,7 @@ and pure.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -202,24 +203,25 @@ def restriction(order: Sequence[Vertex], subset: Iterable[Vertex]) -> tuple[Vert
     return tuple(v for v in order if v in ss)
 
 
-def _alternates(pos: dict, e1: Edge, e2: Edge) -> bool:
-    a, b = sorted((pos[e1[0]], pos[e1[1]]))
-    c, d = pos[e2[0]], pos[e2[1]]
-    return (a < c < b) != (a < d < b)
-
-
 def crossings(d: CircularDrawing) -> frozenset[frozenset[Edge]]:
-    """All crossing edge pairs of the drawing (endpoints alternate), each
-    a frozenset of two edges."""
+    """All crossing edge pairs of the drawing, each a frozenset of two edges.
+
+    By position, chords (a, b) and (c, e) with a < c cross iff c < b < e.
+    One sweep over left ends keeps the open chords sorted by right end; the
+    chords that open together go longest first, so none counts another.
+    """
     pos = d._pos
-    es = d.graph.sorted_edges()
+    chords = []
+    for e in d.graph.edges:
+        i, j = pos[e[0]], pos[e[1]]
+        chords.append((i, -j, e) if i < j else (j, -i, e))
+    chords.sort()
+    open_chords: list[tuple[int, Edge]] = []  # (right end, edge), by right end
     pairs = set()
-    for i, e1 in enumerate(es):
-        for e2 in es[i + 1 :]:
-            if e1[0] in e2 or e1[1] in e2:
-                continue
-            if _alternates(pos, e1, e2):
-                pairs.add(frozenset((e1, e2)))
+    for c, neg_end, f in chords:
+        del open_chords[: bisect_left(open_chords, (c + 1,))]  # closed at or before c
+        pairs.update(frozenset((g, f)) for _, g in open_chords[: bisect_left(open_chords, (-neg_end,))])
+        insort(open_chords, (-neg_end, f))
     return frozenset(pairs)
 
 

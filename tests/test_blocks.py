@@ -25,7 +25,7 @@ from untangling import (
     verify_untangling,
 )
 from untangling.blocks import components
-from untangling.errors import InvalidInstance, NotOuterplanar, UnknownVertex
+from untangling.errors import InvalidInstance, NotOuterplanar, UnknownEdge, UnknownVertex
 from untangling.generators import PROFILES
 from untangling.model import cyclic_equal, restriction, rotate_to
 
@@ -42,12 +42,19 @@ def k23():
     )
 
 
+def _block_edges(g, cycle):
+    """The edges of the block whose cycle is `cycle`: those with both ends
+    on it, since two blocks share at most one vertex."""
+    vs = set(cycle)
+    return {e for e in g.edges if e[0] in vs and e[1] in vs}
+
+
 def test_cycle_is_one_block():
     g = cycle_graph(6)
     bd = block_decomposition(g)
     assert len(bd.blocks) == 1
     assert not any(len(bd.incidence[v]) > 1 for v in g.vertices)
-    ham = bd.blocks[0].cycle
+    (ham,) = bd.blocks
     assert cyclic_equal(ham, g.vertices) or cyclic_equal(ham, tuple(reversed(g.vertices)))
     assert all(len(bd.attachment(0, v)) == 1 for v in g.vertices)
 
@@ -59,12 +66,12 @@ def test_every_block_has_its_cycle_and_every_vertex_its_component():
         [("a", "b"), ("b", "c"), ("c", "a"), ("a", "p"), ("p", "q"), ("t", "s")],
     )
     bd = block_decomposition(g)
-    assert {blk.vertices: blk.cycle for blk in bd.blocks} == {
-        frozenset("abc"): ("c", "a", "b"),  # from its first vertex by rank, towards the lower-ranked neighbour
-        frozenset("ap"): ("a", "p"),
-        frozenset("pq"): ("p", "q"),
-        frozenset("st"): ("s", "t"),  # a bridge's two ends, by rank
-    }
+    assert bd.blocks == (
+        ("c", "a", "b"),  # from its first vertex by rank, towards the lower-ranked neighbour
+        ("a", "p"),
+        ("p", "q"),
+        ("s", "t"),  # a bridge's two ends, by rank
+    )
     for i, comp in enumerate(bd.components):
         assert all(bd.component_of[x] == i for x in comp)
     assert sorted(bd.component_of) == sorted(g.vertices)
@@ -73,6 +80,24 @@ def test_every_block_has_its_cycle_and_every_vertex_its_component():
 def test_planar_order_keeping_rejects_unknown_vertex():
     with pytest.raises(UnknownVertex):
         planar_order_keeping(block_decomposition(cycle_graph(4)), ("v1", "x"))
+
+
+@pytest.mark.parametrize("walk", [("v1", "v3", "v1"), ("v1", "v1")])
+def test_planar_order_keeping_rejects_repeated_vertex(walk):
+    with pytest.raises(InvalidInstance, match="'v1'"):
+        planar_order_keeping(block_decomposition(cycle_graph(5)), walk)
+
+
+def test_block_with_edge_holds_both_ends():
+    for seed in range(20):
+        for profile in ("almost-planar", "outerplanar-order-perturbed"):
+            bd = block_decomposition(gen_random(12, seed, profile).graph)
+            for e in bd.graph.edges:
+                assert set(e) <= set(bd.blocks[bd.block_with_edge(e)])
+    with pytest.raises(UnknownEdge):  # the ends share no block
+        block_decomposition(path_graph(3)).block_with_edge(("v1", "v3"))
+    with pytest.raises(UnknownEdge):  # the ends share a block, but not an edge
+        block_decomposition(cycle_graph(5)).block_with_edge(("v1", "v3"))
 
 
 def test_two_triangles_sharing_a_vertex():
@@ -84,7 +109,7 @@ def test_two_triangles_sharing_a_vertex():
     assert len(bd.blocks) == 2
     assert {v for v in g.vertices if len(bd.incidence[v]) > 1} == {"c"}
     for i, blk in enumerate(bd.blocks):
-        other = {"a1", "a2", "b1", "b2"} - set(blk.vertices)
+        other = {"a1", "a2", "b1", "b2"} - set(blk)
         assert bd.attachment(i, "c") == frozenset(other | {"c"})
 
 
@@ -95,12 +120,12 @@ def test_attachments_partition_vertices():
     )
     bd = block_decomposition(g)
     for i, blk in enumerate(bd.blocks):
-        parts = [bd.attachment(i, v) for v in sorted(blk.vertices, key=g.index)]
+        parts = [bd.attachment(i, v) for v in sorted(blk, key=g.index)]
         union = set().union(*parts)
         assert union == set(g.vertices)
         assert sum(len(p) for p in parts) == len(g.vertices)
-        for v, p in zip(sorted(blk.vertices, key=g.index), parts):
-            assert set(p) & set(blk.vertices) == {v}
+        for v, p in zip(sorted(blk, key=g.index), parts):
+            assert set(p) & set(blk) == {v}
 
 
 def test_block_edges_are_hull_or_noncrossing_chords():
@@ -110,7 +135,7 @@ def test_block_edges_are_hull_or_noncrossing_chords():
     )
     bd = block_decomposition(g)
     (blk,) = bd.blocks
-    assert is_crossing_free(blk.cycle, blk.edges)
+    assert is_crossing_free(blk, g.edges)
 
 
 def test_not_outerplanar_inputs():
@@ -134,8 +159,7 @@ def test_hamiltonian_peel_matches_enumeration_uniqueness():
         Graph(("a", "b", "c", "d"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]),
     ]
     for g in samples:
-        (block,) = block_decomposition(g).blocks
-        ham = block.cycle
+        (ham,) = block_decomposition(g).blocks
         orders = enumerate_planar_orders(g)
         assert len(orders) == 2  # the cycle and its reflection
         for t in orders:
@@ -150,8 +174,7 @@ def test_hamiltonian_peel_of_large_blocks(shape):
     vs = g.vertices
     if shape == "fan":
         g = Graph(vs, [*zip(vs, vs[1:]), *((vs[0], x) for x in vs[2:])])
-    (block,) = block_decomposition(g).blocks
-    ham = block.cycle
+    (ham,) = block_decomposition(g).blocks
     assert sorted(ham, key=g.index) == list(vs)
     for a, b in zip(ham, ham[1:] + ham[:1]):
         g.edge(a, b)  # raises unless the cycle runs along edges
@@ -169,9 +192,9 @@ def test_attachment_consecutive_in_every_planar_order():
         [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "p"), ("p", "q")],
     )
     bd = block_decomposition(g)
-    bi = next(i for i, blk in enumerate(bd.blocks) if len(blk.vertices) == 4)
+    bi = next(i for i, blk in enumerate(bd.blocks) if len(blk) == 4)
     for t in enumerate_planar_orders(g):
-        for v in bd.blocks[bi].vertices:
+        for v in bd.blocks[bi]:
             att = bd.attachment(bi, v)
             marks = [x in att for x in t]
             runs = sum(1 for i in range(len(t)) if marks[i] and not marks[i - 1])
@@ -214,10 +237,10 @@ def recursive_planar_order(g, rng=None):
 
     def expand_block(bi, entry):
         b = decomp.blocks[bi]
-        if len(b.cycle) == 2:
-            (other,) = b.vertices - {entry}
+        if len(b) == 2:
+            (other,) = set(b) - {entry}
             return visit(other, bi)
-        walk = list(rotate_to(b.cycle, entry))
+        walk = list(rotate_to(b, entry))
         forward = g.index(walk[1]) <= g.index(walk[-1]) if rng is None else rng.random() < 0.5
         if not forward:
             walk = [walk[0]] + list(reversed(walk[1:]))
@@ -281,13 +304,13 @@ def test_block_chords_noncrossing_property(seed):
     d = gen_random(9, seed, "outerplanar-order-perturbed", k=0)
     bd = block_decomposition(d.graph)
     for blk in bd.blocks:
-        assert is_crossing_free(blk.cycle, blk.edges)
+        assert is_crossing_free(blk, _block_edges(d.graph, blk))
 
 
 def test_isolated_vertices_lie_in_no_block():
     g = Graph(("a", "b", "c", "z", "w"), [("a", "b"), ("b", "c"), ("c", "a")])
     bd = block_decomposition(g)
-    assert [blk.vertices for blk in bd.blocks] == [frozenset("abc")]
+    assert bd.blocks == (("a", "b", "c"),)
     assert not any(len(bd.incidence[v]) > 1 for v in g.vertices)
     assert all(bd.attachment(0, v) == frozenset(v) for v in "abc")
     assert planar_circular_order(g).order == ("a", "b", "c", "z", "w")
@@ -310,8 +333,8 @@ def test_attachments_stay_within_their_component():
     bd = block_decomposition(g)
     assert len(bd.blocks) == 4
     for i, blk in enumerate(bd.blocks):
-        comp = left if blk.vertices <= left else right
-        assert set().union(*(bd.attachment(i, v) for v in blk.vertices)) == comp
+        comp = left if set(blk) <= left else right
+        assert set().union(*(bd.attachment(i, v) for v in blk)) == comp
 
 
 # -- the block-cut tree against the definitions, by plain BFS -------------------
@@ -341,25 +364,31 @@ def _check_against_definitions(g, tree):
     count = len(_bfs_components(g.vertices, edges))
     assert set(tree.components) == set(_bfs_components(g.vertices, edges))
     assert components(g.vertices, edges) == list(tree.components)
-    # the blocks partition the edges, and two blocks share at most one vertex
-    assert sorted(e for blk in tree.blocks for e in blk.edges) == edges
+    # each edge has both ends in exactly one block's cycle, and two blocks
+    # share at most one vertex
+    for e in edges:
+        assert sum(set(e) <= set(blk) for blk in tree.blocks) == 1
     for i, blk in enumerate(tree.blocks):
-        assert blk.vertices == {x for e in blk.edges for x in e}
-        assert all(len(blk.vertices & other.vertices) <= 1 for other in tree.blocks[i + 1 :])
+        assert len(set(blk)) == len(blk) and all(len(set(blk) & set(other)) <= 1 for other in tree.blocks[i + 1 :])
     for blk in tree.blocks:
-        if len(blk.edges) == 1:  # a bridge: deleting it splits a component
-            assert len(_bfs_components(g.vertices, set(edges) - blk.edges)) == count + 1
+        bedges = _block_edges(g, blk)
+        assert set(blk) == {x for e in bedges for x in e}
+        # the cycle runs along edges, and the block's chords do not cross it
+        assert all(g.edge(a, b) in bedges for a, b in zip(blk, blk[1:] + blk[:1]))
+        assert is_crossing_free(blk, bedges)
+        if len(blk) == 2:  # a bridge: deleting it splits a component
+            assert len(_bfs_components(g.vertices, set(edges) - bedges)) == count + 1
         else:  # 2-connected: no single vertex deletion disconnects the block
-            for x in blk.vertices:
-                assert len(_bfs_components(blk.vertices - {x}, [e for e in blk.edges if x not in e])) == 1
+            for x in blk:
+                assert len(_bfs_components(set(blk) - {x}, [e for e in bedges if x not in e])) == 1
     for v in g.vertices:
         rest = [x for x in g.vertices if x != v]
         after = len(_bfs_components(rest, [e for e in edges if v not in e]))
         # deleting an isolated vertex lowers the count, which is not a cut
         assert (len(tree.incidence[v]) > 1) == (after > count)
     for i, blk in enumerate(tree.blocks):
-        comps = _bfs_components(g.vertices, set(edges) - blk.edges)
-        for v in blk.vertices:
+        comps = _bfs_components(g.vertices, set(edges) - _block_edges(g, blk))
+        for v in blk:
             assert tree.attachment(i, v) == next(c for c in comps if v in c)
 
 

@@ -198,6 +198,28 @@ def test_cli_render(tmp_path, capsys):
     assert out.read_text().startswith("<svg")
 
 
+def test_cli_render_to_unwritable_path_exits_2(tmp_path, capsys):
+    drawing = tmp_path / "d.cdr"
+    main(["generate", "fig5", "--n", "6"])
+    drawing.write_text(capsys.readouterr().out)
+    out = tmp_path / "missing" / "out.svg"
+    assert main(["render", str(drawing), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_verify_self_anchored_move_exits_2(tmp_path, capsys):
+    drawing = tmp_path / "d.cdr"
+    main(["generate", "fig5", "--n", "6"])
+    drawing.write_text(capsys.readouterr().out)
+    mv = tmp_path / "self.mv"
+    mv.write_text("move a after a\n")
+    assert main(["verify", str(drawing), str(mv)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad move line: ") and out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [

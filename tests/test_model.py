@@ -132,6 +132,36 @@ def test_crossing_detection_agrees_with_stack_check(seed):
     assert is_crossing_free(d.order, d.graph.edges) == (len(crossings(d)) == 0)
 
 
+def _pairwise_crossings(d):
+    """Reference: every pair of edges without a shared end whose endpoints
+    alternate around the circle."""
+    pos = {v: i for i, v in enumerate(d.order)}
+    es = sorted(d.graph.edges)
+    out = set()
+    for i, e1 in enumerate(es):
+        a, b = sorted((pos[e1[0]], pos[e1[1]]))
+        for e2 in es[i + 1 :]:
+            if not set(e1) & set(e2) and (a < pos[e2[0]] < b) != (a < pos[e2[1]] < b):
+                out.add(frozenset((e1, e2)))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_crossings_match_pairwise_definition(profile):
+    checked = 0
+    for n in (6, 12, 30):
+        for seed in range(20):
+            try:
+                d = gen_random(n, seed, profile)
+            except InvalidInstance:  # disconnected draws with a one-vertex part
+                continue
+            for order in (d.order, d.order[::-1], d.order[n // 3 :] + d.order[: n // 3]):
+                dd = CircularDrawing(d.graph, order)
+                assert crossings(dd) == _pairwise_crossings(dd)
+                checked += 1
+    assert checked >= 90
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 10_000))
 def test_alternation_soundness(seed):
