@@ -35,7 +35,11 @@ Each line is `section  input  output`, tab-separated.  The inputs are:
   2 x 9^3 canonical targets each (the `adversarial` section);
 - the `min_untangle` and `edge_fixed_untangle` move lists (the `bridge`
   section) and moved sets (in `moved`) of seeded `gen_random` case-2-2
-  drawings with n = 10, 12, 14, whose crossing edge is a bridge.
+  drawings with n = 10, 12, 14, whose crossing edge is a bridge;
+- the `seqs` section: the `lics` witnesses of `es_tight_cyclic(s, r)` and
+  of its reversal for a few (s, r), and, for seeded permutations with
+  n = 0..40, `lics` and `best_target`'s kept items against the descending
+  order; two long permutations print a length and a sha256 instead.
 
 An input that raises prints the error's class name in place of the output.
 """
@@ -70,6 +74,10 @@ ADVERSARIAL_LEAVES = 8
 ADVERSARIAL_SEEDS = range(30)
 BRIDGE_NS = (10, 12, 14)
 BRIDGE_SEEDS = range(40)
+SEQS_ES_PAIRS = ((1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (5, 5), (12, 12), (32, 32))
+SEQS_NS = range(41)
+SEQS_SEEDS = range(3)
+SEQS_LONG_NS = (300, 1025)
 UNTANGLERS = (
     ("min", ut.min_untangle),
     ("one-side", ut.one_side_untangle),
@@ -223,6 +231,28 @@ def bridge_lines():
                     yield "moved", f"bridge {name} {key}", u if isinstance(u, str) else _moved(d.graph, u)
 
 
+def _monotone(p: tuple) -> tuple[list, list]:
+    """`lics(p)` and the kept items of `p` against its descending order."""
+    return ut.lics(p), ut.seqs.best_target(p, (tuple(sorted(p, reverse=True)),))[1]
+
+
+def seqs_lines():
+    for s, r in SEQS_ES_PAIRS:
+        t = ut.es_tight_cyclic(s, r)
+        yield "seqs", f"es s={s} r={r}", " ".join(map(str, ut.lics(t)))
+        yield "seqs", f"es s={s} r={r} reversed", " ".join(map(str, ut.lics(t[::-1])))
+    for n in SEQS_NS:
+        for seed in SEQS_SEEDS:
+            p = tuple(random.Random(f"seqs {n} {seed}").sample(range(n), n))
+            inc, dec = _monotone(p)
+            yield "seqs", f"perm n={n} seed={seed} increasing", " ".join(map(str, inc))
+            yield "seqs", f"perm n={n} seed={seed} decreasing", " ".join(map(str, dec))
+    for n in SEQS_LONG_NS:
+        p = tuple(random.Random(f"seqs {n}").sample(range(n), n))
+        for name, kept in zip(("increasing", "decreasing"), _monotone(p)):
+            yield "seqs", f"perm n={n} {name}", f"{len(kept)} {_sha(' '.join(map(str, kept)))}"
+
+
 def main() -> None:
     for lines in (
         almost_planar_lines,
@@ -233,6 +263,7 @@ def main() -> None:
         chunk_lines,
         adversarial_lines,
         bridge_lines,
+        seqs_lines,
     ):
         for section, key, value in lines():
             print(section, key, value, sep="\t")

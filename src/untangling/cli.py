@@ -19,7 +19,7 @@ from .io_formats import (
     parse_icor,
     parse_moves,
 )
-from .model import classify, crossings, moves_to_reach, Untangling, verify_untangling
+from .model import CircularDrawing, classify, crossings, moves_to_reach, Untangling, verify_untangling
 from .reductions import reduce_3p_to_disticor, reduce_disticor_to_cu
 from .render import render_svg
 
@@ -37,6 +37,17 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8: {exc}") from exc
+
+
+def _read_moves(path: str, d: CircularDrawing) -> Untangling:
+    """The moves in `path`; a move naming a vertex that `d` lacks is bad input."""
+    u = parse_moves(_read(path))
+    known = set(d.order)
+    for m in u.moves:
+        for v in (m.vertex, m.anchor):
+            if v not in known:
+                raise FormatError(f"bad move line: move {m.vertex} after {m.anchor}: unknown vertex {v!r}")
+    return u
 
 
 def _cmd_check(args) -> int:
@@ -77,7 +88,7 @@ def _cmd_untangle(args) -> int:
 
 def _cmd_verify(args) -> int:
     d = parse_drawing(_read(args.drawing))
-    u = parse_moves(_read(args.moves))
+    u = _read_moves(args.moves, d)
     rep = verify_untangling(d, u)
     print(f"moved {rep.moved_count}")
     print(f"fixedSetOk {'true' if rep.fixed_set_ok else 'false'}")
@@ -112,7 +123,7 @@ def _cmd_render(args) -> int:
     d = parse_drawing(_read(args.file))
     moved = ()
     if args.moves:
-        u = parse_moves(_read(args.moves))
+        u = _read_moves(args.moves, d)
         rep = verify_untangling(d, u)
         d = rep.result
         moved = tuple(u.moved_set())

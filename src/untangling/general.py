@@ -16,7 +16,7 @@ from .blocks import planar_circular_order
 from .errors import ConstructionFailed, InvalidN, TooLarge
 from .generators import cycle_graph
 from .model import CircularDrawing, Untangling, is_planar_drawing, moves_to_reach
-from .seqs import DECREASING, ES_TIGHT_MAX_LEN, INCREASING, best_target, es_tight_cyclic, lics
+from .seqs import ES_TIGHT_MAX_LEN, best_target, es_tight_cyclic, lics
 
 
 def general_bound(n: int) -> int:
@@ -64,7 +64,7 @@ def tight_rank_permutation(n: int) -> tuple[int, ...]:
     # every monotone cyclic subsequence of a prefix is one of the whole
     # sequence, so the prefix keeps its bound of s + 2 terms
     perm = _sub_permutation(es_tight_cyclic(s + 1, s + 1), n)
-    best = max(len(lics(perm, INCREASING)), len(lics(perm, DECREASING)))
+    best = max(len(lics(perm)), len(lics(perm[::-1])))
     if best != s + 2:
         raise ConstructionFailed(f"tight permutation for n={n} has monotone length {best}")
     return perm

@@ -39,17 +39,19 @@ class Graph:
         index = dict(zip(vs, range(len(vs))))
         if len(index) != len(vs):
             raise InvalidInstance("duplicate vertices")
-        norm = set()
-        for a, b in edges:
+
+        def normal(edge: Sequence[Vertex]) -> Edge:
+            a, b = edge
             if a == b:
                 raise InvalidInstance(f"self-loop at {a!r}")
             try:
                 ia, ib = index[a], index[b]
             except KeyError:
                 raise UnknownVertex(f"edge ({a!r}, {b!r}) references undeclared vertex") from None
-            norm.add((a, b) if ia < ib else (b, a))
+            return (a, b) if ia < ib else (b, a)
+
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "edges", frozenset(map(normal, edges)))  # the first bad edge raises
         object.__setattr__(self, "_index", index)
 
     def __eq__(self, other) -> bool:

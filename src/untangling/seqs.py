@@ -12,9 +12,6 @@ from typing import Iterable, Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, TooLarge
 
-INCREASING = "increasing"
-DECREASING = "decreasing"
-
 
 def lis_indices(items: Sequence) -> list[int]:
     """Indices of one longest strictly increasing subsequence (patience piles)."""
@@ -58,13 +55,6 @@ def lis(s) -> list:
     """One longest strictly increasing subsequence of a linear sequence."""
     items = tuple(s)
     return [items[i] for i in lis_indices(items)]
-
-
-def lds(s) -> list:
-    """One longest strictly decreasing subsequence of a linear sequence."""
-    items = tuple(s)
-    neg = [-x for x in items]
-    return [items[i] for i in lis_indices(neg)]
 
 
 # Rotation bounds use one split point per SPLIT_SPAN items, at most
@@ -112,6 +102,8 @@ def _best_rotation(items: tuple, floor: int) -> tuple[int, int]:
     sequence is rejected as soon as no bound exceeds `floor`.  Otherwise
     rotations are tried in order of falling bound until no untried one can
     beat the best length found, or tie it at a smaller rotation index.
+    Cost: O(k n log n) for k split points plus O(n log n) per rotation
+    tried, up to the O(n^2 log n) of a plain scan when every bound is loose.
     """
     n = len(items)
     if n == 0:
@@ -135,42 +127,19 @@ def _best_rotation(items: tuple, floor: int) -> tuple[int, int]:
     return best, best_r
 
 
-def lics(s, direction: str = INCREASING) -> list:
-    """Longest strictly monotone cyclic subsequence: the longest LIS (LDS)
-    over all rotations of `s`.
+def lics(s) -> list:
+    """Longest strictly increasing cyclic subsequence of distinct items: the
+    items `best_target` keeps against their sorted order.
 
-    Bound: cut the rotation starting at r at a split point c.  An increasing
-    subsequence of it is one of the arc [r, c) followed by one of the arc
-    [c, r + n), so LIS(rotation r) <= LIS([r, c)) + LIS([c, r + n)).  One
-    forward and one backward patience pass from c give this bound for every
-    rotation at once.  Evenly spaced split points are used, one per
-    SPLIT_SPAN items and at most MAX_SPLITS, and rotations are then tried in
-    order of falling bound until no bound can beat the best length found.
-
-    Cost: O(k n log n) for k split points plus O(n log n) per rotation
-    tried.  If every bound is loose, every rotation is tried, which is the
-    O(n^2 log n) of a plain scan.
-
-    Ties: the smallest rotation index among the longest wins, and the
-    witness is the one `lis` (`lds`) returns for that rotation, so the
-    output is the one a scan of the rotations in index order would keep.
-    Items may be any hashable, totally ordered values; the kernel runs on
-    their ranks.
+    A decreasing cyclic subsequence is an increasing one of the reversed
+    sequence, read backwards.  Items may be any hashable, totally ordered
+    values; a repeated item raises InvalidInstance.
     """
     items = tuple(s)
-    if direction not in (INCREASING, DECREASING):
-        raise InvalidInstance(f"unknown direction {direction!r}")
-    if not items:
-        return []
-    rank = {x: i for i, x in enumerate(sorted(items))}  # equal items share a rank
-    sign = 1 if direction == INCREASING else -1
-    keys = tuple(sign * rank[x] for x in items)
-    _, r = _best_rotation(keys, 0)
-    n = len(items)
-    return [items[(r + i) % n] for i in lis_indices(keys[r:] + keys[:r])]
+    return best_target(items, (tuple(sorted(items)),))[1]
 
 
-_NOT_ONE_ITEM_SET = "lccs needs two cyclic orders of the same distinct items"
+_NOT_ONE_ITEM_SET = "cyclic orders scored against each other must list the same distinct items"
 
 
 def lccs(a, b) -> list:
@@ -193,8 +162,8 @@ def best_target(source, targets) -> tuple:
     `source` is ranked once, and each target is read as its positions of
     the source's items by inverting that rank map.  A target is scored only
     as far as needed to tell whether it beats the best so far, so most
-    losing targets stop at the rotation bounds of `lics`.  Every target must
-    list the items of `source`, each once.
+    losing targets stop at `_best_rotation`'s rotation bounds.  Every target
+    must list the items of `source`, each once.
     """
     items = tuple(source)
     n = len(items)
@@ -242,6 +211,6 @@ def es_tight_cyclic(s: int, r: int) -> tuple[int, ...]:
     if n > ES_TIGHT_MAX_LEN:
         raise TooLarge(f"es_tight_cyclic verifies lengths up to {ES_TIGHT_MAX_LEN}, got {n}")
     items = tuple(r * k % n for k in range(n))
-    if len(lics(items, INCREASING)) > s + 1 or len(lics(items, DECREASING)) > r + 1:
+    if len(lics(items)) > s + 1 or len(lics(items[::-1])) > r + 1:
         raise ConstructionFailed(f"the grid sequence for s={s}, r={r} is not tight")
     return items

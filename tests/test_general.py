@@ -21,7 +21,7 @@ from untangling import (
 )
 from untangling.errors import InvalidInstance, InvalidN, TooLarge
 from untangling.model import cyclic_equal, is_planar_drawing, moves_to_reach, restriction
-from untangling.seqs import DECREASING, ES_TIGHT_MAX_LEN, INCREASING, lics
+from untangling.seqs import ES_TIGHT_MAX_LEN, lis_indices
 
 
 def test_planar_input_needs_no_moves():
@@ -115,14 +115,27 @@ def test_general_bound_values():
     assert general_bound(8) == 8 - isqrt(6) - 2 == 4
 
 
+def _scan_lics(seq, sign):
+    """The best `lis` over every rotation of `seq`, on the keys times `sign`
+    (-1 for decreasing), the smallest rotation index winning ties."""
+    best = []
+    for r in range(len(seq)):
+        rot = seq[r:] + seq[:r]
+        w = [rot[i] for i in lis_indices([sign * x for x in rot])]
+        if len(w) > len(best):
+            best = w
+    return best
+
+
 def _two_lics_untangle(d):
     """Reference: the general untangler from the longest increasing and
     decreasing cyclic subsequences of the drawing's ranks in the planar
-    order, increasing on a tie.  Returns the moves and which one won."""
+    order, each found by a rotation scan, increasing on a tie.  Returns the
+    moves and which one won."""
     base = planar_circular_order(d.graph).order
     rank = {v: i for i, v in enumerate(base)}
     seq = tuple(rank[x] for x in d.order)
-    inc, dec = lics(seq, INCREASING), lics(seq, DECREASING)
+    inc, dec = _scan_lics(seq, 1), _scan_lics(seq, -1)
     if len(inc) >= len(dec):
         target, kept_ranks = base, inc
     else:

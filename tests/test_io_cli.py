@@ -220,6 +220,24 @@ def test_cli_verify_self_anchored_move_exits_2(tmp_path, capsys):
     assert out.out == "" and out.err.startswith("error: bad move line: ") and out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_cli_move_naming_unknown_vertex_exits_2(tmp_path, capsys, command):
+    drawing = tmp_path / "d.cdr"
+    main(["generate", "fig5", "--n", "6"])
+    drawing.write_text(capsys.readouterr().out)
+    mv = tmp_path / "bad.mv"
+    mv.write_text("move v2 after v1\nmove z after v1\n")
+    out = tmp_path / "out.svg"
+    if command == "verify":
+        argv = ["verify", str(drawing), str(mv)]
+    else:
+        argv = ["render", str(drawing), "--moves", str(mv), "-o", str(out)]
+    assert main(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err == "error: bad move line: move z after v1: unknown vertex 'z'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -50,6 +50,7 @@ def test_graph_validation():
         (("a", "b"), [("z", "a")], UnknownVertex, "('z', 'a') references undeclared"),
         (("a", "b"), [("a", "b"), ("b", "z")], UnknownVertex, "('b', 'z') references undeclared"),
         (("a", "b", "a"), [("a", "z")], InvalidInstance, "duplicate vertices"),  # before any edge
+        (("a", "b"), [("z", "a"), ("b", "b")], UnknownVertex, "('z', 'a') references undeclared"),  # first bad edge
     ],
 )
 def test_graph_rejects_bad_input(vertices, edges, error, message):

@@ -13,6 +13,8 @@ from untangling import (
     classify,
     crossings,
     exact_3partition,
+    exact_disticor,
+    exact_min_untangle,
     reduce_3p_to_disticor,
     reduce_disticor_to_cu,
     witness_3p_to_disticor,
@@ -257,8 +259,14 @@ def test_reduce_disticor_increasing_chunk_is_planar():
     assert len(crossings(d)) == 0
 
 
-def test_reduced_drawings_classify_almost_planar_or_planar():
-    inst = DistIcorInstance(((2, 5), (1, 8, 4), (6, 7, 9, 3)), 5)
-    d, _ = reduce_disticor_to_cu(inst)
-    assert classify(d).kind in ("planar", "almost-planar", "not-almost-planar")
-    assert len(crossings(d)) > 0
+def test_solvable_reduced_drawing_untangles_within_budget():
+    """A yes-instance's drawing needs at most K = L - M moves, the paper's
+    yes => shift <= K direction.  The converse is not asserted: the hub can
+    move, so a drawing can need fewer than K moves."""
+    chunks = ((2, 5), (1, 8, 4), (6, 7, 9, 3))
+    assert exact_disticor(chunks, 5).solvable
+    d, budget = reduce_disticor_to_cu(DistIcorInstance(chunks, 5))
+    assert classify(d).kind == "not-almost-planar"
+    assert len(crossings(d)) == 17
+    assert budget == 4
+    assert exact_min_untangle(d).moved_count <= budget

@@ -10,19 +10,29 @@ from hypothesis import strategies as st
 
 from untangling import es_tight_cyclic, lccs, lics, lis
 from untangling.errors import InvalidInstance, TooLarge
-from untangling.seqs import DECREASING, ES_TIGHT_MAX_LEN, INCREASING, best_target, lds, lis_indices, lis_length
+from untangling.seqs import ES_TIGHT_MAX_LEN, best_target, lis_indices, lis_length
 
 
-def scan_lics(items, direction):
-    """Reference: the best `lis` (`lds`) over every rotation, scanned in
-    index order, so the smallest rotation index wins ties."""
-    kernel = lis if direction == INCREASING else lds
+def scan_lics(items, sign=1):
+    """Reference: the best `lis` over every rotation, on the keys times
+    `sign` (-1 for decreasing), scanned in index order, so the smallest
+    rotation index wins ties."""
     best = []
     for r in range(len(items)):
-        w = kernel(items[r:] + items[:r])
+        rot = items[r:] + items[:r]
+        w = [rot[i] for i in lis_indices([sign * x for x in rot])]
         if len(w) > len(best):
             best = w
     return best
+
+
+def monotone(items, sign):
+    """The package's longest increasing (sign 1) or decreasing (sign -1)
+    cyclic subsequence: `lics`, or the items kept against the descending
+    order."""
+    if sign == 1:
+        return lics(items)
+    return best_target(items, (tuple(sorted(items, reverse=True)),))[1]
 
 
 def brute_lis_len(items):
@@ -35,7 +45,7 @@ def brute_lis_len(items):
     return best
 
 
-def brute_lics_len(items, direction):
+def brute_lics_len(items, sign):
     n = len(items)
     best = 0
     for r in range(n):
@@ -45,9 +55,7 @@ def brute_lics_len(items, direction):
                 break
             for picks in combinations(range(n), k):
                 vals = [rot[i] for i in picks]
-                ok = all(a < b for a, b in zip(vals, vals[1:])) if direction == INCREASING \
-                    else all(a > b for a, b in zip(vals, vals[1:]))
-                if ok:
+                if all(sign * a < sign * b for a, b in zip(vals, vals[1:])):
                     best = max(best, k)
                     break
     return best
@@ -92,19 +100,21 @@ def test_lis_length_matches_lis_indices():
 
 
 def test_lics_examples():
-    assert len(lics((1, 2, 3, 4), INCREASING)) == 4
-    assert len(lics((3, 1, 4, 2), INCREASING)) == 3
-    assert lics((), INCREASING) == []
+    assert len(lics((1, 2, 3, 4))) == 4
+    assert len(lics((3, 1, 4, 2))) == 3
+    assert lics(()) == []
     with pytest.raises(InvalidInstance):
-        lics((1, 2), "sideways")
+        lics((1, 2, 1))
+    with pytest.raises(InvalidInstance):
+        lics(("w1", "w0", "w1"))
 
 
 @settings(max_examples=40)
 @given(st.permutations(range(7)))
 def test_lics_matches_bruteforce(perm):
     items = tuple(perm)
-    for direction in (INCREASING, DECREASING):
-        assert len(lics(items, direction)) == brute_lics_len(items, direction)
+    assert len(lics(items)) == brute_lics_len(items, 1)
+    assert len(lics(items[::-1])) == brute_lics_len(items, -1)  # decreasing is reversed
 
 
 @settings(max_examples=40)
@@ -113,7 +123,7 @@ def test_lics_at_least_any_rotation_lis(perm):
     items = tuple(perm)
     n = len(items)
     best_rot = max(len(lis(items[r:] + items[:r])) for r in range(n))
-    assert len(lics(items, INCREASING)) >= best_rot
+    assert len(lics(items)) >= best_rot
 
 
 distinct_ints = st.lists(st.integers(-1000, 1000), max_size=60, unique=True)
@@ -131,18 +141,20 @@ def tied_rotations(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(distinct_ints, tied_rotations()), st.sampled_from([INCREASING, DECREASING]))
-def test_lics_equals_rotation_scan(items, direction):
+@given(st.one_of(distinct_ints, tied_rotations()), st.sampled_from([1, -1]))
+def test_lics_equals_rotation_scan(items, sign):
     items = tuple(items)
-    assert lics(items, direction) == scan_lics(items, direction)
+    ref = scan_lics(items, sign)
+    assert monotone(items, sign) == ref
+    assert len(lics(items[::sign])) == len(ref)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 999), max_size=20), st.sampled_from([INCREASING, DECREASING]))
-def test_lics_on_ordered_non_numbers(items, direction):
-    # zero-padded words sort like their numbers, repeats included
+@given(st.lists(st.integers(0, 999), max_size=20, unique=True), st.sampled_from([1, -1]))
+def test_lics_on_ordered_non_numbers(items, sign):
+    # zero-padded words sort like their numbers
     words = tuple(f"w{x:03d}" for x in items)
-    assert lics(words, direction) == [f"w{x:03d}" for x in scan_lics(tuple(items), direction)]
+    assert monotone(words, sign) == [f"w{x:03d}" for x in scan_lics(tuple(items), sign)]
 
 
 def test_lics_equals_rotation_scan_long_perturbed():
@@ -155,8 +167,8 @@ def test_lics_equals_rotation_scan_long_perturbed():
                 items.insert(rng.randrange(n), items.pop(rng.randrange(n)))
             k = rng.randrange(n)
             items = tuple(items[k:] + items[:k])
-            for direction in (INCREASING, DECREASING):
-                assert lics(items, direction) == scan_lics(items, direction)
+            for sign in (1, -1):
+                assert monotone(items, sign) == scan_lics(items, sign)
 
 
 def test_erdos_szekeres_cyclic_six():
@@ -164,7 +176,7 @@ def test_erdos_szekeres_cyclic_six():
     # subsequence of 4 terms (s = r = 2)
     for tail in permutations(range(1, 6)):
         seq = (0,) + tail
-        assert len(lics(seq, INCREASING)) >= 4 or len(lics(seq, DECREASING)) >= 4
+        assert len(lics(seq)) >= 4 or len(lics(seq[::-1])) >= 4
 
 
 def test_lccs_examples():
@@ -282,8 +294,8 @@ def test_es_tight_cyclic(s, r):
     t = es_tight_cyclic(s, r)
     n = s * r + 1
     assert sorted(t) == list(range(n))
-    assert len(lics(t, INCREASING)) == s + 1
-    assert len(lics(t, DECREASING)) == r + 1
+    assert len(lics(t)) == s + 1
+    assert len(lics(t[::-1])) == r + 1
     assert t == tuple(r * k % n for k in range(n))
 
 
