@@ -143,11 +143,11 @@ def layout_lines():
                 if isinstance(d, str):
                     yield "layout", key, d
                     continue
-                yield "layout", key, _run(lambda: " ".join(map(str, ut.planar_circular_order(d.graph).order)))
+                yield "layout", key, _run(lambda: " ".join(map(str, ut.planar_circular_order(ut.block_decomposition(d.graph)))))
                 rng = random.Random(seed)
 
                 def with_rng():
-                    order = ut.planar_circular_order(d.graph, rng).order
+                    order = ut.planar_circular_order(ut.block_decomposition(d.graph), rng)
                     return " ".join(map(str, order)) + f" | next {rng.random()!r}"
 
                 yield "layout-rng", key, _run(with_rng)

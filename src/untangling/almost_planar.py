@@ -1,15 +1,15 @@
 """Untangling almost-planar drawings: one-side, edge-fixed, and minimum.
 
 An almost-planar drawing has a single edge e = (u, v) involved in all
-crossings, so the drawing minus e is crossing-free.  Each untangler settles
-which vertices move, as a plain set, by counting: the smaller side of e, the
-smaller side of every piece of G - u - v, or the least of a whole endpoint
-side (e a bridge) and the satellites' smaller sides plus what the best
-canonical target (block Hamiltonian cycle plus attachment blocks, scored by
-the longest common cyclic subsequence, listed under TARGET_BUDGET) drops.
-One construction then places the winning set: `blocks.planar_order_keeping`
-gives a crossing-free order that keeps every other vertex in input order,
-and `moves_to_reach` turns it into moves.
+crossings, so the drawing minus e is crossing-free.  Each untangler gives
+only its rule for the moved sets: the smaller side of e, the smaller side
+of every piece of G - u - v, or the least of a whole endpoint side (e a
+bridge) and the satellites' smaller sides plus what the best canonical
+target (block Hamiltonian cycle plus attachment blocks, scored by the
+longest common cyclic subsequence, listed under TARGET_BUDGET) drops.  One
+path, `_untangle`, runs all three: it classifies, builds the block-cut tree
+once, and places the cheapest set with `blocks.planar_order_keeping` and
+`moves_to_reach`, keeping every other vertex in input order.
 
 Structural facts the constructions rely on are asserted at runtime and raise
 StructuralAssertionFailed when violated; `assertion_failures` counts them so
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import chain, product
 from math import prod
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .blocks import BlockDecomposition, block_decomposition, components, planar_order_keeping
 from .errors import NotAlmostPlanar, StructuralAssertionFailed, TooLarge
@@ -56,22 +56,6 @@ def _sassert(cond: bool, msg: str) -> None:
         raise StructuralAssertionFailed(msg)
 
 
-def _candidate_edges(d: CircularDrawing, e: Optional[Edge]) -> tuple:
-    cls = classify(d)
-    if cls.kind == PLANAR:
-        return cls, ()
-    if cls.kind != ALMOST_PLANAR:
-        raise NotAlmostPlanar("no single edge is involved in all crossings")
-    cands = cls.candidates
-    if e is not None:
-        e = d.graph.edge(*e)
-        match = [c for c in cands if c.edge == e]
-        if not match:
-            raise NotAlmostPlanar(f"edge {e} does not cover all crossings")
-        cands = tuple(match)
-    return cls, cands
-
-
 def _cheapest(g: Graph, sets: Iterable[Collection[Vertex]]) -> set[Vertex]:
     """The smallest of some vertex sets: on a tie the lexicographically first
     by sorted vertex ranks, then the first given."""
@@ -88,26 +72,39 @@ def _moves_keeping(d: CircularDrawing, decomp: BlockDecomposition, moved: set[Ve
     return moves_to_reach(d.order, target, moved)
 
 
+def _untangle(
+    d: CircularDrawing, e: Optional[Edge], moved_sets: Callable[[BlockDecomposition, tuple], Iterable[Collection[Vertex]]]
+) -> Untangling:
+    """The one path of every untangler: classify, keep the candidate edges
+    (only e when given), build the block-cut tree, and place the cheapest of
+    `moved_sets(decomp, cands)`, the untangler's own rule, once."""
+    cls = classify(d)
+    if cls.kind == PLANAR:
+        return Untangling(())
+    if cls.kind != ALMOST_PLANAR:
+        raise NotAlmostPlanar("no single edge is involved in all crossings")
+    cands = cls.candidates
+    if e is not None:
+        e = d.graph.edge(*e)
+        cands = tuple(c for c in cands if c.edge == e)
+        if not cands:
+            raise NotAlmostPlanar(f"edge {e} does not cover all crossings")
+    decomp = block_decomposition(d.graph)
+    moved = _cheapest(d.graph, moved_sets(decomp, cands))
+    return Untangling(tuple(_moves_keeping(d, decomp, moved)))
+
+
 def one_side_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untangling:
     """Planar result by moving only one side of the crossing edge; the moved
     set is exactly the smaller side of the chosen candidate edge."""
-    cls, cands = _candidate_edges(d, e)
-    if cls.kind == PLANAR:
-        return Untangling(())
-    g = d.graph
-    cand = min(cands, key=lambda c: min(len(c.left), len(c.right)))  # the first by edge rank on a tie
-    return Untangling(tuple(_moves_keeping(d, block_decomposition(g), _cheapest(g, (cand.left, cand.right)))))
+    # the two sides of the candidate with the smallest side, the first by edge rank on a tie
+    return _untangle(d, e, lambda decomp, cands: min(((c.left, c.right) for c in cands), key=lambda s: min(map(len, s))))
 
 
 def edge_fixed_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untangling:
     """Minimum untangling that never moves the endpoints of the crossing edge:
     each piece of G - u - v independently sends its smaller side across."""
-    cls, cands = _candidate_edges(d, e)
-    if cls.kind == PLANAR:
-        return Untangling(())
-    g = d.graph
-    moved = _cheapest(g, (_edge_fixed_moved(g, c) for c in cands))
-    return Untangling(tuple(_moves_keeping(d, block_decomposition(g), moved)))
+    return _untangle(d, e, lambda decomp, cands: (_edge_fixed_moved(d.graph, c) for c in cands))
 
 
 def _edge_fixed_moved(g: Graph, cand: EdgeCandidate) -> set[Vertex]:
@@ -256,12 +253,7 @@ def min_untangle(d: CircularDrawing) -> Untangling:
     first by rank on a tie, and only its moves are built.  Every step reads
     the graph's one block-cut tree.
     """
-    cls, cands = _candidate_edges(d, None)
-    if cls.kind == PLANAR:
-        return Untangling(())
-    decomp = block_decomposition(d.graph)
-    moved = _cheapest(d.graph, (m for cand in cands for m in _min_untangle_candidates(d, decomp, cand)))
-    return Untangling(tuple(_moves_keeping(d, decomp, moved)))
+    return _untangle(d, None, lambda decomp, cands: (m for c in cands for m in _min_untangle_candidates(d, decomp, c)))
 
 
 def _min_untangle_candidates(

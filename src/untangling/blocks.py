@@ -7,7 +7,8 @@ each block's Hamiltonian cycle as it pops the block.  A block is that cycle
 the blocks form.  `components` gives the same components from a plain DFS,
 for callers that need no blocks.
 `planar_circular_order` lays the tree out freely; `planar_order_keeping`
-lays it out keeping a given sequence of vertices in its cyclic order.
+lays it out keeping a given sequence of vertices in its cyclic order.  Both
+take the tree, so the caller that builds it once can lay it out many times.
 
 The outerplanarity recognizer works by peeling: a 2-connected outerplanar
 block always has a vertex of degree 2, and removing it (recording its two
@@ -25,7 +26,7 @@ from itertools import count
 from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import InvalidInstance, NotOuterplanar, UnknownVertex
-from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, rotate_to
+from .model import Edge, Graph, Vertex, is_crossing_free, rotate_to
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ..
     return ham
 
 
-def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: Optional[random.Random]) -> list[Vertex]:
+def _layout_component(decomp: BlockDecomposition, root: Vertex, rng: Optional[random.Random]) -> list[Vertex]:
     """The order of one component: a walk of the block-cut tree from `root`.
 
     `visit` and `expand_block` call each other once per tree level.  They are
@@ -218,10 +219,12 @@ def _layout_component(g: Graph, decomp: BlockDecomposition, root: Vertex, rng: O
     in the order of plain recursion.  Each call returns its span as nested
     lists, flattened once at the end, so no vertex is copied per level.
     """
+    rank = decomp.graph.index
+
     def expand_block(bi: int, entry: Vertex):
         walk = list(rotate_to(decomp.blocks[bi], entry))
         if len(walk) > 2:  # a bridge has one direction, and draws nothing
-            forward = g.index(walk[1]) <= g.index(walk[-1]) if rng is None else rng.random() < 0.5
+            forward = rank(walk[1]) <= rank(walk[-1]) if rng is None else rng.random() < 0.5
             if not forward:
                 walk = [walk[0]] + list(reversed(walk[1:]))
         out: list = []
@@ -274,25 +277,24 @@ def _flatten(nested: list) -> list[Vertex]:
     return out
 
 
-def planar_circular_order(g: Graph, rng: Optional[random.Random] = None) -> CircularDrawing:
-    """A crossing-free circular drawing of an outerplanar graph.
+def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Random] = None) -> tuple[Vertex, ...]:
+    """A crossing-free cyclic order of `decomp.graph`, given its
+    `block_decomposition` as for `planar_order_keeping`.
 
     Deterministic without `rng`; with `rng`, a uniform-ish random member of
     the family of orders reachable by the block layout (random root, block
-    directions, child order, and child side).  Disconnected graphs get their
-    components laid out consecutively.  Raises NotOuterplanar otherwise.
+    directions, child order, and child side).  Components are laid out
+    consecutively.  No crossing test is run here: the tree certifies that
+    the graph is outerplanar, and every walk of it is crossing-free.
     """
-    decomp = block_decomposition(g)
-    comps = [sorted(c, key=g.index) for c in decomp.components]
+    comps = [sorted(c, key=decomp.graph.index) for c in decomp.components]
     if rng is not None:
         rng.shuffle(comps)
     order: list[Vertex] = []
     for comp in comps:
         root = comp[0] if rng is None else rng.choice(comp)
-        order.extend(_layout_component(g, decomp, root, rng))
-    if not is_crossing_free(order, g.edges):
-        raise NotOuterplanar("no crossing-free circular order exists")
-    return CircularDrawing(g, order)
+        order.extend(_layout_component(decomp, root, rng))
+    return tuple(order)
 
 
 def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> Optional[tuple[Vertex, ...]]:

@@ -32,7 +32,7 @@ EXIT_BUDGET = 4
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .blocks import planar_circular_order
+from .blocks import block_decomposition, planar_circular_order
 from .errors import ConstructionFailed, InvalidN, TooLarge
 from .generators import cycle_graph
 from .model import CircularDrawing, Untangling, is_planar_drawing, moves_to_reach
@@ -33,7 +33,7 @@ def untangle_general(d: CircularDrawing) -> Untangling:
     """
     if is_planar_drawing(d):
         return Untangling(())
-    base = planar_circular_order(d.graph).order
+    base = planar_circular_order(block_decomposition(d.graph))
     mirror = base[::-1]
     target, kept = best_target(d.order, (base, mirror))  # a tie keeps base
     if target is mirror:

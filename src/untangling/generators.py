@@ -1,5 +1,6 @@
 """Graph factories, seeded random drawing generators, and exhaustive instance
-enumeration for small sizes."""
+enumeration for small sizes.  A generator that needs a graph's block-cut
+tree builds it once and lays out or tests that one tree."""
 
 from __future__ import annotations
 
@@ -126,12 +127,15 @@ def _chain_graph(rng: random.Random, n: int) -> tuple[Graph, Vertex, Vertex]:
 
 
 def _almost_planar_from(g: Graph, u: Vertex, v: Vertex, rng: random.Random, tries: int) -> Optional[CircularDrawing]:
-    base = g if (u, v) in g.edges or (v, u) in g.edges else Graph(g.vertices, set(g.edges) | {(u, v)})
-    e = base.edge(u, v)
-    rest = base.without_edge(e)
+    """A drawing of g plus e = (u, v) in which e carries every crossing, or
+    None after `tries` random layouts of G - e, whose tree is built once."""
+    if (u, v) in g.edges or (v, u) in g.edges:
+        base, rest = g, g.without_edge((u, v))
+    else:
+        base, rest = Graph(g.vertices, set(g.edges) | {(u, v)}), g
+    decomp = block_decomposition(rest)
     for _ in range(tries):
-        layout = planar_circular_order(rest, rng)
-        d = CircularDrawing(base, layout.order)
+        d = CircularDrawing(base, planar_circular_order(decomp, rng))
         if classify(d).kind == ALMOST_PLANAR:
             return d
     return None

@@ -48,9 +48,10 @@ def render_svg(d: CircularDrawing, moved: Iterable[Vertex] = ()) -> str:
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="7" fill="{fill}" stroke="#000000"/>'
         )
         lx, ly = _xy(d.position(v), n, _LABEL_R)
+        label = v.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # names are free text
         parts.append(
             f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="12" text-anchor="middle" '
-            f'dominant-baseline="middle">{v}</text>'
+            f'dominant-baseline="middle">{label}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

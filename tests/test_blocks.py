@@ -139,12 +139,9 @@ def test_block_edges_are_hull_or_noncrossing_chords():
 
 
 def test_not_outerplanar_inputs():
-    with pytest.raises(NotOuterplanar):
-        planar_circular_order(k4())
-    with pytest.raises(NotOuterplanar):
-        planar_circular_order(k23())
-    with pytest.raises(NotOuterplanar):
-        block_decomposition(k4())
+    for g in (k4(), k23()):  # the tree refuses them, so no layout is reached
+        with pytest.raises(NotOuterplanar):
+            block_decomposition(g)
 
 
 def test_hamiltonian_peel_matches_enumeration_uniqueness():
@@ -201,19 +198,23 @@ def test_attachment_consecutive_in_every_planar_order():
             assert runs == 1
 
 
+def layout(g, rng=None):
+    """The drawing of g in `planar_circular_order` of its tree."""
+    return CircularDrawing(g, planar_circular_order(block_decomposition(g), rng))
+
+
 def test_planar_order_examples():
     c5 = cycle_graph(5)
-    d = planar_circular_order(c5)
+    d = layout(c5)
     assert cyclic_equal(d.order, c5.vertices) or cyclic_equal(d.order, tuple(reversed(c5.vertices)))
     p4 = path_graph(4)
-    assert len(crossings(planar_circular_order(p4))) == 0
+    assert len(crossings(layout(p4))) == 0
 
 
 def test_planar_order_fixed_point_random():
     for seed in range(30):
         d = gen_random(10, seed, "outerplanar-order-perturbed")
-        out = planar_circular_order(d.graph)
-        assert len(crossings(out)) == 0
+        assert len(crossings(layout(d.graph))) == 0
 
 
 def test_randomized_layouts_are_planar_and_varied():
@@ -223,7 +224,7 @@ def test_randomized_layouts_are_planar_and_varied():
     )
     seen = set()
     for seed in range(40):
-        d = planar_circular_order(g, random.Random(seed))
+        d = layout(g, random.Random(seed))
         assert len(crossings(d)) == 0
         seen.add(d.canonical_order())
     assert len(seen) > 5
@@ -274,9 +275,10 @@ def test_layout_matches_recursive_reference(profile):
                 g = gen_random(n, seed, profile).graph
             except InvalidInstance:  # disconnected draws with a one-vertex part
                 continue
-            assert planar_circular_order(g).order == recursive_planar_order(g)
+            decomp = block_decomposition(g)
+            assert planar_circular_order(decomp) == recursive_planar_order(g)
             rng, ref_rng = random.Random(seed), random.Random(seed)
-            assert planar_circular_order(g, rng).order == recursive_planar_order(g, ref_rng)
+            assert planar_circular_order(decomp, rng) == recursive_planar_order(g, ref_rng)
             assert rng.random() == ref_rng.random()  # same number of draws
             checked += 1
     assert checked >= 30
@@ -286,14 +288,14 @@ def test_layout_matches_recursive_reference(profile):
 def test_planar_order_of_long_path(rng):
     for n in (2000, 20_000):  # block-cut trees of depth ~2n
         g = path_graph(n)
-        d = planar_circular_order(g, rng)
-        assert sorted(d.order) == sorted(g.vertices)
-        assert is_crossing_free(d.order, g.edges)
+        order = planar_circular_order(block_decomposition(g), rng)
+        assert sorted(order) == sorted(g.vertices)
+        assert is_crossing_free(order, g.edges)
 
 
 def test_disconnected_graphs_concatenate():
     g = Graph(("a", "b", "c", "x", "y"), [("a", "b"), ("b", "c"), ("x", "y")])
-    d = planar_circular_order(g)
+    d = layout(g)
     assert len(crossings(d)) == 0
     assert cyclic_equal(restriction(d.order, {"x", "y"}), ("x", "y"))
 
@@ -313,7 +315,7 @@ def test_isolated_vertices_lie_in_no_block():
     assert bd.blocks == (("a", "b", "c"),)
     assert not any(len(bd.incidence[v]) > 1 for v in g.vertices)
     assert all(bd.attachment(0, v) == frozenset(v) for v in "abc")
-    assert planar_circular_order(g).order == ("a", "b", "c", "z", "w")
+    assert planar_circular_order(bd) == ("a", "b", "c", "z", "w")
 
 
 def test_edgeless_graphs_have_no_blocks():
@@ -321,7 +323,7 @@ def test_edgeless_graphs_have_no_blocks():
         g = Graph(vs)
         bd = block_decomposition(g)
         assert bd.blocks == () and all(bd.incidence[v] == [] for v in vs)
-        assert planar_circular_order(g).order == vs
+        assert planar_circular_order(bd) == vs
 
 
 def test_attachments_stay_within_their_component():

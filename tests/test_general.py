@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from untangling import (
     CircularDrawing,
+    block_decomposition,
     cycle_graph,
     exact_min_untangle,
     gen_fig5,
@@ -83,7 +84,7 @@ def test_cycle_shift_equals_monotone_complement():
             order = list(g.vertices)
             rng.shuffle(order)
             d = CircularDrawing(g, order)
-            base = planar_circular_order(g).order
+            base = planar_circular_order(block_decomposition(g))
             rev = (base[0],) + tuple(reversed(base[1:]))
             best = max(len(lccs(d.order, base)), len(lccs(d.order, rev)))
             assert exact_min_untangle(d).moved_count == len(d.order) - best
@@ -132,7 +133,7 @@ def _two_lics_untangle(d):
     decreasing cyclic subsequences of the drawing's ranks in the planar
     order, each found by a rotation scan, increasing on a tie.  Returns the
     moves and which one won."""
-    base = planar_circular_order(d.graph).order
+    base = planar_circular_order(block_decomposition(d.graph))
     rank = {v: i for i, v in enumerate(base)}
     seq = tuple(rank[x] for x in d.order)
     inc, dec = _scan_lics(seq, 1), _scan_lics(seq, -1)

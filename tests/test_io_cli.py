@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -107,6 +108,27 @@ def test_render_svg_deterministic_and_highlighted():
     assert a == b
     assert a.count("#cc2222") == 4  # crossing edges drawn in red
     assert render_svg(d, moved=("v3",)).count("#ff9933") == 1
+
+
+def test_render_svg_escapes_vertex_names():
+    """Names may hold XML's special characters; the SVG still parses and
+    its labels read back as the names."""
+    d = parse_drawing("vertices 4\norder a<b c&d e f\nedge a<b e\nedge c&d f\n")
+    root = ElementTree.fromstring(render_svg(d, moved=("a<b",)))
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == ["a<b", "c&d", "e", "f"]
+
+
+def test_cli_reads_files_with_a_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte-order mark at the start of a drawing or moves file is
+    not part of its first keyword."""
+    bom = "\ufeff".encode()
+    drawing, moves = tmp_path / "d.cdr", tmp_path / "d.mv"
+    drawing.write_bytes(bom + b"vertices 4\norder a b c d\nedge a c\nedge b d\n")
+    moves.write_bytes(bom + b"move a after b\n")
+    assert main(["check", str(drawing)]) == 0
+    assert "kind almost-planar" in capsys.readouterr().out
+    assert main(["verify", str(drawing), str(moves)]) == 0
+    assert "planarOk true" in capsys.readouterr().out
 
 
 def test_cli_untangle_verify_pipeline(tmp_path, capsys):
