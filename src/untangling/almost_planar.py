@@ -6,7 +6,9 @@ only its rule for the moved sets: the smaller side of e, the smaller side
 of every piece of G - u - v, or the least of a whole endpoint side (e a
 bridge) and the satellites' smaller sides plus what the best canonical
 target (block Hamiltonian cycle plus attachment blocks, scored by the
-longest common cyclic subsequence, listed under TARGET_BUDGET) drops.  One
+longest common cyclic subsequence) drops; the targets of a product are
+counted under TARGET_BUDGET and scored by `seqs.best_product` without being
+listed, each cycle block once per call.  One
 path, `_untangle`, runs all three: it classifies, builds the block-cut tree
 once, and places the cheapest set with `blocks.planar_order_keeping` and
 `moves_to_reach`, keeping every other vertex in input order.
@@ -39,14 +41,18 @@ from .model import (
     moves_to_reach,
     restriction,
 )
-from .seqs import best_target
+from .seqs import best_product
 
 assertion_failures = 0
 
-# Canonical targets one product may list before `_concatenations` raises
+# Canonical targets one product may hold before `_concatenations` raises
 # TooLarge: a block's attachment linearizations over both walk directions,
 # or a bridge's pairs of unwrapped endpoint sides.
 TARGET_BUDGET = 1 << 16
+
+# Walks of slots of options: a walk's targets are the concatenations of one
+# option per slot (see `seqs.best_product`).
+Walks = list[list[list[tuple[Vertex, ...]]]]
 
 
 def _sassert(cond: bool, msg: str) -> None:
@@ -159,28 +165,30 @@ def _apex_cuts(cyc: Sequence[Vertex], apex: Vertex, edges: Iterable[Edge]) -> li
     return out
 
 
-def _concatenations(walks: Sequence[Sequence[Sequence[tuple]]]) -> Iterator[tuple]:
-    """Every concatenation of one option per slot, walk after walk, each in
-    `itertools.product` order, yielded lazily; counts first and raises
-    TooLarge when there are more than TARGET_BUDGET."""
+def _concatenations(walks: Walks) -> Walks:
+    """`walks`, unexpanded, once their targets are counted: a walk's targets
+    are the concatenations of one option per slot, and TooLarge is raised
+    when all walks have more than TARGET_BUDGET."""
     count = sum(prod(map(len, slots)) for slots in walks)
     if count > TARGET_BUDGET:
         raise TooLarge(f"{count} canonical targets, over the budget of {TARGET_BUDGET}")
-    return (tuple(chain.from_iterable(combo)) for slots in walks for combo in product(*slots))
+    return walks
 
 
 def _block_attachment_targets(
     d: CircularDrawing, decomp: BlockDecomposition, bi: int, side: frozenset[Vertex]
-) -> Iterator[tuple[Vertex, ...]]:
-    """Cyclic target orders for the vertex set `side` (block `bi`'s
-    component, less the far side of a bridge the caller leaves out) that
-    lay the block along its cycle (both directions) with each attachment
-    as a contiguous block keeping its input cyclic order.
+) -> Walks:
+    """The walks whose targets are the cyclic orders of the vertex set
+    `side` (block `bi`'s component, less the far side of a bridge the
+    caller leaves out) that lay the block along its cycle (both directions)
+    with each attachment as a contiguous block keeping its input cyclic
+    order.
 
-    An attachment's linearizations are the rotations of its input order in
-    which no attachment edge spans its block vertex (the planar ways to lay
-    it out as one contiguous block there).  Every combination is listed,
-    one walk after the other, through `_concatenations` and its budget.
+    A walk has one slot per block vertex, in cycle order, and the slot's
+    options are its attachment's linearizations: the rotations of its
+    input order in which no attachment edge spans the block vertex (the
+    planar ways to lay it out as one contiguous block there).  The walks
+    pass `_concatenations` and its budget unexpanded, for `best_product`.
     """
     g = decomp.graph
     cycle = decomp.blocks[bi]
@@ -238,8 +246,10 @@ def unwrap_linearizations(
 
     outs: set[tuple[Vertex, ...]] = set()
     for bi in qualifying:
-        for cyc in _block_attachment_targets(d, decomp, bi, comp):
-            outs.update(cyc[k:] + cyc[:k] for k in _apex_cuts(cyc, apex, edges))
+        for walk in _block_attachment_targets(d, decomp, bi, comp):
+            for combo in product(*walk):
+                cyc = tuple(chain.from_iterable(combo))
+                outs.update(cyc[k:] + cyc[:k] for k in _apex_cuts(cyc, apex, edges))
     return sorted(outs)
 
 
@@ -251,23 +261,32 @@ def min_untangle(d: CircularDrawing) -> Untangling:
     untangling, whose moved set comes from canonical target orders scored by
     longest common cyclic subsequence.  The smallest moved set wins, the
     first by rank on a tie, and only its moves are built.  Every step reads
-    the graph's one block-cut tree.
+    the graph's one block-cut tree, and each cycle block is scored once.
     """
-    return _untangle(d, None, lambda decomp, cands: (m for c in cands for m in _min_untangle_candidates(d, decomp, c)))
+
+    def moved_sets(decomp: BlockDecomposition, cands: tuple) -> Iterator[set[Vertex]]:
+        by_block: dict[int, set[Vertex]] = {}  # cycle block index -> its moved set
+        for c in cands:
+            yield from _min_untangle_candidates(d, decomp, c, by_block)
+
+    return _untangle(d, None, moved_sets)
 
 
 def _min_untangle_candidates(
-    d: CircularDrawing, decomp: BlockDecomposition, cand: EdgeCandidate
+    d: CircularDrawing, decomp: BlockDecomposition, cand: EdgeCandidate, by_block: dict[int, set[Vertex]]
 ) -> Iterator[set[Vertex]]:
-    """The moved set of each way to untangle around one candidate edge."""
+    """The moved set of each way to untangle around one candidate edge; a
+    cycle block's moved set depends only on the block, so it is scored once
+    into `by_block`."""
     g = d.graph
     u, v = cand.edge
     bi = decomp.block_with_edge(cand.edge)
     comp = decomp.components[decomp.component_of[u]]
-    source = restriction(d.order, comp)
     if len(decomp.blocks[bi]) > 2:  # e lies on a cycle: u, v stay connected in G - e
-        _, kept = best_target(source, _block_attachment_targets(d, decomp, bi, comp))
-        yield set(comp).difference(kept)
+        if bi not in by_block:
+            _, kept = best_product(restriction(d.order, comp), _block_attachment_targets(d, decomp, bi, comp))
+            by_block[bi] = set(comp).difference(kept)
+        yield by_block[bi]
         return
     # e is a bridge, and G - e splits its component into u's and v's sides
     comp_u, comp_v = decomp.attachment(bi, u), decomp.attachment(bi, v)
@@ -287,6 +306,6 @@ def _min_untangle_candidates(
             moved |= _cheapest(g, (c & lset, c & rset))
     lv_opts = unwrap_linearizations(d, decomp, comp_v, v, u)
     lu_opts = unwrap_linearizations(d, decomp, comp_u, u, v)
-    _, kept = best_target(source, _concatenations([[lv_opts, lu_opts]]))
+    _, kept = best_product(restriction(d.order, comp), _concatenations([[lv_opts, lu_opts]]))
     moved |= comp.difference(kept)
     yield moved

@@ -7,7 +7,8 @@ monotone or common cyclic subsequence.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, TooLarge
@@ -159,11 +160,67 @@ def best_target(source, targets) -> tuple:
     common cyclic subsequence with `source` is longest, and `kept`, that
     subsequence, equal to `lccs(source, target)`.
 
-    `source` is ranked once, and each target is read as its positions of
-    the source's items by inverting that rank map.  A target is scored only
-    as far as needed to tell whether it beats the best so far, so most
-    losing targets stop at `_best_rotation`'s rotation bounds.  Every target
-    must list the items of `source`, each once.
+    One `best_product` call with each target a walk of one slot and one
+    option, so each target goes straight to `_best_rotation` and most
+    losing targets stop at its rotation bounds.  Every target must list
+    the items of `source`, each once.
+    """
+    return best_product(source, (((t,),) for t in targets))
+
+
+def _may_beat(keys: Sequence, best: int) -> bool:
+    """Whether the split-point-0 bound of `_split_bounds` on `keys`, taken
+    over non-decreasing subsequences, exceeds `best`.
+
+    A slot not decided yet gives all its items its first position.  Slots
+    occupy disjoint position ranges, so an increasing subsequence of any
+    completion is a non-decreasing one of these keys, and the bound holds
+    for every completion.  On distinct keys it is `_split_bounds(keys, 0)`.
+    """
+    tails: list = []
+    fwd = []  # fwd[i]: the longest non-decreasing subsequence of keys[:i]
+    m = 0
+    for x in keys:
+        fwd.append(m)
+        j = bisect_right(tails, x)
+        if j == m:
+            tails.append(x)
+            m += 1
+        else:
+            tails[j] = x
+    if m > best:  # rotation 0, or no items and no best yet
+        return True
+    tails, m = [], 0
+    for i in range(len(keys) - 1, 0, -1):  # m: the same of keys[i:], found backwards
+        x = -keys[i]
+        j = bisect_right(tails, x)
+        if j == m:
+            tails.append(x)
+            m += 1
+            if fwd[i] + m > best:  # fwd falls with i, so only a longer m can pass
+                return True
+        else:
+            tails[j] = x
+    return False
+
+
+def best_product(source, walks) -> tuple:
+    """`best_target(source, targets)` for the targets of `walks`, scored
+    without building them.
+
+    A walk is a sequence of slots and a slot a sequence of options; the
+    walk's targets are the concatenations of one option per slot, in
+    `itertools.product` order, and the walks follow one another.  The
+    winning target is its option itself for a one-slot walk, else the
+    concatenation.  The options of a slot must list one item set, and each
+    concatenation the items of `source`, each once.
+
+    The search is a depth-first branch and bound over one array of target
+    positions indexed by source rank: deciding a slot writes its positions,
+    and a subtree is dropped as soon as `_may_beat` says no completion can
+    beat the best so far.  A leaf left standing goes to `_best_rotation`,
+    and a walk of one target goes there at once.  Pruning needs a strict
+    improvement, so the winner is the first argmax, as in `best_target`.
     """
     items = tuple(source)
     n = len(items)
@@ -171,22 +228,62 @@ def best_target(source, targets) -> tuple:
     if len(rank) != n:
         raise InvalidInstance(_NOT_ONE_ITEM_SET)
     best, best_len, best_pos, best_r = None, -1, (), 0
-    for t in targets:
-        pos = [-1] * n  # pos[i]: the position in t of items[i]
-        try:
-            for j, x in enumerate(t):
-                pos[rank[x]] = j
-        except KeyError:
-            raise InvalidInstance(_NOT_ONE_ITEM_SET) from None
-        if len(t) != n or -1 in pos:
-            raise InvalidInstance(_NOT_ONE_ITEM_SET)
-        pos = tuple(pos)
+
+    def score(keys: list, choice: list) -> None:
+        nonlocal best, best_len, best_pos, best_r
+        pos = tuple(keys)
         length, r = _best_rotation(pos, best_len)
         if r >= 0:
-            best, best_len, best_pos, best_r = t, length, pos, r
+            best, best_len, best_pos, best_r = tuple(choice), length, pos, r
+
+    def descend(keys: list, choice: list, branch: list, d: int) -> None:
+        s, opts, off, ranks = branch[d]
+        last = d + 1 == len(branch)
+        for opt, rs in zip(opts, ranks):
+            for j, i in enumerate(rs, off):
+                keys[i] = j
+            if _may_beat(keys, best_len):
+                choice[s] = opt
+                if last:
+                    score(keys, choice)
+                else:
+                    descend(keys, choice, branch, d + 1)
+        for i in ranks[0]:
+            keys[i] = off
+
+    for walk in walks:
+        slots = list(map(tuple, walk))
+        if not all(slots):
+            continue  # a slot without options: the walk has no targets
+        keys = [-1] * n  # keys[i]: the position in the target of items[i]
+        branch = []      # (slot, options, offset, each option's ranks) of the slots to decide
+        off = 0
+        for s, opts in enumerate(slots):
+            try:
+                for j, x in enumerate(opts[0], off):
+                    keys[rank[x]] = j
+                ranks = [[rank[x] for x in opt] for opt in opts] if len(opts) > 1 else None
+            except KeyError:
+                raise InvalidInstance(_NOT_ONE_ITEM_SET) from None
+            if ranks:
+                one = set(ranks[0])
+                if any(len(rs) != len(one) or set(rs) != one for rs in ranks):
+                    raise InvalidInstance(_NOT_ONE_ITEM_SET)
+                for i in one:
+                    keys[i] = off
+                branch.append((s, opts, off, ranks))
+            off += len(opts[0])
+        if off != n or -1 in keys:  # n positions written and none missed: each item once
+            raise InvalidInstance(_NOT_ONE_ITEM_SET)
+        choice = [opts[0] for opts in slots]
+        if not branch:
+            score(keys, choice)
+        elif _may_beat(keys, best_len):
+            descend(keys, choice, branch, 0)
     if best_len < 0:
         raise InvalidInstance("best_target needs at least one target")
-    return best, [items[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
+    target = best[0] if len(best) == 1 else tuple(chain.from_iterable(best))
+    return target, [items[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
 
 
 # Verifying a witness costs two `lics` calls on it; 1,025 = 32 * 32 + 1

@@ -342,23 +342,30 @@ def _wide_cycle(k: int) -> CircularDrawing:
     return _almost_planar_from(g, "c0", "c1", random.Random(0), 50)
 
 
-def _exits_over_budget(d: CircularDrawing, tmp_path, capsys) -> None:
-    with pytest.raises(TooLarge):
-        min_untangle(d)
+def _exits_over_budget(d: CircularDrawing, tmp_path, capsys, monkeypatch) -> None:
+    """`min` raises TooLarge, and the CLI exits 4, before any product is scored."""
+
+    def unexpected(source, walks):
+        raise AssertionError("a product was scored before the budget check")
+
     path = tmp_path / "wide.cdr"
     path.write_text(format_drawing(d))
-    assert main(["untangle", str(path), "--algorithm", "min"]) == 4
+    with monkeypatch.context() as m:
+        m.setattr(almost_planar, "best_product", unexpected)
+        with pytest.raises(TooLarge):
+            min_untangle(d)
+        assert main(["untangle", str(path), "--algorithm", "min"]) == 4
     assert "canonical targets" in capsys.readouterr().err
 
 
-def test_min_untangle_target_budget(tmp_path, capsys):
+def test_min_untangle_target_budget(monkeypatch, tmp_path, capsys):
     d = _wide_cycle(7)
     assert 2 * 4**7 <= TARGET_BUDGET
     rep = verify_untangling(d, min_untangle(d))
     assert rep.planar_ok and rep.fixed_set_ok
     d = _wide_cycle(8)
     assert 2 * 4**8 > TARGET_BUDGET
-    _exits_over_budget(d, tmp_path, capsys)
+    _exits_over_budget(d, tmp_path, capsys, monkeypatch)
 
 
 def _bridged_triangles(k: int) -> CircularDrawing:
@@ -393,8 +400,32 @@ def test_min_untangle_bridge_target_budget(monkeypatch, tmp_path, capsys):
     assert max(counts) == 216 * 216 <= TARGET_BUDGET
     d = _bridged_triangles(3)
     assert len(d.order) == 24
-    _exits_over_budget(d, tmp_path, capsys)
+    _exits_over_budget(d, tmp_path, capsys, monkeypatch)
     assert max(counts) == 640 * 640 > TARGET_BUDGET
+
+
+def test_min_untangle_scores_each_cycle_block_once(monkeypatch):
+    """Candidate edges on one cycle block share its scored product; each
+    bridge candidate scores its own."""
+    calls = []
+    score = almost_planar.best_product
+
+    def counted(source, walks):
+        calls.append(source)
+        return score(source, walks)
+
+    monkeypatch.setattr(almost_planar, "best_product", counted)
+    shared = 0
+    for seed in range(30):
+        d = gen_random(12, seed, "almost-planar")
+        decomp = block_decomposition(d.graph)
+        cands = [decomp.block_with_edge(c.edge) for c in classify(d).candidates]
+        on_cycles = [bi for bi in cands if len(decomp.blocks[bi]) > 2]
+        calls.clear()
+        min_untangle(d)
+        assert len(calls) == len(set(on_cycles)) + len(cands) - len(on_cycles)
+        shared += len(on_cycles) - len(set(on_cycles))
+    assert shared > 0
 
 
 def test_untanglers_decompose_once(monkeypatch):

@@ -1,6 +1,6 @@
 """Sequence kernels against brute-force oracles and fixed examples."""
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 import random
 
@@ -8,9 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from untangling import es_tight_cyclic, lccs, lics, lis
+from untangling import (
+    block_decomposition,
+    es_tight_cyclic,
+    gen_random,
+    lccs,
+    lics,
+    lis,
+    planar_circular_order,
+    seqs,
+    untangle_general,
+)
 from untangling.errors import InvalidInstance, TooLarge
-from untangling.seqs import ES_TIGHT_MAX_LEN, best_target, lis_indices, lis_length
+from untangling.seqs import ES_TIGHT_MAX_LEN, best_product, best_target, lis_indices, lis_length
 
 
 def scan_lics(items, sign=1):
@@ -277,6 +287,106 @@ def test_best_target_rejects_bad_input():
         best_target(("a", "b"), [("a", "b"), ("a", "a")])
     with pytest.raises(InvalidInstance):
         best_target(("a", "b"), [("a", "b", "c")])
+
+
+@st.composite
+def walks_with_ties(draw):
+    """A source of n = 0..14 items and 1-3 walks of 1-4 slots with 1-4
+    options each; a walk may repeat an earlier one with its slots rotated,
+    whose targets are rotations of the earlier walk's and tie with them."""
+    n = draw(st.integers(0, 14))
+    source = tuple(f"v{i}" for i in draw(st.permutations(range(n))))
+    walks = []
+    for _ in range(draw(st.integers(1, 3))):
+        if walks and draw(st.booleans()):
+            slots = draw(st.sampled_from(walks))
+            k = draw(st.integers(0, len(slots) - 1))
+            walks.append(slots[k:] + slots[:k])
+            continue
+        order = draw(st.permutations(source))
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+        slots = []
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            piece = tuple(order[a:b])
+            others = draw(st.lists(st.permutations(piece).map(tuple), max_size=3))
+            slots.append([piece, *others])
+        walks.append(slots)
+    return source, walks
+
+
+def expanded(walks):
+    return [tuple(chain.from_iterable(combo)) for slots in walks for combo in product(*slots)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks_with_ties())
+def test_best_product_matches_best_target_over_the_expanded_product(case):
+    source, walks = case
+    want, want_kept = best_target(source, expanded(walks))
+    target, kept = best_product(source, walks)
+    assert tuple(target) == want
+    assert kept == want_kept == scan_kept(source, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walks_with_ties(), st.data())
+def test_best_product_rejects_options_of_another_item_set(case, data):
+    source, walks = case
+    walks = [[list(opts) for opts in slots] for slots in walks]
+    w = data.draw(st.integers(0, len(walks) - 1))
+    s = data.draw(st.integers(0, len(walks[w]) - 1))
+    opts = walks[w][s]
+    opt = opts[0]
+    elsewhere = [x for t, other in enumerate(walks[w]) if t != s for x in other[0]]
+    bad = [opt + ("foreign",)]
+    if opt:
+        bad += [opt[1:], opt[:1] + opt]  # an item left out, or one repeated
+    if len(opt) > 1:
+        bad.append(opt[:1] + opt[:-1])  # one repeated in place of another
+    if opt and elsewhere:
+        bad.append((data.draw(st.sampled_from(elsewhere)),) + opt[1:])  # another slot's item
+    opts.insert(data.draw(st.integers(0, len(opts))), data.draw(st.sampled_from(bad)))
+    with pytest.raises(InvalidInstance):
+        best_product(source, walks)
+    with pytest.raises(InvalidInstance):
+        best_target(source, expanded(walks))
+
+
+def one_rotation_per_target(source, targets):
+    """Reference for `best_target`: one `_best_rotation` call per target,
+    each read through the source's ranks."""
+    n = len(source)
+    rank = {x: i for i, x in enumerate(source)}
+    best, best_len, best_pos, best_r = None, -1, (), 0
+    for t in targets:
+        pos = [0] * n
+        for j, x in enumerate(t):
+            pos[rank[x]] = j
+        pos = tuple(pos)
+        length, r = seqs._best_rotation(pos, best_len)
+        if r >= 0:
+            best, best_len, best_pos, best_r = t, length, pos, r
+    return best, [source[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
+
+
+@pytest.mark.parametrize("n,seed", [(12, 0), (40, 1), (100, 2), (300, 3)])
+def test_one_target_walks_add_no_passes(monkeypatch, n, seed):
+    """`untangle_general`'s call with two targets runs the patience passes of
+    one `_best_rotation` per target and no product bound."""
+    d = gen_random(n, seed, "outerplanar-order-perturbed", k=n // 3)
+    calls = {"_prefix_lis_lens": 0, "lis_length": 0, "_may_beat": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(seqs, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(seqs, name, counted)
+    untangle_general(d)
+    general_calls = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    base = planar_circular_order(block_decomposition(d.graph))
+    want = one_rotation_per_target(d.order, (base, base[::-1]))
+    assert general_calls == calls and calls["_prefix_lis_lens"] > 0 and calls["_may_beat"] == 0
+    assert best_target(d.order, (base, base[::-1])) == want
 
 
 def test_moves_between():
