@@ -6,11 +6,11 @@ only its rule for the moved sets: the smaller side of e, the smaller side
 of every piece of G - u - v, or the least of a whole endpoint side (e a
 bridge) and the satellites' smaller sides plus what the best canonical
 target (block Hamiltonian cycle plus attachment blocks, scored by the
-longest common cyclic subsequence) drops; the targets of a product are
-counted under TARGET_BUDGET and scored by `seqs.best_product` without being
-listed, each cycle block once per call.  One
-path, `_untangle`, runs all three: it classifies, builds the block-cut tree
-once, and places the cheapest set with `blocks.planar_order_keeping` and
+longest common cyclic subsequence) drops.  No target is listed:
+`seqs.best_product` searches a block's attachment product or a bridge's
+product of unwrapped sides (walks too) within SEARCH_BUDGET.  One path,
+`_untangle`, runs all three: it classifies, builds the block-cut tree once,
+and places the cheapest set with `blocks.planar_order_keeping` and
 `moves_to_reach`, keeping every other vertex in input order.
 
 Structural facts the constructions rely on are asserted at runtime and raise
@@ -20,12 +20,10 @@ test suites can require a clean run.
 
 from __future__ import annotations
 
-from itertools import chain, product
-from math import prod
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .blocks import BlockDecomposition, block_decomposition, components, planar_order_keeping
-from .errors import NotAlmostPlanar, StructuralAssertionFailed, TooLarge
+from .errors import NotAlmostPlanar, StructuralAssertionFailed
 from .model import (
     ALMOST_PLANAR,
     PLANAR,
@@ -44,11 +42,6 @@ from .model import (
 from .seqs import best_product
 
 assertion_failures = 0
-
-# Canonical targets one product may hold before `_concatenations` raises
-# TooLarge: a block's attachment linearizations over both walk directions,
-# or a bridge's pairs of unwrapped endpoint sides.
-TARGET_BUDGET = 1 << 16
 
 # Walks of slots of options: a walk's targets are the concatenations of one
 # option per slot (see `seqs.best_product`).
@@ -165,16 +158,6 @@ def _apex_cuts(cyc: Sequence[Vertex], apex: Vertex, edges: Iterable[Edge]) -> li
     return out
 
 
-def _concatenations(walks: Walks) -> Walks:
-    """`walks`, unexpanded, once their targets are counted: a walk's targets
-    are the concatenations of one option per slot, and TooLarge is raised
-    when all walks have more than TARGET_BUDGET."""
-    count = sum(prod(map(len, slots)) for slots in walks)
-    if count > TARGET_BUDGET:
-        raise TooLarge(f"{count} canonical targets, over the budget of {TARGET_BUDGET}")
-    return walks
-
-
 def _block_attachment_targets(
     d: CircularDrawing, decomp: BlockDecomposition, bi: int, side: frozenset[Vertex]
 ) -> Walks:
@@ -188,7 +171,7 @@ def _block_attachment_targets(
     options are its attachment's linearizations: the rotations of its
     input order in which no attachment edge spans the block vertex (the
     planar ways to lay it out as one contiguous block there).  The walks
-    pass `_concatenations` and its budget unexpanded, for `best_product`.
+    are never expanded: `best_product` searches them within its budget.
     """
     g = decomp.graph
     cycle = decomp.blocks[bi]
@@ -212,45 +195,45 @@ def _block_attachment_targets(
         sigma = tuple(att_orders[b])
         lins[b] = [sigma[k:] + sigma[:k] for k in _apex_cuts(sigma, b, att_edges[b])]
         _sassert(bool(lins[b]), "attachment admits no valid linearization around its block vertex")
-    return _concatenations([[lins[b] for b in walk] for walk in walks])
+    return [[lins[b] for b in walk] for walk in walks]
 
 
 def unwrap_linearizations(
     d: CircularDrawing, decomp: BlockDecomposition, comp: frozenset[Vertex], apex: Vertex, other: Vertex
-) -> list[tuple[Vertex, ...]]:
-    """Linear orders of `comp`, the side of `apex` once the bridge (apex,
-    other) is cut, realizing a canonical unwrapping of `apex`: some
-    qualifying block is laid along its cycle, attachments keep their input
-    cyclic order, and no component edge spans the apex.
-    `decomp` is the whole graph's tree; the bridge's block is skipped."""
+) -> Walks:
+    """Walks whose targets are the linear orders of `comp`, the side of
+    `apex` once the bridge (apex, other) is cut, realizing a canonical
+    unwrapping of `apex`: some qualifying block is laid along its cycle,
+    attachments keep their input cyclic order, and no component edge spans
+    the apex.  `decomp` is the whole graph's tree; the bridge's block is
+    skipped.  The block's other slots hang off the apex's option L as one
+    connected arc, so each walk is L[j:], the other slots, then L[:j], for
+    a cut j of L that no edge of L's attachment spans, or j = len(L)."""
     if len(comp) == 1:
-        return [(apex,)]
-    edges = [ed for ed in decomp.graph.edges if ed[0] in comp and ed[1] in comp]
-    pa, po = d.position(apex), d.position(other)
+        return [[[(apex,)]]]
+    lo, hi = sorted((d.position(apex), d.position(other)))
 
     def covers_apex(ed: Edge) -> bool:
-        if apex in ed or other in ed:
+        if apex in ed:  # `other` lies outside `comp`
             return False
         x, y = d.position(ed[0]), d.position(ed[1])
-        lo, hi = min(pa, po), max(pa, po)
         return (lo < x < hi) != (lo < y < hi)
 
-    qualifying = []
+    out: Walks = []
     for bi in decomp.incidence[apex]:
         if other in decomp.blocks[bi]:  # the bridge
             continue
         att = decomp.attachment(bi, apex) & comp
-        if not any(covers_apex(ed) for ed in edges if ed[0] in att and ed[1] in att):
-            qualifying.append(bi)
-    _sassert(bool(qualifying), "no qualifying block for unwrapping the apex")
-
-    outs: set[tuple[Vertex, ...]] = set()
-    for bi in qualifying:
+        att_edges = [ed for ed in decomp.graph.edges if ed[0] in att and ed[1] in att]
+        if any(map(covers_apex, att_edges)):
+            continue
         for walk in _block_attachment_targets(d, decomp, bi, comp):
-            for combo in product(*walk):
-                cyc = tuple(chain.from_iterable(combo))
-                outs.update(cyc[k:] + cyc[:k] for k in _apex_cuts(cyc, apex, edges))
-    return sorted(outs)
+            a = next(k for k, opts in enumerate(walk) if apex in opts[0])
+            others = walk[a + 1:] + walk[:a]
+            for lin in walk[a]:
+                out += ([[lin[j:]], *others, [lin[:j]]] for j in _apex_cuts(lin, apex, att_edges) + [len(lin)])
+    _sassert(bool(out), "no qualifying block for unwrapping the apex")
+    return out
 
 
 def min_untangle(d: CircularDrawing) -> Untangling:
@@ -304,8 +287,8 @@ def _min_untangle_candidates(
     for c in decomp.components:
         if c is not comp:
             moved |= _cheapest(g, (c & lset, c & rset))
-    lv_opts = unwrap_linearizations(d, decomp, comp_v, v, u)
-    lu_opts = unwrap_linearizations(d, decomp, comp_u, u, v)
-    _, kept = best_product(restriction(d.order, comp), _concatenations([[lv_opts, lu_opts]]))
+    lv_walks = unwrap_linearizations(d, decomp, comp_v, v, u)
+    lu_walks = unwrap_linearizations(d, decomp, comp_u, u, v)
+    _, kept = best_product(restriction(d.order, comp), [[lv_walks, lu_walks]])
     moved |= comp.difference(kept)
     yield moved

@@ -8,7 +8,7 @@ monotone or common cyclic subsequence.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import count
 from typing import Iterable, Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, TooLarge
@@ -165,7 +165,9 @@ def best_target(source, targets) -> tuple:
     losing targets stop at its rotation bounds.  Every target must list
     the items of `source`, each once.
     """
-    return best_product(source, (((t,),) for t in targets))
+    targets = tuple(targets)
+    target, kept = best_product(source, (((tuple(t),),) for t in targets))
+    return next(t for t in targets if tuple(t) == target), kept  # equal targets tie, so the first won
 
 
 def _may_beat(keys: Sequence, best: int) -> bool:
@@ -204,86 +206,100 @@ def _may_beat(keys: Sequence, best: int) -> bool:
     return False
 
 
+# Options one `best_product` call may try: a flat product of 65,536 targets takes fewer.
+SEARCH_BUDGET = 1 << 17
+
+
 def best_product(source, walks) -> tuple:
     """`best_target(source, targets)` for the targets of `walks`, scored
     without building them.
 
-    A walk is a sequence of slots and a slot a sequence of options; the
-    walk's targets are the concatenations of one option per slot, in
-    `itertools.product` order, and the walks follow one another.  The
-    winning target is its option itself for a one-slot walk, else the
-    concatenation.  The options of a slot must list one item set, and each
-    concatenation the items of `source`, each once.
+    A walk is a sequence of slots and a slot a sequence of options, each a
+    sequence of items or, if a list, a walk itself.  A walk's targets are
+    the concatenations of one option target per slot, in `itertools.product`
+    order, and the walks follow one another; each must list the items of
+    `source` once, and a slot's options one item set.  The winner is a tuple.
 
     The search is a depth-first branch and bound over one array of target
-    positions indexed by source rank: deciding a slot writes its positions,
-    and a subtree is dropped as soon as `_may_beat` says no completion can
-    beat the best so far.  A leaf left standing goes to `_best_rotation`,
-    and a walk of one target goes there at once.  Pruning needs a strict
-    improvement, so the winner is the first argmax, as in `best_target`.
+    positions indexed by source rank: deciding a slot writes its positions
+    (a walk option's slots are decided next), and a subtree is dropped as
+    soon as `_may_beat` says no completion can beat the best so far.  A
+    leaf left standing goes to `_best_rotation`, and a walk of one target
+    goes there at once.  Pruning needs a strict improvement, so the winner
+    is the first argmax, as in `best_target`.  Each option tried for a slot
+    to decide counts, and TooLarge is raised past SEARCH_BUDGET.
     """
     items = tuple(source)
     n = len(items)
     rank = {v: i for i, v in enumerate(items)}
     if len(rank) != n:
         raise InvalidInstance(_NOT_ONE_ITEM_SET)
-    best, best_len, best_pos, best_r = None, -1, (), 0
+    budget, tries = SEARCH_BUDGET, count(1)
+    best_len, best_pos, best_r = -1, (), 0
 
-    def score(keys: list, choice: list) -> None:
-        nonlocal best, best_len, best_pos, best_r
-        pos = tuple(keys)
-        length, r = _best_rotation(pos, best_len)
-        if r >= 0:
-            best, best_len, best_pos, best_r = tuple(choice), length, pos, r
+    def laid(walk, off: int):
+        """(ranks, keys, slots to decide) of a walk laid from `off`, or None
+        without targets: its items' ranks (-1 for a foreign item) by each
+        slot's first option, their positions (all a slot's first one while it
+        is undecided), and the slots to decide as (offset, options laid, ranks)."""
+        rs, ks, branch = [], [], []
+        for opts in walk:
+            lays = []
+            for o in opts:  # a list option is a walk of its own
+                lay = laid(o, off) if isinstance(o, list) else ([rank.get(x, -1) for x in o], range(off, off + len(o)), ())
+                if lay is not None:
+                    lays.append(lay)
+            if not lays:
+                return None  # a slot without options: no targets
+            first = lays[0][0]
+            rs += first
+            if len(lays) == 1:
+                ks += lays[0][1]
+                branch += lays[0][2]
+            else:
+                want = sorted(first)
+                if any(sorted(lay[0]) != want for lay in lays):
+                    raise InvalidInstance(_NOT_ONE_ITEM_SET)
+                ks += [off] * len(first)
+                branch.append((off, lays, first))
+            off += len(first)
+        return rs, ks, tuple(branch)
 
-    def descend(keys: list, choice: list, branch: list, d: int) -> None:
-        s, opts, off, ranks = branch[d]
-        last = d + 1 == len(branch)
-        for opt, rs in zip(opts, ranks):
-            for j, i in enumerate(rs, off):
-                keys[i] = j
+    def descend(keys: list, todo: tuple) -> None:
+        nonlocal best_len, best_pos, best_r
+        if not todo:  # a whole target: score it
+            pos = tuple(keys)
+            length, r = _best_rotation(pos, best_len)
+            if r >= 0:
+                best_len, best_pos, best_r = length, pos, r
+            return
+        (off, lays, reset), rest = todo[0], todo[1:]
+        for ranks, ks, sub in lays:
+            if next(tries) > budget:
+                raise TooLarge(f"the target search would try more than SEARCH_BUDGET = {budget} options")
+            for i, k in zip(ranks, ks):
+                keys[i] = k
             if _may_beat(keys, best_len):
-                choice[s] = opt
-                if last:
-                    score(keys, choice)
-                else:
-                    descend(keys, choice, branch, d + 1)
-        for i in ranks[0]:
+                descend(keys, sub + rest)
+        for i in reset:
             keys[i] = off
 
     for walk in walks:
-        slots = list(map(tuple, walk))
-        if not all(slots):
-            continue  # a slot without options: the walk has no targets
-        keys = [-1] * n  # keys[i]: the position in the target of items[i]
-        branch = []      # (slot, options, offset, each option's ranks) of the slots to decide
-        off = 0
-        for s, opts in enumerate(slots):
-            try:
-                for j, x in enumerate(opts[0], off):
-                    keys[rank[x]] = j
-                ranks = [[rank[x] for x in opt] for opt in opts] if len(opts) > 1 else None
-            except KeyError:
-                raise InvalidInstance(_NOT_ONE_ITEM_SET) from None
-            if ranks:
-                one = set(ranks[0])
-                if any(len(rs) != len(one) or set(rs) != one for rs in ranks):
-                    raise InvalidInstance(_NOT_ONE_ITEM_SET)
-                for i in one:
-                    keys[i] = off
-                branch.append((s, opts, off, ranks))
-            off += len(opts[0])
-        if off != n or -1 in keys:  # n positions written and none missed: each item once
+        lay = laid(walk, 0)
+        if lay is None:
+            continue
+        ranks, ks, branch = lay
+        if sorted(ranks) != list(range(n)):  # each item once, and no foreign one
             raise InvalidInstance(_NOT_ONE_ITEM_SET)
-        choice = [opts[0] for opts in slots]
-        if not branch:
-            score(keys, choice)
-        elif _may_beat(keys, best_len):
-            descend(keys, choice, branch, 0)
+        keys = [0] * n  # keys[i]: the position in the target of items[i]
+        for i, k in zip(ranks, ks):
+            keys[i] = k
+        if not branch or _may_beat(keys, best_len):  # one target goes straight to its score
+            descend(keys, branch)
     if best_len < 0:
         raise InvalidInstance("best_target needs at least one target")
-    target = best[0] if len(best) == 1 else tuple(chain.from_iterable(best))
-    return target, [items[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
+    at = dict(zip(best_pos, items))  # the winner's item at each position
+    return tuple(map(at.__getitem__, range(n))), [items[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
 
 
 # Verifying a witness costs two `lics` calls on it; 1,025 = 32 * 32 + 1

@@ -1,8 +1,7 @@
 """One-side, edge-fixed, and minimum untangling of almost-planar drawings."""
 
 import random
-from itertools import combinations
-from math import prod
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +27,8 @@ from untangling import (
     unwrap_linearizations,
     verify_untangling,
 )
-from untangling import almost_planar, blocks
-from untangling.almost_planar import TARGET_BUDGET, _apex_cuts
+from untangling import almost_planar, blocks, seqs
+from untangling.almost_planar import _apex_cuts, _block_attachment_targets
 from untangling.blocks import components
 from untangling.cli import main
 from untangling.errors import NotAlmostPlanar, NotOuterplanar, StructuralAssertionFailed, TooLarge
@@ -172,11 +171,67 @@ def test_unwrap_orders_leave_apex_uncovered():
         if comp_u == comp_v:
             continue
         sub_edges = [ed for ed in d.graph.edges if ed[0] in comp_v and ed[1] in comp_v]
-        for lin in unwrap_linearizations(d, block_decomposition(d.graph), comp_v, v, u):
+        for lin in expanded_walks(unwrap_linearizations(d, block_decomposition(d.graph), comp_v, v, u)):
             pos = {x: i for i, x in enumerate(lin)}
             pv = pos[v]
             for a, b in sub_edges:
                 assert not (min(pos[a], pos[b]) < pv < max(pos[a], pos[b]))
+
+
+def expanded_walks(walks):
+    """Every target of `walks`: the concatenations of one option per slot."""
+    return [tuple(chain.from_iterable(combo)) for walk in walks for combo in product(*walk)]
+
+
+def listed_unwrappings(d, decomp, comp, apex, other):
+    """Reference for `unwrap_linearizations`: every concatenation of each
+    qualifying block's walks, cut at every rotation in which no edge of the
+    component spans the apex, as a set."""
+    if len(comp) == 1:
+        return {(apex,)}
+    edges = [ed for ed in decomp.graph.edges if ed[0] in comp and ed[1] in comp]
+    lo, hi = sorted((d.position(apex), d.position(other)))
+
+    def covers_apex(ed):
+        x, y = d.position(ed[0]), d.position(ed[1])
+        return apex not in ed and (lo < x < hi) != (lo < y < hi)
+
+    outs = set()
+    for bi in decomp.incidence[apex]:
+        att = decomp.attachment(bi, apex) & comp
+        if other in decomp.blocks[bi] or any(covers_apex(ed) for ed in edges if ed[0] in att and ed[1] in att):
+            continue
+        for cyc in expanded_walks(_block_attachment_targets(d, decomp, bi, comp)):
+            outs.update(cyc[k:] + cyc[:k] for k in _apex_cuts(cyc, apex, edges))
+    return outs
+
+
+def _bridge_sides(d):
+    """(decomp, side, apex, other) for both endpoint sides of every bridge
+    candidate of `d`."""
+    decomp = block_decomposition(d.graph)
+    for c in classify(d).candidates:
+        bi = decomp.block_with_edge(c.edge)
+        if len(decomp.blocks[bi]) == 2:
+            u, v = c.edge
+            yield decomp, decomp.attachment(bi, u), u, v
+            yield decomp, decomp.attachment(bi, v), v, u
+
+
+def test_unwrap_walks_expand_to_the_listed_orders():
+    """The unwrap walks hold exactly the orders the listing builds, on the
+    bridge candidates of the n <= 7 corpus, of seeded case-2-2 drawings and
+    of two triangles with two leaves per vertex."""
+    drawings = [d for n in range(3, 8) for d in enumerate_almost_planar_instances(n)]
+    drawings += [gen_random(n, seed, "case-2-2") for n in range(10, 15) for seed in range(20)]
+    drawings.append(_bridged_triangles(2))
+    sides = 0
+    for d in drawings:
+        for decomp, side, apex, other in _bridge_sides(d):
+            walks = unwrap_linearizations(d, decomp, side, apex, other)
+            assert set(expanded_walks(walks)) == listed_unwrappings(d, decomp, side, apex, other)
+            sides += 1
+    assert sides > 5000
 
 
 def scan_cuts(cyc, apex, edges):
@@ -216,6 +271,31 @@ def test_min_untangle_matches_oracle_random_n8(seed):
     rep = verify_untangling(d, min_untangle(d))
     assert rep.planar_ok
     assert rep.moved_count == exact_min_untangle(d).moved_count
+
+
+def _bridge_shape(rng: random.Random, n: int) -> Graph:
+    """Two triangles or single edges joined by the bridge a0-b0, with the
+    other vertices hung off their ends as leaves or paths of two."""
+    vs, es = [], [("a0", "b0")]
+    for t in "ab":
+        end = [f"{t}{i}" for i in range(rng.choice((2, 3)))]
+        vs += end
+        es += [(end[0], end[1])] + ([(end[1], end[2]), (end[0], end[2])] if len(end) == 3 else [])
+    ends = list(vs)
+    while len(vs) < n:
+        path = [rng.choice(ends)] + [f"x{len(vs) + i}" for i in range(min(rng.choice((1, 2)), n - len(vs)))]
+        vs += path[1:]
+        es += list(zip(path, path[1:]))
+    return Graph(vs, es)
+
+
+def test_min_untangle_matches_oracle_on_bridge_shapes_n9():
+    for seed in range(400):
+        rng = random.Random(seed)
+        d = _almost_planar_from(_bridge_shape(rng, 9), "a0", "b0", rng, 50)
+        rep = verify_untangling(d, min_untangle(d))
+        assert rep.planar_ok and rep.fixed_set_ok
+        assert rep.moved_count == exact_min_untangle(d).moved_count, seed
 
 
 def test_candidate_edge_validation():
@@ -342,30 +422,27 @@ def _wide_cycle(k: int) -> CircularDrawing:
     return _almost_planar_from(g, "c0", "c1", random.Random(0), 50)
 
 
-def _exits_over_budget(d: CircularDrawing, tmp_path, capsys, monkeypatch) -> None:
-    """`min` raises TooLarge, and the CLI exits 4, before any product is scored."""
-
-    def unexpected(source, walks):
-        raise AssertionError("a product was scored before the budget check")
-
+def _answers_and_exits_over_budget(d: CircularDrawing, tmp_path, capsys, monkeypatch) -> None:
+    """`min` answers within `seqs.SEARCH_BUDGET`, moving no more than
+    `edge_fixed_untangle`; with a budget of 8 tries it raises TooLarge, and
+    the CLI exits 4 and names the budget."""
+    rep = verify_untangling(d, min_untangle(d))
+    assert rep.planar_ok and rep.fixed_set_ok
+    assert rep.moved_count <= len(edge_fixed_untangle(d).moved_set())
     path = tmp_path / "wide.cdr"
     path.write_text(format_drawing(d))
     with monkeypatch.context() as m:
-        m.setattr(almost_planar, "best_product", unexpected)
+        m.setattr(seqs, "SEARCH_BUDGET", 8)
         with pytest.raises(TooLarge):
             min_untangle(d)
         assert main(["untangle", str(path), "--algorithm", "min"]) == 4
-    assert "canonical targets" in capsys.readouterr().err
+    assert "SEARCH_BUDGET = 8" in capsys.readouterr().err
 
 
 def test_min_untangle_target_budget(monkeypatch, tmp_path, capsys):
-    d = _wide_cycle(7)
-    assert 2 * 4**7 <= TARGET_BUDGET
-    rep = verify_untangling(d, min_untangle(d))
-    assert rep.planar_ok and rep.fixed_set_ok
-    d = _wide_cycle(8)
-    assert 2 * 4**8 > TARGET_BUDGET
-    _exits_over_budget(d, tmp_path, capsys, monkeypatch)
+    """A block of 2 x 4^8 = 131,072 targets is searched within the budget
+    of tries."""
+    _answers_and_exits_over_budget(_wide_cycle(8), tmp_path, capsys, monkeypatch)
 
 
 def _bridged_triangles(k: int) -> CircularDrawing:
@@ -383,25 +460,14 @@ def _bridged_triangles(k: int) -> CircularDrawing:
 
 
 def test_min_untangle_bridge_target_budget(monkeypatch, tmp_path, capsys):
-    """The bridge case's product of unwrapped sides has the same budget as
-    a block's attachment product."""
-    counts = []
-    concatenations = almost_planar._concatenations
-
-    def counted(walks):
-        counts.append(sum(prod(map(len, slots)) for slots in walks))
-        return concatenations(walks)
-
-    monkeypatch.setattr(almost_planar, "_concatenations", counted)
-    d = _bridged_triangles(2)
-    assert len(d.order) == 18 and ("a0", "b0") in {c.edge for c in classify(d).candidates}
-    rep = verify_untangling(d, min_untangle(d))
-    assert rep.planar_ok and rep.fixed_set_ok
-    assert max(counts) == 216 * 216 <= TARGET_BUDGET
+    """The bridge case's product of unwrapped sides, 640 x 640 targets at
+    three leaves per vertex, is searched nested within the same budget."""
     d = _bridged_triangles(3)
-    assert len(d.order) == 24
-    _exits_over_budget(d, tmp_path, capsys, monkeypatch)
-    assert max(counts) == 640 * 640 > TARGET_BUDGET
+    assert len(d.order) == 24 and ("a0", "b0") in {c.edge for c in classify(d).candidates}
+    sides = [expanded_walks(unwrap_linearizations(d, decomp, side, apex, other))
+             for decomp, side, apex, other in _bridge_sides(d) if {apex, other} == {"a0", "b0"}]
+    assert [len(set(s)) for s in sides] == [640, 640]
+    _answers_and_exits_over_budget(d, tmp_path, capsys, monkeypatch)
 
 
 def test_min_untangle_scores_each_cycle_block_once(monkeypatch):

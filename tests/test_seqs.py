@@ -244,7 +244,7 @@ def targets_with_ties(draw):
     for _ in range(draw(st.integers(1, 12))):
         t = draw(st.sampled_from(pool))
         k = draw(st.integers(0, max(0, n - 1)))
-        targets.append(tuple([*t[k:], *t[:k]]))  # a fresh object; rotations score alike
+        targets.append(draw(st.sampled_from((tuple, list)))([*t[k:], *t[:k]]))  # a fresh object; rotations score alike
     return source, targets
 
 
@@ -290,10 +290,22 @@ def test_best_target_rejects_bad_input():
 
 
 @st.composite
+def nested_walk(draw, piece):
+    """A walk over the items of `piece`: 1-2 slots of 1-4 options each."""
+    order = draw(st.permutations(piece))
+    cuts = sorted(draw(st.lists(st.integers(0, len(piece)), max_size=1)))
+    return [
+        [tuple(order[a:b]), *draw(st.lists(st.permutations(order[a:b]).map(tuple), max_size=3))]
+        for a, b in zip([0, *cuts], [*cuts, len(piece)])
+    ]
+
+
+@st.composite
 def walks_with_ties(draw):
     """A source of n = 0..14 items and 1-3 walks of 1-4 slots with 1-4
-    options each; a walk may repeat an earlier one with its slots rotated,
-    whose targets are rotations of the earlier walk's and tie with them."""
+    options each, an option sometimes a walk itself; a walk may repeat an
+    earlier one with its slots rotated, whose targets are rotations of the
+    earlier walk's and tie with them."""
     n = draw(st.integers(0, 14))
     source = tuple(f"v{i}" for i in draw(st.permutations(range(n))))
     walks = []
@@ -308,14 +320,24 @@ def walks_with_ties(draw):
         slots = []
         for a, b in zip([0, *cuts], [*cuts, n]):
             piece = tuple(order[a:b])
-            others = draw(st.lists(st.permutations(piece).map(tuple), max_size=3))
-            slots.append([piece, *others])
+            opts = [piece, *draw(st.lists(st.permutations(piece).map(tuple), max_size=3))]
+            if draw(st.booleans()):
+                opts.insert(draw(st.integers(0, len(opts))), draw(nested_walk(piece)))
+            slots.append(opts)
         walks.append(slots)
     return source, walks
 
 
 def expanded(walks):
-    return [tuple(chain.from_iterable(combo)) for slots in walks for combo in product(*slots)]
+    """Every target of `walks`, a walk option standing for its own targets."""
+    def targets(opt):
+        return expanded([opt]) if isinstance(opt, list) else [opt]
+
+    return [
+        tuple(chain.from_iterable(combo))
+        for slots in walks
+        for combo in product(*([t for opt in opts for t in targets(opt)] for opts in slots))
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -328,6 +350,24 @@ def test_best_product_matches_best_target_over_the_expanded_product(case):
     assert kept == want_kept == scan_kept(source, want)
 
 
+def test_walk_options_are_searched_in_product_order():
+    """A walk option's own slots are decided before the slots after it, so
+    ties between its targets and a later slot's options go to the first
+    target in product order."""
+    rng = random.Random(0)
+
+    def options(piece):
+        return list(dict.fromkeys([tuple(piece), *(tuple(rng.sample(piece, len(piece))) for _ in range(2))]))
+
+    for _ in range(1000):
+        n = rng.randint(4, 8)
+        source, order = tuple(rng.sample(range(n), n)), rng.sample(range(n), n)
+        c = rng.randint(2, n - 2)
+        a = rng.randint(1, c - 1)
+        walks = [[[[options(order[:a]), options(order[a:c])], tuple(order[:c])], options(order[c:])]]
+        assert best_product(source, walks) == best_target(source, expanded(walks))
+
+
 @settings(max_examples=150, deadline=None)
 @given(walks_with_ties(), st.data())
 def test_best_product_rejects_options_of_another_item_set(case, data):
@@ -336,8 +376,8 @@ def test_best_product_rejects_options_of_another_item_set(case, data):
     w = data.draw(st.integers(0, len(walks) - 1))
     s = data.draw(st.integers(0, len(walks[w]) - 1))
     opts = walks[w][s]
-    opt = opts[0]
-    elsewhere = [x for t, other in enumerate(walks[w]) if t != s for x in other[0]]
+    opt = next(o for o in opts if isinstance(o, tuple))  # each slot has an item option
+    elsewhere = [x for t, other in enumerate(walks[w]) if t != s for x in next(o for o in other if isinstance(o, tuple))]
     bad = [opt + ("foreign",)]
     if opt:
         bad += [opt[1:], opt[:1] + opt]  # an item left out, or one repeated
@@ -345,7 +385,11 @@ def test_best_product_rejects_options_of_another_item_set(case, data):
         bad.append(opt[:1] + opt[:-1])  # one repeated in place of another
     if opt and elsewhere:
         bad.append((data.draw(st.sampled_from(elsewhere)),) + opt[1:])  # another slot's item
-    opts.insert(data.draw(st.integers(0, len(opts))), data.draw(st.sampled_from(bad)))
+    bad = data.draw(st.sampled_from(bad))
+    if data.draw(st.booleans()):  # the bad items in a walk option, split over two slots
+        cut = data.draw(st.integers(0, len(bad)))
+        bad = [[bad[:cut]], [bad[cut:]]]
+    opts.insert(data.draw(st.integers(0, len(opts))), bad)
     with pytest.raises(InvalidInstance):
         best_product(source, walks)
     with pytest.raises(InvalidInstance):
