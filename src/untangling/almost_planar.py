@@ -6,9 +6,10 @@ only its rule for the moved sets: the smaller side of e, the smaller side
 of every piece of G - u - v, or the least of a whole endpoint side (e a
 bridge) and the satellites' smaller sides plus what the best canonical
 target (block Hamiltonian cycle plus attachment blocks, scored by the
-longest common cyclic subsequence) drops.  No target is listed:
-`seqs.best_product` searches a block's attachment product or a bridge's
-product of unwrapped sides (walks too) within SEARCH_BUDGET.  One path,
+longest common cyclic subsequence) drops.  No target is listed: a block
+gives one slot per vertex (its attachment and cuts) and a bridge's sides
+give shapes of slots, which `seqs.best_slots` and `seqs.best_unwrapped`
+score with a polynomial arc DP.  One path,
 `_untangle`, runs all three: it classifies, builds the block-cut tree once,
 and places the cheapest set with `blocks.planar_order_keeping` and
 `moves_to_reach`, keeping every other vertex in input order.
@@ -39,13 +40,12 @@ from .model import (
     moves_to_reach,
     restriction,
 )
-from .seqs import best_product
+from .seqs import best_slots, best_unwrapped
 
 assertion_failures = 0
 
-# Walks of slots of options: a walk's targets are the concatenations of one
-# option per slot (see `seqs.best_product`).
-Walks = list[list[list[tuple[Vertex, ...]]]]
+# A slot (sigma, cuts) of `seqs.best_slots`: an attachment and its planar cuts.
+Slot = tuple[tuple[Vertex, ...], list[int]]
 
 
 def _sassert(cond: bool, msg: str) -> None:
@@ -160,18 +160,13 @@ def _apex_cuts(cyc: Sequence[Vertex], apex: Vertex, edges: Iterable[Edge]) -> li
 
 def _block_attachment_targets(
     d: CircularDrawing, decomp: BlockDecomposition, bi: int, side: frozenset[Vertex]
-) -> Walks:
-    """The walks whose targets are the cyclic orders of the vertex set
-    `side` (block `bi`'s component, less the far side of a bridge the
-    caller leaves out) that lay the block along its cycle (both directions)
-    with each attachment as a contiguous block keeping its input cyclic
-    order.
-
-    A walk has one slot per block vertex, in cycle order, and the slot's
-    options are its attachment's linearizations: the rotations of its
-    input order in which no attachment edge spans the block vertex (the
-    planar ways to lay it out as one contiguous block there).  The walks
-    are never expanded: `best_product` searches them within its budget.
+) -> list[list[Slot]]:
+    """The slot lists, one per cycle direction (one for a bridge), whose
+    targets are the cyclic orders of `side` (block `bi`'s component, less the
+    far side of a bridge the caller leaves out) that lay the block along its
+    cycle with each attachment as a contiguous block in its input cyclic
+    order.  Block vertex b's slot is its attachment in input cyclic order
+    and the rotations in which no attachment edge spans b.
     """
     g = decomp.graph
     cycle = decomp.blocks[bi]
@@ -190,27 +185,26 @@ def _block_attachment_targets(
         b = owner.get(ed[0])
         if b is not None and owner.get(ed[1]) == b:
             att_edges[b].append(ed)
-    lins = {}
+    slots = {}
     for b in cycle:
         sigma = tuple(att_orders[b])
-        lins[b] = [sigma[k:] + sigma[:k] for k in _apex_cuts(sigma, b, att_edges[b])]
-        _sassert(bool(lins[b]), "attachment admits no valid linearization around its block vertex")
-    return [[lins[b] for b in walk] for walk in walks]
+        slots[b] = (sigma, _apex_cuts(sigma, b, att_edges[b]))
+        _sassert(bool(slots[b][1]), "attachment admits no valid linearization around its block vertex")
+    return [[slots[b] for b in walk] for walk in walks]
 
 
 def unwrap_linearizations(
     d: CircularDrawing, decomp: BlockDecomposition, comp: frozenset[Vertex], apex: Vertex, other: Vertex
-) -> Walks:
-    """Walks whose targets are the linear orders of `comp`, the side of
-    `apex` once the bridge (apex, other) is cut, realizing a canonical
-    unwrapping of `apex`: some qualifying block is laid along its cycle,
-    attachments keep their input cyclic order, and no component edge spans
-    the apex.  `decomp` is the whole graph's tree; the bridge's block is
-    skipped.  The block's other slots hang off the apex's option L as one
-    connected arc, so each walk is L[j:], the other slots, then L[:j], for
-    a cut j of L that no edge of L's attachment spans, or j = len(L)."""
+) -> list[tuple[Slot, list[Slot]]]:
+    """Shapes `(apex slot, other slots)`, one per qualifying block and
+    direction, whose linear orders of `comp`, the side of `apex` once the
+    bridge (apex, other) is cut, unwrap `apex` canonically: the block lies
+    along its cycle, attachments keep their input cyclic order, and no edge
+    spans the apex.  `decomp` is the whole graph's tree.  The other slots
+    hang off the apex's as one arc, so the orders are sigma[t:k], the other
+    slots from the apex on, then sigma[k:t] (see `seqs.best_unwrapped`)."""
     if len(comp) == 1:
-        return [[[(apex,)]]]
+        return [(((apex,), [0]), [])]
     lo, hi = sorted((d.position(apex), d.position(other)))
 
     def covers_apex(ed: Edge) -> bool:
@@ -219,19 +213,16 @@ def unwrap_linearizations(
         x, y = d.position(ed[0]), d.position(ed[1])
         return (lo < x < hi) != (lo < y < hi)
 
-    out: Walks = []
+    out = []
     for bi in decomp.incidence[apex]:
         if other in decomp.blocks[bi]:  # the bridge
             continue
         att = decomp.attachment(bi, apex) & comp
-        att_edges = [ed for ed in decomp.graph.edges if ed[0] in att and ed[1] in att]
-        if any(map(covers_apex, att_edges)):
+        if any(covers_apex(ed) for ed in decomp.graph.edges if ed[0] in att and ed[1] in att):
             continue
-        for walk in _block_attachment_targets(d, decomp, bi, comp):
-            a = next(k for k, opts in enumerate(walk) if apex in opts[0])
-            others = walk[a + 1:] + walk[:a]
-            for lin in walk[a]:
-                out += ([[lin[j:]], *others, [lin[:j]]] for j in _apex_cuts(lin, apex, att_edges) + [len(lin)])
+        for slots in _block_attachment_targets(d, decomp, bi, comp):
+            a = next(k for k, (sigma, _) in enumerate(slots) if apex in sigma)
+            out.append((slots[a], slots[a + 1:] + slots[:a]))
     _sassert(bool(out), "no qualifying block for unwrapping the apex")
     return out
 
@@ -267,7 +258,7 @@ def _min_untangle_candidates(
     comp = decomp.components[decomp.component_of[u]]
     if len(decomp.blocks[bi]) > 2:  # e lies on a cycle: u, v stay connected in G - e
         if bi not in by_block:
-            _, kept = best_product(restriction(d.order, comp), _block_attachment_targets(d, decomp, bi, comp))
+            kept = best_slots(restriction(d.order, comp), _block_attachment_targets(d, decomp, bi, comp))
             by_block[bi] = set(comp).difference(kept)
         yield by_block[bi]
         return
@@ -287,8 +278,8 @@ def _min_untangle_candidates(
     for c in decomp.components:
         if c is not comp:
             moved |= _cheapest(g, (c & lset, c & rset))
-    lv_walks = unwrap_linearizations(d, decomp, comp_v, v, u)
-    lu_walks = unwrap_linearizations(d, decomp, comp_u, u, v)
-    _, kept = best_product(restriction(d.order, comp), [[lv_walks, lu_walks]])
+    lv = unwrap_linearizations(d, decomp, comp_v, v, u)
+    lu = unwrap_linearizations(d, decomp, comp_u, u, v)
+    kept = best_unwrapped(restriction(d.order, comp), lv, lu)
     moved |= comp.difference(kept)
     yield moved

@@ -8,7 +8,6 @@ monotone or common cyclic subsequence.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import count
 from typing import Iterable, Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, TooLarge
@@ -155,151 +154,258 @@ def lccs(a, b) -> list:
     return best_target(a, (tuple(b),))[1]
 
 
+def _ranked(source) -> tuple[tuple, dict]:
+    """The items of `source` and each one's rank; a repeat raises InvalidInstance."""
+    items = tuple(source)
+    rank = {v: i for i, v in enumerate(items)}
+    if len(rank) != len(items):
+        raise InvalidInstance(_NOT_ONE_ITEM_SET)
+    return items, rank
+
+
 def best_target(source, targets) -> tuple:
     """`(target, kept)`: the first of `targets` (as given) whose longest
     common cyclic subsequence with `source` is longest, and `kept`, that
     subsequence, equal to `lccs(source, target)`.
 
-    One `best_product` call with each target a walk of one slot and one
-    option, so each target goes straight to `_best_rotation` and most
-    losing targets stop at its rotation bounds.  Every target must list
-    the items of `source`, each once.
+    `source` is ranked once, and each target is read as its positions of
+    the source's items by inverting that rank map.  A target is scored only
+    as far as needed to tell whether it beats the best so far, so most
+    losing targets stop at `_best_rotation`'s rotation bounds.  Every target
+    must list the items of `source`, each once.
     """
-    targets = tuple(targets)
-    target, kept = best_product(source, (((tuple(t),),) for t in targets))
-    return next(t for t in targets if tuple(t) == target), kept  # equal targets tie, so the first won
-
-
-def _may_beat(keys: Sequence, best: int) -> bool:
-    """Whether the split-point-0 bound of `_split_bounds` on `keys`, taken
-    over non-decreasing subsequences, exceeds `best`.
-
-    A slot not decided yet gives all its items its first position.  Slots
-    occupy disjoint position ranges, so an increasing subsequence of any
-    completion is a non-decreasing one of these keys, and the bound holds
-    for every completion.  On distinct keys it is `_split_bounds(keys, 0)`.
-    """
-    tails: list = []
-    fwd = []  # fwd[i]: the longest non-decreasing subsequence of keys[:i]
-    m = 0
-    for x in keys:
-        fwd.append(m)
-        j = bisect_right(tails, x)
-        if j == m:
-            tails.append(x)
-            m += 1
-        else:
-            tails[j] = x
-    if m > best:  # rotation 0, or no items and no best yet
-        return True
-    tails, m = [], 0
-    for i in range(len(keys) - 1, 0, -1):  # m: the same of keys[i:], found backwards
-        x = -keys[i]
-        j = bisect_right(tails, x)
-        if j == m:
-            tails.append(x)
-            m += 1
-            if fwd[i] + m > best:  # fwd falls with i, so only a longer m can pass
-                return True
-        else:
-            tails[j] = x
-    return False
-
-
-# Options one `best_product` call may try: a flat product of 65,536 targets takes fewer.
-SEARCH_BUDGET = 1 << 17
-
-
-def best_product(source, walks) -> tuple:
-    """`best_target(source, targets)` for the targets of `walks`, scored
-    without building them.
-
-    A walk is a sequence of slots and a slot a sequence of options, each a
-    sequence of items or, if a list, a walk itself.  A walk's targets are
-    the concatenations of one option target per slot, in `itertools.product`
-    order, and the walks follow one another; each must list the items of
-    `source` once, and a slot's options one item set.  The winner is a tuple.
-
-    The search is a depth-first branch and bound over one array of target
-    positions indexed by source rank: deciding a slot writes its positions
-    (a walk option's slots are decided next), and a subtree is dropped as
-    soon as `_may_beat` says no completion can beat the best so far.  A
-    leaf left standing goes to `_best_rotation`, and a walk of one target
-    goes there at once.  Pruning needs a strict improvement, so the winner
-    is the first argmax, as in `best_target`.  Each option tried for a slot
-    to decide counts, and TooLarge is raised past SEARCH_BUDGET.
-    """
-    items = tuple(source)
+    items, rank = _ranked(source)
     n = len(items)
-    rank = {v: i for i, v in enumerate(items)}
-    if len(rank) != n:
-        raise InvalidInstance(_NOT_ONE_ITEM_SET)
-    budget, tries = SEARCH_BUDGET, count(1)
-    best_len, best_pos, best_r = -1, (), 0
-
-    def laid(walk, off: int):
-        """(ranks, keys, slots to decide) of a walk laid from `off`, or None
-        without targets: its items' ranks (-1 for a foreign item) by each
-        slot's first option, their positions (all a slot's first one while it
-        is undecided), and the slots to decide as (offset, options laid, ranks)."""
-        rs, ks, branch = [], [], []
-        for opts in walk:
-            lays = []
-            for o in opts:  # a list option is a walk of its own
-                lay = laid(o, off) if isinstance(o, list) else ([rank.get(x, -1) for x in o], range(off, off + len(o)), ())
-                if lay is not None:
-                    lays.append(lay)
-            if not lays:
-                return None  # a slot without options: no targets
-            first = lays[0][0]
-            rs += first
-            if len(lays) == 1:
-                ks += lays[0][1]
-                branch += lays[0][2]
-            else:
-                want = sorted(first)
-                if any(sorted(lay[0]) != want for lay in lays):
-                    raise InvalidInstance(_NOT_ONE_ITEM_SET)
-                ks += [off] * len(first)
-                branch.append((off, lays, first))
-            off += len(first)
-        return rs, ks, tuple(branch)
-
-    def descend(keys: list, todo: tuple) -> None:
-        nonlocal best_len, best_pos, best_r
-        if not todo:  # a whole target: score it
-            pos = tuple(keys)
-            length, r = _best_rotation(pos, best_len)
-            if r >= 0:
-                best_len, best_pos, best_r = length, pos, r
-            return
-        (off, lays, reset), rest = todo[0], todo[1:]
-        for ranks, ks, sub in lays:
-            if next(tries) > budget:
-                raise TooLarge(f"the target search would try more than SEARCH_BUDGET = {budget} options")
-            for i, k in zip(ranks, ks):
-                keys[i] = k
-            if _may_beat(keys, best_len):
-                descend(keys, sub + rest)
-        for i in reset:
-            keys[i] = off
-
-    for walk in walks:
-        lay = laid(walk, 0)
-        if lay is None:
-            continue
-        ranks, ks, branch = lay
-        if sorted(ranks) != list(range(n)):  # each item once, and no foreign one
+    best, best_len, best_pos, best_r = None, -1, (), 0
+    for t in targets:
+        pos = [-1] * n  # pos[i]: the position in t of items[i]
+        try:
+            for j, x in enumerate(t):
+                pos[rank[x]] = j
+        except KeyError:
+            raise InvalidInstance(_NOT_ONE_ITEM_SET) from None
+        if len(t) != n or -1 in pos:
             raise InvalidInstance(_NOT_ONE_ITEM_SET)
-        keys = [0] * n  # keys[i]: the position in the target of items[i]
-        for i, k in zip(ranks, ks):
-            keys[i] = k
-        if not branch or _may_beat(keys, best_len):  # one target goes straight to its score
-            descend(keys, branch)
+        pos = tuple(pos)
+        length, r = _best_rotation(pos, best_len)
+        if r >= 0:
+            best, best_len, best_pos, best_r = t, length, pos, r
     if best_len < 0:
         raise InvalidInstance("best_target needs at least one target")
-    at = dict(zip(best_pos, items))  # the winner's item at each position
-    return tuple(map(at.__getitem__, range(n))), [items[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
+    return best, [items[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
+
+
+# A slot `(sigma, cuts)` is the rotations sigma[c:] + sigma[:c] of its items,
+# listed in source order.  A common cyclic subsequence with a chain of slots
+# keeps, without loss, one arc of each sigma that the slot's cut is not
+# strictly inside, on disjoint spans of the source in slot order.  A window
+# reads the source from rank s (ranks r < s as r + n); th[v] ends its shortest
+# prefix keeping v items, and nodes[v] is its chain of arcs (prev, pos, i, j).
+
+Laid = tuple[list[int], list[int], int]
+
+
+def _lay(rank: dict, n: int, sigma, cuts) -> Laid:
+    """`(ranks, room, m)` of a slot of m items: their ranks, ascending, then
+    again plus n, and twice over each item's room, the most items an arc of
+    sigma from it holds with some cut not strictly inside."""
+    try:
+        ranks = [rank[x] for x in sigma]
+    except KeyError:
+        raise InvalidInstance(_NOT_ONE_ITEM_SET) from None
+    m, cut = len(ranks), set(cuts)
+    if not cut or not cut <= set(range(m)):
+        raise InvalidInstance(f"a slot of {m} items needs cuts among 0..{m - 1}, got {sorted(cut)}")
+    last, room = max(cut) - m, []  # last: the latest cut so far, the final one unrolled at first
+    for a in range(m):
+        if a in cut:
+            last = a
+        room.append(m if a in cut else (last - a) % m)
+    z = ranks.index(min(ranks))
+    ranks, room = ranks[z:] + ranks[:z], room[z:] + room[:z]
+    if any(x >= y for x, y in zip(ranks, ranks[1:])):
+        raise InvalidInstance("a slot must list its items in the source's cyclic order")
+    return ranks + [r + n for r in ranks], room + room, m
+
+
+def _arcs(th: list[int], nodes: list, lay: Laid, s: int) -> None:
+    """Add a laid slot's best arc to the tails of the window from rank s.
+
+    Arc i..j-1 of its items follows the prefix kept before item i, so the
+    best start for end j is a sliding-window maximum of kept[i] - i over the
+    starts whose room reaches j.  An end lifts at most one tail: it keeps at
+    most one more than the previous end or than its own item's prefix.
+    Tails are read before any moves.  O(m log n).
+    """
+    ranks, room, m = lay
+    o = bisect_left(ranks, s, 0, m)
+    if m == 1:  # a patience step; a slice at len(th) appends
+        p = ranks[o]
+        v = bisect_right(th, p)
+        if v == len(th) or p + 1 < th[v]:
+            th[v:v + 1], nodes[v:v + 1] = [p + 1], [(nodes[v - 1], (p,), 0, 1)]
+        return
+    pos, room = ranks[o:o + m], room[o:o + m]
+    key, prev, live, head, reached, moves = [], [], [], 0, -1, []
+    v = 0
+    for j, p in enumerate(pos, 1):
+        v = bisect_right(th, p, v) - 1
+        prev.append(nodes[v])
+        key.append(v - j + 1)
+        while len(live) > head and key[live[-1]] <= key[-1]:
+            live.pop()
+        live.append(j - 1)
+        while live[head] + room[live[head]] < j:
+            head += 1
+        i = live[head]
+        w = key[i] + j
+        if w > reached:
+            reached = w
+            if w >= len(th) or p + 1 < th[w]:
+                moves.append((w, p + 1, (prev[i], pos, i, j)))
+    for w, end, node in moves:  # w rises, and only the last may be len(th)
+        th[w:w + 1], nodes[w:w + 1] = [end], [node]
+
+
+def _starts(lay: Laid, n: int) -> list[int]:
+    """The indices of a laid slot's items that a window must start at: its
+    cuts, and the items whose source predecessor is not the slot's.  No best
+    kept set starts its first arc at any other item: the arc could take the
+    predecessor too, as no cut falls before the item."""
+    ranks, room, m = lay
+    return [o for o in range(m) if room[o] == m or (ranks[o] - ranks[o - 1]) % n != 1]
+
+
+def _kept(items: tuple, node) -> list:
+    """The items a chain of arcs keeps, in window order, read back in a loop."""
+    n, arcs = len(items), []
+    while node is not None:
+        node, pos, i, j = node
+        arcs.append(pos[i:j])
+    return [items[p % n] for pos in reversed(arcs) for p in pos]
+
+
+def best_slots(source, orders) -> list:
+    """A longest common cyclic subsequence of `source` and a target of
+    `orders`, in the source's cyclic order.
+
+    An order is a sequence of slots `(sigma, cuts)` that list the items of
+    `source` once between them; its targets join one rotation
+    sigma[c:] + sigma[:c], c in cuts (not empty), per slot.  Windows start at
+    the `_starts` of the largest live slot, that slot first, with one `_arcs`
+    pass per slot.  They find every best kept set that keeps some of the
+    slot, so it is dropped after them; an order ends once the best length
+    reaches the items of live slots, and a window once its items left
+    cannot beat the best.  O(n) windows of O(n log n): O(n^2 log n) per order.
+    """
+    items, rank = _ranked(source)
+    n = len(items)
+    best, won = -1, None
+    for slots in orders:
+        laid = [_lay(rank, n, sigma, cuts) for sigma, cuts in slots]
+        if sorted(r for ranks, _, m in laid for r in ranks[:m]) != list(range(n)):
+            raise InvalidInstance(_NOT_ONE_ITEM_SET)
+        best, live, left = max(best, 0), laid, n
+        for lay in sorted(live, key=lambda lay: -lay[2]):
+            if best >= left:
+                break
+            at = live.index(lay)
+            run = live[at:] + live[:at]
+            for s in (lay[0][o] for o in _starts(lay, n)):
+                th, nodes, rest = [s], [None], left
+                for slot in run:
+                    rest -= slot[2]
+                    _arcs(th, nodes, slot, s)
+                    if len(th) - 1 + rest <= best:
+                        break
+                else:
+                    best, won = len(th) - 1, nodes[-1]
+            del live[at]
+            left -= lay[2]
+    if best < 0:
+        raise InvalidInstance("best_slots needs at least one target")
+    return _kept(items, won)
+
+
+def _runs(rank: dict, n: int, shapes) -> tuple[list[int], dict]:
+    """`(ranks, runs)` of one side of `best_unwrapped`: its sorted ranks, and
+    for each start s the tails and nodes of runs from s that keep items in
+    one of its linear orders.  From a non-apex slot, the slots before it keep
+    nothing and the apex is a plain slot last.  From the apex, sigma[t:k]'s
+    arc starts at offset 0 and ends by k, the first cut after it, which is
+    the state; sigma[k:t] keeps an arc of offsets [k, t), t the last cut at
+    or before the start."""
+    runs: dict = {}
+    sides = set()
+    for apex, others in shapes:
+        laid_apex, laid = _lay(rank, n, *apex), [_lay(rank, n, *slot) for slot in others]
+        sides.add(tuple(sorted(r for ranks, _, m in (laid_apex, *laid) for r in ranks[:m])))
+        ranks, room, m = laid_apex
+        for o in _starts(laid_apex, n):
+            s, pos = ranks[o], ranks[o:o + m]
+            states = [k for k in range(1, m) if room[o + k] == m] + [m] * (room[o] == m)
+            t = states[-1]
+            first_th, first_nodes = [s] + [p + 1 for p in pos], [None] + [(None, pos, 0, v) for v in range(1, m + 1)]
+            for k in states:
+                th, nodes = first_th[:k + 1], first_nodes[:k + 1]
+                for lay in laid:
+                    _arcs(th, nodes, lay, s)
+                _arcs(th, nodes, (pos[k:t], [t - k] * (t - k), t - k), s)
+                _keep_shorter(runs, s, th, nodes)
+        for first, lay in enumerate(laid):
+            for s in (lay[0][o] for o in _starts(lay, n)):
+                th, nodes = [s], [None]
+                for slot in (*laid[first:], laid_apex):
+                    _arcs(th, nodes, slot, s)
+                _keep_shorter(runs, s, th, nodes)
+    if len(sides) != 1:
+        raise InvalidInstance(_NOT_ONE_ITEM_SET)
+    return list(sides.pop()), runs
+
+
+def _keep_shorter(runs: dict, s: int, th: list[int], nodes: list) -> None:
+    """Merge tails into `runs[s]`, keeping the shorter prefix per length."""
+    old, old_nodes = runs.setdefault(s, ([], []))
+    for v, end in enumerate(th):
+        if v == len(old):
+            old.append(end)
+            old_nodes.append(nodes[v])
+        elif end < old[v]:
+            old[v], old_nodes[v] = end, nodes[v]
+
+
+def best_unwrapped(source, side_v, side_u) -> list:
+    """A longest common cyclic subsequence of `source` and a target `lv + lu`,
+    `lv` a linear order of side v and `lu` one of side u, in source order.
+
+    A side is a sequence of shapes `(apex, others)` of slots as in
+    `best_slots`, and the two sides split the items of `source`.  A shape's
+    orders are sigma[t:k] (cyclically), one rotation per other slot, then
+    sigma[k:t], for cuts t and k of the apex (for t == k, either piece is
+    all of sigma).  `_runs` scores each side alone from every start, and
+    each pair of starts is glued by a bisect on both sides' tails.  Per
+    shape, m * c + n windows of O(n log n), m the apex's items and c its
+    cuts: O(n^3 log n) at most, and O(n^2 log n) for the gluing.
+    """
+    items, rank = _ranked(source)
+    n = len(items)
+    (ranks_v, runs_v), (ranks_u, runs_u) = _runs(rank, n, side_v), _runs(rank, n, side_u)
+    if sorted(ranks_v + ranks_u) != list(range(n)):
+        raise InvalidInstance(_NOT_ONE_ITEM_SET)
+    best, won = 0, ()
+    for runs in (runs_v, runs_u):  # one side keeps nothing
+        for s, (th, nodes) in runs.items():
+            if len(th) - 1 > best:
+                best, won = len(th) - 1, (nodes[-1],)
+    for s, (th_v, nodes_v) in runs_v.items():
+        for e, (th_u, nodes_u) in runs_u.items():
+            if len(th_v) + len(th_u) - 2 <= best:
+                continue
+            gap = (e - s) % n  # side v's run must end by e, and side u's by s
+            v, u = bisect_right(th_v, s + gap) - 1, bisect_right(th_u, e + n - gap) - 1
+            if v + u > best:
+                best, won = v + u, (nodes_v[v], nodes_u[u])
+    return [x for node in won for x in _kept(items, node)]
 
 
 # Verifying a witness costs two `lics` calls on it; 1,025 = 32 * 32 + 1

@@ -1,10 +1,10 @@
 """One-side, edge-fixed, and minimum untangling of almost-planar drawings."""
 
 import random
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from untangling import (
@@ -27,14 +27,15 @@ from untangling import (
     unwrap_linearizations,
     verify_untangling,
 )
-from untangling import almost_planar, blocks, seqs
-from untangling.almost_planar import _apex_cuts, _block_attachment_targets
+from untangling import almost_planar, blocks
+from untangling.almost_planar import _apex_cuts
 from untangling.blocks import components
 from untangling.cli import main
-from untangling.errors import NotAlmostPlanar, NotOuterplanar, StructuralAssertionFailed, TooLarge
+from untangling.errors import NotAlmostPlanar, NotOuterplanar, StructuralAssertionFailed
 from untangling.generators import _almost_planar_from
 from untangling.io_formats import format_drawing
-from untangling.model import all_crossings_on, cyclic_equal, sides_of_edge
+from untangling.model import all_crossings_on, cyclic_equal, restriction, sides_of_edge
+from untangling.seqs import best_target, best_unwrapped
 
 
 def c4_tangled():
@@ -171,39 +172,26 @@ def test_unwrap_orders_leave_apex_uncovered():
         if comp_u == comp_v:
             continue
         sub_edges = [ed for ed in d.graph.edges if ed[0] in comp_v and ed[1] in comp_v]
-        for lin in expanded_walks(unwrap_linearizations(d, block_decomposition(d.graph), comp_v, v, u)):
+        for lin in expanded_shapes(unwrap_linearizations(d, block_decomposition(d.graph), comp_v, v, u)):
             pos = {x: i for i, x in enumerate(lin)}
             pv = pos[v]
             for a, b in sub_edges:
                 assert not (min(pos[a], pos[b]) < pv < max(pos[a], pos[b]))
 
 
-def expanded_walks(walks):
-    """Every target of `walks`: the concatenations of one option per slot."""
-    return [tuple(chain.from_iterable(combo)) for walk in walks for combo in product(*walk)]
-
-
-def listed_unwrappings(d, decomp, comp, apex, other):
-    """Reference for `unwrap_linearizations`: every concatenation of each
-    qualifying block's walks, cut at every rotation in which no edge of the
-    component spans the apex, as a set."""
-    if len(comp) == 1:
-        return {(apex,)}
-    edges = [ed for ed in decomp.graph.edges if ed[0] in comp and ed[1] in comp]
-    lo, hi = sorted((d.position(apex), d.position(other)))
-
-    def covers_apex(ed):
-        x, y = d.position(ed[0]), d.position(ed[1])
-        return apex not in ed and (lo < x < hi) != (lo < y < hi)
-
-    outs = set()
-    for bi in decomp.incidence[apex]:
-        att = decomp.attachment(bi, apex) & comp
-        if other in decomp.blocks[bi] or any(covers_apex(ed) for ed in edges if ed[0] in att and ed[1] in att):
-            continue
-        for cyc in expanded_walks(_block_attachment_targets(d, decomp, bi, comp)):
-            outs.update(cyc[k:] + cyc[:k] for k in _apex_cuts(cyc, apex, edges))
-    return outs
+def expanded_shapes(shapes):
+    """Every linear order of unwrapping shapes `(apex, others)`: sigma[t:k]
+    (cyclically, from t to k), one rotation of each other slot, then
+    sigma[k:t], for cuts t and k of the apex, and with t == k once each
+    way round."""
+    out = []
+    for (sigma, cuts), others in shapes:
+        middles = [sum(combo, ()) for combo in product(*([s[c:] + s[:c] for c in cs] for s, cs in others))]
+        for k in cuts:
+            lin = sigma[k:] + sigma[:k]
+            for j in sorted({(t - k) % len(sigma) for t in cuts}) + [len(sigma)]:
+                out += [lin[j:] + middle + lin[:j] for middle in middles]
+    return out
 
 
 def _bridge_sides(d):
@@ -216,22 +204,6 @@ def _bridge_sides(d):
             u, v = c.edge
             yield decomp, decomp.attachment(bi, u), u, v
             yield decomp, decomp.attachment(bi, v), v, u
-
-
-def test_unwrap_walks_expand_to_the_listed_orders():
-    """The unwrap walks hold exactly the orders the listing builds, on the
-    bridge candidates of the n <= 7 corpus, of seeded case-2-2 drawings and
-    of two triangles with two leaves per vertex."""
-    drawings = [d for n in range(3, 8) for d in enumerate_almost_planar_instances(n)]
-    drawings += [gen_random(n, seed, "case-2-2") for n in range(10, 15) for seed in range(20)]
-    drawings.append(_bridged_triangles(2))
-    sides = 0
-    for d in drawings:
-        for decomp, side, apex, other in _bridge_sides(d):
-            walks = unwrap_linearizations(d, decomp, side, apex, other)
-            assert set(expanded_walks(walks)) == listed_unwrappings(d, decomp, side, apex, other)
-            sides += 1
-    assert sides > 5000
 
 
 def scan_cuts(cyc, apex, edges):
@@ -422,27 +394,31 @@ def _wide_cycle(k: int) -> CircularDrawing:
     return _almost_planar_from(g, "c0", "c1", random.Random(0), 50)
 
 
-def _answers_and_exits_over_budget(d: CircularDrawing, tmp_path, capsys, monkeypatch) -> None:
-    """`min` answers within `seqs.SEARCH_BUDGET`, moving no more than
-    `edge_fixed_untangle`; with a budget of 8 tries it raises TooLarge, and
-    the CLI exits 4 and names the budget."""
+def _answers_as_edge_fixed(d: CircularDrawing, moved: int) -> None:
+    """`min` answers and verifies, moving `moved` vertices, as many as
+    `edge_fixed_untangle` and no more."""
     rep = verify_untangling(d, min_untangle(d))
     assert rep.planar_ok and rep.fixed_set_ok
-    assert rep.moved_count <= len(edge_fixed_untangle(d).moved_set())
+    assert rep.moved_count == moved == len(edge_fixed_untangle(d).moved_set())
+
+
+def test_min_untangle_target_budget(tmp_path, capsys):
+    """Blocks of 2 x 4^k canonical targets, up to k = 32, are scored
+    exactly, and the CLI answers the k = 10 drawing."""
+    for k, moved in ((8, 6), (10, 10), (16, 23), (32, 54)):
+        _answers_as_edge_fixed(_wide_cycle(k), moved)
     path = tmp_path / "wide.cdr"
-    path.write_text(format_drawing(d))
-    with monkeypatch.context() as m:
-        m.setattr(seqs, "SEARCH_BUDGET", 8)
-        with pytest.raises(TooLarge):
-            min_untangle(d)
-        assert main(["untangle", str(path), "--algorithm", "min"]) == 4
-    assert "SEARCH_BUDGET = 8" in capsys.readouterr().err
+    path.write_text(format_drawing(_wide_cycle(10)))
+    assert main(["untangle", str(path), "--algorithm", "min"]) == 0
+    assert "# moved=10 " in capsys.readouterr().out
 
 
-def test_min_untangle_target_budget(monkeypatch, tmp_path, capsys):
-    """A block of 2 x 4^8 = 131,072 targets is searched within the budget
-    of tries."""
-    _answers_and_exits_over_budget(_wide_cycle(8), tmp_path, capsys, monkeypatch)
+def test_min_untangle_answers_a_long_wide_cycle():
+    """A 300-cycle with 3 leaves per vertex (n = 1,200) answers: the
+    scoring is polynomial."""
+    d = _wide_cycle(300)
+    rep = verify_untangling(d, min_untangle(d))
+    assert rep.planar_ok and rep.fixed_set_ok and rep.moved_count == 592
 
 
 def _bridged_triangles(k: int) -> CircularDrawing:
@@ -459,28 +435,98 @@ def _bridged_triangles(k: int) -> CircularDrawing:
     return _almost_planar_from(Graph(vs, es), "a0", "b0", random.Random(0), 50)
 
 
-def test_min_untangle_bridge_target_budget(monkeypatch, tmp_path, capsys):
+def test_min_untangle_bridge_target_budget():
     """The bridge case's product of unwrapped sides, 640 x 640 targets at
-    three leaves per vertex, is searched nested within the same budget."""
+    three leaves per vertex and far more at 8 and 16, is scored exactly."""
     d = _bridged_triangles(3)
     assert len(d.order) == 24 and ("a0", "b0") in {c.edge for c in classify(d).candidates}
-    sides = [expanded_walks(unwrap_linearizations(d, decomp, side, apex, other))
+    sides = [expanded_shapes(unwrap_linearizations(d, decomp, side, apex, other))
              for decomp, side, apex, other in _bridge_sides(d) if {apex, other} == {"a0", "b0"}]
     assert [len(set(s)) for s in sides] == [640, 640]
-    _answers_and_exits_over_budget(d, tmp_path, capsys, monkeypatch)
+    for k, moved in ((3, 6), (8, 8), (16, 16)):
+        _answers_as_edge_fixed(_bridged_triangles(k), moved)
+
+
+@st.composite
+def wide_attachment_drawings(draw):
+    """A 3- to 5-cycle crossed at c0-c1, or two triangles joined by the
+    crossing bridge a0-b0, with 0-2 leaves per vertex and n <= 9, drawn
+    almost-planar (None when no layout is)."""
+    if draw(st.booleans()):
+        core = [f"c{i}" for i in range(draw(st.integers(3, 5)))]
+        es = [(core[i], core[(i + 1) % len(core)]) for i in range(len(core))]
+        e = ("c0", "c1")
+    else:
+        core = ["a0", "a1", "a2", "b0", "b1", "b2"]
+        es = [("a0", "a1"), ("a1", "a2"), ("a0", "a2"), ("b0", "b1"), ("b1", "b2"), ("b0", "b2"), ("a0", "b0")]
+        e = ("a0", "b0")
+    vs = list(core)
+    for x in core:
+        for j in range(draw(st.integers(0, min(2, 9 - len(vs))))):
+            vs.append(f"{x}x{j}")
+            es.append((x, vs[-1]))
+    return _almost_planar_from(Graph(vs, es), *e, random.Random(draw(st.integers(0, 10_000))), 50)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_attachment_drawings())
+def test_min_untangle_matches_oracle_on_wide_attachments(d):
+    assume(d is not None)
+    rep = verify_untangling(d, min_untangle(d))
+    assert rep.planar_ok and rep.fixed_set_ok
+    assert rep.moved_count == exact_min_untangle(d).moved_count
+
+
+@st.composite
+def unwrap_shapes(draw, source, side):
+    """1-2 shapes over the items of `side`: random partitions into slots,
+    each listed in the cyclic order of `source` from a drawn item, with a
+    non-empty set of cuts, the first slot the apex's."""
+    rank = {x: i for i, x in enumerate(source)}
+    shapes = []
+    for _ in range(draw(st.integers(1, 2))):
+        order = draw(st.permutations(side))
+        bounds = sorted(draw(st.sets(st.integers(1, max(1, len(order) - 1)), max_size=min(3, len(order) - 1))))
+        slots = []
+        for a, b in zip([0, *bounds], [*bounds, len(order)]):
+            part = sorted(order[a:b], key=rank.__getitem__)
+            z = draw(st.integers(0, len(part) - 1))
+            slots.append((tuple(part[z:] + part[:z]), sorted(draw(st.sets(st.integers(0, len(part) - 1), min_size=1)))))
+        shapes.append((slots[0], slots[1:]))
+    return shapes
+
+
+@st.composite
+def two_sided_shapes(draw):
+    n = draw(st.integers(2, 9))
+    source = tuple(f"v{i}" for i in draw(st.permutations(range(n))))
+    split = draw(st.permutations(source))
+    cut = draw(st.integers(1, n - 1))
+    return source, draw(unwrap_shapes(source, split[:cut])), draw(unwrap_shapes(source, split[cut:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_sided_shapes())
+def test_best_unwrapped_matches_best_target_over_every_side_pair(case):
+    source, side_v, side_u = case
+    targets = [lv + lu for lv in expanded_shapes(side_v) for lu in expanded_shapes(side_u)]
+    kept = best_unwrapped(source, side_v, side_u)
+    assert len(kept) == len(best_target(source, targets)[1])
+    keep = set(kept)
+    assert len(keep) == len(kept) and cyclic_equal(tuple(kept), restriction(source, keep))
+    assert any(cyclic_equal(tuple(kept), tuple(x for x in t if x in keep)) for t in targets)
 
 
 def test_min_untangle_scores_each_cycle_block_once(monkeypatch):
-    """Candidate edges on one cycle block share its scored product; each
-    bridge candidate scores its own."""
+    """Candidate edges on one cycle block share its scored slots; each
+    bridge candidate scores its own unwrapped sides."""
     calls = []
-    score = almost_planar.best_product
+    for name in ("best_slots", "best_unwrapped"):
+        def counted(source, *shapes, _score=getattr(almost_planar, name)):
+            calls.append(source)
+            return _score(source, *shapes)
 
-    def counted(source, walks):
-        calls.append(source)
-        return score(source, walks)
-
-    monkeypatch.setattr(almost_planar, "best_product", counted)
+        monkeypatch.setattr(almost_planar, name, counted)
     shared = 0
     for seed in range(30):
         d = gen_random(12, seed, "almost-planar")

@@ -1,6 +1,6 @@
 """Sequence kernels against brute-force oracles and fixed examples."""
 
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 
 import random
 
@@ -20,7 +20,8 @@ from untangling import (
     untangle_general,
 )
 from untangling.errors import InvalidInstance, TooLarge
-from untangling.seqs import ES_TIGHT_MAX_LEN, best_product, best_target, lis_indices, lis_length
+from untangling.model import cyclic_equal
+from untangling.seqs import ES_TIGHT_MAX_LEN, best_slots, best_target, lis_indices, lis_length
 
 
 def scan_lics(items, sign=1):
@@ -289,111 +290,86 @@ def test_best_target_rejects_bad_input():
         best_target(("a", "b"), [("a", "b", "c")])
 
 
-@st.composite
-def nested_walk(draw, piece):
-    """A walk over the items of `piece`: 1-2 slots of 1-4 options each."""
-    order = draw(st.permutations(piece))
-    cuts = sorted(draw(st.lists(st.integers(0, len(piece)), max_size=1)))
-    return [
-        [tuple(order[a:b]), *draw(st.lists(st.permutations(order[a:b]).map(tuple), max_size=3))]
-        for a, b in zip([0, *cuts], [*cuts, len(piece)])
-    ]
+def rotations(slot):
+    """The targets of one slot `(sigma, cuts)`: sigma rotated at each cut."""
+    sigma, cuts = slot
+    return [tuple(sigma[c:]) + tuple(sigma[:c]) for c in cuts]
+
+
+def expanded(orders):
+    """Every target of `orders`: one rotation per slot, concatenated."""
+    return [sum(combo, ()) for slots in orders for combo in product(*map(rotations, slots))]
+
+
+def is_common_cyclic_subsequence(kept, source, target):
+    """Whether `kept` lists distinct items of `source`, in its cyclic order,
+    that `target` holds in the same cyclic order."""
+    keep = set(kept)
+    a = tuple(x for x in source if x in keep)
+    return len(keep) == len(kept) == len(a) and is_cyclic_subsequence(tuple(kept), a) and cyclic_equal(
+        a, tuple(x for x in target if x in keep)
+    )
 
 
 @st.composite
-def walks_with_ties(draw):
-    """A source of n = 0..14 items and 1-3 walks of 1-4 slots with 1-4
-    options each, an option sometimes a walk itself; a walk may repeat an
-    earlier one with its slots rotated, whose targets are rotations of the
-    earlier walk's and tie with them."""
-    n = draw(st.integers(0, 14))
+def slot_lists(draw, source):
+    """A random partition of `source` into slots, each listed in the cyclic
+    order of `source` from a drawn item, with a non-empty set of cuts."""
+    order = draw(st.permutations(source))
+    bounds = sorted(draw(st.sets(st.integers(1, max(1, len(order) - 1)), max_size=len(order) - 1))) if order else []
+    rank = {x: i for i, x in enumerate(source)}
+    slots = []
+    for a, b in zip([0, *bounds], [*bounds, len(order)]):
+        part = sorted(order[a:b], key=rank.__getitem__)
+        z = draw(st.integers(0, len(part) - 1))
+        cuts = draw(st.sets(st.integers(0, len(part) - 1), min_size=1))
+        slots.append((tuple(part[z:] + part[:z]), sorted(cuts)))
+    return slots
+
+
+@st.composite
+def slot_orders(draw):
+    """A source of n = 1..11 items and 1-2 orders of slots over them."""
+    n = draw(st.integers(1, 11))
     source = tuple(f"v{i}" for i in draw(st.permutations(range(n))))
-    walks = []
-    for _ in range(draw(st.integers(1, 3))):
-        if walks and draw(st.booleans()):
-            slots = draw(st.sampled_from(walks))
-            k = draw(st.integers(0, len(slots) - 1))
-            walks.append(slots[k:] + slots[:k])
-            continue
-        order = draw(st.permutations(source))
-        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
-        slots = []
-        for a, b in zip([0, *cuts], [*cuts, n]):
-            piece = tuple(order[a:b])
-            opts = [piece, *draw(st.lists(st.permutations(piece).map(tuple), max_size=3))]
-            if draw(st.booleans()):
-                opts.insert(draw(st.integers(0, len(opts))), draw(nested_walk(piece)))
-            slots.append(opts)
-        walks.append(slots)
-    return source, walks
-
-
-def expanded(walks):
-    """Every target of `walks`, a walk option standing for its own targets."""
-    def targets(opt):
-        return expanded([opt]) if isinstance(opt, list) else [opt]
-
-    return [
-        tuple(chain.from_iterable(combo))
-        for slots in walks
-        for combo in product(*([t for opt in opts for t in targets(opt)] for opts in slots))
-    ]
+    return source, [draw(slot_lists(source)) for _ in range(draw(st.integers(1, 2)))]
 
 
 @settings(max_examples=300, deadline=None)
-@given(walks_with_ties())
-def test_best_product_matches_best_target_over_the_expanded_product(case):
-    source, walks = case
-    want, want_kept = best_target(source, expanded(walks))
-    target, kept = best_product(source, walks)
-    assert tuple(target) == want
-    assert kept == want_kept == scan_kept(source, want)
-
-
-def test_walk_options_are_searched_in_product_order():
-    """A walk option's own slots are decided before the slots after it, so
-    ties between its targets and a later slot's options go to the first
-    target in product order."""
-    rng = random.Random(0)
-
-    def options(piece):
-        return list(dict.fromkeys([tuple(piece), *(tuple(rng.sample(piece, len(piece))) for _ in range(2))]))
-
-    for _ in range(1000):
-        n = rng.randint(4, 8)
-        source, order = tuple(rng.sample(range(n), n)), rng.sample(range(n), n)
-        c = rng.randint(2, n - 2)
-        a = rng.randint(1, c - 1)
-        walks = [[[[options(order[:a]), options(order[a:c])], tuple(order[:c])], options(order[c:])]]
-        assert best_product(source, walks) == best_target(source, expanded(walks))
+@given(slot_orders())
+def test_best_slots_matches_best_target_over_the_expanded_product(case):
+    source, orders = case
+    targets = expanded(orders)
+    kept = best_slots(source, orders)
+    assert len(kept) == len(best_target(source, targets)[1])
+    assert any(is_common_cyclic_subsequence(kept, source, t) for t in targets)
 
 
 @settings(max_examples=150, deadline=None)
-@given(walks_with_ties(), st.data())
-def test_best_product_rejects_options_of_another_item_set(case, data):
-    source, walks = case
-    walks = [[list(opts) for opts in slots] for slots in walks]
-    w = data.draw(st.integers(0, len(walks) - 1))
-    s = data.draw(st.integers(0, len(walks[w]) - 1))
-    opts = walks[w][s]
-    opt = next(o for o in opts if isinstance(o, tuple))  # each slot has an item option
-    elsewhere = [x for t, other in enumerate(walks[w]) if t != s for x in next(o for o in other if isinstance(o, tuple))]
-    bad = [opt + ("foreign",)]
-    if opt:
-        bad += [opt[1:], opt[:1] + opt]  # an item left out, or one repeated
-    if len(opt) > 1:
-        bad.append(opt[:1] + opt[:-1])  # one repeated in place of another
-    if opt and elsewhere:
-        bad.append((data.draw(st.sampled_from(elsewhere)),) + opt[1:])  # another slot's item
-    bad = data.draw(st.sampled_from(bad))
-    if data.draw(st.booleans()):  # the bad items in a walk option, split over two slots
-        cut = data.draw(st.integers(0, len(bad)))
-        bad = [[bad[:cut]], [bad[cut:]]]
-    opts.insert(data.draw(st.integers(0, len(opts))), bad)
+@given(slot_orders(), st.data())
+def test_best_slots_rejects_slots_of_another_item_set(case, data):
+    source, orders = case
+    slots = list(data.draw(st.sampled_from(orders)))
+    s = data.draw(st.integers(0, len(slots) - 1))
+    sigma, cuts = slots[s]
+    elsewhere = [x for t, (other, _) in enumerate(slots) if t != s for x in other]
+    bad = [(sigma + ("foreign",), cuts), ((*sigma, sigma[0]), cuts), (sigma, [*cuts, len(sigma)])]
+    if len(sigma) > 1:
+        bad += [(sigma[1:], [0]), (sigma[:1] + sigma[:-1], cuts)]  # an item left out, or one repeated
+    if len(sigma) > 2:
+        bad.append(((sigma[1], sigma[0], *sigma[2:]), cuts))  # not the source's cyclic order
+    if elsewhere:
+        bad.append((sigma + (data.draw(st.sampled_from(elsewhere)),), cuts))  # another slot's item
+    slots[s] = data.draw(st.sampled_from(bad))
     with pytest.raises(InvalidInstance):
-        best_product(source, walks)
-    with pytest.raises(InvalidInstance):
-        best_target(source, expanded(walks))
+        best_slots(source, [slots])
+
+
+def test_best_slots_edge_cases():
+    assert best_slots((), [[]]) == []
+    assert best_slots(("a", "b"), [[(("a", "b"), [1])]]) in (["a", "b"], ["b", "a"])
+    with pytest.raises(InvalidInstance):  # a slot without cuts has no rotation
+        best_slots(("a", "b"), [[(("a",), [0]), (("b",), [])]])
 
 
 def one_rotation_per_target(source, targets):
@@ -416,9 +392,9 @@ def one_rotation_per_target(source, targets):
 @pytest.mark.parametrize("n,seed", [(12, 0), (40, 1), (100, 2), (300, 3)])
 def test_one_target_walks_add_no_passes(monkeypatch, n, seed):
     """`untangle_general`'s call with two targets runs the patience passes of
-    one `_best_rotation` per target and no product bound."""
+    one `_best_rotation` per target and no other."""
     d = gen_random(n, seed, "outerplanar-order-perturbed", k=n // 3)
-    calls = {"_prefix_lis_lens": 0, "lis_length": 0, "_may_beat": 0}
+    calls = {"_prefix_lis_lens": 0, "lis_length": 0}
     for name in calls:
         def counted(*args, _f=getattr(seqs, name), _name=name):
             calls[_name] += 1
@@ -429,7 +405,7 @@ def test_one_target_walks_add_no_passes(monkeypatch, n, seed):
     calls.update(dict.fromkeys(calls, 0))
     base = planar_circular_order(block_decomposition(d.graph))
     want = one_rotation_per_target(d.order, (base, base[::-1]))
-    assert general_calls == calls and calls["_prefix_lis_lens"] > 0 and calls["_may_beat"] == 0
+    assert general_calls == calls and calls["_prefix_lis_lens"] > 0
     assert best_target(d.order, (base, base[::-1])) == want
 
 
