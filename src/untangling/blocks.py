@@ -6,9 +6,11 @@ each block's Hamiltonian cycle as it pops the block.  A block is that cycle
 (a bridge's is its two ends); attachments are read off the block-cut tree
 the blocks form.  `components` gives the same components from a plain DFS,
 for callers that need no blocks.
-`planar_circular_order` lays the tree out freely; `planar_order_keeping`
-lays it out keeping a given sequence of vertices in its cyclic order.  Both
-take the tree, so the caller that builds it once can lay it out many times.
+`planar_order_keeping` lays the tree out keeping a given sequence of
+vertices in its cyclic order, each block with none of them from its entry
+vertex towards that vertex's lower-ranked cycle neighbour, and is
+`planar_circular_order` without `rng`.  Both take the tree, so the caller
+that builds it once can lay it out many times.
 
 The outerplanarity recognizer works by peeling: a 2-connected outerplanar
 block always has a vertex of degree 2, and removing it (recording its two
@@ -209,8 +211,8 @@ def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ..
     return ham
 
 
-def _layout_component(decomp: BlockDecomposition, root: Vertex, rng: Optional[random.Random]) -> list[Vertex]:
-    """The order of one component: a walk of the block-cut tree from `root`.
+def _layout_component(decomp: BlockDecomposition, root: Vertex, rng: random.Random) -> list[Vertex]:
+    """The order of one component: a random walk of its block-cut tree from `root`.
 
     `visit` and `expand_block` call each other once per tree level.  They are
     generators that yield the call they need and receive its result, and the
@@ -219,14 +221,11 @@ def _layout_component(decomp: BlockDecomposition, root: Vertex, rng: Optional[ra
     in the order of plain recursion.  Each call returns its span as nested
     lists, flattened once at the end, so no vertex is copied per level.
     """
-    rank = decomp.graph.index
 
     def expand_block(bi: int, entry: Vertex):
         walk = list(rotate_to(decomp.blocks[bi], entry))
-        if len(walk) > 2:  # a bridge has one direction, and draws nothing
-            forward = rank(walk[1]) <= rank(walk[-1]) if rng is None else rng.random() < 0.5
-            if not forward:
-                walk = [walk[0]] + list(reversed(walk[1:]))
+        if len(walk) > 2 and rng.random() >= 0.5:  # a bridge has one direction, and draws nothing
+            walk = [walk[0]] + list(reversed(walk[1:]))
         out: list = []
         for w in walk[1:]:
             if len(decomp.incidence[w]) == 1:  # no other block: nothing to visit or draw
@@ -237,13 +236,12 @@ def _layout_component(decomp: BlockDecomposition, root: Vertex, rng: Optional[ra
 
     def visit(v: Vertex, from_block: Optional[int]):
         children = [bi for bi in decomp.incidence[v] if bi != from_block]
-        if rng is not None:
-            rng.shuffle(children)
+        rng.shuffle(children)
         pre: list = []
         post: list = []
         for bi in children:
             span = yield expand_block(bi, v)
-            if rng is not None and rng.random() < 0.5:
+            if rng.random() < 0.5:
                 pre.append(span)
             else:
                 post.append(span)
@@ -281,19 +279,19 @@ def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Rando
     """A crossing-free cyclic order of `decomp.graph`, given its
     `block_decomposition` as for `planar_order_keeping`.
 
-    Deterministic without `rng`; with `rng`, a uniform-ish random member of
-    the family of orders reachable by the block layout (random root, block
-    directions, child order, and child side).  Components are laid out
-    consecutively.  No crossing test is run here: the tree certifies that
-    the graph is outerplanar, and every walk of it is crossing-free.
+    Without `rng`, `planar_order_keeping(decomp, ())`; with `rng`, a
+    uniform-ish random member of the orders the block layout reaches (random
+    root, block directions, child order, and child side), components laid
+    out consecutively.  No crossing test is run here: the tree certifies
+    that the graph is outerplanar, and every walk of it is crossing-free.
     """
+    if rng is None:
+        return planar_order_keeping(decomp, ())
     comps = [sorted(c, key=decomp.graph.index) for c in decomp.components]
-    if rng is not None:
-        rng.shuffle(comps)
+    rng.shuffle(comps)
     order: list[Vertex] = []
     for comp in comps:
-        root = comp[0] if rng is None else rng.choice(comp)
-        order.extend(_layout_component(decomp, root, rng))
+        order.extend(_layout_component(decomp, rng.choice(comp), rng))
     return tuple(order)
 
 
@@ -316,7 +314,6 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
     with no fixed vertex go last.  No crossing test is run here: the callers
     that hand an order out check it once.
     """
-    g = decomp.graph
     comp_of = decomp.component_of
     ranks: list[dict[Vertex, int]] = [{} for _ in decomp.components]
     last = {}
@@ -334,7 +331,7 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
     piece: dict[Vertex, list[Vertex]] = {}
     unfixed: list[Vertex] = []
     for comp, rank in zip(decomp.components, ranks):
-        laid = _keep_component(decomp, next(iter(rank)) if rank else min(comp, key=g.index), rank)
+        laid = _keep_component(decomp, next(iter(rank)) if rank else min(comp, key=decomp.graph.index), rank)
         if laid is None:
             return None
         if not rank:
@@ -368,10 +365,11 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
     order).  In a crossing-free order every subtree without the root is one
     arc, so its ranks must run consecutively; a block's children must come
     in rank order along its Hamiltonian cycle, one way or the other, which
-    sets the block's direction; a vertex and its child blocks go by rank,
-    the unranked ones right after the vertex.  The tree is walked breadth
-    first from `root` and laid out in reverse, so no call recurses; orders
-    nest as lists and are flattened once at the end.
+    sets the block's direction (with no ranked child, the entry vertex's
+    lower-ranked cycle neighbour goes first); a vertex and its child blocks
+    go by rank, the unranked ones right after the vertex.  The tree is walked
+    breadth first from `root` and laid out in reverse, so no call recurses;
+    orders nest as lists and are flattened once at the end.
     """
     parent: dict[Vertex, Optional[int]] = {root: None}
     tree_order = [root]
@@ -387,9 +385,12 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
         spans = [(rank[v], 1, v) if v in rank else (0, 0, v)]
         for bi in decomp.incidence[v]:
             if bi != parent[v]:
-                kids = [laid.pop(w) for w in rotate_to(decomp.blocks[bi], v)[1:]]
+                cycle = rotate_to(decomp.blocks[bi], v)
+                kids = [laid.pop(w) for w in cycle[1:]]
                 ranked = [lo for lo, count, _ in kids if count]
-                if ranked and ranked[0] > ranked[-1]:
+                if not ranked:
+                    ranked = [decomp.graph.index(cycle[1]), decomp.graph.index(cycle[-1])]
+                if ranked[0] > ranked[-1]:
                     kids.reverse()
                 spans.append(_chain(kids))
                 if spans[-1] is None:

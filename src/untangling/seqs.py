@@ -57,9 +57,7 @@ def lis(s) -> list:
     return [items[i] for i in lis_indices(items)]
 
 
-# Rotation bounds use one split point per SPLIT_SPAN items, at most
-# MAX_SPLITS; below 32 items a second split point costs more than it saves.
-SPLIT_SPAN = 32
+# The most evenly spaced split points that bound a sequence's rotations.
 MAX_SPLITS = 4
 
 
@@ -108,9 +106,9 @@ def _best_rotation(items: tuple, floor: int) -> tuple[int, int]:
     n = len(items)
     if n == 0:
         return (0, 0) if floor < 0 else (floor, -1)
-    k = min(MAX_SPLITS, 1 + n // SPLIT_SPAN)
+    k = min(MAX_SPLITS, n)
     bound = None
-    for c in dict.fromkeys(i * n // k for i in range(k)):
+    for c in (i * n // k for i in range(k)):
         split = _split_bounds(items, c)
         bound = split if bound is None else list(map(min, bound, split))
         if max(bound) <= floor:

@@ -151,6 +151,42 @@ def test_min_untangle_disconnected():
     assert rep.planar_ok and rep.moved_count == 1
 
 
+def _forest_with_chords(rng: random.Random) -> CircularDrawing:
+    """A random forest plus up to three chords on 5-9 vertices, drawn in a
+    random order."""
+    vs = [f"v{i}" for i in range(rng.randint(5, 9))]
+    es = {(rng.choice(vs[:i]), x) for i, x in enumerate(vs) if i and rng.random() < 0.7}
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(vs, 2)
+        if (b, a) not in es:
+            es.add((a, b))
+    return CircularDrawing(Graph(vs, es), rng.sample(vs, len(vs)))
+
+
+def test_min_untangle_matches_oracle_on_disconnected_drawings():
+    checked = edge_checks = 0
+    rng = random.Random(22)
+    while checked < 1000:
+        d = _forest_with_chords(rng)
+        try:
+            decomp = block_decomposition(d.graph)
+        except NotOuterplanar:
+            continue
+        cls = classify(d)
+        if len(decomp.components) < 2 or cls.kind != "almost-planar":
+            continue
+        rep = verify_untangling(d, min_untangle(d))
+        assert rep.planar_ok and rep.fixed_set_ok
+        assert rep.moved_count == exact_min_untangle(d).moved_count, d
+        for c in cls.candidates:
+            rep = verify_untangling(d, edge_fixed_untangle(d, c.edge))
+            assert rep.planar_ok
+            assert rep.moved_count == exact_min_untangle_edge_fixed(d, c.edge), (d, c.edge)
+            edge_checks += 1
+        checked += 1
+    assert edge_checks > checked
+
+
 def test_min_untangle_upper_bounds():
     for seed in range(10):
         d = gen_random(9, seed, "almost-planar")

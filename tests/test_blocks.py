@@ -269,7 +269,7 @@ def recursive_planar_order(g, rng=None):
 @pytest.mark.parametrize("profile", PROFILES)
 def test_layout_matches_recursive_reference(profile):
     checked = 0
-    for n in (10, 30):
+    for n in (10, 30, 100, 200):
         for seed in range(25):
             try:
                 g = gen_random(n, seed, profile).graph
@@ -291,6 +291,16 @@ def test_planar_order_of_long_path(rng):
         order = planar_circular_order(block_decomposition(g), rng)
         assert sorted(order) == sorted(g.vertices)
         assert is_crossing_free(order, g.edges)
+
+
+def test_block_without_fixed_vertex_runs_towards_lower_ranked_neighbour():
+    # c's child block holds no fixed vertex, so it runs from c towards c's
+    # lower-ranked cycle neighbour b, not in its stored direction c, d, b
+    g = Graph("abcd", [("a", "c"), ("b", "c"), ("c", "d"), ("d", "b")])
+    decomp = block_decomposition(g)
+    assert decomp.blocks[1] == ("b", "c", "d")
+    assert planar_order_keeping(decomp, ("a", "c")) == ("a", "c", "b", "d")
+    assert planar_order_keeping(decomp, ("a", "c")) == planar_circular_order(decomp)
 
 
 def test_disconnected_graphs_concatenate():
