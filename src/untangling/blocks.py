@@ -330,8 +330,12 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
     # fixed vertex up to the next one goes out where the walk reaches it
     piece: dict[Vertex, list[Vertex]] = {}
     unfixed: list[Vertex] = []
-    for comp, rank in zip(decomp.components, ranks):
-        laid = _keep_component(decomp, next(iter(rank)) if rank else min(comp, key=decomp.graph.index), rank)
+    first: dict[int, Vertex] = {}  # each component's first vertex, the root of one with none fixed
+    if not all(ranks):
+        for x in reversed(decomp.graph.vertices):
+            first[comp_of[x]] = x
+    for c, rank in enumerate(ranks):
+        laid = _keep_component(decomp, next(iter(rank)) if rank else first[c], rank)
         if laid is None:
             return None
         if not rank:
@@ -398,8 +402,9 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
         if len(spans) == 1:  # a leaf of the tree lays out as its bare vertex
             laid[v] = spans[0]
             continue
-        own = rank.get(v, -1)
-        spans.sort(key=lambda s: (s[0], 0) if s[1] else (own, 1))
+        if any(count for _, count, _ in spans):  # else the stable sort keeps the order
+            own = rank.get(v, -1)
+            spans.sort(key=lambda s: (s[0], 0) if s[1] else (own, 1))
         laid[v] = _chain(spans)
         if laid[v] is None:
             return None

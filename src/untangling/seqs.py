@@ -92,25 +92,25 @@ def _split_bounds(items: tuple, c: int) -> list[int]:
     return split[n - c:n] + split[:n - c]
 
 
-def _best_rotation(items: tuple, floor: int) -> tuple[int, int]:
+def _best_rotation(items: tuple, floor: int, bound: list[int]) -> tuple[int, int]:
     """(length, r) for the smallest rotation r whose LIS is longest, if that
     length exceeds `floor`; otherwise (floor, -1).
 
-    The rotations are bounded from evenly spaced split points, and the
-    sequence is rejected as soon as no bound exceeds `floor`.  Otherwise
+    `bound` is `_split_bounds(items, 0)`, which the caller has computed.
+    The sequence is rejected at once if no entry of it exceeds `floor`, and
+    otherwise after each further evenly spaced split point c = i * n // k
+    whose bounds, with those before, leave none above `floor`.  Then
     rotations are tried in order of falling bound until no untried one can
     beat the best length found, or tie it at a smaller rotation index.
     Cost: O(k n log n) for k split points plus O(n log n) per rotation
     tried, up to the O(n^2 log n) of a plain scan when every bound is loose.
     """
     n = len(items)
-    if n == 0:
-        return (0, 0) if floor < 0 else (floor, -1)
+    if max(bound) <= floor:
+        return floor, -1
     k = min(MAX_SPLITS, n)
-    bound = None
-    for c in (i * n // k for i in range(k)):
-        split = _split_bounds(items, c)
-        bound = split if bound is None else list(map(min, bound, split))
+    for c in (i * n // k for i in range(1, k)):
+        bound = list(map(min, bound, _split_bounds(items, c)))
         if max(bound) <= floor:
             return floor, -1
     best, best_r = floor, -1
@@ -164,17 +164,27 @@ def _ranked(source) -> tuple[tuple, dict]:
 def best_target(source, targets) -> tuple:
     """`(target, kept)`: the first of `targets` (as given) whose longest
     common cyclic subsequence with `source` is longest, and `kept`, that
-    subsequence, equal to `lccs(source, target)`.
+    subsequence at its smallest rotation of `source`, equal to
+    `lccs(source, target)`.
 
     `source` is ranked once, and each target is read as its positions of
-    the source's items by inverting that rank map.  A target is scored only
-    as far as needed to tell whether it beats the best so far, so most
-    losing targets stop at `_best_rotation`'s rotation bounds.  Every target
-    must list the items of `source`, each once.
+    the source's items by inverting that rank map.  Every target's split
+    point c = 0 is computed first; its entry for rotation 0 is that
+    rotation's exact LIS, so the first target with the longest one, at
+    rotation 0, is the best so far before any search.  Targets are then
+    searched by `_best_rotation` in order of falling largest c = 0 bound,
+    each with the floor it must exceed to win: the best length so far, less
+    one if the target comes before the best one in the given order.  So the
+    tie rule is that of scoring the targets one by one, and a target whose
+    c = 0 bounds are all at or below its floor costs that one split point:
+    the losing orientation of a (planar order, mirror) pair usually stops
+    there.  A call with one target is one `_best_rotation` whose floor is
+    the LIS of rotation 0.  Every target must list the items of `source`,
+    each once.
     """
     items, rank = _ranked(source)
     n = len(items)
-    best, best_len, best_pos, best_r = None, -1, (), 0
+    scored = []  # (target, positions, bounds from split point 0)
     for t in targets:
         pos = [-1] * n  # pos[i]: the position in t of items[i]
         try:
@@ -185,12 +195,18 @@ def best_target(source, targets) -> tuple:
         if len(t) != n or -1 in pos:
             raise InvalidInstance(_NOT_ONE_ITEM_SET)
         pos = tuple(pos)
-        length, r = _best_rotation(pos, best_len)
-        if r >= 0:
-            best, best_len, best_pos, best_r = t, length, pos, r
-    if best_len < 0:
+        scored.append((t, pos, _split_bounds(pos, 0) or [0]))  # n = 0: one empty rotation
+    if not scored:
         raise InvalidInstance("best_target needs at least one target")
-    return best, [items[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
+    best = max(range(len(scored)), key=lambda i: scored[i][2][0])  # the first longest rotation 0
+    best_len, best_r = scored[best][2][0], 0
+    for i in sorted(range(len(scored)), key=lambda i: -max(scored[i][2])):  # stable: ties as given
+        _, pos, bound = scored[i]
+        length, r = _best_rotation(pos, best_len - (i < best), bound)
+        if r >= 0:
+            best, best_len, best_r = i, length, r
+    target, pos, _ = scored[best]
+    return target, [items[(best_r + i) % n] for i in lis_indices(pos[best_r:] + pos[:best_r])]
 
 
 # A slot `(sigma, cuts)` is the rotations sigma[c:] + sigma[:c] of its items,

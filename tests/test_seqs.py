@@ -285,6 +285,8 @@ def test_best_target_rejects_bad_input():
     with pytest.raises(InvalidInstance):
         best_target(("a", "b"), [])
     with pytest.raises(InvalidInstance):
+        best_target(("a", "b"), iter(()))
+    with pytest.raises(InvalidInstance):
         best_target(("a", "b"), [("a", "b"), ("a", "a")])
     with pytest.raises(InvalidInstance):
         best_target(("a", "b"), [("a", "b", "c")])
@@ -372,9 +374,38 @@ def test_best_slots_edge_cases():
         best_slots(("a", "b"), [[(("a",), [0]), (("b",), [])]])
 
 
+def sequential_rotation_search(items, floor):
+    """The rotation search of one target scored on its own: split points
+    c = i * n // k from c = 0, each rejecting the target once no bound
+    exceeds `floor`, then rotations by falling bound.  It returns what
+    `seqs._best_rotation` does, and runs its passes through `seqs`, so a
+    counter patched there sees them."""
+    n = len(items)
+    if n == 0:
+        return (0, 0) if floor < 0 else (floor, -1)
+    k = min(seqs.MAX_SPLITS, n)
+    bound = None
+    for c in (i * n // k for i in range(k)):
+        split = seqs._split_bounds(items, c)
+        bound = split if bound is None else list(map(min, bound, split))
+        if max(bound) <= floor:
+            return floor, -1
+    best, best_r = floor, -1
+    doubled = items + items
+    for r in sorted(range(n), key=bound.__getitem__, reverse=True):
+        b = bound[r]
+        if b < best or (b == best and (best_r < 0 or r >= best_r)):
+            break
+        length = seqs.lis_length(doubled[r:r + n])
+        if length > best or (length == best and r < best_r):
+            best, best_r = length, r
+    return best, best_r
+
+
 def one_rotation_per_target(source, targets):
-    """Reference for `best_target`: one `_best_rotation` call per target,
-    each read through the source's ranks."""
+    """Reference for `best_target`: the targets searched one after another
+    in the given order, the first with floor -1 and each later one with
+    the best length so far, each read through the source's ranks."""
     n = len(source)
     rank = {x: i for i, x in enumerate(source)}
     best, best_len, best_pos, best_r = None, -1, (), 0
@@ -383,16 +414,21 @@ def one_rotation_per_target(source, targets):
         for j, x in enumerate(t):
             pos[rank[x]] = j
         pos = tuple(pos)
-        length, r = seqs._best_rotation(pos, best_len)
+        length, r = sequential_rotation_search(pos, best_len)
         if r >= 0:
             best, best_len, best_pos, best_r = t, length, pos, r
     return best, [source[(best_r + i) % n] for i in lis_indices(best_pos[best_r:] + best_pos[:best_r])]
 
 
+MIRROR_WINS = {(100, 2), (300, 3)}
+
+
 @pytest.mark.parametrize("n,seed", [(12, 0), (40, 1), (100, 2), (300, 3)])
 def test_one_target_walks_add_no_passes(monkeypatch, n, seed):
-    """`untangle_general`'s call with two targets runs the patience passes of
-    one `_best_rotation` per target and no other."""
+    """`untangle_general`'s call with two targets runs no more patience
+    passes than one full search per target in the given order, and
+    strictly fewer where the mirror wins: the planar order then stops at
+    the bounds that the mirror's length sets."""
     d = gen_random(n, seed, "outerplanar-order-perturbed", k=n // 3)
     calls = {"_prefix_lis_lens": 0, "lis_length": 0}
     for name in calls:
@@ -404,9 +440,98 @@ def test_one_target_walks_add_no_passes(monkeypatch, n, seed):
     general_calls = dict(calls)
     calls.update(dict.fromkeys(calls, 0))
     base = planar_circular_order(block_decomposition(d.graph))
-    want = one_rotation_per_target(d.order, (base, base[::-1]))
-    assert general_calls == calls and calls["_prefix_lis_lens"] > 0
-    assert best_target(d.order, (base, base[::-1])) == want
+    mirror = base[::-1]
+    want = one_rotation_per_target(d.order, (base, mirror))
+    assert all(general_calls[k] <= calls[k] for k in calls) and general_calls["_prefix_lis_lens"] > 0
+    assert (want[0] is mirror) == ((n, seed) in MIRROR_WINS)
+    if want[0] is mirror:
+        assert sum(general_calls.values()) < sum(calls.values())
+    assert best_target(d.order, (base, mirror)) == want
+
+
+def perturbed_pair(rng, n):
+    """`(source, p, mirror)`: a random cyclic order p of v0..v(n-1), its
+    mirror, and a source that is, by a coin flip, one of the two with up
+    to n // 3 items moved, or a shuffle, against which both orientations
+    score short and alike; the source is rotated at random."""
+    p = tuple(f"v{i}" for i in rng.sample(range(n), n))
+    source = list(p if rng.random() < 0.5 else p[::-1])
+    if rng.random() < 0.5:
+        rng.shuffle(source)
+    for _ in range(rng.randrange(n // 3 + 1)):
+        source.insert(rng.randrange(n), source.pop(rng.randrange(n)))
+    k = rng.randrange(n)
+    return tuple(source[k:] + source[:k]), p, p[::-1]
+
+
+def rotation_zero(source, target):
+    """The LIS of the source as given, read through the target's positions:
+    the exact length `best_target` takes from each target's first split."""
+    pos = {x: j for j, x in enumerate(target)}
+    return lis_length(pos[x] for x in source)
+
+
+def first_argmax(source, targets):
+    """The index of the first target with the longest `scan_kept`, after
+    checking that `best_target` returns that very object and its kept list."""
+    scores = [len(scan_kept(source, t)) for t in targets]
+    win = scores.index(max(scores))
+    target, kept = best_target(source, targets)
+    assert target is targets[win]
+    assert kept == scan_kept(source, target)
+    return win
+
+
+def test_best_target_orientations_at_scale():
+    """(p, mirror) pairs at n = 40-150, including pairs where rotation 0
+    ranks the losing orientation above the winner, so the incumbent loses."""
+    rng = random.Random(23)
+    loser_first = mirror_wins = 0
+    for _ in range(60):
+        source, p, mirror = perturbed_pair(rng, rng.randrange(40, 151))
+        win = first_argmax(source, [p, mirror])
+        first = [rotation_zero(source, t) for t in (p, mirror)]
+        loser_first += first[1 - win] > first[win]
+        mirror_wins += win
+    assert loser_first > 0 and 0 < mirror_wins < 60
+
+
+def test_best_target_tied_orientations_keep_the_first():
+    """An arc of p followed by the next arc of p reversed keeps m + 1 items
+    against p and against its mirror: the target given first wins."""
+    rng = random.Random(5)
+    for _ in range(20):
+        m = rng.randrange(20, 76)
+        p = tuple(f"v{i}" for i in rng.sample(range(2 * m), 2 * m))
+        source = p[:m] + p[:m - 1:-1]
+        k = rng.randrange(2 * m)
+        source = source[k:] + source[:k]
+        mirror = p[::-1]
+        assert len(scan_kept(source, p)) == len(scan_kept(source, mirror)) == m + 1
+        assert first_argmax(source, [p, mirror]) == 0
+        assert first_argmax(source, [mirror, p]) == 0
+
+
+def test_best_target_longer_lists_and_generators():
+    """Two orientation pairs plus rotated copies of one pair, shuffled: a
+    copy scores as its original, so the first of them given wins, wherever
+    it stands; a generator of the same targets gives the same answer."""
+    rng = random.Random(11)
+    later = 0
+    for _ in range(30):
+        n = rng.randrange(40, 151)
+        source, p, mirror = perturbed_pair(rng, n)
+        _, q, q_mirror = perturbed_pair(rng, n)
+        k = rng.randrange(1, n)
+        targets = [p, mirror, q, q_mirror, p[k:] + p[:k], mirror[k:] + mirror[:k]]
+        rng.shuffle(targets)
+        win = first_argmax(source, targets)
+        target, kept = best_target(source, (t for t in targets))
+        assert target is targets[win] and kept == scan_kept(source, target)
+        later += win > 0
+    assert later > 0
+    with pytest.raises(InvalidInstance):
+        best_target(source, (t for t in ()))
 
 
 def test_moves_between():
