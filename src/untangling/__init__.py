@@ -30,8 +30,8 @@ from .errors import (
     UnknownVertex,
     UntanglingError,
 )
-from .general import gen_tight_general, general_bound, untangle_general
-from .generators import cycle_graph, enumerate_almost_planar_instances, gen_fig5, gen_random, path_graph
+from .general import general_bound, untangle_general
+from .generators import cycle_graph, enumerate_almost_planar_instances, gen_fig5, gen_random, gen_tight_general, path_graph
 from .model import (
     ALMOST_PLANAR,
     NOT_ALMOST_PLANAR,

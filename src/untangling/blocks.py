@@ -9,8 +9,9 @@ for callers that need no blocks.
 `planar_order_keeping` lays the tree out keeping a given sequence of
 vertices in its cyclic order, each block with none of them from its entry
 vertex towards that vertex's lower-ranked cycle neighbour, and is
-`planar_circular_order` without `rng`.  Both take the tree, so the caller
-that builds it once can lay it out many times.
+`planar_circular_order` without `rng`; with `rng`, that function walks the
+tree at random on one task stack.  Both take the tree, so the caller that
+builds it once can lay it out many times.
 
 The outerplanarity recognizer works by peeling: a 2-connected outerplanar
 block always has a vertex of degree 2, and removing it (recording its two
@@ -211,54 +212,6 @@ def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ..
     return ham
 
 
-def _layout_component(decomp: BlockDecomposition, root: Vertex, rng: random.Random) -> list[Vertex]:
-    """The order of one component: a random walk of its block-cut tree from `root`.
-
-    `visit` and `expand_block` call each other once per tree level.  They are
-    generators that yield the call they need and receive its result, and the
-    loop at the end runs them on an explicit stack, so a long path does not
-    exhaust Python's recursion limit.  Calls still run, and draw from `rng`,
-    in the order of plain recursion.  Each call returns its span as nested
-    lists, flattened once at the end, so no vertex is copied per level.
-    """
-
-    def expand_block(bi: int, entry: Vertex):
-        walk = list(rotate_to(decomp.blocks[bi], entry))
-        if len(walk) > 2 and rng.random() >= 0.5:  # a bridge has one direction, and draws nothing
-            walk = [walk[0]] + list(reversed(walk[1:]))
-        out: list = []
-        for w in walk[1:]:
-            if len(decomp.incidence[w]) == 1:  # no other block: nothing to visit or draw
-                out.append(w)
-            else:
-                out.append((yield visit(w, bi)))
-        return out
-
-    def visit(v: Vertex, from_block: Optional[int]):
-        children = [bi for bi in decomp.incidence[v] if bi != from_block]
-        rng.shuffle(children)
-        pre: list = []
-        post: list = []
-        for bi in children:
-            span = yield expand_block(bi, v)
-            if rng.random() < 0.5:
-                pre.append(span)
-            else:
-                post.append(span)
-        return pre + [v] + post  # copies the child spans, not their vertices
-
-    stack = [visit(root, None)]
-    result = None
-    while stack:
-        try:
-            stack.append(stack[-1].send(result))
-            result = None
-        except StopIteration as done:
-            stack.pop()
-            result = done.value
-    return _flatten(result)
-
-
 def _flatten(nested: list) -> list[Vertex]:
     """The vertices of nested lists in order, walked on an explicit stack.
     Vertices are never lists, since they are hashable."""
@@ -280,19 +233,53 @@ def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Rando
     `block_decomposition` as for `planar_order_keeping`.
 
     Without `rng`, `planar_order_keeping(decomp, ())`; with `rng`, a
-    uniform-ish random member of the orders the block layout reaches (random
-    root, block directions, child order, and child side), components laid
-    out consecutively.  No crossing test is run here: the tree certifies
-    that the graph is outerplanar, and every walk of it is crossing-free.
+    uniform-ish random member of the orders the block layout reaches: the
+    components in random order, each walked from a random root on one task
+    stack.  A visit shuffles a vertex's child blocks and pushes, for each in
+    reverse, a side task and then a block task; a block task draws the
+    block's direction (a bridge draws nothing) and pushes visits of its cut
+    vertices in reverse; a side task puts the finished block span before or
+    after its vertex.  So every draw comes where plain recursion makes it,
+    without its depth.  Spans nest as lists, flattened once at the end.  No
+    crossing test is run here: the tree certifies that the graph is
+    outerplanar, and every walk of it is crossing-free.
     """
     if rng is None:
         return planar_order_keeping(decomp, ())
     comps = [sorted(c, key=decomp.graph.index) for c in decomp.components]
     rng.shuffle(comps)
-    order: list[Vertex] = []
+    order: list = []
     for comp in comps:
-        order.extend(_layout_component(decomp, rng.choice(comp), rng))
-    return tuple(order)
+        root, pre, post = rng.choice(comp), [], []
+        order += (pre, root, post)
+        tasks: list[tuple] = [("visit", root, None, pre, post)]
+        while tasks:
+            task = tasks.pop()
+            if task[0] == "visit":
+                _, v, parent, pre, post = task
+                children = [bi for bi in decomp.incidence[v] if bi != parent]
+                rng.shuffle(children)
+                for bi in reversed(children):
+                    span: list = []
+                    tasks += (("side", span, pre, post), ("block", bi, v, span))
+            elif task[0] == "block":
+                _, bi, entry, span = task
+                walk = rotate_to(decomp.blocks[bi], entry)[1:]
+                if len(walk) > 1 and rng.random() >= 0.5:
+                    walk = walk[::-1]
+                visits = []
+                for w in walk:
+                    if len(decomp.incidence[w]) == 1:  # no other block: nothing to visit or draw
+                        span.append(w)
+                    else:
+                        pre, post = [], []
+                        span += (pre, w, post)
+                        visits.append(("visit", w, bi, pre, post))
+                tasks += reversed(visits)
+            else:
+                _, span, pre, post = task
+                (pre if rng.random() < 0.5 else post).append(span)
+    return tuple(_flatten(order))
 
 
 def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> Optional[tuple[Vertex, ...]]:

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from . import almost_planar, generators, oracle
 from .errors import FormatError, TooLarge, UntanglingError
-from .general import gen_tight_general, untangle_general
+from .general import untangle_general
 from .io_formats import (
     format_drawing,
     format_icor,
@@ -102,7 +102,7 @@ def _cmd_generate(args) -> int:
         d = generators.gen_fig5(args.n)
         sys.stdout.write(format_drawing(d, comments=[f"tight almost-planar family n={args.n}"]))
     elif kind == "es-tight":
-        d = gen_tight_general(args.n)
+        d = generators.gen_tight_general(args.n)
         sys.stdout.write(format_drawing(d, comments=[f"general-bound tight cycle n={args.n}"]))
     elif kind == "random":
         d = generators.gen_random(args.n, args.seed, args.profile, k=args.k)

@@ -1,15 +1,18 @@
-"""Graph factories, seeded random drawing generators, and exhaustive instance
-enumeration for small sizes.  A generator that needs a graph's block-cut
-tree builds it once and lays out or tests that one tree."""
+"""Graph factories, the paper's two tight families (`gen_fig5` for the
+almost-planar bound, `gen_tight_general` for the general one), seeded random
+drawing generators, and exhaustive instance enumeration for small sizes.
+A generator that needs a graph's block-cut tree builds it once and lays out
+or tests that one tree."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import isqrt
 from typing import Iterator, Optional
 
 from .blocks import block_decomposition, components, planar_circular_order
-from .errors import GenerationFailed, InvalidN, NotOuterplanar
+from .errors import ConstructionFailed, GenerationFailed, InvalidN, NotOuterplanar, TooLarge
 from .model import (
     ALMOST_PLANAR,
     CircularDrawing,
@@ -18,6 +21,7 @@ from .model import (
     classify,
     is_crossing_free,
 )
+from .seqs import ES_TIGHT_MAX_LEN, es_tight_cyclic, lics
 
 PROFILES = ("outerplanar-order-perturbed", "almost-planar", "case-2-2", "disconnected")
 GENERATION_RETRIES = 64  # graphs drawn per almost-planar or case-2-2 request
@@ -48,6 +52,44 @@ def gen_fig5(n: int) -> CircularDrawing:
     g = cycle_graph(n)
     vs = g.vertices
     order = tuple(vs[i] for i in range(1, n, 2)) + tuple(vs[i] for i in range(n - 2, -1, -2))
+    return CircularDrawing(g, order)
+
+
+def _sub_permutation(items: tuple[int, ...], n: int) -> tuple[int, ...]:
+    head = items[:n]
+    by_rank = {x: r for r, x in enumerate(sorted(head))}
+    return tuple(by_rank[x] for x in head)
+
+
+def tight_rank_permutation(n: int) -> tuple[int, ...]:
+    """A cyclic permutation of 0..n-1 whose longest monotone cyclic
+    subsequence has exactly floor(sqrt(n-2)) + 2 terms."""
+    if n < 4:
+        raise InvalidN("tight instances start at n = 4")
+    if n > ES_TIGHT_MAX_LEN:
+        raise TooLarge(f"tight general instances are verified up to n = {ES_TIGHT_MAX_LEN}, got n = {n}")
+    s = isqrt(n - 2)
+    # every monotone cyclic subsequence of a prefix is one of the whole
+    # sequence, so the prefix keeps its bound of s + 2 terms
+    perm = _sub_permutation(es_tight_cyclic(s + 1, s + 1), n)
+    best = max(len(lics(perm)), len(lics(perm[::-1])))
+    if best != s + 2:
+        raise ConstructionFailed(f"tight permutation for n={n} has monotone length {best}")
+    return perm
+
+
+def gen_tight_general(n: int) -> CircularDrawing:
+    """A drawing of the n-cycle needing exactly n - floor(sqrt(n-2)) - 2 moves.
+
+    The cycle's planar order is unique up to reflection, so its minimum move
+    count is n minus the longest monotone cyclic subsequence of the rank
+    permutation realized by the drawing; a tight permutation pins that to the
+    general bound.  Raises TooLarge above n = ES_TIGHT_MAX_LEN, where the
+    underlying sequence would exceed its verification budget.
+    """
+    perm = tight_rank_permutation(n)
+    g = cycle_graph(n)
+    order = tuple(g.vertices[r] for r in perm)
     return CircularDrawing(g, order)
 
 

@@ -266,21 +266,53 @@ def recursive_planar_order(g, rng=None):
     return tuple(order)
 
 
-@pytest.mark.parametrize("profile", PROFILES)
-def test_layout_matches_recursive_reference(profile):
-    checked = 0
+def hub_of_triangles(k=12):
+    """k triangles on one hub: a k-way shuffle and k side draws at it."""
+    edges = [e for i in range(k) for e in (("h", f"a{i}"), (f"a{i}", f"b{i}"), (f"b{i}", "h"))]
+    return Graph(("h",) + tuple(f"{x}{i}" for i in range(k) for x in "ab"), edges)
+
+
+def isolated_vertices():
+    """Four isolated vertices beside a triangle and a bridge."""
+    return Graph(("p", "a", "q", "b", "c", "r", "x", "y", "s"), [("a", "b"), ("b", "c"), ("c", "a"), ("x", "y")])
+
+
+def bridge_chain(n=40):
+    """A path of n vertices, a triangle hanging off every third one."""
+    g = path_graph(n)
+    pendants = [(v, f"{v}{s}") for v in g.vertices[::3] for s in "tu"]
+    edges = list(g.edges) + pendants + [(f"{v}t", f"{v}u") for v in g.vertices[::3]]
+    return Graph(g.vertices + tuple(w for _, w in pendants), edges)
+
+
+HAND_BUILT = {"hub-of-triangles": hub_of_triangles, "isolated-vertices": isolated_vertices, "bridge-chain": bridge_chain}
+
+
+def reference_inputs(name):
+    """(graph, seed) pairs: 50 seeds of a hand-built graph, or up to 100
+    random graphs of a profile."""
+    if name in HAND_BUILT:
+        yield from ((HAND_BUILT[name](), seed) for seed in range(50))
+        return
     for n in (10, 30, 100, 200):
         for seed in range(25):
             try:
-                g = gen_random(n, seed, profile).graph
+                yield gen_random(n, seed, name).graph, seed
             except InvalidInstance:  # disconnected draws with a one-vertex part
                 continue
-            decomp = block_decomposition(g)
-            assert planar_circular_order(decomp) == recursive_planar_order(g)
-            rng, ref_rng = random.Random(seed), random.Random(seed)
-            assert planar_circular_order(decomp, rng) == recursive_planar_order(g, ref_rng)
-            assert rng.random() == ref_rng.random()  # same number of draws
-            checked += 1
+
+
+@pytest.mark.parametrize("profile", PROFILES + tuple(HAND_BUILT))
+def test_layout_matches_recursive_reference(profile):
+    checked = 0
+    for g, seed in reference_inputs(profile):
+        decomp = block_decomposition(g)
+        assert planar_circular_order(decomp) == recursive_planar_order(g)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert planar_circular_order(decomp, rng) == recursive_planar_order(g, ref_rng)
+        assert rng.random() == ref_rng.random()  # same number of draws
+        assert is_crossing_free(planar_circular_order(decomp, random.Random(seed)), g.edges)
+        checked += 1
     assert checked >= 30
 
 

@@ -1,6 +1,9 @@
-"""The generators' outputs, pinned: the benchmark's inputs are drawn from them."""
+"""The generators' outputs, pinned: the benchmark's inputs are drawn from
+them.  And the layering: no algorithm module builds instances."""
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +68,20 @@ def test_layout_tries_share_one_tree(monkeypatch):
     for (g, u, v, *_), tree in zip(calls, trees):
         assert tree.vertices == g.vertices and tree.edges == g.edges - {(u, v), (v, u)}
     assert len(layouts) > len(trees)  # some calls take more than one try
+
+
+ALGORITHM_MODULES = ("model", "seqs", "blocks", "almost_planar", "general", "oracle", "reductions")
+
+
+def test_no_algorithm_module_imports_generators():
+    src = Path(generators.__file__).parent
+    for name in ALGORITHM_MODULES:
+        imported = []  # dotted paths: `from .x import y` gives ".x" and ".x.y"
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                imported += [base] + [f"{base}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+        bad = [path for path in imported if {"generators", "cli"} & set(path.split("."))]
+        assert not bad, f"{name} imports {bad}"
