@@ -7,9 +7,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import almost_planar, generators, oracle
 from .errors import FormatError, TooLarge, UntanglingError
-from .general import untangle_general
 from .io_formats import (
     format_drawing,
     format_icor,
@@ -19,9 +17,10 @@ from .io_formats import (
     parse_icor,
     parse_moves,
 )
-from .model import CircularDrawing, classify, crossings, moves_to_reach, Untangling, verify_untangling
-from .reductions import reduce_3p_to_disticor, reduce_disticor_to_cu
-from .render import render_svg
+from .model import PROFILES, CircularDrawing, classify, crossings, moves_to_reach, Untangling, verify_untangling
+
+# Each command imports the algorithm modules it runs when it runs, so that a
+# cold `check` or `verify` compiles only errors, model, io_formats and cli.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -65,17 +64,24 @@ def _cmd_check(args) -> int:
 def _cmd_untangle(args) -> int:
     d = parse_drawing(_read(args.file))
     if args.algorithm == "general":
+        from .general import untangle_general
+
         u = untangle_general(d)
-    elif args.algorithm == "one-side":
-        u = almost_planar.one_side_untangle(d)
-    elif args.algorithm == "edge-fixed":
-        u = almost_planar.edge_fixed_untangle(d)
-    elif args.algorithm == "min":
-        u = almost_planar.min_untangle(d)
-    else:  # exact
+    elif args.algorithm == "exact":
+        from . import oracle
+
         res = oracle.exact_min_untangle(d)
         moved = set(d.order) - set(res.fixed)
         u = Untangling(tuple(moves_to_reach(d.order, res.target_order, moved)))
+    else:
+        from . import almost_planar
+
+        untangle = {
+            "one-side": almost_planar.one_side_untangle,
+            "edge-fixed": almost_planar.edge_fixed_untangle,
+            "min": almost_planar.min_untangle,
+        }[args.algorithm]
+        u = untangle(d)
     rep = verify_untangling(d, u)
     fixed = [v for v in d.order if v not in u.moved_set()]
     sys.stdout.write(format_moves(u, fixed=fixed))
@@ -98,28 +104,34 @@ def _cmd_verify(args) -> int:
 
 def _cmd_generate(args) -> int:
     kind = args.kind
-    if kind == "fig5":
-        d = generators.gen_fig5(args.n)
-        sys.stdout.write(format_drawing(d, comments=[f"tight almost-planar family n={args.n}"]))
-    elif kind == "es-tight":
-        d = generators.gen_tight_general(args.n)
-        sys.stdout.write(format_drawing(d, comments=[f"general-bound tight cycle n={args.n}"]))
-    elif kind == "random":
-        d = generators.gen_random(args.n, args.seed, args.profile, k=args.k)
-        sys.stdout.write(
-            format_drawing(d, comments=[f"random profile={args.profile} n={args.n} seed={args.seed}"])
-        )
-    elif kind == "reduce-3p":
+    if kind == "reduce-3p":
+        from .reductions import reduce_3p_to_disticor
+
         inst = parse_3p(_read(args.file))
         sys.stdout.write(format_icor(reduce_3p_to_disticor(inst).instance))
-    else:  # reduce-icor
-        inst = parse_icor(_read(args.file))
-        d, budget = reduce_disticor_to_cu(inst)
-        sys.stdout.write(format_drawing(d, comments=[f"budget K={budget}"]))
+        return EXIT_OK
+    if kind == "reduce-icor":
+        from .reductions import reduce_disticor_to_cu
+
+        d, budget = reduce_disticor_to_cu(parse_icor(_read(args.file)))
+        comment = f"budget K={budget}"
+    else:
+        from . import generators
+
+        if kind == "fig5":
+            d, comment = generators.gen_fig5(args.n), f"tight almost-planar family n={args.n}"
+        elif kind == "es-tight":
+            d, comment = generators.gen_tight_general(args.n), f"general-bound tight cycle n={args.n}"
+        else:  # random
+            d = generators.gen_random(args.n, args.seed, args.profile, k=args.k)
+            comment = f"random profile={args.profile} n={args.n} seed={args.seed}"
+    sys.stdout.write(format_drawing(d, comments=[comment]))
     return EXIT_OK
 
 
 def _cmd_render(args) -> int:
+    from .render import render_svg
+
     d = parse_drawing(_read(args.file))
     moved = ()
     if args.moves:
@@ -166,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     rnd = gsub.add_parser("random")
     rnd.add_argument("--n", type=int, required=True)
     rnd.add_argument("--seed", type=int, default=0)
-    rnd.add_argument("--profile", choices=list(generators.PROFILES), default="almost-planar")
+    rnd.add_argument("--profile", choices=list(PROFILES), default="almost-planar")
     rnd.add_argument("--k", type=int, default=None)
     r3 = gsub.add_parser("reduce-3p")
     r3.add_argument("file")

@@ -15,6 +15,7 @@ from .blocks import block_decomposition, components, planar_circular_order
 from .errors import ConstructionFailed, GenerationFailed, InvalidN, NotOuterplanar, TooLarge
 from .model import (
     ALMOST_PLANAR,
+    PROFILES,
     CircularDrawing,
     Graph,
     Vertex,
@@ -23,7 +24,6 @@ from .model import (
 )
 from .seqs import ES_TIGHT_MAX_LEN, es_tight_cyclic, lics
 
-PROFILES = ("outerplanar-order-perturbed", "almost-planar", "case-2-2", "disconnected")
 GENERATION_RETRIES = 64  # graphs drawn per almost-planar or case-2-2 request
 
 

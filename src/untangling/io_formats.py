@@ -7,11 +7,13 @@ byte-stable.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import FormatError, UntanglingError
 from .model import CircularDrawing, Graph, Untangling, Vertex, VertexMove
-from .reductions import DistIcorInstance, ThreePartitionInstance
+
+if TYPE_CHECKING:  # the 3p and icor parsers import these when they run
+    from .reductions import DistIcorInstance, ThreePartitionInstance
 
 
 def _payload_lines(text: str) -> list[list[str]]:
@@ -57,6 +59,9 @@ def parse_drawing(text: str) -> CircularDrawing:
 
 
 def format_drawing(d: CircularDrawing, comments: Iterable[str] = ()) -> str:
+    for v in d.order:
+        if v.split() != [v]:  # `parse_drawing` would read other vertices back
+            raise FormatError(f"vertex name {v!r} is empty or holds whitespace and cannot be written")
     lines = [f"# {c}" for c in comments]
     lines.append(f"vertices {len(d.order)}")
     lines.append("order " + " ".join(d.order))
@@ -87,6 +92,8 @@ def format_moves(u: Untangling, fixed: Optional[Iterable[Vertex]] = None) -> str
 
 
 def parse_3p(text: str) -> ThreePartitionInstance:
+    from .reductions import ThreePartitionInstance
+
     lines = _payload_lines(text)
     if len(lines) != 1 or lines[0][0] != "3p":
         raise FormatError("a 3-partition file is a single `3p m K a_1 ... a_3m` line")
@@ -109,6 +116,8 @@ def format_3p(inst: ThreePartitionInstance) -> str:
 
 
 def parse_icor(text: str) -> DistIcorInstance:
+    from .reductions import DistIcorInstance
+
     m_target: Optional[int] = None
     chunks: list[tuple[int, ...]] = []
     for parts in _payload_lines(text):

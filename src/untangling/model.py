@@ -21,6 +21,10 @@ PLANAR = "planar"
 ALMOST_PLANAR = "almost-planar"
 NOT_ALMOST_PLANAR = "not-almost-planar"
 
+# the drawing families `generators.gen_random` draws; held here so that the
+# CLI can offer them without importing the generators
+PROFILES = ("outerplanar-order-perturbed", "almost-planar", "case-2-2", "disconnected")
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:

@@ -1,5 +1,6 @@
 """Text formats, rendering, and the command-line pipeline."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import untangling
 from untangling import DistIcorInstance, ThreePartitionInstance, almost_planar, gen_fig5, gen_random, render_svg
 from untangling.cli import main
 from untangling.errors import FormatError
-from untangling import io_formats
+from untangling import generators, io_formats, reductions
 from untangling.io_formats import (
     format_3p,
     format_drawing,
@@ -23,7 +24,7 @@ from untangling.io_formats import (
     parse_icor,
     parse_moves,
 )
-from untangling.model import Untangling, VertexMove
+from untangling.model import CircularDrawing, Graph, Untangling, VertexMove
 
 
 def test_drawing_roundtrip():
@@ -62,23 +63,34 @@ def test_drawing_parse_errors(text):
 
 
 @pytest.mark.parametrize(
-    "parse, name, text",
+    "parse, module, name, text",
     [
-        (parse_drawing, "Graph", "vertices 2\norder a b\nedge a b\n"),
-        (parse_3p, "ThreePartitionInstance", "3p 1 30 9 9 12\n"),
-        (parse_icor, "DistIcorInstance", "icor 2\nchunk 1 2\n"),
+        (parse_drawing, io_formats, "Graph", "vertices 2\norder a b\nedge a b\n"),
+        # the 3p and icor parsers import their instance types from
+        # `reductions` when they run, so the types are looked up there
+        (parse_3p, reductions, "ThreePartitionInstance", "3p 1 30 9 9 12\n"),
+        (parse_icor, reductions, "DistIcorInstance", "icor 2\nchunk 1 2\n"),
     ],
     ids=["drawing", "3p", "icor"],
 )
-def test_parsers_let_foreign_errors_through(monkeypatch, parse, name, text):
+def test_parsers_let_foreign_errors_through(monkeypatch, parse, module, name, text):
     # only the package's own errors mean malformed input; anything else is a
     # bug and must not turn into FormatError (exit 2)
     def broken(*args, **kwargs):
         raise RuntimeError("not a format problem")
 
-    monkeypatch.setattr(io_formats, name, broken)
+    monkeypatch.setattr(module, name, broken)
     with pytest.raises(RuntimeError):
         parse(text)
+
+
+@pytest.mark.parametrize("names", [["a b", ""], ["a", ""], ["a b", "c"], ["a\tb", "c"], ["a\u2028b", "c"]])
+def test_format_drawing_refuses_names_it_cannot_write(names):
+    """A name that is empty or holds whitespace would read back as other
+    vertices, or as none, so writing it is an error."""
+    d = CircularDrawing(Graph(names, [tuple(names)]), names)
+    with pytest.raises(FormatError, match="cannot be written"):
+        format_drawing(d)
 
 
 def test_moves_roundtrip():
@@ -367,19 +379,83 @@ def test_verification_pipeline_random(tmp_path, capsys):
 
 
 def test_cli_runs_without_networkx(tmp_path):
-    drawing = tmp_path / "d.cdr"
+    """`import untangling` loads no submodule, and each CLI command loads
+    only the modules it runs; networkx is never loaded."""
+    drawing, moves = tmp_path / "d.cdr", tmp_path / "d.mv"
     drawing.write_text("vertices 4\norder a b c d\nedge a c\nedge b d\n")
+    moves.write_text("move a after b\n")
     script = (
         "import sys\n"
+        "def loaded():\n"
+        "    return {m.split('.', 1)[1] for m in sys.modules if m.startswith('untangling.')}\n"
         "import untangling\n"
         "assert 'networkx' not in sys.modules, 'import untangling loaded networkx'\n"
+        "assert loaded() == set(), f'import untangling loaded {sorted(loaded())}'\n"
+        "assert set(untangling.__all__) <= set(dir(untangling)) and not loaded()\n"
         "import untangling.cli\n"
         f"rc = untangling.cli.main(['check', {str(drawing)!r}])\n"
+        f"rc += untangling.cli.main(['verify', {str(drawing)!r}, {str(moves)!r}])\n"
         "assert 'networkx' not in sys.modules, 'untangling check loaded networkx'\n"
+        "assert loaded() <= {'errors', 'model', 'io_formats', 'cli'}, f'check and verify loaded {sorted(loaded())}'\n"
+        f"rc += untangling.cli.main(['untangle', {str(drawing)!r}, '--algorithm', 'min'])\n"
+        "extra = loaded() & {'oracle', 'generators', 'reductions', 'render'}\n"
+        "assert not extra, f'untangle --algorithm min loaded {sorted(extra)}'\n"
         "sys.exit(rc)\n"
     )
     src = str(Path(untangling.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "crossings 1" in proc.stdout
+    assert "crossings 1" in proc.stdout and "planarOk true" in proc.stdout
+
+
+# the public API as the package's eager imports bound it: every name each
+# submodule exports, plus the submodules themselves
+PUBLIC = {
+    "almost_planar": "edge_fixed_untangle min_untangle one_side_untangle unwrap_linearizations",
+    "blocks": "BlockDecomposition block_decomposition planar_circular_order planar_order_keeping",
+    "errors": "ConstructionFailed FormatError GenerationFailed InvalidInstance InvalidN NotAlmostPlanar "
+    "NotAWitness NotDistinct NotOuterplanar PropertyViolation StructuralAssertionFailed TooLarge "
+    "UnknownEdge UnknownVertex UntanglingError",
+    "general": "general_bound untangle_general",
+    "generators": "cycle_graph enumerate_almost_planar_instances gen_fig5 gen_random gen_tight_general path_graph",
+    "model": "ALMOST_PLANAR NOT_ALMOST_PLANAR PLANAR AlmostPlanarClassification CircularDrawing Graph "
+    "Untangling VerificationReport VertexMove apply_untangling classify crossings is_crossing_free "
+    "is_planar_drawing moves_to_reach verify_untangling",
+    "oracle": "DistIcorAnswer ExactUntangleResult enumerate_planar_orders exact_3partition exact_disticor "
+    "exact_min_untangle exact_min_untangle_edge_fixed naive_planar_orders",
+    "reductions": "DistIcorInstance PartitionWitness ReducedDistIcor ThreePartitionInstance "
+    "chunk_property_check reduce_3p_to_disticor reduce_disticor_to_cu witness_3p_to_disticor",
+    "render": "render_svg",
+    "seqs": "es_tight_cyclic lccs lics lis",
+}
+
+
+def test_public_api_is_unchanged():
+    names = [name for names in PUBLIC.values() for name in names.split()]
+    assert len(names) == 68 and len(PUBLIC) == 10
+    assert untangling.__all__ == sorted(names + list(PUBLIC))
+    for module, exported in PUBLIC.items():
+        mod = importlib.import_module(f"untangling.{module}")
+        assert getattr(untangling, module) is mod
+        for name in exported.split():
+            assert getattr(untangling, name) is getattr(mod, name), name
+    assert set(untangling.__all__) <= set(dir(untangling))
+    star: dict = {}
+    exec("from untangling import *", star)
+    assert set(star) - {"__builtins__"} == set(untangling.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        untangling.no_such_name
+
+
+def test_cli_generate_random_checks_its_profile(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "random", "--n", "8", "--profile", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--profile: invalid choice" in err and "nope" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "random", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert len(generators.PROFILES) == 4 and all(profile in out for profile in generators.PROFILES)
