@@ -200,15 +200,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except UntanglingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return EXIT_PARSE if isinstance(exc, FormatError) else EXIT_BUDGET if isinstance(exc, TooLarge) else EXIT_PRECONDITION
 
 
 def entry() -> None:

@@ -299,27 +299,32 @@ def _kept(items: tuple, node) -> list:
     return [items[p % n] for pos in reversed(arcs) for p in pos]
 
 
-def best_slots(source, orders) -> list:
-    """A longest common cyclic subsequence of `source` and a target of
-    `orders`, in the source's cyclic order.
+def _turns(cycle: list) -> list[list]:
+    """A slot cycle as given and, past two slots, the other way round from slot 0."""
+    return [cycle, cycle[:1] + cycle[:0:-1]] if len(cycle) > 2 else [cycle]
 
-    An order is a sequence of slots `(sigma, cuts)` that list the items of
-    `source` once between them; its targets join one rotation
-    sigma[c:] + sigma[:c], c in cuts (not empty), per slot.  Windows start at
-    the `_starts` of the largest live slot, that slot first, with one `_arcs`
-    pass per slot.  They find every best kept set that keeps some of the
-    slot, so it is dropped after them; an order ends once the best length
-    reaches the items of live slots, and a window once its items left
-    cannot beat the best.  O(n) windows of O(n log n): O(n^2 log n) per order.
+
+def best_slots(source, cycle) -> list:
+    """A longest common cyclic subsequence of `source` and a target of a slot
+    cycle, in the source's cyclic order.
+
+    The slots `(sigma, cuts)` list the items of `source` once between them,
+    and are laid once; the targets join one rotation sigma[c:] + sigma[:c],
+    c in cuts (not empty), per slot of a `_turns` of the cycle.  Per turn,
+    windows start at the `_starts` of the largest live slot, that slot
+    first, with one `_arcs` pass per slot.  They find every best kept set
+    that keeps some of the slot, so it is dropped after them; a turn ends
+    once the best length reaches the items of live slots, and a window once
+    its items left cannot beat the best.  O(n) windows of O(n log n) each.
     """
     items, rank = _ranked(source)
     n = len(items)
-    best, won = -1, None
-    for slots in orders:
-        laid = [_lay(rank, n, sigma, cuts) for sigma, cuts in slots]
-        if sorted(r for ranks, _, m in laid for r in ranks[:m]) != list(range(n)):
-            raise InvalidInstance(_NOT_ONE_ITEM_SET)
-        best, live, left = max(best, 0), laid, n
+    laid = [_lay(rank, n, sigma, cuts) for sigma, cuts in cycle]
+    if sorted(r for ranks, _, m in laid for r in ranks[:m]) != list(range(n)):
+        raise InvalidInstance(_NOT_ONE_ITEM_SET)
+    best, won = 0, None
+    for turn in _turns(laid):
+        live, left = list(turn), n
         for lay in sorted(live, key=lambda lay: -lay[2]):
             if best >= left:
                 break
@@ -336,12 +341,10 @@ def best_slots(source, orders) -> list:
                     best, won = len(th) - 1, nodes[-1]
             del live[at]
             left -= lay[2]
-    if best < 0:
-        raise InvalidInstance("best_slots needs at least one target")
     return _kept(items, won)
 
 
-def _runs(rank: dict, n: int, shapes) -> tuple[list[int], dict]:
+def _runs(rank: dict, n: int, cycles) -> tuple[list[int], dict]:
     """`(ranks, runs)` of one side of `best_unwrapped`: its sorted ranks, and
     for each start s the tails and nodes of runs from s that keep items in
     one of its linear orders.  From a non-apex slot, the slots before it keep
@@ -351,27 +354,28 @@ def _runs(rank: dict, n: int, shapes) -> tuple[list[int], dict]:
     or before the start."""
     runs: dict = {}
     sides = set()
-    for apex, others in shapes:
-        laid_apex, laid = _lay(rank, n, *apex), [_lay(rank, n, *slot) for slot in others]
-        sides.add(tuple(sorted(r for ranks, _, m in (laid_apex, *laid) for r in ranks[:m])))
-        ranks, room, m = laid_apex
-        for o in _starts(laid_apex, n):
-            s, pos = ranks[o], ranks[o:o + m]
-            states = [k for k in range(1, m) if room[o + k] == m] + [m] * (room[o] == m)
-            t = states[-1]
-            first_th, first_nodes = [s] + [p + 1 for p in pos], [None] + [(None, pos, 0, v) for v in range(1, m + 1)]
-            for k in states:
-                th, nodes = first_th[:k + 1], first_nodes[:k + 1]
-                for lay in laid:
-                    _arcs(th, nodes, lay, s)
-                _arcs(th, nodes, (pos[k:t], [t - k] * (t - k), t - k), s)
-                _keep_shorter(runs, s, th, nodes)
-        for first, lay in enumerate(laid):
-            for s in (lay[0][o] for o in _starts(lay, n)):
-                th, nodes = [s], [None]
-                for slot in (*laid[first:], laid_apex):
-                    _arcs(th, nodes, slot, s)
-                _keep_shorter(runs, s, th, nodes)
+    for cycle in cycles:
+        laid = [_lay(rank, n, *slot) for slot in cycle]
+        sides.add(tuple(sorted(r for ranks, _, m in laid for r in ranks[:m])))
+        for laid_apex, *others in _turns(laid):
+            ranks, room, m = laid_apex
+            for o in _starts(laid_apex, n):
+                s, pos = ranks[o], ranks[o:o + m]
+                states = [k for k in range(1, m) if room[o + k] == m] + [m] * (room[o] == m)
+                t = states[-1]
+                first_th, first_nodes = [s] + [p + 1 for p in pos], [None] + [(None, pos, 0, v) for v in range(1, m + 1)]
+                for k in states:
+                    th, nodes = first_th[:k + 1], first_nodes[:k + 1]
+                    for lay in others:
+                        _arcs(th, nodes, lay, s)
+                    _arcs(th, nodes, (pos[k:t], [t - k] * (t - k), t - k), s)
+                    _keep_shorter(runs, s, th, nodes)
+            for first, lay in enumerate(others):
+                for s in (lay[0][o] for o in _starts(lay, n)):
+                    th, nodes = [s], [None]
+                    for slot in (*others[first:], laid_apex):
+                        _arcs(th, nodes, slot, s)
+                    _keep_shorter(runs, s, th, nodes)
     if len(sides) != 1:
         raise InvalidInstance(_NOT_ONE_ITEM_SET)
     return list(sides.pop()), runs
@@ -392,14 +396,14 @@ def best_unwrapped(source, side_v, side_u) -> list:
     """A longest common cyclic subsequence of `source` and a target `lv + lu`,
     `lv` a linear order of side v and `lu` one of side u, in source order.
 
-    A side is a sequence of shapes `(apex, others)` of slots as in
-    `best_slots`, and the two sides split the items of `source`.  A shape's
-    orders are sigma[t:k] (cyclically), one rotation per other slot, then
-    sigma[k:t], for cuts t and k of the apex (for t == k, either piece is
-    all of sigma).  `_runs` scores each side alone from every start, and
-    each pair of starts is glued by a bisect on both sides' tails.  Per
-    shape, m * c + n windows of O(n log n), m the apex's items and c its
-    cuts: O(n^3 log n) at most, and O(n^2 log n) for the gluing.
+    A side is a sequence of slot cycles as in `best_slots`, each from its
+    apex's slot, and the two sides split the items of `source`.  A cycle's
+    orders are sigma[t:k] (cyclically), one rotation per other slot of a
+    `_turns` of it, then sigma[k:t], for cuts t and k of the apex (for
+    t == k, either piece is all of sigma).  `_runs` scores each side alone
+    from every start, and each pair of starts is glued by a bisect on both
+    sides' tails.  Per turn, m * c + n windows of O(n log n), m the apex's
+    items and c its cuts: O(n^3 log n) at most, O(n^2 log n) to glue.
     """
     items, rank = _ranked(source)
     n = len(items)
