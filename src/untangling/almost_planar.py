@@ -197,9 +197,9 @@ def unwrap_linearizations(
     whose linear orders of `comp`, the side of `apex` once the bridge
     (apex, other) is cut, unwrap `apex` canonically: the block lies along
     its cycle, attachments keep their input cyclic order, and no edge spans
-    the apex.  `decomp` is the whole graph's tree.  The other slots hang
-    off the apex's as one arc, so the orders are sigma[t:k], the other
-    slots either way round, then sigma[k:t] (see `seqs.best_unwrapped`)."""
+    the apex.  `decomp` is the whole graph's tree.  A cycle's orders open
+    it just before or just after the apex's slot, either way round (see
+    `seqs.best_unwrapped`)."""
     if len(comp) == 1:
         return [[((apex,), [0])]]
     lo, hi = sorted((d.position(apex), d.position(other)))

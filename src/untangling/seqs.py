@@ -347,33 +347,19 @@ def best_slots(source, cycle) -> list:
 def _runs(rank: dict, n: int, cycles) -> tuple[list[int], dict]:
     """`(ranks, runs)` of one side of `best_unwrapped`: its sorted ranks, and
     for each start s the tails and nodes of runs from s that keep items in
-    one of its linear orders.  From a non-apex slot, the slots before it keep
-    nothing and the apex is a plain slot last.  From the apex, sigma[t:k]'s
-    arc starts at offset 0 and ends by k, the first cut after it, which is
-    the state; sigma[k:t] keeps an arc of offsets [k, t), t the last cut at
-    or before the start."""
+    one of its linear orders.  A run from the apex's slot lays it first and
+    then the other slots; a run from another slot lays that slot, the slots
+    after it, and the apex last.  Every slot is laid by `_arcs`."""
     runs: dict = {}
     sides = set()
     for cycle in cycles:
         laid = [_lay(rank, n, *slot) for slot in cycle]
         sides.add(tuple(sorted(r for ranks, _, m in laid for r in ranks[:m])))
-        for laid_apex, *others in _turns(laid):
-            ranks, room, m = laid_apex
-            for o in _starts(laid_apex, n):
-                s, pos = ranks[o], ranks[o:o + m]
-                states = [k for k in range(1, m) if room[o + k] == m] + [m] * (room[o] == m)
-                t = states[-1]
-                first_th, first_nodes = [s] + [p + 1 for p in pos], [None] + [(None, pos, 0, v) for v in range(1, m + 1)]
-                for k in states:
-                    th, nodes = first_th[:k + 1], first_nodes[:k + 1]
-                    for lay in others:
-                        _arcs(th, nodes, lay, s)
-                    _arcs(th, nodes, (pos[k:t], [t - k] * (t - k), t - k), s)
-                    _keep_shorter(runs, s, th, nodes)
-            for first, lay in enumerate(others):
+        for turn in _turns(laid):  # the apex's slot first
+            for first, lay in enumerate(turn):
                 for s in (lay[0][o] for o in _starts(lay, n)):
                     th, nodes = [s], [None]
-                    for slot in (*others[first:], laid_apex):
+                    for slot in turn if first == 0 else turn[first:] + turn[:1]:
                         _arcs(th, nodes, slot, s)
                     _keep_shorter(runs, s, th, nodes)
     if len(sides) != 1:
@@ -398,12 +384,24 @@ def best_unwrapped(source, side_v, side_u) -> list:
 
     A side is a sequence of slot cycles as in `best_slots`, each from its
     apex's slot, and the two sides split the items of `source`.  A cycle's
-    orders are sigma[t:k] (cyclically), one rotation per other slot of a
-    `_turns` of it, then sigma[k:t], for cuts t and k of the apex (for
-    t == k, either piece is all of sigma).  `_runs` scores each side alone
-    from every start, and each pair of starts is glued by a bisect on both
-    sides' tails.  Per turn, m * c + n windows of O(n log n), m the apex's
-    items and c its cuts: O(n^3 log n) at most, O(n^2 log n) to glue.
+    orders are the targets of a `_turns` of it opened just before or just
+    after the apex's slot.  `_runs` scores each side alone from every
+    start, and each pair of starts is glued by a bisect on both sides'
+    tails.  At most n windows of O(n log n) per turn: O(n^2 log n) per slot
+    cycle, and O(n^2 log n) to glue.
+
+    The apex's slot is not split around the other slots: on the cycles of
+    `almost_planar.unwrap_linearizations` that keeps nothing more.  Both
+    sides are arcs of the input, as the drawing less the bridge e = (u, v)
+    is crossing-free.  Read v's side V from where u's ends; an edge of V
+    crosses e when it spans v, and its ends lie in one branch at v (a block
+    and all beyond it), one arc of V's cyclic order.  If such an edge
+    exists, only that branch's block qualifies, its apex attachment is the
+    middle of V, and a split order (apex piece, branch, apex piece, U)
+    agrees with the source (branch tail, middle, branch head, U) only where
+    one piece or the branch keeps nothing: an unsplit order keeps as much.
+    If none does, V read from u's side is an unsplit order of the block at
+    either of its ends, and every kept set on V follows it.
     """
     items, rank = _ranked(source)
     n = len(items)

@@ -28,7 +28,7 @@ from untangling import (
     unwrap_linearizations,
     verify_untangling,
 )
-from untangling import almost_planar, blocks
+from untangling import almost_planar, blocks, seqs
 from untangling.almost_planar import _apex_cuts
 from untangling.blocks import components
 from untangling.cli import main
@@ -216,32 +216,41 @@ def test_unwrap_orders_leave_apex_uncovered():
                 assert not (min(pos[a], pos[b]) < pv < max(pos[a], pos[b]))
 
 
-def expanded_cycles(cycles):
+def expanded_cycles(cycles, split=False):
     """Every linear order of unwrapping slot cycles, each taken as given and
-    the other way round from its apex's slot 0: sigma[t:k] (cyclically, from
-    t to k), one rotation of each other slot, then sigma[k:t], for cuts t
-    and k of the apex, and with t == k once each way round."""
+    the other way round from its apex's slot 0: one rotation sigma[k:] +
+    sigma[:k] of the apex at a cut k, placed before or after one rotation
+    of each other slot.  With `split`, the apex may also wrap around the
+    other slots: sigma[t:k] (cyclically, from t to k), the other slots,
+    then sigma[k:t], for cuts t and k."""
     turns = [turn for cycle in cycles for turn in (cycle, cycle[:1] + cycle[:0:-1])]
     out = []
     for (sigma, cuts), *others in turns:
         middles = [sum(combo, ()) for combo in product(*([s[c:] + s[:c] for c in cs] for s, cs in others))]
         for k in cuts:
             lin = sigma[k:] + sigma[:k]
-            for j in sorted({(t - k) % len(sigma) for t in cuts}) + [len(sigma)]:
+            js = sorted({(t - k) % len(sigma) for t in cuts}) if split else [0]
+            for j in js + [len(sigma)]:
                 out += [lin[j:] + middle + lin[:j] for middle in middles]
     return out
+
+
+def _bridge_candidates(d):
+    """(decomp, bi, u, v) for every candidate edge (u, v) of `d` that is a
+    bridge, block `bi` of the tree `decomp`."""
+    decomp = block_decomposition(d.graph)
+    for c in classify(d).candidates:
+        bi = decomp.block_with_edge(c.edge)
+        if len(decomp.blocks[bi]) == 2:
+            yield decomp, bi, *c.edge
 
 
 def _bridge_sides(d):
     """(decomp, side, apex, other) for both endpoint sides of every bridge
     candidate of `d`."""
-    decomp = block_decomposition(d.graph)
-    for c in classify(d).candidates:
-        bi = decomp.block_with_edge(c.edge)
-        if len(decomp.blocks[bi]) == 2:
-            u, v = c.edge
-            yield decomp, decomp.attachment(bi, u), u, v
-            yield decomp, decomp.attachment(bi, v), v, u
+    for decomp, bi, u, v in _bridge_candidates(d):
+        yield decomp, decomp.attachment(bi, u), u, v
+        yield decomp, decomp.attachment(bi, v), v, u
 
 
 def scan_cuts(cyc, apex, edges):
@@ -510,13 +519,13 @@ def _bridged_triangles(k: int) -> CircularDrawing:
 
 
 def test_min_untangle_bridge_target_budget():
-    """The bridge case's product of unwrapped sides, 640 x 640 targets at
+    """The bridge case's product of unwrapped sides, 256 x 256 targets at
     three leaves per vertex and far more at 8 and 16, is scored exactly."""
     d = _bridged_triangles(3)
     assert len(d.order) == 24 and ("a0", "b0") in {c.edge for c in classify(d).candidates}
     sides = [expanded_cycles(unwrap_linearizations(d, decomp, side, apex, other))
              for decomp, side, apex, other in _bridge_sides(d) if {apex, other} == {"a0", "b0"}]
-    assert [len(set(s)) for s in sides] == [640, 640]
+    assert [len(set(s)) for s in sides] == [256, 256]
     for k, moved in ((3, 6), (8, 8), (16, 16)):
         _answers_as_edge_fixed(_bridged_triangles(k), moved)
 
@@ -582,6 +591,11 @@ def two_sided_cycles(draw):
 @settings(max_examples=200, deadline=None)
 @given(two_sided_cycles())
 def test_best_unwrapped_matches_best_target_over_every_side_pair(case):
+    """The kernel against the unsplit orders.  On arbitrary slot cycles an
+    apex split around the other slots can keep more (source v0..v5, side v
+    [(('v0', 'v1'), [0])], side u [(('v2', 'v4', 'v5'), [0, 1]),
+    (('v3',), [0])]: 6 split, 5 unsplit); on unwrapped sides of a drawing
+    it never does (`test_unwrapped_sides_keep_as_much_as_split_orders`)."""
     source, side_v, side_u = case
     targets = [lv + lu for lv in expanded_cycles(side_v) for lu in expanded_cycles(side_u)]
     kept = best_unwrapped(source, side_v, side_u)
@@ -589,6 +603,41 @@ def test_best_unwrapped_matches_best_target_over_every_side_pair(case):
     keep = set(kept)
     assert len(keep) == len(kept) and cyclic_equal(tuple(kept), restriction(source, keep))
     assert any(cyclic_equal(tuple(kept), tuple(x for x in t if x in keep)) for t in targets)
+
+
+def test_unwrapped_sides_keep_as_much_as_split_orders():
+    """On every bridge candidate of seeded drawings, the unsplit orders that
+    `best_unwrapped` scores keep as many items as the best target over
+    every order whose apex wraps around the other slots."""
+    checked = 0
+    for profile, n, seed in product(("case-2-2", "almost-planar"), range(6, 13), range(40)):
+        d = gen_random(n, seed, profile)
+        for decomp, bi, u, v in _bridge_candidates(d):
+            comp_u, comp_v = decomp.attachment(bi, u), decomp.attachment(bi, v)
+            side_v = unwrap_linearizations(d, decomp, comp_v, v, u)
+            side_u = unwrap_linearizations(d, decomp, comp_u, u, v)
+            source = restriction(d.order, comp_u | comp_v)
+            targets = [lv + lu for lv in expanded_cycles(side_v, split=True) for lu in expanded_cycles(side_u, split=True)]
+            assert len(best_unwrapped(source, side_v, side_u)) == len(best_target(source, targets)[1]), (profile, n, seed)
+            checked += 1
+    assert checked >= 222
+
+
+def test_min_untangle_lays_each_apex_slot_whole(monkeypatch):
+    """A side with many pendant-leaf blocks at its apex costs one window
+    pass per slot start, not one per cut of the apex's slot as well."""
+    passes = []
+    arcs = seqs._arcs
+
+    def counted(*args):
+        passes.append(1)
+        return arcs(*args)
+
+    monkeypatch.setattr(seqs, "_arcs", counted)
+    d = _bridged_triangles(64)
+    rep = verify_untangling(d, min_untangle(d))
+    assert rep.planar_ok and rep.fixed_set_ok and rep.moved_count == 52
+    assert len(passes) < 20_000
 
 
 def test_min_untangle_scores_each_cycle_block_once(monkeypatch):
