@@ -7,8 +7,9 @@ of every piece of G - u - v, or the least of a whole endpoint side (e a
 bridge) and the satellites' smaller sides plus what the best canonical
 target (block Hamiltonian cycle plus attachment blocks, scored by the
 longest common cyclic subsequence) drops.  No target is listed: a block
-gives one slot cycle (a slot per vertex: its attachment and cuts), a
-bridge's side one per qualifying block from the apex's slot, and `seqs`
+gives one slot cycle (a slot per vertex: its attachment and cuts), and so
+does a bridge's side: its one qualifying block's from the apex's slot, or
+its input order as one slot when no edge of it crosses the bridge.  `seqs`
 scores each cycle both ways round with a polynomial arc DP.  One path,
 `_untangle`, runs all three: it classifies, builds the block-cut tree once,
 and places the cheapest set with `blocks.planar_order_keeping` and
@@ -39,6 +40,7 @@ from .model import (
     is_crossing_free,
     moves_to_reach,
     restriction,
+    rotate_to,
 )
 from .seqs import best_slots, best_unwrapped
 
@@ -192,36 +194,47 @@ def _block_attachment_targets(
 
 def unwrap_linearizations(
     d: CircularDrawing, decomp: BlockDecomposition, comp: frozenset[Vertex], apex: Vertex, other: Vertex
-) -> list[list[Slot]]:
-    """Slot cycles, one per qualifying block, each from the apex's slot,
-    whose linear orders of `comp`, the side of `apex` once the bridge
-    (apex, other) is cut, unwrap `apex` canonically: the block lies along
-    its cycle, attachments keep their input cyclic order, and no edge spans
-    the apex.  `decomp` is the whole graph's tree.  A cycle's orders open
-    it just before or just after the apex's slot, either way round (see
-    `seqs.best_unwrapped`)."""
-    if len(comp) == 1:
-        return [[((apex,), [0])]]
+) -> list[Slot]:
+    """One slot cycle, from the apex's slot, whose linear orders of `comp`,
+    the side of `apex` once the bridge e = (apex, other) is cut, unwrap
+    `apex` canonically: a block lies along its cycle, attachments keep
+    their input cyclic order, and no edge spans the apex.  `decomp` is the
+    whole graph's tree.  A cycle's orders open it just before or just after
+    the apex's slot, either way round (see `seqs.best_unwrapped`).
+
+    Both sides are arcs of the input, as the drawing less e is
+    crossing-free.  Read the side V from `other`: an edge of V crosses e
+    when it spans the apex, and its ends lie in one branch at the apex (a
+    block and all beyond it), one arc of V's cyclic order.  If no edge
+    does, V read from `other` is an unwrapped order of the block at either
+    of its ends, and every kept set on V follows it: the side is that one
+    order.  Otherwise only that branch's block qualifies, its apex
+    attachment is the middle of V, and an order that splits the apex's
+    slot around the other slots (apex piece, branch, apex piece, U) agrees
+    with the source (branch tail, middle, branch head, U) only where one
+    piece or the branch keeps nothing: an unsplit order keeps as much.
+    """
     lo, hi = sorted((d.position(apex), d.position(other)))
 
     def covers_apex(ed: Edge) -> bool:
-        if apex in ed:  # `other` lies outside `comp`
-            return False
         x, y = d.position(ed[0]), d.position(ed[1])
-        return (lo < x < hi) != (lo < y < hi)
+        return apex not in ed and (lo < x < hi) != (lo < y < hi)
 
-    out = []
+    # every edge with an end in `comp` but e lies in it
+    spanning = [ed for ed in decomp.graph.edges if ed[0] in comp and covers_apex(ed)]
+    if not spanning:
+        return [(tuple(x for x in rotate_to(d.order, other) if x in comp), [0])]
+    qualifying = []
     for bi in decomp.incidence[apex]:
         if other in decomp.blocks[bi]:  # the bridge
             continue
-        att = decomp.attachment(bi, apex) & comp
-        if any(covers_apex(ed) for ed in decomp.graph.edges if ed[0] in att and ed[1] in att):
-            continue
-        slots = _block_attachment_targets(d, decomp, bi, comp)
-        a = next(k for k, (sigma, _) in enumerate(slots) if apex in sigma)
-        out.append(slots[a:] + slots[:a])
-    _sassert(bool(out), "no qualifying block for unwrapping the apex")
-    return out
+        att = decomp.attachment(bi, apex)
+        if not any(ed[0] in att for ed in spanning):
+            qualifying.append(bi)
+    _sassert(len(qualifying) == 1, "the edges crossing a bridge lie beyond more than one block at its endpoint")
+    slots = _block_attachment_targets(d, decomp, qualifying[0], comp)
+    a = next(k for k, (sigma, _) in enumerate(slots) if apex in sigma)
+    return slots[a:] + slots[:a]
 
 
 def min_untangle(d: CircularDrawing) -> Untangling:

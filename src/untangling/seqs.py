@@ -344,27 +344,22 @@ def best_slots(source, cycle) -> list:
     return _kept(items, won)
 
 
-def _runs(rank: dict, n: int, cycles) -> tuple[list[int], dict]:
-    """`(ranks, runs)` of one side of `best_unwrapped`: its sorted ranks, and
+def _runs(rank: dict, n: int, cycle) -> tuple[list[int], dict]:
+    """`(ranks, runs)` of one side of `best_unwrapped`: its items' ranks, and
     for each start s the tails and nodes of runs from s that keep items in
     one of its linear orders.  A run from the apex's slot lays it first and
     then the other slots; a run from another slot lays that slot, the slots
     after it, and the apex last.  Every slot is laid by `_arcs`."""
     runs: dict = {}
-    sides = set()
-    for cycle in cycles:
-        laid = [_lay(rank, n, *slot) for slot in cycle]
-        sides.add(tuple(sorted(r for ranks, _, m in laid for r in ranks[:m])))
-        for turn in _turns(laid):  # the apex's slot first
-            for first, lay in enumerate(turn):
-                for s in (lay[0][o] for o in _starts(lay, n)):
-                    th, nodes = [s], [None]
-                    for slot in turn if first == 0 else turn[first:] + turn[:1]:
-                        _arcs(th, nodes, slot, s)
-                    _keep_shorter(runs, s, th, nodes)
-    if len(sides) != 1:
-        raise InvalidInstance(_NOT_ONE_ITEM_SET)
-    return list(sides.pop()), runs
+    laid = [_lay(rank, n, *slot) for slot in cycle]
+    for turn in _turns(laid):  # the apex's slot first
+        for first, lay in enumerate(turn):
+            for s in (lay[0][o] for o in _starts(lay, n)):
+                th, nodes = [s], [None]
+                for slot in turn if first == 0 else turn[first:] + turn[:1]:
+                    _arcs(th, nodes, slot, s)
+                _keep_shorter(runs, s, th, nodes)
+    return [r for ranks, _, m in laid for r in ranks[:m]], runs
 
 
 def _keep_shorter(runs: dict, s: int, th: list[int], nodes: list) -> None:
@@ -382,26 +377,14 @@ def best_unwrapped(source, side_v, side_u) -> list:
     """A longest common cyclic subsequence of `source` and a target `lv + lu`,
     `lv` a linear order of side v and `lu` one of side u, in source order.
 
-    A side is a sequence of slot cycles as in `best_slots`, each from its
-    apex's slot, and the two sides split the items of `source`.  A cycle's
-    orders are the targets of a `_turns` of it opened just before or just
-    after the apex's slot.  `_runs` scores each side alone from every
-    start, and each pair of starts is glued by a bisect on both sides'
-    tails.  At most n windows of O(n log n) per turn: O(n^2 log n) per slot
-    cycle, and O(n^2 log n) to glue.
-
-    The apex's slot is not split around the other slots: on the cycles of
-    `almost_planar.unwrap_linearizations` that keeps nothing more.  Both
-    sides are arcs of the input, as the drawing less the bridge e = (u, v)
-    is crossing-free.  Read v's side V from where u's ends; an edge of V
-    crosses e when it spans v, and its ends lie in one branch at v (a block
-    and all beyond it), one arc of V's cyclic order.  If such an edge
-    exists, only that branch's block qualifies, its apex attachment is the
-    middle of V, and a split order (apex piece, branch, apex piece, U)
-    agrees with the source (branch tail, middle, branch head, U) only where
-    one piece or the branch keeps nothing: an unsplit order keeps as much.
-    If none does, V read from u's side is an unsplit order of the block at
-    either of its ends, and every kept set on V follows it.
+    A side is one slot cycle as in `best_slots`, from its apex's slot (see
+    `almost_planar.unwrap_linearizations`), and the two sides split the
+    items of `source`.  Its orders are the targets of a `_turns` of it
+    opened just before or just after the apex's slot; the apex's slot is
+    not split around the other slots.  `_runs` scores each side alone from
+    every start, and each pair of starts is glued by a bisect on both
+    sides' tails.  At most n windows of O(n log n) per turn, and
+    O(n^2 log n) to glue: O(n^2 log n) in all.
     """
     items, rank = _ranked(source)
     n = len(items)

@@ -30,12 +30,11 @@ from untangling import (
 )
 from untangling import almost_planar, blocks, seqs
 from untangling.almost_planar import _apex_cuts
-from untangling.blocks import components
 from untangling.cli import main
 from untangling.errors import NotAlmostPlanar, NotOuterplanar, StructuralAssertionFailed
 from untangling.generators import _almost_planar_from
 from untangling.io_formats import format_drawing
-from untangling.model import all_crossings_on, cyclic_equal, restriction, sides_of_edge
+from untangling.model import all_crossings_on, cyclic_equal, restriction, rotate_to, sides_of_edge
 from untangling.seqs import best_target, best_unwrapped
 
 
@@ -199,33 +198,29 @@ def test_min_untangle_upper_bounds():
 
 
 def test_unwrap_orders_leave_apex_uncovered():
-    for seed in range(8):
-        d = gen_random(8, seed, "almost-planar")
-        cand = min(classify(d).candidates, key=lambda c: c.edge)
-        u, v = cand.edge
-        comps = components(d.graph.vertices, d.graph.edges - {cand.edge})
-        comp_v = next(c for c in comps if v in c)
-        comp_u = next(c for c in comps if u in c)
-        if comp_u == comp_v:
-            continue
-        sub_edges = [ed for ed in d.graph.edges if ed[0] in comp_v and ed[1] in comp_v]
-        for lin in expanded_cycles(unwrap_linearizations(d, block_decomposition(d.graph), comp_v, v, u)):
-            pos = {x: i for i, x in enumerate(lin)}
-            pv = pos[v]
-            for a, b in sub_edges:
-                assert not (min(pos[a], pos[b]) < pv < max(pos[a], pos[b]))
+    """No edge of a bridge's side spans its endpoint in any unwrapped order,
+    a side's input order included."""
+    checked = 0
+    for profile, n, seed in product(("case-2-2", "almost-planar"), range(6, 15), range(20)):
+        d = gen_random(n, seed, profile)
+        for decomp, side, apex, other in _bridge_sides(d):
+            side_edges = [ed for ed in d.graph.edges if ed[0] in side and ed[1] in side]
+            for lin in expanded_cycles(unwrap_linearizations(d, decomp, side, apex, other)):
+                pos = {x: i for i, x in enumerate(lin)}
+                assert not any(min(pos[a], pos[b]) < pos[apex] < max(pos[a], pos[b]) for a, b in side_edges)
+            checked += 1
+    assert checked >= 250
 
 
-def expanded_cycles(cycles, split=False):
-    """Every linear order of unwrapping slot cycles, each taken as given and
-    the other way round from its apex's slot 0: one rotation sigma[k:] +
+def expanded_cycles(cycle, split=False):
+    """Every linear order of unwrapping a slot cycle, taken as given and the
+    other way round from its apex's slot 0: one rotation sigma[k:] +
     sigma[:k] of the apex at a cut k, placed before or after one rotation
     of each other slot.  With `split`, the apex may also wrap around the
     other slots: sigma[t:k] (cyclically, from t to k), the other slots,
     then sigma[k:t], for cuts t and k."""
-    turns = [turn for cycle in cycles for turn in (cycle, cycle[:1] + cycle[:0:-1])]
     out = []
-    for (sigma, cuts), *others in turns:
+    for (sigma, cuts), *others in (cycle, cycle[:1] + cycle[:0:-1]):
         middles = [sum(combo, ()) for combo in product(*([s[c:] + s[:c] for c in cs] for s, cs in others))]
         for k in cuts:
             lin = sigma[k:] + sigma[:k]
@@ -562,21 +557,18 @@ def test_min_untangle_matches_oracle_on_wide_attachments(d):
 
 @st.composite
 def unwrap_cycles(draw, source, side):
-    """1-2 slot cycles over the items of `side`: random partitions into
+    """A slot cycle over the items of `side`: a random partition into
     slots, each listed in the cyclic order of `source` from a drawn item,
     with a non-empty set of cuts, the first slot the apex's."""
     rank = {x: i for i, x in enumerate(source)}
-    cycles = []
-    for _ in range(draw(st.integers(1, 2))):
-        order = draw(st.permutations(side))
-        bounds = sorted(draw(st.sets(st.integers(1, max(1, len(order) - 1)), max_size=min(3, len(order) - 1))))
-        slots = []
-        for a, b in zip([0, *bounds], [*bounds, len(order)]):
-            part = sorted(order[a:b], key=rank.__getitem__)
-            z = draw(st.integers(0, len(part) - 1))
-            slots.append((tuple(part[z:] + part[:z]), sorted(draw(st.sets(st.integers(0, len(part) - 1), min_size=1)))))
-        cycles.append(slots)
-    return cycles
+    order = draw(st.permutations(side))
+    bounds = sorted(draw(st.sets(st.integers(1, max(1, len(order) - 1)), max_size=min(3, len(order) - 1))))
+    slots = []
+    for a, b in zip([0, *bounds], [*bounds, len(order)]):
+        part = sorted(order[a:b], key=rank.__getitem__)
+        z = draw(st.integers(0, len(part) - 1))
+        slots.append((tuple(part[z:] + part[:z]), sorted(draw(st.sets(st.integers(0, len(part) - 1), min_size=1)))))
+    return slots
 
 
 @st.composite
@@ -605,27 +597,66 @@ def test_best_unwrapped_matches_best_target_over_every_side_pair(case):
     assert any(cyclic_equal(tuple(kept), tuple(x for x in t if x in keep)) for t in targets)
 
 
+def _qualifying_cycles(d, decomp, side, apex, other):
+    """(crossed, cycles): whether an edge of the side crosses the bridge,
+    and the slot cycle, from the apex's slot, of every block at the apex
+    (the bridge aside) whose apex attachment holds no such edge."""
+    e = d.graph.edge(apex, other)
+    crossing = [ed for pair in crossings(d) if e in pair for ed in pair - {e} if ed[0] in side]
+    crossed = bool(crossing)
+    if side == {apex}:
+        return crossed, [[((apex,), [0])]]
+    cycles = []
+    for bi in decomp.incidence[apex]:
+        att = decomp.attachment(bi, apex)
+        if other not in decomp.blocks[bi] and not any(ed[0] in att for ed in crossing):
+            slots = almost_planar._block_attachment_targets(d, decomp, bi, side)
+            a = next(k for k, (sigma, _) in enumerate(slots) if apex in sigma)
+            cycles.append(slots[a:] + slots[:a])
+    return crossed, cycles
+
+
 def test_unwrapped_sides_keep_as_much_as_split_orders():
-    """On every bridge candidate of seeded drawings, the unsplit orders that
+    """On every bridge candidate of seeded drawings, the orders that
     `best_unwrapped` scores keep as many items as the best target over
-    every order whose apex wraps around the other slots."""
-    checked = 0
-    for profile, n, seed in product(("case-2-2", "almost-planar"), range(6, 13), range(40)):
-        d = gen_random(n, seed, profile)
+    every qualifying block's orders, those whose apex wraps around the
+    other slots included.  A side that an edge crossing the bridge lies in
+    has one qualifying block; any other side is its input order alone, an
+    unwrapped order of one of its qualifying blocks."""
+    drawings = [gen_random(n, seed, profile)
+                for profile, n, seed in product(("case-2-2", "almost-planar"), range(6, 15), range(40))]
+    for seed in range(100):
+        rng = random.Random(seed)
+        drawings.append(_almost_planar_from(_bridge_shape(rng, rng.randint(6, 12)), "a0", "b0", rng, 50))
+    uncrossed, several, crossed = 0, 0, 0
+    for d in filter(None, drawings):
         for decomp, bi, u, v in _bridge_candidates(d):
             comp_u, comp_v = decomp.attachment(bi, u), decomp.attachment(bi, v)
-            side_v = unwrap_linearizations(d, decomp, comp_v, v, u)
-            side_u = unwrap_linearizations(d, decomp, comp_u, u, v)
+            sides, families = [], []
+            for side, apex, other in ((comp_v, v, u), (comp_u, u, v)):
+                cycle = unwrap_linearizations(d, decomp, side, apex, other)
+                is_crossed, cycles = _qualifying_cycles(d, decomp, side, apex, other)
+                family = [lin for c in cycles for lin in expanded_cycles(c, split=True)]
+                if is_crossed:
+                    assert cycles == [cycle], (d, apex)
+                    crossed += 1
+                else:
+                    assert cycle == [(restriction(rotate_to(d.order, other), side), [0])]
+                    assert cycle[0][0] in family, (d, apex)
+                    uncrossed += 1
+                    several += len(cycles) > 1
+                sides.append(cycle)
+                families.append(family)
             source = restriction(d.order, comp_u | comp_v)
-            targets = [lv + lu for lv in expanded_cycles(side_v, split=True) for lu in expanded_cycles(side_u, split=True)]
-            assert len(best_unwrapped(source, side_v, side_u)) == len(best_target(source, targets)[1]), (profile, n, seed)
-            checked += 1
-    assert checked >= 222
+            targets = [lv + lu for lv, lu in product(*families)]
+            assert len(best_target(source, targets)[1]) == len(best_unwrapped(source, *sides)), d
+    assert uncrossed >= 350 and several >= 40 and crossed >= 400
 
 
 def test_min_untangle_lays_each_apex_slot_whole(monkeypatch):
     """A side with many pendant-leaf blocks at its apex costs one window
-    pass per slot start, not one per cut of the apex's slot as well."""
+    pass per slot start of one slot cycle, not one per cut of the apex's
+    slot as well, nor one cycle per block."""
     passes = []
     arcs = seqs._arcs
 
@@ -634,10 +665,12 @@ def test_min_untangle_lays_each_apex_slot_whole(monkeypatch):
         return arcs(*args)
 
     monkeypatch.setattr(seqs, "_arcs", counted)
-    d = _bridged_triangles(64)
-    rep = verify_untangling(d, min_untangle(d))
-    assert rep.planar_ok and rep.fixed_set_ok and rep.moved_count == 52
-    assert len(passes) < 20_000
+    for k, moved, bound in ((64, 52, 2_000), (256, 230, 10_000)):
+        passes.clear()
+        d = _bridged_triangles(k)
+        rep = verify_untangling(d, min_untangle(d))
+        assert rep.planar_ok and rep.fixed_set_ok and rep.moved_count == moved
+        assert len(passes) < bound, k
 
 
 def test_min_untangle_scores_each_cycle_block_once(monkeypatch):
@@ -695,6 +728,19 @@ def test_untanglers_check_the_order_they_build(monkeypatch):
         with pytest.raises(StructuralAssertionFailed):
             untangle(d)
     assert almost_planar.assertion_failures == before + 3
+
+
+def test_unwrap_counts_a_side_crossed_beyond_two_blocks(monkeypatch):
+    """Edges crossing the bridge a-o beyond two blocks at a, which no
+    almost-planar drawing has, leave no block to unwrap a around: a counted
+    structural assertion."""
+    g = Graph(("a", "x", "p", "o", "y", "q"), [("a", "o"), ("a", "x"), ("x", "y"), ("a", "p"), ("p", "q")])
+    d = CircularDrawing(g, ("a", "x", "p", "o", "y", "q"))
+    monkeypatch.setattr(almost_planar, "assertion_failures", almost_planar.assertion_failures)
+    before = almost_planar.assertion_failures
+    with pytest.raises(StructuralAssertionFailed):
+        unwrap_linearizations(d, block_decomposition(g), frozenset("axypq"), "a", "o")
+    assert almost_planar.assertion_failures == before + 1
 
 
 def test_each_untangling_is_checked_for_crossings_once(monkeypatch):
