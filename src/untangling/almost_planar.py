@@ -9,11 +9,13 @@ target (block Hamiltonian cycle plus attachment blocks, scored by the
 longest common cyclic subsequence) drops.  No target is listed: a block
 gives one slot cycle (a slot per vertex: its attachment and cuts), and so
 does a bridge's side: its one qualifying block's from the apex's slot, or
-its input order as one slot when no edge of it crosses the bridge.  `seqs`
-scores each cycle both ways round with a polynomial arc DP.  One path,
-`_untangle`, runs all three: it classifies, builds the block-cut tree once,
-and places the cheapest set with `blocks.planar_order_keeping` and
-`moves_to_reach`, keeping every other vertex in input order.
+its input order as one slot when no edge of it crosses the bridge, and
+the bridge case joins an opening of each side's cycle into at most 8 slot
+cycles.  `seqs.best_slots` scores each cycle both ways round with a
+polynomial arc DP.  One path, `_untangle`, runs all three: it classifies,
+builds the block-cut tree once, and places the cheapest set with
+`blocks.planar_order_keeping` and `moves_to_reach`, keeping every other
+vertex in input order.
 
 Structural facts the constructions rely on are asserted at runtime and raise
 StructuralAssertionFailed when violated; `assertion_failures` counts them so
@@ -42,7 +44,7 @@ from .model import (
     restriction,
     rotate_to,
 )
-from .seqs import best_slots, best_unwrapped
+from .seqs import best_slots
 
 assertion_failures = 0
 
@@ -200,7 +202,7 @@ def unwrap_linearizations(
     `apex` canonically: a block lies along its cycle, attachments keep
     their input cyclic order, and no edge spans the apex.  `decomp` is the
     whole graph's tree.  A cycle's orders open it just before or just after
-    the apex's slot, either way round (see `seqs.best_unwrapped`).
+    the apex's slot, either way round (see `_joined_cycles`).
 
     Both sides are arcs of the input, as the drawing less e is
     crossing-free.  Read the side V from `other`: an edge of V crosses e
@@ -235,6 +237,26 @@ def unwrap_linearizations(
     slots = _block_attachment_targets(d, decomp, qualifying[0], comp)
     a = next(k for k, (sigma, _) in enumerate(slots) if apex in sigma)
     return slots[a:] + slots[:a]
+
+
+def _joined_cycles(cv: list[Slot], cu: list[Slot]) -> list[list[Slot]]:
+    """The bridge case's targets `lv + lu` as slot cycles `ov + ou`, ov and
+    ou openings of the two sides' cycles: a turn of the cycle from its
+    apex's slot, opened just before or just after that slot.
+
+    Turned from slot 0, a joined cycle reverses both openings, and the
+    reverse of an opening is the other turn's with the apex's slot at the
+    other end.  So `ov` takes every opening and `ou`, of the longer side,
+    only its forward turn's: the apex's slot first, and last too past two
+    slots, where the turns differ.  These <= 8 cycles, both ways round,
+    give each of the <= 16 targets once.
+    """
+    if len(cv) > len(cu):
+        cv, cu = cu, cv
+    opened = [cv, cv[1:] + cv[:1], cv[:1] + cv[:0:-1], cv[:0:-1] + cv[:1]]
+    ovs = [o for i, o in enumerate(opened) if o not in opened[:i]]
+    ous = [cu, cu[1:] + cu[:1]] if len(cu) > 2 else [cu]
+    return [ov + ou for ov in ovs for ou in ous]
 
 
 def min_untangle(d: CircularDrawing) -> Untangling:
@@ -290,8 +312,8 @@ def _min_untangle_candidates(
     for c in decomp.components:
         if c is not comp:
             moved |= _cheapest(g, (c & lset, c & rset))
-    lv = unwrap_linearizations(d, decomp, comp_v, v, u)
-    lu = unwrap_linearizations(d, decomp, comp_u, u, v)
-    kept = best_unwrapped(restriction(d.order, comp), lv, lu)
+    cv = unwrap_linearizations(d, decomp, comp_v, v, u)
+    cu = unwrap_linearizations(d, decomp, comp_u, u, v)
+    kept = best_slots(restriction(d.order, comp), *_joined_cycles(cv, cu))
     moved |= comp.difference(kept)
     yield moved

@@ -27,9 +27,16 @@ from itertools import accumulate, chain, islice, repeat
 from operator import lt, mul, sub
 from typing import Sequence
 
-from .errors import ConstructionFailed, InvalidInstance, NotAWitness, NotDistinct, PropertyViolation
+from .errors import ConstructionFailed, InvalidInstance, NotAWitness, NotDistinct, PropertyViolation, TooLarge
 from .model import CircularDrawing, Graph
 from .seqs import lis_length
+
+
+# The most chunk words `reduce_3p_to_disticor` builds.  Each word holds a
+# rank and a projection, so this bounds its memory to a few hundred MB; it
+# admits m = 3 instances such as (18, 18, 27) x 3 with K = 63 (2,046,546
+# words).
+MAX_CHUNK_WORDS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,9 @@ class ReducedDistIcor:
 
 
 def reduce_3p_to_disticor(inst: ThreePartitionInstance) -> ReducedDistIcor:
-    """Build the chunk instance; M = m * (K + 3X) with X = 3mK."""
+    """Build the chunk instance; M = m * (K + 3X) with X = 3mK.  Above
+    MAX_CHUNK_WORDS chunk words in all, TooLarge is raised before any is
+    built."""
     m = inst.m
     scale = 1
     if any(x % (3 * m) != 0 for x in inst.a):
@@ -103,6 +112,9 @@ def reduce_3p_to_disticor(inst: ThreePartitionInstance) -> ReducedDistIcor:
     k = inst.k
     x = 3 * m * k
     block = k + 3 * x
+    words = sum(_chunk_length(ai, m, k, x) for ai in inst.a)
+    if words > MAX_CHUNK_WORDS:
+        raise TooLarge(f"the reduction builds up to {MAX_CHUNK_WORDS:,} chunk words, this instance {words:,}")
 
     # run starts alpha * block + beta * x + gamma, generated in decreasing order
     runs_per_chunk: list[tuple[int, list[int]]] = []
@@ -158,9 +170,11 @@ def reduce_3p_to_disticor(inst: ThreePartitionInstance) -> ReducedDistIcor:
 
 def expected_chunk_length(reduced: ReducedDistIcor, i: int) -> int:
     """Closed form: (a_i + X) runs times 3m(K - a_i + 1) starting offsets."""
-    ai = reduced.source.a[i]
-    m = reduced.source.m
-    return (ai + reduced.x) * 3 * m * (reduced.source.k - ai + 1)
+    return _chunk_length(reduced.source.a[i], reduced.source.m, reduced.source.k, reduced.x)
+
+
+def _chunk_length(ai: int, m: int, k: int, x: int) -> int:
+    return (ai + x) * 3 * m * (k - ai + 1)
 
 
 @dataclass(frozen=True)

@@ -304,107 +304,49 @@ def _turns(cycle: list) -> list[list]:
     return [cycle, cycle[:1] + cycle[:0:-1]] if len(cycle) > 2 else [cycle]
 
 
-def best_slots(source, cycle) -> list:
-    """A longest common cyclic subsequence of `source` and a target of a slot
-    cycle, in the source's cyclic order.
+def best_slots(source, *cycles) -> list:
+    """A longest common cyclic subsequence of `source` and a target of one
+    of the slot cycles, in the source's cyclic order; the first found on a
+    tie.
 
-    The slots `(sigma, cuts)` list the items of `source` once between them,
-    and are laid once; the targets join one rotation sigma[c:] + sigma[:c],
-    c in cuts (not empty), per slot of a `_turns` of the cycle.  Per turn,
-    windows start at the `_starts` of the largest live slot, that slot
-    first, with one `_arcs` pass per slot.  They find every best kept set
-    that keeps some of the slot, so it is dropped after them; a turn ends
-    once the best length reaches the items of live slots, and a window once
-    its items left cannot beat the best.  O(n) windows of O(n log n) each.
+    Each cycle's slots `(sigma, cuts)` list the items of `source` once
+    between them, and are laid once; its targets join one rotation
+    sigma[c:] + sigma[:c], c in cuts (not empty), per slot of a `_turns`
+    of it.  Per turn, windows start at the `_starts` of the largest live
+    slot, that slot first, with one `_arcs` pass per slot.  They find every
+    best kept set that keeps some of the slot, so it is dropped after them.
+    All cycles share one incumbent: a turn ends once the best length so far
+    reaches the items of live slots, and a window once its items left
+    cannot beat it.  O(n) windows of O(n log n) per cycle.
     """
+    if not cycles:
+        raise InvalidInstance("best_slots needs at least one slot cycle")
     items, rank = _ranked(source)
     n = len(items)
-    laid = [_lay(rank, n, sigma, cuts) for sigma, cuts in cycle]
-    if sorted(r for ranks, _, m in laid for r in ranks[:m]) != list(range(n)):
-        raise InvalidInstance(_NOT_ONE_ITEM_SET)
     best, won = 0, None
-    for turn in _turns(laid):
-        live, left = list(turn), n
-        for lay in sorted(live, key=lambda lay: -lay[2]):
-            if best >= left:
-                break
-            at = live.index(lay)
-            run = live[at:] + live[:at]
-            for s in (lay[0][o] for o in _starts(lay, n)):
-                th, nodes, rest = [s], [None], left
-                for slot in run:
-                    rest -= slot[2]
-                    _arcs(th, nodes, slot, s)
-                    if len(th) - 1 + rest <= best:
-                        break
-                else:
-                    best, won = len(th) - 1, nodes[-1]
-            del live[at]
-            left -= lay[2]
+    for cycle in cycles:
+        laid = [_lay(rank, n, sigma, cuts) for sigma, cuts in cycle]
+        if sorted(r for ranks, _, m in laid for r in ranks[:m]) != list(range(n)):
+            raise InvalidInstance(_NOT_ONE_ITEM_SET)
+        for turn in _turns(laid):
+            live, left = list(turn), n
+            for lay in sorted(live, key=lambda lay: -lay[2]):
+                if best >= left:
+                    break
+                at = live.index(lay)
+                run = live[at:] + live[:at]
+                for s in (lay[0][o] for o in _starts(lay, n)):
+                    th, nodes, rest = [s], [None], left
+                    for slot in run:
+                        rest -= slot[2]
+                        _arcs(th, nodes, slot, s)
+                        if len(th) - 1 + rest <= best:
+                            break
+                    else:
+                        best, won = len(th) - 1, nodes[-1]
+                del live[at]
+                left -= lay[2]
     return _kept(items, won)
-
-
-def _runs(rank: dict, n: int, cycle) -> tuple[list[int], dict]:
-    """`(ranks, runs)` of one side of `best_unwrapped`: its items' ranks, and
-    for each start s the tails and nodes of runs from s that keep items in
-    one of its linear orders.  A run from the apex's slot lays it first and
-    then the other slots; a run from another slot lays that slot, the slots
-    after it, and the apex last.  Every slot is laid by `_arcs`."""
-    runs: dict = {}
-    laid = [_lay(rank, n, *slot) for slot in cycle]
-    for turn in _turns(laid):  # the apex's slot first
-        for first, lay in enumerate(turn):
-            for s in (lay[0][o] for o in _starts(lay, n)):
-                th, nodes = [s], [None]
-                for slot in turn if first == 0 else turn[first:] + turn[:1]:
-                    _arcs(th, nodes, slot, s)
-                _keep_shorter(runs, s, th, nodes)
-    return [r for ranks, _, m in laid for r in ranks[:m]], runs
-
-
-def _keep_shorter(runs: dict, s: int, th: list[int], nodes: list) -> None:
-    """Merge tails into `runs[s]`, keeping the shorter prefix per length."""
-    old, old_nodes = runs.setdefault(s, ([], []))
-    for v, end in enumerate(th):
-        if v == len(old):
-            old.append(end)
-            old_nodes.append(nodes[v])
-        elif end < old[v]:
-            old[v], old_nodes[v] = end, nodes[v]
-
-
-def best_unwrapped(source, side_v, side_u) -> list:
-    """A longest common cyclic subsequence of `source` and a target `lv + lu`,
-    `lv` a linear order of side v and `lu` one of side u, in source order.
-
-    A side is one slot cycle as in `best_slots`, from its apex's slot (see
-    `almost_planar.unwrap_linearizations`), and the two sides split the
-    items of `source`.  Its orders are the targets of a `_turns` of it
-    opened just before or just after the apex's slot; the apex's slot is
-    not split around the other slots.  `_runs` scores each side alone from
-    every start, and each pair of starts is glued by a bisect on both
-    sides' tails.  At most n windows of O(n log n) per turn, and
-    O(n^2 log n) to glue: O(n^2 log n) in all.
-    """
-    items, rank = _ranked(source)
-    n = len(items)
-    (ranks_v, runs_v), (ranks_u, runs_u) = _runs(rank, n, side_v), _runs(rank, n, side_u)
-    if sorted(ranks_v + ranks_u) != list(range(n)):
-        raise InvalidInstance(_NOT_ONE_ITEM_SET)
-    best, won = 0, ()
-    for runs in (runs_v, runs_u):  # one side keeps nothing
-        for s, (th, nodes) in runs.items():
-            if len(th) - 1 > best:
-                best, won = len(th) - 1, (nodes[-1],)
-    for s, (th_v, nodes_v) in runs_v.items():
-        for e, (th_u, nodes_u) in runs_u.items():
-            if len(th_v) + len(th_u) - 2 <= best:
-                continue
-            gap = (e - s) % n  # side v's run must end by e, and side u's by s
-            v, u = bisect_right(th_v, s + gap) - 1, bisect_right(th_u, e + n - gap) - 1
-            if v + u > best:
-                best, won = v + u, (nodes_v[v], nodes_u[u])
-    return [x for node in won for x in _kept(items, node)]
 
 
 # Verifying a witness costs two `lics` calls on it; 1,025 = 32 * 32 + 1

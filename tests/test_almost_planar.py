@@ -35,7 +35,7 @@ from untangling.errors import NotAlmostPlanar, NotOuterplanar, StructuralAsserti
 from untangling.generators import _almost_planar_from
 from untangling.io_formats import format_drawing
 from untangling.model import all_crossings_on, cyclic_equal, restriction, rotate_to, sides_of_edge
-from untangling.seqs import best_target, best_unwrapped
+from untangling.seqs import best_slots, best_target
 
 
 def c4_tangled():
@@ -582,19 +582,46 @@ def two_sided_cycles(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(two_sided_cycles())
-def test_best_unwrapped_matches_best_target_over_every_side_pair(case):
-    """The kernel against the unsplit orders.  On arbitrary slot cycles an
-    apex split around the other slots can keep more (source v0..v5, side v
-    [(('v0', 'v1'), [0])], side u [(('v2', 'v4', 'v5'), [0, 1]),
-    (('v3',), [0])]: 6 split, 5 unsplit); on unwrapped sides of a drawing
-    it never does (`test_unwrapped_sides_keep_as_much_as_split_orders`)."""
+def test_joined_cycles_match_best_target_over_every_side_pair(case):
+    """The joined cycles' score against the unsplit orders.  On arbitrary
+    slot cycles an apex split around the other slots can keep more (source
+    v0..v5, side v [(('v0', 'v1'), [0])], side u [(('v2', 'v4', 'v5'),
+    [0, 1]), (('v3',), [0])]: 6 split, 5 unsplit); on unwrapped sides of a
+    drawing it never does
+    (`test_unwrapped_sides_keep_as_much_as_split_orders`)."""
     source, side_v, side_u = case
     targets = [lv + lu for lv in expanded_cycles(side_v) for lu in expanded_cycles(side_u)]
-    kept = best_unwrapped(source, side_v, side_u)
+    kept = best_slots(source, *almost_planar._joined_cycles(side_v, side_u))
     assert len(kept) == len(best_target(source, targets)[1])
     keep = set(kept)
     assert len(keep) == len(kept) and cyclic_equal(tuple(kept), restriction(source, keep))
     assert any(cyclic_equal(tuple(kept), tuple(x for x in t if x in keep)) for t in targets)
+
+
+def _cyclic_key(order):
+    return tuple(rotate_to(order, min(order)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_sided_cycles())
+def test_joined_cycles_are_the_bridge_family(case):
+    """The joined cycles, each expanded both ways round, give exactly the
+    targets lv + lu up to rotation, and no joined cycle is another one's
+    reversal, so no order is scored twice."""
+    source, side_v, side_u = case
+    family = {_cyclic_key(lv + lu) for lv in expanded_cycles(side_v) for lu in expanded_cycles(side_u)}
+    joined = almost_planar._joined_cycles(side_v, side_u)
+    targets = {
+        _cyclic_key(sum(combo, ()))
+        for cycle in joined
+        for turn in (cycle, cycle[:1] + cycle[:0:-1])
+        for combo in product(*([sigma[k:] + sigma[:k] for k in cuts] for sigma, cuts in turn))
+    }
+    assert targets == family
+    slots = [tuple(sigma for sigma, _ in cycle) for cycle in joined]
+    for i, j in combinations(range(len(slots)), 2):
+        assert not cyclic_equal(slots[i], slots[j]) and not cyclic_equal(slots[i][::-1], slots[j]), (i, j)
+    assert len(joined) <= 8
 
 
 def _qualifying_cycles(d, decomp, side, apex, other):
@@ -618,7 +645,7 @@ def _qualifying_cycles(d, decomp, side, apex, other):
 
 def test_unwrapped_sides_keep_as_much_as_split_orders():
     """On every bridge candidate of seeded drawings, the orders that
-    `best_unwrapped` scores keep as many items as the best target over
+    the joined cycles score keep as many items as the best target over
     every qualifying block's orders, those whose apex wraps around the
     other slots included.  A side that an edge crossing the bridge lies in
     has one qualifying block; any other side is its input order alone, an
@@ -649,14 +676,16 @@ def test_unwrapped_sides_keep_as_much_as_split_orders():
                 families.append(family)
             source = restriction(d.order, comp_u | comp_v)
             targets = [lv + lu for lv, lu in product(*families)]
-            assert len(best_target(source, targets)[1]) == len(best_unwrapped(source, *sides)), d
+            kept = best_slots(source, *almost_planar._joined_cycles(*sides))
+            assert len(best_target(source, targets)[1]) == len(kept), d
     assert uncrossed >= 350 and several >= 40 and crossed >= 400
 
 
 def test_min_untangle_lays_each_apex_slot_whole(monkeypatch):
-    """A side with many pendant-leaf blocks at its apex costs one window
-    pass per slot start of one slot cycle, not one per cut of the apex's
-    slot as well, nor one cycle per block."""
+    """A side with many pendant-leaf blocks at its apex costs at most one
+    window pass per slot start of each joined cycle, which share one
+    incumbent, not one per cut of the apex's slot as well, nor one cycle
+    per block."""
     passes = []
     arcs = seqs._arcs
 
@@ -675,14 +704,15 @@ def test_min_untangle_lays_each_apex_slot_whole(monkeypatch):
 
 def test_min_untangle_scores_each_cycle_block_once(monkeypatch):
     """Candidate edges on one cycle block share its scored slots; each
-    bridge candidate scores its own unwrapped sides."""
+    bridge candidate scores its own joined cycles in one call."""
     calls = []
-    for name in ("best_slots", "best_unwrapped"):
-        def counted(source, *shapes, _score=getattr(almost_planar, name)):
-            calls.append(source)
-            return _score(source, *shapes)
+    score = almost_planar.best_slots
 
-        monkeypatch.setattr(almost_planar, name, counted)
+    def counted(source, *cycles):
+        calls.append(source)
+        return score(source, *cycles)
+
+    monkeypatch.setattr(almost_planar, "best_slots", counted)
     shared = 0
     for seed in range(30):
         d = gen_random(12, seed, "almost-planar")

@@ -329,6 +329,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "n = 1026" in err and "n = 1025" in err and "1090" not in err
 
+    # 4: a 3-partition instance whose chunk words exceed the reduction's cap
+    big = tmp_path / "big.3p"
+    big.write_text("3p 1 1000 300 330 370\n")
+    assert main(["generate", "reduce-3p", str(big)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "180,023,400" in err
+
     # 1: verify reports non-planar result
     mv = tmp_path / "noop.mv"
     mv.write_text("move v1 after v2\n")

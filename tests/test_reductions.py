@@ -19,8 +19,9 @@ from untangling import (
     reduce_disticor_to_cu,
     witness_3p_to_disticor,
 )
-from untangling.errors import InvalidInstance, NotAWitness, NotDistinct, PropertyViolation
-from untangling.reductions import _run_slice, expected_chunk_length
+from untangling import reductions
+from untangling.errors import InvalidInstance, NotAWitness, NotDistinct, PropertyViolation, TooLarge
+from untangling.reductions import MAX_CHUNK_WORDS, _chunk_length, _run_slice, expected_chunk_length
 
 
 @pytest.fixture(scope="module")
@@ -270,3 +271,20 @@ def test_solvable_reduced_drawing_untangles_within_budget():
     assert len(crossings(d)) == 17
     assert budget == 4
     assert exact_min_untangle(d).moved_count <= budget
+
+
+def test_reduction_refuses_more_chunk_words_than_its_cap(monkeypatch, reduced_m1):
+    """The word count is the closed form's, after the 3m rescale, so the cap
+    admits exactly the words it names; a one-line instance that asks for
+    180,023,400 words is refused before any is built."""
+    words = reduced_m1.instance.total
+    monkeypatch.setattr(reductions, "MAX_CHUNK_WORDS", words)
+    assert reduce_3p_to_disticor(ThreePartitionInstance((9, 9, 12), 30)).instance.total == words
+    monkeypatch.setattr(reductions, "MAX_CHUNK_WORDS", words - 1)
+    with pytest.raises(TooLarge):
+        reduce_3p_to_disticor(ThreePartitionInstance((9, 9, 12), 30))
+    monkeypatch.undo()
+    with pytest.raises(TooLarge, match="180,023,400"):
+        reduce_3p_to_disticor(ThreePartitionInstance((300, 330, 370), 1000))
+    # m = 3, (18, 18, 27) x 3 with K = 63 needs no rescale and stays admitted
+    assert sum(_chunk_length(a, 3, 63, 3 * 3 * 63) for a in (18, 18, 27) * 3) == 2_046_546 <= MAX_CHUNK_WORDS
