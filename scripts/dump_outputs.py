@@ -32,7 +32,10 @@ Each line is `section  input  output`, tab-separated.  The inputs are:
   instances and from one that it rescales (the `chunks` section);
 - the `min_untangle` and `edge_fixed_untangle` moved sets of 30 drawings of
   a triangle with 8 pendant leaves per vertex, whose blocks score up to
-  2 x 9^3 canonical targets each (the `adversarial` section);
+  2 x 9^3 canonical targets each, and of 30 drawings each of two triangles
+  with 2 and with 4 pendant leaves per vertex joined by the crossing bridge
+  a0-b0, whose sides are wider than any case-2-2 drawing's below (the
+  `adversarial` section);
 - the `min_untangle` and `edge_fixed_untangle` move lists (the `bridge`
   section) and moved sets (in `moved`) of seeded `gen_random` case-2-2
   drawings with n = 10, 12, 14, whose crossing edge is a bridge;
@@ -72,6 +75,7 @@ THREE_PARTITIONS = (
 RESCALED_PARTITIONS = (((3, 3, 4), 10),)
 ADVERSARIAL_LEAVES = 8
 ADVERSARIAL_SEEDS = range(30)
+ADVERSARIAL_BRIDGE_LEAVES = (2, 4)
 BRIDGE_NS = (10, 12, 14)
 BRIDGE_SEEDS = range(40)
 SEQS_ES_PAIRS = ((1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (5, 5), (12, 12), (32, 32))
@@ -217,6 +221,29 @@ def adversarial_lines():
             if name != "one-side":
                 u = _run(lambda: untangle(d))
                 yield "adversarial", f"{name} seed={seed} {_drawing(d)}", u if isinstance(u, str) else _moved(g, u)
+    for k in ADVERSARIAL_BRIDGE_LEAVES:
+        g = _bridged_triangles(k)
+        for seed in ADVERSARIAL_SEEDS:
+            d = _almost_planar_from(g, "a0", "b0", random.Random(seed), 50)
+            for name, untangle in UNTANGLERS:
+                if name != "one-side":
+                    u = _run(lambda: untangle(d))
+                    key = f"{name} bridge leaves={k} seed={seed} {_drawing(d)}"
+                    yield "adversarial", key, u if isinstance(u, str) else _moved(g, u)
+
+
+def _bridged_triangles(k: int) -> ut.Graph:
+    """Triangles a0 a1 a2 and b0 b1 b2 with k pendant leaves per vertex,
+    joined by the bridge a0-b0."""
+    vs, es = [], [("a0", "b0")]
+    for t in "ab":
+        tri = [f"{t}{i}" for i in range(3)]
+        vs += tri
+        es += [(tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])]
+        for x in tri:
+            vs += [f"{x}x{j}" for j in range(k)]
+            es += [(x, f"{x}x{j}") for j in range(k)]
+    return ut.Graph(vs, es)
 
 
 def bridge_lines():

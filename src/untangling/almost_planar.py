@@ -7,15 +7,15 @@ of every piece of G - u - v, or the least of a whole endpoint side (e a
 bridge) and the satellites' smaller sides plus what the best canonical
 target (block Hamiltonian cycle plus attachment blocks, scored by the
 longest common cyclic subsequence) drops.  No target is listed: a block
-gives one slot cycle (a slot per vertex: its attachment and cuts), and so
+gives one slot cycle (a slot per vertex: its attachment and cuts), which
+`seqs.best_slots` scores both ways round with a polynomial arc DP, and so
 does a bridge's side: its one qualifying block's from the apex's slot, or
-its input order as one slot when no edge of it crosses the bridge, and
-the bridge case joins an opening of each side's cycle into at most 8 slot
-cycles.  `seqs.best_slots` scores each cycle both ways round with a
-polynomial arc DP.  One path, `_untangle`, runs all three: it classifies,
-builds the block-cut tree once, and places the cheapest set with
-`blocks.planar_order_keeping` and `moves_to_reach`, keeping every other
-vertex in input order.
+its input order as one slot when no edge of it crosses the bridge.  Each
+side is an arc of the input, so `seqs.best_opening` scores it alone
+against its cycle's openings.  One path, `_untangle`, runs all three: it
+classifies, builds the block-cut tree once, and places the cheapest set
+with `blocks.planar_order_keeping` and `moves_to_reach`, keeping every
+other vertex in input order.
 
 Structural facts the constructions rely on are asserted at runtime and raise
 StructuralAssertionFailed when violated; `assertion_failures` counts them so
@@ -44,11 +44,11 @@ from .model import (
     restriction,
     rotate_to,
 )
-from .seqs import best_slots
+from .seqs import best_opening, best_slots
 
 assertion_failures = 0
 
-# A slot (sigma, cuts) of `seqs.best_slots`: an attachment and its planar cuts.
+# A slot (sigma, cuts) of a `seqs` slot cycle: an attachment and its planar cuts.
 Slot = tuple[tuple[Vertex, ...], list[int]]
 
 
@@ -202,7 +202,7 @@ def unwrap_linearizations(
     `apex` canonically: a block lies along its cycle, attachments keep
     their input cyclic order, and no edge spans the apex.  `decomp` is the
     whole graph's tree.  A cycle's orders open it just before or just after
-    the apex's slot, either way round (see `_joined_cycles`).
+    the apex's slot, either way round (see `seqs.best_opening`).
 
     Both sides are arcs of the input, as the drawing less e is
     crossing-free.  Read the side V from `other`: an edge of V crosses e
@@ -237,26 +237,6 @@ def unwrap_linearizations(
     slots = _block_attachment_targets(d, decomp, qualifying[0], comp)
     a = next(k for k, (sigma, _) in enumerate(slots) if apex in sigma)
     return slots[a:] + slots[:a]
-
-
-def _joined_cycles(cv: list[Slot], cu: list[Slot]) -> list[list[Slot]]:
-    """The bridge case's targets `lv + lu` as slot cycles `ov + ou`, ov and
-    ou openings of the two sides' cycles: a turn of the cycle from its
-    apex's slot, opened just before or just after that slot.
-
-    Turned from slot 0, a joined cycle reverses both openings, and the
-    reverse of an opening is the other turn's with the apex's slot at the
-    other end.  So `ov` takes every opening and `ou`, of the longer side,
-    only its forward turn's: the apex's slot first, and last too past two
-    slots, where the turns differ.  These <= 8 cycles, both ways round,
-    give each of the <= 16 targets once.
-    """
-    if len(cv) > len(cu):
-        cv, cu = cu, cv
-    opened = [cv, cv[1:] + cv[:1], cv[:1] + cv[:0:-1], cv[:0:-1] + cv[:1]]
-    ovs = [o for i, o in enumerate(opened) if o not in opened[:i]]
-    ous = [cu, cu[1:] + cu[:1]] if len(cu) > 2 else [cu]
-    return [ov + ou for ov in ovs for ou in ous]
 
 
 def min_untangle(d: CircularDrawing) -> Untangling:
@@ -305,15 +285,16 @@ def _min_untangle_candidates(
     yield set(comp_v)
 
     # component-fixed branch: every satellite component sends its cheaper
-    # side across, and the endpoint sides keep the best canonical target's
-    # common subsequence with the input
+    # side across.  Both endpoint sides are arcs of the input (the drawing
+    # less e is crossing-free), so a target lv + lu keeps on both of them a
+    # linear common subsequence of each arc and its order; a set kept
+    # within one side moves the other whole, as a relocation above does.
     lset, rset = set(cand.left), set(cand.right)
     moved: set[Vertex] = set()
     for c in decomp.components:
         if c is not comp:
             moved |= _cheapest(g, (c & lset, c & rset))
-    cv = unwrap_linearizations(d, decomp, comp_v, v, u)
-    cu = unwrap_linearizations(d, decomp, comp_u, u, v)
-    kept = best_slots(restriction(d.order, comp), *_joined_cycles(cv, cu))
-    moved |= comp.difference(kept)
+    for side, apex, other in ((comp_v, v, u), (comp_u, u, v)):
+        cycle = unwrap_linearizations(d, decomp, side, apex, other)
+        moved |= side.difference(best_opening(restriction(rotate_to(d.order, other), side), cycle))
     yield moved

@@ -304,48 +304,67 @@ def _turns(cycle: list) -> list[list]:
     return [cycle, cycle[:1] + cycle[:0:-1]] if len(cycle) > 2 else [cycle]
 
 
-def best_slots(source, *cycles) -> list:
-    """A longest common cyclic subsequence of `source` and a target of one
-    of the slot cycles, in the source's cyclic order; the first found on a
-    tie.
+def _laid(rank: dict, n: int, slots) -> list[Laid]:
+    """Each slot laid once; between them they must list the n ranked items once."""
+    laid = [_lay(rank, n, sigma, cuts) for sigma, cuts in slots]
+    if sorted(r for ranks, _, m in laid for r in ranks[:m]) != list(range(n)):
+        raise InvalidInstance(_NOT_ONE_ITEM_SET)
+    return laid
 
-    Each cycle's slots `(sigma, cuts)` list the items of `source` once
-    between them, and are laid once; its targets join one rotation
-    sigma[c:] + sigma[:c], c in cuts (not empty), per slot of a `_turns`
-    of it.  Per turn, windows start at the `_starts` of the largest live
-    slot, that slot first, with one `_arcs` pass per slot.  They find every
-    best kept set that keeps some of the slot, so it is dropped after them.
-    All cycles share one incumbent: a turn ends once the best length so far
-    reaches the items of live slots, and a window once its items left
-    cannot beat it.  O(n) windows of O(n log n) per cycle.
+
+def _window(run: list[Laid], s: int, left: int, best: int):
+    """`(length, chain)` of the window from rank s over `run`'s laid slots of
+    `left` items, one `_arcs` pass each; None once they cannot beat `best`."""
+    th, nodes = [s], [None]
+    for slot in run:
+        left -= slot[2]
+        _arcs(th, nodes, slot, s)
+        if len(th) - 1 + left <= best:
+            return None
+    return len(th) - 1, nodes[-1]
+
+
+def best_slots(source, cycle) -> list:
+    """A longest common cyclic subsequence of `source` and a target of the
+    slot cycle, in the source's cyclic order; the first found on a tie.
+
+    The slots `(sigma, cuts)` list the items of `source` once between them
+    and are laid once; a target joins one rotation sigma[c:] + sigma[:c],
+    c in cuts (not empty), per slot of a `_turns` of the cycle.  Per turn,
+    windows start at the `_starts` of the largest live slot, that slot
+    first; they find every best kept set that keeps some of it, so it is
+    dropped after them.  A turn ends once the best length so far reaches
+    the items of live slots.  O(n) windows of O(n log n).
     """
-    if not cycles:
-        raise InvalidInstance("best_slots needs at least one slot cycle")
     items, rank = _ranked(source)
-    n = len(items)
-    best, won = 0, None
-    for cycle in cycles:
-        laid = [_lay(rank, n, sigma, cuts) for sigma, cuts in cycle]
-        if sorted(r for ranks, _, m in laid for r in ranks[:m]) != list(range(n)):
-            raise InvalidInstance(_NOT_ONE_ITEM_SET)
-        for turn in _turns(laid):
-            live, left = list(turn), n
-            for lay in sorted(live, key=lambda lay: -lay[2]):
-                if best >= left:
-                    break
-                at = live.index(lay)
-                run = live[at:] + live[:at]
-                for s in (lay[0][o] for o in _starts(lay, n)):
-                    th, nodes, rest = [s], [None], left
-                    for slot in run:
-                        rest -= slot[2]
-                        _arcs(th, nodes, slot, s)
-                        if len(th) - 1 + rest <= best:
-                            break
-                    else:
-                        best, won = len(th) - 1, nodes[-1]
-                del live[at]
-                left -= lay[2]
+    n, best, won = len(items), 0, None
+    for turn in _turns(_laid(rank, n, cycle)):
+        live, left = turn, n
+        for lay in sorted(live, key=lambda lay: -lay[2]):
+            if best >= left:
+                break
+            at = live.index(lay)
+            live = live[at:] + live[:at]
+            for s in (lay[0][o] for o in _starts(lay, n)):
+                if found := _window(live, s, left, best):
+                    best, won = found
+            live, left = live[1:], left - lay[2]
+    return _kept(items, won)
+
+
+def best_opening(source, cycle) -> list:
+    """A longest common subsequence of the linear order `source` and a
+    target of the slot cycle's openings, in source order; the first found
+    on a tie.  An opening is a `_turns` of the cycle opened just before or
+    just after slot 0, with one rotation per slot as in `best_slots`.  The
+    slots are laid once, and each opening is one window from the source's
+    first item: at most four, O(n log n)."""
+    items, rank = _ranked(source)
+    n, best, won = len(items), 0, None
+    for turn in _turns(_laid(rank, n, cycle)):
+        for opening in (turn, turn[1:] + turn[:1]) if len(turn) > 1 else (turn,):
+            if found := _window(opening, 0, n, best):
+                best, won = found
     return _kept(items, won)
 
 

@@ -35,7 +35,7 @@ from untangling.errors import NotAlmostPlanar, NotOuterplanar, StructuralAsserti
 from untangling.generators import _almost_planar_from
 from untangling.io_formats import format_drawing
 from untangling.model import all_crossings_on, cyclic_equal, restriction, rotate_to, sides_of_edge
-from untangling.seqs import best_slots, best_target
+from untangling.seqs import best_opening, best_target
 
 
 def c4_tangled():
@@ -571,57 +571,44 @@ def unwrap_cycles(draw, source, side):
     return slots
 
 
+def plain_lcs_len(a, b):
+    """Length of a longest common subsequence of two sequences, from the
+    O(len(a) len(b)) table."""
+    row = [0] * (len(b) + 1)
+    for x in a:
+        diag = 0
+        for j, y in enumerate(b, 1):
+            diag, row[j] = row[j], diag + 1 if x == y else max(row[j], row[j - 1])
+    return row[-1]
+
+
 @st.composite
-def two_sided_cycles(draw):
+def arc_sides(draw):
+    """A source of n = 2..9 items and two sides that are arcs of it: one
+    rotation of the source split at one cut, each side with a slot cycle."""
     n = draw(st.integers(2, 9))
     source = tuple(f"v{i}" for i in draw(st.permutations(range(n))))
-    split = draw(st.permutations(source))
-    cut = draw(st.integers(1, n - 1))
-    return source, draw(unwrap_cycles(source, split[:cut])), draw(unwrap_cycles(source, split[cut:]))
+    r, cut = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
+    rotated = source[r:] + source[:r]
+    return source, [(arc, draw(unwrap_cycles(source, arc))) for arc in (rotated[:cut], rotated[cut:])]
 
 
 @settings(max_examples=200, deadline=None)
-@given(two_sided_cycles())
-def test_joined_cycles_match_best_target_over_every_side_pair(case):
-    """The joined cycles' score against the unsplit orders.  On arbitrary
-    slot cycles an apex split around the other slots can keep more (source
-    v0..v5, side v [(('v0', 'v1'), [0])], side u [(('v2', 'v4', 'v5'),
-    [0, 1]), (('v3',), [0])]: 6 split, 5 unsplit); on unwrapped sides of a
-    drawing it never does
-    (`test_unwrapped_sides_keep_as_much_as_split_orders`)."""
-    source, side_v, side_u = case
-    targets = [lv + lu for lv in expanded_cycles(side_v) for lu in expanded_cycles(side_u)]
-    kept = best_slots(source, *almost_planar._joined_cycles(side_v, side_u))
-    assert len(kept) == len(best_target(source, targets)[1])
+@given(arc_sides())
+def test_side_openings_keep_the_best_two_sided_target(case):
+    """Each side's best opening keeps as much as a plain LCS of its arc
+    with any of its unwrapped orders, and the two together are a common
+    cyclic subsequence of the source and some target lv + lu that keeps
+    as much as any target, unless that one keeps a single side."""
+    source, sides = case
+    kept = [x for arc, cycle in sides for x in best_opening(arc, cycle)]
+    assert len(kept) == sum(max(plain_lcs_len(arc, lin) for lin in expanded_cycles(cycle)) for arc, cycle in sides)
+    (arc_v, cv), (arc_u, cu) = sides
+    targets = [lv + lu for lv in expanded_cycles(cv) for lu in expanded_cycles(cu)]
+    assert len(kept) <= len(best_target(source, targets)[1]) <= max(len(kept), len(arc_v), len(arc_u))
     keep = set(kept)
     assert len(keep) == len(kept) and cyclic_equal(tuple(kept), restriction(source, keep))
-    assert any(cyclic_equal(tuple(kept), tuple(x for x in t if x in keep)) for t in targets)
-
-
-def _cyclic_key(order):
-    return tuple(rotate_to(order, min(order)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(two_sided_cycles())
-def test_joined_cycles_are_the_bridge_family(case):
-    """The joined cycles, each expanded both ways round, give exactly the
-    targets lv + lu up to rotation, and no joined cycle is another one's
-    reversal, so no order is scored twice."""
-    source, side_v, side_u = case
-    family = {_cyclic_key(lv + lu) for lv in expanded_cycles(side_v) for lu in expanded_cycles(side_u)}
-    joined = almost_planar._joined_cycles(side_v, side_u)
-    targets = {
-        _cyclic_key(sum(combo, ()))
-        for cycle in joined
-        for turn in (cycle, cycle[:1] + cycle[:0:-1])
-        for combo in product(*([sigma[k:] + sigma[:k] for k in cuts] for sigma, cuts in turn))
-    }
-    assert targets == family
-    slots = [tuple(sigma for sigma, _ in cycle) for cycle in joined]
-    for i, j in combinations(range(len(slots)), 2):
-        assert not cyclic_equal(slots[i], slots[j]) and not cyclic_equal(slots[i][::-1], slots[j]), (i, j)
-    assert len(joined) <= 8
+    assert any(cyclic_equal(tuple(kept), restriction(t, keep)) for t in targets)
 
 
 def _qualifying_cycles(d, decomp, side, apex, other):
@@ -644,12 +631,13 @@ def _qualifying_cycles(d, decomp, side, apex, other):
 
 
 def test_unwrapped_sides_keep_as_much_as_split_orders():
-    """On every bridge candidate of seeded drawings, the orders that
-    the joined cycles score keep as many items as the best target over
-    every qualifying block's orders, those whose apex wraps around the
-    other slots included.  A side that an edge crossing the bridge lies in
-    has one qualifying block; any other side is its input order alone, an
-    unwrapped order of one of its qualifying blocks."""
+    """On every bridge candidate of seeded drawings, the best openings of
+    the two sides keep as many items as the best target over every
+    qualifying block's orders, those whose apex wraps around the other
+    slots included, unless that target keeps items of one side only.  A
+    side that an edge crossing the bridge lies in has one qualifying
+    block; any other side is its input order alone, an unwrapped order of
+    one of its qualifying blocks."""
     drawings = [gen_random(n, seed, profile)
                 for profile, n, seed in product(("case-2-2", "almost-planar"), range(6, 15), range(40))]
     for seed in range(100):
@@ -659,7 +647,7 @@ def test_unwrapped_sides_keep_as_much_as_split_orders():
     for d in filter(None, drawings):
         for decomp, bi, u, v in _bridge_candidates(d):
             comp_u, comp_v = decomp.attachment(bi, u), decomp.attachment(bi, v)
-            sides, families = [], []
+            kept, families = [], []
             for side, apex, other in ((comp_v, v, u), (comp_u, u, v)):
                 cycle = unwrap_linearizations(d, decomp, side, apex, other)
                 is_crossed, cycles = _qualifying_cycles(d, decomp, side, apex, other)
@@ -672,20 +660,19 @@ def test_unwrapped_sides_keep_as_much_as_split_orders():
                     assert cycle[0][0] in family, (d, apex)
                     uncrossed += 1
                     several += len(cycles) > 1
-                sides.append(cycle)
+                kept += best_opening(restriction(rotate_to(d.order, other), side), cycle)
                 families.append(family)
             source = restriction(d.order, comp_u | comp_v)
             targets = [lv + lu for lv, lu in product(*families)]
-            kept = best_slots(source, *almost_planar._joined_cycles(*sides))
-            assert len(best_target(source, targets)[1]) == len(kept), d
+            assert len(kept) <= len(best_target(source, targets)[1]) <= max(len(kept), len(comp_u), len(comp_v)), d
     assert uncrossed >= 350 and several >= 40 and crossed >= 400
 
 
 def test_min_untangle_lays_each_apex_slot_whole(monkeypatch):
-    """A side with many pendant-leaf blocks at its apex costs at most one
-    window pass per slot start of each joined cycle, which share one
-    incumbent, not one per cut of the apex's slot as well, nor one cycle
-    per block."""
+    """A side with many pendant-leaf blocks at its apex costs one window
+    per opening of its slot cycle, with one pass per slot: not one window
+    per slot start, nor one per cut of the apex's slot, nor one cycle per
+    block."""
     passes = []
     arcs = seqs._arcs
 
@@ -694,7 +681,7 @@ def test_min_untangle_lays_each_apex_slot_whole(monkeypatch):
         return arcs(*args)
 
     monkeypatch.setattr(seqs, "_arcs", counted)
-    for k, moved, bound in ((64, 52, 2_000), (256, 230, 10_000)):
+    for k, moved, bound in ((64, 52, 100), (128, 126, 100), (256, 230, 100)):
         passes.clear()
         d = _bridged_triangles(k)
         rep = verify_untangling(d, min_untangle(d))
@@ -704,26 +691,32 @@ def test_min_untangle_lays_each_apex_slot_whole(monkeypatch):
 
 def test_min_untangle_scores_each_cycle_block_once(monkeypatch):
     """Candidate edges on one cycle block share its scored slots; each
-    bridge candidate scores its own joined cycles in one call."""
-    calls = []
-    score = almost_planar.best_slots
+    bridge candidate scores each of its two sides once."""
+    calls = {"best_slots": 0, "best_opening": 0}
 
-    def counted(source, *cycles):
-        calls.append(source)
-        return score(source, *cycles)
+    def counting(name):
+        score = getattr(almost_planar, name)
 
-    monkeypatch.setattr(almost_planar, "best_slots", counted)
-    shared = 0
+        def counted(source, cycle):
+            calls[name] += 1
+            return score(source, cycle)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(almost_planar, name, counting(name))
+    shared, bridges = 0, 0
     for seed in range(30):
         d = gen_random(12, seed, "almost-planar")
         decomp = block_decomposition(d.graph)
         cands = [decomp.block_with_edge(c.edge) for c in classify(d).candidates]
         on_cycles = [bi for bi in cands if len(decomp.blocks[bi]) > 2]
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         min_untangle(d)
-        assert len(calls) == len(set(on_cycles)) + len(cands) - len(on_cycles)
+        assert calls == {"best_slots": len(set(on_cycles)), "best_opening": 2 * (len(cands) - len(on_cycles))}
         shared += len(on_cycles) - len(set(on_cycles))
-    assert shared > 0
+        bridges += len(cands) - len(on_cycles)
+    assert shared > 0 and bridges > 0
 
 
 def test_untanglers_decompose_once(monkeypatch):

@@ -21,7 +21,7 @@ from untangling import (
 )
 from untangling.errors import InvalidInstance, TooLarge
 from untangling.model import cyclic_equal
-from untangling.seqs import ES_TIGHT_MAX_LEN, best_slots, best_target, lis_indices, lis_length
+from untangling.seqs import ES_TIGHT_MAX_LEN, best_opening, best_slots, best_target, lis_indices, lis_length
 
 
 def scan_lics(items, sign=1):
@@ -353,6 +353,39 @@ def test_best_slots_matches_best_target_over_the_expanded_product(case):
     assert any(is_common_cyclic_subsequence(kept, source, t) for t in targets)
 
 
+def opened(cycle):
+    """Every target of a slot cycle's openings: each way round from slot 0,
+    opened just before and just after it, one rotation per slot."""
+    return [sum(combo, ()) for turn in both_ways(cycle) for slots in (turn, turn[1:] + turn[:1])
+            for combo in product(*map(rotations, slots))]
+
+
+def plain_lcs_len(a, b):
+    """Length of a longest common subsequence of two sequences, from the
+    O(len(a) len(b)) table."""
+    row = [0] * (len(b) + 1)
+    for x in a:
+        diag = 0
+        for j, y in enumerate(b, 1):
+            diag, row[j] = row[j], diag + 1 if x == y else max(row[j], row[j - 1])
+    return row[-1]
+
+
+def is_subsequence(sub, seq):
+    it = iter(seq)
+    return all(x in it for x in sub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_cycles())
+def test_best_opening_matches_a_plain_lcs_over_every_opening(case):
+    source, cycle = case
+    targets = opened(cycle)
+    kept = best_opening(source, cycle)
+    assert len(kept) == max(plain_lcs_len(source, t) for t in targets)
+    assert is_subsequence(kept, source) and any(is_subsequence(kept, t) for t in targets)
+
+
 @settings(max_examples=150, deadline=None)
 @given(slot_cycles(), st.data())
 def test_best_slots_rejects_slots_of_another_item_set(case, data):
@@ -368,8 +401,9 @@ def test_best_slots_rejects_slots_of_another_item_set(case, data):
     if elsewhere:
         bad.append((sigma + (data.draw(st.sampled_from(elsewhere)),), cuts))  # another slot's item
     slots[s] = data.draw(st.sampled_from(bad))
-    with pytest.raises(InvalidInstance):
-        best_slots(source, slots)
+    for score in (best_slots, best_opening):
+        with pytest.raises(InvalidInstance):
+            score(source, slots)
 
 
 def test_best_slots_edge_cases():
@@ -377,6 +411,11 @@ def test_best_slots_edge_cases():
     assert best_slots(("a", "b"), [(("a", "b"), [1])]) in (["a", "b"], ["b", "a"])
     with pytest.raises(InvalidInstance):  # a slot without cuts has no rotation
         best_slots(("a", "b"), [(("a",), [0]), (("b",), [])])
+    assert best_opening((), []) == []
+    assert best_opening(("a", "b"), [(("a", "b"), [1])]) in (["a"], ["b"])
+    assert best_opening(("a", "b", "c"), [(("a",), [0]), (("c",), [0]), (("b",), [0])]) == ["a", "b", "c"]
+    with pytest.raises(InvalidInstance):
+        best_opening(("a", "b"), [(("a",), [0]), (("b",), [])])
 
 
 def sequential_rotation_search(items, floor):
