@@ -249,7 +249,7 @@ def min_untangle(d: CircularDrawing) -> Untangling:
     first by rank on a tie, and only its moves are built.  Every step reads
     the graph's one block-cut tree, and each cycle block is scored once.
     It matches the oracle up to n = 14, but moves more than the optimum on
-    five drawings of n = 13-20 whose crossing edge is a bridge.
+    seven drawings of n = 13-26 whose crossing edge is a bridge.
     """
 
     def moved_sets(decomp: BlockDecomposition, cands: tuple) -> Iterator[set[Vertex]]:
@@ -270,7 +270,14 @@ def _min_untangle_candidates(
     u, v = cand.edge
     bi = decomp.block_with_edge(cand.edge)
     comp = decomp.components[decomp.component_of[u]]
-    if len(decomp.blocks[bi]) > 2:  # e lies on a cycle: u, v stay connected in G - e
+    if len(decomp.blocks[bi]) > 2:
+        # e lies in a cycle block B, so u, v stay connected in G - e, and e
+        # is an edge of B's cycle, never a chord.  Were it a chord, both u-v
+        # paths of the cycle would remain in the drawing less e, which is
+        # crossing-free; an edge crossing e separates u from v on the
+        # circle, so it touches both paths.  It would then be a chord of B
+        # alternating with e on B's cycle, which an outerplanar block
+        # cannot have.
         if bi not in by_block:
             kept = best_slots(restriction(d.order, comp), _block_attachment_targets(d, decomp, bi, comp))
             by_block[bi] = set(comp).difference(kept)

@@ -10,8 +10,9 @@ for callers that need no blocks.
 vertices in its cyclic order, each block with none of them from its entry
 vertex towards that vertex's lower-ranked cycle neighbour, and is
 `planar_circular_order` without `rng`; with `rng`, that function walks the
-tree at random on one task stack.  Both take the tree, so the caller that
-builds it once can lay it out many times.
+tree at random.  Both walks are plain recursions run by `_run` on one
+explicit stack, so a deep tree never meets Python's recursion limit.  Both
+take the tree, so the caller that builds it once can lay it out many times.
 
 The outerplanarity recognizer works by peeling: a 2-connected outerplanar
 block always has a vertex of degree 2, and removing it (recording its two
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Generator, Iterable, Optional, Sequence
 
 from .errors import InvalidInstance, NotOuterplanar, UnknownVertex
 from .model import Edge, Graph, Vertex, is_crossing_free, rotate_to
@@ -228,57 +229,61 @@ def _flatten(nested: list) -> list[Vertex]:
     return out
 
 
+def _run(walk: Generator) -> object:
+    """The return value of the recursive generator `walk`, run on an explicit
+    stack: `x = yield child` runs the generator `child` and sends its return
+    value back as x, so no Python call is as deep as the recursion."""
+    stack, value = [walk], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
 def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Random] = None) -> tuple[Vertex, ...]:
     """A crossing-free cyclic order of `decomp.graph`, given its
     `block_decomposition` as for `planar_order_keeping`.
 
     Without `rng`, `planar_order_keeping(decomp, ())`; with `rng`, a
     uniform-ish random member of the orders the block layout reaches: the
-    components in random order, each walked from a random root on one task
-    stack.  A visit shuffles a vertex's child blocks and pushes, for each in
-    reverse, a side task and then a block task; a block task draws the
-    block's direction (a bridge draws nothing) and pushes visits of its cut
-    vertices in reverse; a side task puts the finished block span before or
-    after its vertex.  So every draw comes where plain recursion makes it,
-    without its depth.  Spans nest as lists, flattened once at the end.  No
+    components in random order, each walked from a random root.  A visit
+    puts its vertex between two lists, shuffles its child blocks and, for
+    each, draws the block's direction (a bridge draws nothing), visits its
+    cut vertices in that direction, and puts the block's span in one of the
+    two lists at random.  Spans nest as lists, flattened once at the end.  No
     crossing test is run here: the tree certifies that the graph is
     outerplanar, and every walk of it is crossing-free.
     """
     if rng is None:
         return planar_order_keeping(decomp, ())
+    incidence, blocks = decomp.incidence, decomp.blocks
+
+    def visit(v: Vertex, parent: Optional[int], out: list):
+        pre, post = [], []
+        out += (pre, v, post)
+        children = [bi for bi in incidence[v] if bi != parent]
+        rng.shuffle(children)
+        for bi in children:
+            walk = rotate_to(blocks[bi], v)[1:]
+            if len(walk) > 1 and rng.random() >= 0.5:
+                walk = walk[::-1]
+            span: list = []
+            for w in walk:
+                if len(incidence[w]) == 1:  # no other block: nothing to visit or draw
+                    span.append(w)
+                else:
+                    yield visit(w, bi, span)
+            (pre if rng.random() < 0.5 else post).append(span)
+
     comps = [sorted(c, key=decomp.graph.index) for c in decomp.components]
     rng.shuffle(comps)
     order: list = []
     for comp in comps:
-        root, pre, post = rng.choice(comp), [], []
-        order += (pre, root, post)
-        tasks: list[tuple] = [("visit", root, None, pre, post)]
-        while tasks:
-            task = tasks.pop()
-            if task[0] == "visit":
-                _, v, parent, pre, post = task
-                children = [bi for bi in decomp.incidence[v] if bi != parent]
-                rng.shuffle(children)
-                for bi in reversed(children):
-                    span: list = []
-                    tasks += (("side", span, pre, post), ("block", bi, v, span))
-            elif task[0] == "block":
-                _, bi, entry, span = task
-                walk = rotate_to(decomp.blocks[bi], entry)[1:]
-                if len(walk) > 1 and rng.random() >= 0.5:
-                    walk = walk[::-1]
-                visits = []
-                for w in walk:
-                    if len(decomp.incidence[w]) == 1:  # no other block: nothing to visit or draw
-                        span.append(w)
-                    else:
-                        pre, post = [], []
-                        span += (pre, w, post)
-                        visits.append(("visit", w, bi, pre, post))
-                tasks += reversed(visits)
-            else:
-                _, span, pre, post = task
-                (pre if rng.random() < 0.5 else post).append(span)
+        _run(visit(rng.choice(comp), None, order))
     return tuple(_flatten(order))
 
 
@@ -358,44 +363,39 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
     in rank order along its Hamiltonian cycle, one way or the other, which
     sets the block's direction (with no ranked child, the entry vertex's
     lower-ranked cycle neighbour goes first); a vertex and its child blocks
-    go by rank, the unranked ones right after the vertex.  The tree is walked
-    breadth first from `root` and laid out in reverse, so no call recurses;
-    orders nest as lists and are flattened once at the end.
+    go by rank, the unranked ones right after the vertex.  The tree is laid
+    out bottom up by a recursion on `_run`, which stops at the first subtree
+    that fails; orders nest as lists and are flattened once at the end.
     """
-    parent: dict[Vertex, Optional[int]] = {root: None}
-    tree_order = [root]
-    for v in tree_order:
-        for bi in decomp.incidence[v]:
-            if bi != parent[v]:
-                for w in decomp.blocks[bi]:
-                    if w != v:
-                        parent[w] = bi
-                        tree_order.append(w)
-    laid: dict[Vertex, tuple[int, int, object]] = {}  # order: a vertex or nested lists
-    for v in reversed(tree_order):
+    incidence, blocks, index = decomp.incidence, decomp.blocks, decomp.graph.index
+
+    def lay(v: Vertex, parent: Optional[int]):
         spans = [(rank[v], 1, v) if v in rank else (0, 0, v)]
-        for bi in decomp.incidence[v]:
-            if bi != parent[v]:
-                cycle = rotate_to(decomp.blocks[bi], v)
-                kids = [laid.pop(w) for w in cycle[1:]]
+        for bi in incidence[v]:
+            if bi != parent:
+                cycle, kids = rotate_to(blocks[bi], v), []
+                for w in cycle[1:]:
+                    if len(incidence[w]) == 1:  # a leaf of the tree lays out as its bare vertex
+                        kids.append((rank[w], 1, w) if w in rank else (0, 0, w))
+                    else:
+                        kids.append((yield lay(w, bi)))
+                        if kids[-1] is None:
+                            return None
                 ranked = [lo for lo, count, _ in kids if count]
                 if not ranked:
-                    ranked = [decomp.graph.index(cycle[1]), decomp.graph.index(cycle[-1])]
+                    ranked = [index(cycle[1]), index(cycle[-1])]
                 if ranked[0] > ranked[-1]:
                     kids.reverse()
                 spans.append(_chain(kids))
                 if spans[-1] is None:
                     return None
-        if len(spans) == 1:  # a leaf of the tree lays out as its bare vertex
-            laid[v] = spans[0]
-            continue
         if any(count for _, count, _ in spans):  # else the stable sort keeps the order
             own = rank.get(v, -1)
             spans.sort(key=lambda s: (s[0], 0) if s[1] else (own, 1))
-        laid[v] = _chain(spans)
-        if laid[v] is None:
-            return None
-    return _flatten([laid[root][2]])
+        return _chain(spans)
+
+    laid = _run(lay(root, None))
+    return None if laid is None else _flatten(laid[2])
 
 
 def _chain(spans: list[tuple[int, int, list]]) -> Optional[tuple[int, int, list]]:

@@ -225,13 +225,11 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None) -> Circ
         sizes.append(left)
         vs = vertex_names(n)
         offset = 0
-        vertices: list[Vertex] = []
         edges = []
         order: list[Vertex] = []
         for sz in sizes:
             sub = _perturbed(rng, sz, k=0, connect=True)
             mapping = {w: vs[offset + i] for i, w in enumerate(sub.graph.vertices)}
-            vertices.extend(mapping[w] for w in sub.graph.vertices)
             edges.extend((mapping[a], mapping[b]) for a, b in sub.graph.edges)
             order.extend(mapping[w] for w in sub.order)
             offset += sz

@@ -1,6 +1,7 @@
 """One-side, edge-fixed, and minimum untangling of almost-planar drawings."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -324,7 +325,7 @@ def test_min_untangle_matches_oracle_random_n10_to_14(profile):
 
 # Almost-planar drawings, all crossed by a bridge, on which `min_untangle`
 # moves more than the oracle: (n, seed, the oracle's optimum).
-KNOWN_GAPS = [(13, 259, 2), (14, 108, 2), (15, 62, 4), (16, 46, 2), (20, 263, 4)]
+KNOWN_GAPS = [(13, 259, 2), (14, 108, 2), (15, 62, 4), (16, 46, 2), (20, 263, 4), (21, 36, 8), (26, 3, 2)]
 
 
 def _exact_untangling(d):
@@ -346,6 +347,21 @@ def test_known_gaps_min_and_exact_answers_verify(n, seed, optimum):
 def test_known_gaps_min_untangle_is_minimal(n, seed, optimum):
     d = gen_random(n, seed, "almost-planar")
     assert verify_untangling(d, min_untangle(d)).moved_count == exact_min_untangle(d).moved_count
+
+
+def test_candidate_edges_are_bridges_or_cycle_edges(exhaustive_corpus):
+    """Every candidate edge of an almost-planar drawing is a bridge or an
+    edge of its block's Hamiltonian cycle, never a chord (the reason is in
+    the cycle branch of `_min_untangle_candidates`)."""
+    drawings = [d for d in exhaustive_corpus if len(d.order) <= 6]
+    drawings += [gen_random(n, seed, p) for p in ("almost-planar", "case-2-2") for n in range(8, 31, 2) for seed in range(30)]
+    shapes = Counter()
+    for d in drawings:
+        decomp = block_decomposition(d.graph)
+        for c in classify(d).candidates:
+            cycle = rotate_to(decomp.blocks[decomp.block_with_edge(c.edge)], c.edge[0])
+            shapes["bridge" if len(cycle) == 2 else "cycle" if c.edge[1] in (cycle[1], cycle[-1]) else "chord"] += 1
+    assert shapes["chord"] == 0 and shapes["bridge"] and shapes["cycle"], shapes
 
 
 def test_candidate_edge_validation():

@@ -325,6 +325,16 @@ def test_planar_order_of_long_path(rng):
         assert is_crossing_free(order, g.edges)
 
 
+def test_planar_order_keeping_on_long_path():
+    g = path_graph(20_000)  # a block-cut tree of depth ~40,000
+    decomp = block_decomposition(g)
+    assert planar_order_keeping(decomp, ("v1", "v3", "v2", "v4")) is None  # chords v1-v2 and v3-v4 alternate
+    order = planar_order_keeping(decomp, ("v1", "v2", "v3", "v4"))
+    assert sorted(order) == sorted(g.vertices)
+    assert is_crossing_free(order, g.edges)
+    assert cyclic_equal(restriction(order, {"v1", "v2", "v3", "v4"}), ("v1", "v2", "v3", "v4"))
+
+
 def test_block_without_fixed_vertex_runs_towards_lower_ranked_neighbour():
     # c's child block holds no fixed vertex, so it runs from c towards c's
     # lower-ranked cycle neighbour b, not in its stored direction c, d, b
