@@ -8,9 +8,8 @@ and pure.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInstance, UnknownEdge, UnknownVertex
 
@@ -209,73 +208,69 @@ def restriction(order: Sequence[Vertex], subset: Iterable[Vertex]) -> tuple[Vert
     return tuple(v for v in order if v in ss)
 
 
-def crossings(d: CircularDrawing) -> frozenset[frozenset[Edge]]:
-    """All crossing edge pairs of the drawing, each a frozenset of two edges.
+def crossing_pairs(order: Sequence[Vertex], edges: Iterable[Edge]) -> Iterator[tuple[Edge, Edge]]:
+    """Every crossing pair of chords on the circle `order`, each once, as
+    (f, g) with f closing first.
 
-    By position, chords (a, b) and (c, e) with a < c cross iff c < b < e.
-    One sweep over left ends keeps the open chords sorted by right end; the
-    chords that open together go longest first, so none counts another.
+    One left-to-right pass keeps the open chords on a stack, pushed at their
+    left ends longest first.  When f closes at p, each open chord g above f
+    opened after f and before p and closes after p, so f and g cross.  The
+    closing chords on top are popped; only when one lies under open chords
+    does the pass walk down to the deepest one, and each open chord passed
+    crosses it: O(n + m log m + K) for K crossings.  A repeated vertex or a
+    self-loop raises InvalidInstance, an edge end outside `order` UnknownVertex.
     """
-    pos = d._pos
-    chords = []
-    for e in d.graph.edges:
-        i, j = pos[e[0]], pos[e[1]]
-        chords.append((i, -j, e) if i < j else (j, -i, e))
-    chords.sort()
-    open_chords: list[tuple[int, Edge]] = []  # (right end, edge), by right end
-    pairs = set()
-    for c, neg_end, f in chords:
-        del open_chords[: bisect_left(open_chords, (c + 1,))]  # closed at or before c
-        pairs.update(frozenset((g, f)) for _, g in open_chords[: bisect_left(open_chords, (-neg_end,))])
-        insort(open_chords, (-neg_end, f))
-    return frozenset(pairs)
-
-
-def crossing_pair(order: Sequence[Vertex], edges: Iterable[Edge]) -> Optional[tuple[Edge, Edge]]:
-    """Two crossing edges, or None when the chords are crossing-free.
-
-    One left-to-right pass keeps the open chords on a stack, shorter ones on
-    top; a chord closing at position p must be on top when p is reached.  At
-    the first pop that finds another chord g there, a chord f deeper in the
-    stack closes at p, so f opened before g, g opened before p and g closes
-    after p: their endpoints alternate.  O(n + m log m).
-    """
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(pos)
+    n = len(order)
+    pos = dict(zip(order, range(n)))
+    if len(pos) != n:
+        raise InvalidInstance("order repeats a vertex")
     opens: list[list[tuple[int, Edge]]] = [[] for _ in range(n)]
     ncloses = [0] * n
     for e in edges:
-        i, j = pos[e[0]], pos[e[1]]
+        try:
+            i, j = pos[e[0]], pos[e[1]]
+        except KeyError:
+            raise UnknownVertex(f"edge {e!r} has an end outside the order") from None
         if i > j:
             i, j = j, i
+        elif i == j:
+            raise InvalidInstance(f"self-loop at {e[0]!r}")
         opens[i].append((j, e))
         ncloses[j] += 1
     stack: list[tuple[int, Edge]] = []
     for p in range(n):
-        for _ in range(ncloses[p]):
-            j, g = stack.pop()
-            if j != p:
-                f = next(f for k, f in reversed(stack) if k == p)
-                return f, g
+        k = ncloses[p]
+        while k and stack[-1][0] == p:
+            stack.pop()
+            k -= 1
+        if k:
+            above = []  # the open chords passed on the way down, top first
+            while k:
+                j, f = stack.pop()
+                if j == p:
+                    k -= 1
+                    for _, g in above:
+                        yield f, g
+                else:
+                    above.append((j, f))
+            stack.extend(reversed(above))
         if opens[p]:
             opens[p].sort(reverse=True)
             stack.extend(opens[p])
-    return None
+
+
+def crossings(d: CircularDrawing) -> frozenset[frozenset[Edge]]:
+    """All crossing edge pairs of the drawing, each a frozenset of two edges."""
+    return frozenset(map(frozenset, crossing_pairs(d.order, d.graph.edges)))
 
 
 def is_crossing_free(order: Sequence[Vertex], edges: Iterable[Edge]) -> bool:
-    """Linear-time planarity test for chords on a circle (stack nesting)."""
-    return crossing_pair(order, edges) is None
+    """True iff `crossing_pairs` yields nothing; it stops at the first pair."""
+    return next(crossing_pairs(order, edges), None) is None
 
 
 def is_planar_drawing(d: CircularDrawing) -> bool:
     return is_crossing_free(d.order, d.graph.edges)
-
-
-def all_crossings_on(d: CircularDrawing, e: Edge) -> bool:
-    """True iff removing `e` leaves a crossing-free drawing."""
-    e = d.graph.edge(*e)
-    return is_crossing_free(d.order, d.graph.edges - {e})
 
 
 def sides_of_edge(d: CircularDrawing, e: Edge) -> tuple[tuple[Vertex, ...], tuple[Vertex, ...]]:
@@ -294,23 +289,22 @@ def classify(d: CircularDrawing) -> AlmostPlanarClassification:
     in order of its endpoints' ranks.
 
     An edge qualifies when it is involved in all crossings, i.e. the drawing
-    minus that edge is crossing-free while the drawing itself is not.  Such
-    an edge lies in every crossing pair, so only the two edges of one pair
-    are tested: O(n + m log m) in all.
+    minus that edge is crossing-free while the drawing itself is not: it
+    lies in every crossing pair.  One `crossing_pairs` pass intersects the
+    pairs as they come and stops when the intersection is empty.  After the
+    first pair, a pair that keeps an edge is another crossing of it, so at
+    most m pairs are read.
     """
-    pair = crossing_pair(d.order, d.graph.edges)
-    if pair is None:
+    cands = None
+    for pair in crossing_pairs(d.order, d.graph.edges):
+        cands = set(pair) if cands is None else cands.intersection(pair)
+        if not cands:
+            return AlmostPlanarClassification(NOT_ALMOST_PLANAR, ())
+    if cands is None:
         return AlmostPlanarClassification(PLANAR, ())
     g = d.graph
-    cands = []
-    # each edge of the pair crosses the other, so qualifying is all_crossings_on
-    for e in sorted(pair, key=lambda e: (g.index(e[0]), g.index(e[1]))):
-        if all_crossings_on(d, e):
-            left, right = sides_of_edge(d, e)
-            cands.append(EdgeCandidate(e, left, right))
-    if not cands:
-        return AlmostPlanarClassification(NOT_ALMOST_PLANAR, ())
-    return AlmostPlanarClassification(ALMOST_PLANAR, tuple(cands))
+    cands = sorted(cands, key=lambda e: (g.index(e[0]), g.index(e[1])))
+    return AlmostPlanarClassification(ALMOST_PLANAR, tuple(EdgeCandidate(e, *sides_of_edge(d, e)) for e in cands))
 
 
 def apply_untangling(d: CircularDrawing, u: Untangling) -> CircularDrawing:

@@ -18,14 +18,16 @@ from untangling import (
     classify,
     crossings,
     cycle_graph,
+    gen_fig5,
     gen_random,
     is_crossing_free,
     moves_to_reach,
     verify_untangling,
 )
+from untangling import model
 from untangling.errors import InvalidInstance, InvalidN, UnknownVertex
 from untangling.generators import PROFILES
-from untangling.model import crossing_pair, rotate_to, sides_of_edge
+from untangling.model import crossing_pairs, rotate_to, sides_of_edge
 
 
 def c4_tangled():
@@ -159,6 +161,9 @@ def test_crossings_match_pairwise_definition(profile):
             for order in (d.order, d.order[::-1], d.order[n // 3 :] + d.order[: n // 3]):
                 dd = CircularDrawing(d.graph, order)
                 assert crossings(dd) == _pairwise_crossings(dd)
+                pairs = list(crossing_pairs(dd.order, dd.graph.edges))
+                assert len(set(map(frozenset, pairs))) == len(pairs)
+                assert set(map(frozenset, pairs)) == _pairwise_crossings(dd)
                 checked += 1
     assert checked >= 90
 
@@ -257,10 +262,88 @@ def test_classify_matches_brute_force(d):
     for c in cls.candidates:
         assert (c.left, c.right) == sides_of_edge(d, c.edge)
 
-    pair = crossing_pair(d.order, g.edges)
+    pair = next(crossing_pairs(d.order, g.edges), None)
     assert (pair is None) == (len(pairs) == 0) == is_crossing_free(d.order, g.edges)
     if pair is not None:
         assert frozenset(pair) in pairs
+
+
+@pytest.mark.parametrize(
+    "order, edges, error",
+    [
+        (("a", "b", "a"), [("a", "b")], InvalidInstance),
+        (("a", "b", "c", "c"), [("a", "b")], InvalidInstance),
+        (("a", "b"), [("a", "z")], UnknownVertex),
+        (("a", "b"), [("b", "b")], InvalidInstance),
+    ],
+    ids=["repeated-end", "repeated-unused", "missing-end", "self-loop"],
+)
+def test_is_crossing_free_rejects_malformed_input(order, edges, error):
+    with pytest.raises(error):
+        is_crossing_free(order, edges)
+
+
+@pytest.mark.parametrize(
+    "make, read",
+    [
+        (lambda: gen_random(1000, 1, "outerplanar-order-perturbed"), None),  # 86,978 crossings
+        (lambda: gen_fig5(600), 597),  # every crossing of its one candidate
+    ],
+    ids=["random-1000", "fig5-600"],
+)
+def test_classify_reads_few_crossing_pairs(monkeypatch, make, read):
+    """After the first pair, each pair classify reads keeps at most one edge,
+    and only the crossings of that edge keep it."""
+    count = 0
+
+    def counted(order, edges):
+        nonlocal count
+        for pair in crossing_pairs(order, edges):
+            count += 1
+            yield pair
+
+    d = make()
+    monkeypatch.setattr(model, "crossing_pairs", counted)
+    cls = classify(d)
+    m = len(d.graph.edges)
+    assert 0 < count <= 2 * (m - 1)
+    if read is None:
+        assert cls.kind == NOT_ALMOST_PLANAR
+    else:
+        assert cls.kind == ALMOST_PLANAR and count == read
+
+
+def test_record_repr():
+    assert repr(Graph(("a", "b"), [("b", "a")])) == "Graph(vertices=('a', 'b'), edges=frozenset({('a', 'b')}))"
+    assert repr(VertexMove("a", "b")) == "VertexMove(vertex='a', anchor='b')"
+
+
+def test_equal_records_hash_equal():
+    g = cycle_graph(4)
+    rotated = CircularDrawing(g, ("v2", "v4", "v1", "v3"))
+    pairs = [
+        (g, Graph(list(g.vertices), [(b, a) for a, b in g.edges])),
+        (c4_tangled(), rotated),
+        (Untangling((VertexMove("v3", "v2"),)), Untangling((VertexMove("v3", "v2"),))),
+        (classify(c4_tangled()).candidates[0], classify(rotated).candidates[0]),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (cycle_graph(3), "edges"),
+        (c4_tangled(), "order"),
+        (VertexMove("a", "b"), "anchor"),
+        (Untangling(()), "moves"),
+    ],
+    ids=["Graph", "CircularDrawing", "VertexMove", "Untangling"],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
 
 
 def test_apply_examples():
