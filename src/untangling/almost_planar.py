@@ -94,7 +94,7 @@ def _untangle(
             raise NotAlmostPlanar(f"edge {e} does not cover all crossings")
     decomp = block_decomposition(d.graph)
     moved = _cheapest(d.graph, moved_sets(decomp, cands))
-    return Untangling(tuple(_moves_keeping(d, decomp, moved)))
+    return Untangling(_moves_keeping(d, decomp, moved))
 
 
 def one_side_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untangling:

@@ -25,16 +25,14 @@ re-checked with the crossing test, so the recognizer is self-verifying.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Collection, Generator, Iterable, Optional, Sequence
 
 from .errors import InvalidInstance, NotOuterplanar, UnknownVertex
-from .model import Edge, Graph, Vertex, is_crossing_free, rotate_to
+from .model import Edge, Graph, Vertex, _Record, is_crossing_free, rotate_to
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(_Record):
     """The block-cut tree of `graph`.  A block is its cycle (see
     `_peel_hamiltonian`); a bridge's is its two ends by rank.
 
@@ -46,11 +44,8 @@ class BlockDecomposition:
     vertex to the index of its component.
     """
 
-    graph: Graph
-    blocks: tuple[tuple[Vertex, ...], ...]
-    components: tuple[frozenset[Vertex], ...]
-    incidence: dict = field(repr=False)
-    component_of: dict = field(repr=False)
+    __slots__ = _fields = ("graph", "blocks", "components", "incidence", "component_of")
+    _unshown = ("incidence", "component_of")
 
     def attachment(self, block_index: int, v: Vertex) -> frozenset[Vertex]:
         """The component of G - E(B) containing v, for B the block at

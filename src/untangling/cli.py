@@ -72,7 +72,7 @@ def _cmd_untangle(args) -> int:
 
         res = oracle.exact_min_untangle(d)
         moved = set(d.order) - set(res.fixed)
-        u = Untangling(tuple(moves_to_reach(d.order, res.target_order, moved)))
+        u = Untangling(moves_to_reach(d.order, res.target_order, moved))
     else:
         from . import almost_planar
 

@@ -44,4 +44,4 @@ def untangle_general(d: CircularDrawing) -> Untangling:
         raise ConstructionFailed(
             f"monotone witness shorter than the guaranteed floor(sqrt({n}-2))+2"
         )
-    return Untangling(tuple(moves))
+    return Untangling(moves)

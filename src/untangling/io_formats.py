@@ -79,7 +79,7 @@ def parse_moves(text: str) -> Untangling:
             moves.append(VertexMove(parts[1], parts[3]))
         except UntanglingError as exc:
             raise FormatError(f"bad move line: {' '.join(parts)}: {exc}") from exc
-    return Untangling(tuple(moves))
+    return Untangling(moves)
 
 
 def format_moves(u: Untangling, fixed: Optional[Iterable[Vertex]] = None) -> str:

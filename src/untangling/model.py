@@ -8,7 +8,6 @@ and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInstance, UnknownEdge, UnknownVertex
@@ -24,18 +23,65 @@ NOT_ALMOST_PLANAR = "not-almost-planar"
 # CLI can offer them without importing the generators
 PROFILES = ("outerplanar-order-perturbed", "almost-planar", "case-2-2", "disconnected")
 
+_set = object.__setattr__  # how a record's own __init__ writes its slots
 
-@dataclass(frozen=True, eq=False)
-class Graph:
+
+class _Record:
+    """An immutable value over `__slots__`, built without `dataclasses`.
+
+    `_fields` lists the fields in constructor order: the __init__ here takes
+    them by position or keyword, and a subclass's own writes them with `_set`.
+    Records compare and hash by class and fields, `repr` shows the fields
+    not `_unshown`, and pickle and copy pass the fields back to the
+    constructor.  Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _unshown: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args) :] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = [f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._unshown]
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Record):
     """Undirected simple graph over string-labeled vertices.
 
     `vertices` is an ordered set; its order defines the tie-breaking rank
     used by all deterministic choices downstream.
     """
 
-    vertices: tuple[Vertex, ...]
-    edges: frozenset[Edge]
-    _index: dict = field(init=False, repr=False)
+    _fields = ("vertices", "edges")
+    __slots__ = _fields + ("_index",)
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]] = ()):
         vs = tuple(vertices)
@@ -44,7 +90,10 @@ class Graph:
             raise InvalidInstance("duplicate vertices")
 
         def normal(edge: Sequence[Vertex]) -> Edge:
-            a, b = edge
+            try:
+                a, b = edge
+            except (TypeError, ValueError):
+                raise InvalidInstance(f"edge {edge!r} does not have two ends") from None
             if a == b:
                 raise InvalidInstance(f"self-loop at {a!r}")
             try:
@@ -53,9 +102,9 @@ class Graph:
                 raise UnknownVertex(f"edge ({a!r}, {b!r}) references undeclared vertex") from None
             return (a, b) if ia < ib else (b, a)
 
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(map(normal, edges)))  # the first bad edge raises
-        object.__setattr__(self, "_index", index)
+        _set(self, "vertices", vs)
+        _set(self, "edges", frozenset(map(normal, edges)))  # the first bad edge raises
+        _set(self, "_index", index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -91,17 +140,15 @@ class Graph:
         return Graph(self.vertices, self.edges - {e})
 
 
-@dataclass(frozen=True, eq=False)
-class CircularDrawing:
+class CircularDrawing(_Record):
     """A graph with a clockwise cyclic order of all its vertices.
 
     Two drawings are equal iff their cyclic orders agree up to rotation;
     reflection is a different drawing (clockwise orientation is significant).
     """
 
-    graph: Graph
-    order: tuple[Vertex, ...]
-    _pos: dict = field(init=False, repr=False)
+    _fields = ("graph", "order")
+    __slots__ = _fields + ("_pos",)
 
     def __init__(self, graph: Graph, order: Iterable[Vertex]):
         ot = tuple(order)
@@ -112,9 +159,9 @@ class CircularDrawing:
             # no repeats, and the same vertex set: compared as dict views, in C
             if len(pos) != len(ot) or pos.keys() != graph._index.keys():
                 raise InvalidInstance("order must be a permutation of the graph vertices")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "order", ot)
-        object.__setattr__(self, "_pos", pos)
+        _set(self, "graph", graph)
+        _set(self, "order", ot)
+        _set(self, "_pos", pos)
 
     def position(self, v: Vertex) -> int:
         try:
@@ -134,23 +181,25 @@ class CircularDrawing:
         return hash((self.graph, self.canonical_order()))
 
 
-@dataclass(frozen=True)
-class VertexMove:
+class VertexMove(_Record):
     """Remove `vertex` and reinsert it immediately clockwise of `anchor`."""
 
-    vertex: Vertex
-    anchor: Vertex
+    __slots__ = _fields = ("vertex", "anchor")
 
-    def __post_init__(self):
-        if self.vertex == self.anchor:
+    def __init__(self, vertex: Vertex, anchor: Vertex):
+        if vertex == anchor:
             raise InvalidInstance("a vertex cannot anchor its own move")
+        _set(self, "vertex", vertex)
+        _set(self, "anchor", anchor)
 
 
-@dataclass(frozen=True)
-class Untangling:
+class Untangling(_Record):
     """An ordered list of vertex moves; cost is the number of distinct moved vertices."""
 
-    moves: tuple[VertexMove, ...]
+    __slots__ = _fields = ("moves",)
+
+    def __init__(self, moves: Iterable[VertexMove]):
+        _set(self, "moves", tuple(moves))
 
     def moved_set(self) -> set[Vertex]:
         return {m.vertex for m in self.moves}
@@ -159,31 +208,22 @@ class Untangling:
         return len(self.moves)
 
 
-@dataclass(frozen=True)
-class EdgeCandidate:
+class EdgeCandidate(_Record):
     """An edge involved in all crossings, with the two vertex sets beside it.
 
     `left` is the clockwise arc strictly from v to u for the edge (u, v);
     `right` the clockwise arc strictly from u to v.  Both keep arc order.
     """
 
-    edge: Edge
-    left: tuple[Vertex, ...]
-    right: tuple[Vertex, ...]
+    __slots__ = _fields = ("edge", "left", "right")
 
 
-@dataclass(frozen=True)
-class AlmostPlanarClassification:
-    kind: str
-    candidates: tuple[EdgeCandidate, ...]
+class AlmostPlanarClassification(_Record):
+    __slots__ = _fields = ("kind", "candidates")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    moved_count: int
-    fixed_set_ok: bool
-    planar_ok: bool
-    result: CircularDrawing
+class VerificationReport(_Record):
+    __slots__ = _fields = ("moved_count", "fixed_set_ok", "planar_ok", "result")
 
 
 def rotate_to(seq: tuple, v) -> tuple:
@@ -342,12 +382,7 @@ def verify_untangling(d: CircularDrawing, u: Untangling) -> VerificationReport:
     moved = u.moved_set()
     fixed = [v for v in d.order if v not in moved]
     fixed_ok = cyclic_equal(restriction(d.order, fixed), restriction(result.order, fixed))
-    return VerificationReport(
-        moved_count=len(moved),
-        fixed_set_ok=fixed_ok,
-        planar_ok=is_planar_drawing(result),
-        result=result,
-    )
+    return VerificationReport(len(moved), fixed_ok, is_planar_drawing(result), result)
 
 
 def moves_to_reach(

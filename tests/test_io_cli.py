@@ -387,7 +387,8 @@ def test_verification_pipeline_random(tmp_path, capsys):
 
 def test_cli_runs_without_networkx(tmp_path):
     """`import untangling` loads no submodule, and each CLI command loads
-    only the modules it runs; networkx is never loaded."""
+    only the modules it runs; networkx is never loaded, and neither is
+    `dataclasses` unless `site` loaded it first."""
     drawing, moves = tmp_path / "d.cdr", tmp_path / "d.mv"
     drawing.write_text("vertices 4\norder a b c d\nedge a c\nedge b d\n")
     moves.write_text("move a after b\n")
@@ -395,6 +396,7 @@ def test_cli_runs_without_networkx(tmp_path):
         "import sys\n"
         "def loaded():\n"
         "    return {m.split('.', 1)[1] for m in sys.modules if m.startswith('untangling.')}\n"
+        "site_loaded_dataclasses = 'dataclasses' in sys.modules\n"
         "import untangling\n"
         "assert 'networkx' not in sys.modules, 'import untangling loaded networkx'\n"
         "assert loaded() == set(), f'import untangling loaded {sorted(loaded())}'\n"
@@ -404,9 +406,11 @@ def test_cli_runs_without_networkx(tmp_path):
         f"rc += untangling.cli.main(['verify', {str(drawing)!r}, {str(moves)!r}])\n"
         "assert 'networkx' not in sys.modules, 'untangling check loaded networkx'\n"
         "assert loaded() <= {'errors', 'model', 'io_formats', 'cli'}, f'check and verify loaded {sorted(loaded())}'\n"
+        "assert site_loaded_dataclasses or 'dataclasses' not in sys.modules, 'check and verify loaded dataclasses'\n"
         f"rc += untangling.cli.main(['untangle', {str(drawing)!r}, '--algorithm', 'min'])\n"
         "extra = loaded() & {'oracle', 'generators', 'reductions', 'render'}\n"
         "assert not extra, f'untangle --algorithm min loaded {sorted(extra)}'\n"
+        "assert site_loaded_dataclasses or 'dataclasses' not in sys.modules, 'untangle min loaded dataclasses'\n"
         "sys.exit(rc)\n"
     )
     src = str(Path(untangling.__file__).resolve().parents[1])

@@ -1,5 +1,7 @@
 """Core model: crossings, classification, moves, verification."""
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -10,9 +12,12 @@ from untangling import (
     ALMOST_PLANAR,
     NOT_ALMOST_PLANAR,
     PLANAR,
+    AlmostPlanarClassification,
+    BlockDecomposition,
     CircularDrawing,
     Graph,
     Untangling,
+    VerificationReport,
     VertexMove,
     apply_untangling,
     classify,
@@ -24,10 +29,10 @@ from untangling import (
     moves_to_reach,
     verify_untangling,
 )
-from untangling import model
+from untangling import block_decomposition, model
 from untangling.errors import InvalidInstance, InvalidN, UnknownVertex
 from untangling.generators import PROFILES
-from untangling.model import crossing_pairs, rotate_to, sides_of_edge
+from untangling.model import EdgeCandidate, crossing_pairs, rotate_to, sides_of_edge
 
 
 def c4_tangled():
@@ -53,6 +58,9 @@ def test_graph_validation():
         (("a", "b"), [("a", "b"), ("b", "z")], UnknownVertex, "('b', 'z') references undeclared"),
         (("a", "b", "a"), [("a", "z")], InvalidInstance, "duplicate vertices"),  # before any edge
         (("a", "b"), [("z", "a"), ("b", "b")], UnknownVertex, "('z', 'a') references undeclared"),  # first bad edge
+        (("a", "b"), [("a", "b", "c")], InvalidInstance, "edge ('a', 'b', 'c') does not have two ends"),
+        (("a", "b"), [("a", "b"), ("a",)], InvalidInstance, "edge ('a',) does not have two ends"),
+        (("a", "b"), [5], InvalidInstance, "edge 5 does not have two ends"),
     ],
 )
 def test_graph_rejects_bad_input(vertices, edges, error, message):
@@ -316,6 +324,21 @@ def test_classify_reads_few_crossing_pairs(monkeypatch, make, read):
 def test_record_repr():
     assert repr(Graph(("a", "b"), [("b", "a")])) == "Graph(vertices=('a', 'b'), edges=frozenset({('a', 'b')}))"
     assert repr(VertexMove("a", "b")) == "VertexMove(vertex='a', anchor='b')"
+    g = Graph(("a", "b", "c"), [("a", "b")])
+    d = CircularDrawing(g, ("b", "a", "c"))
+    gr, dr = repr(g), f"CircularDrawing(graph={g!r}, order=('b', 'a', 'c'))"
+    assert repr(d) == dr  # _index and _pos stay hidden
+    assert repr(Untangling([VertexMove("a", "b")])) == "Untangling(moves=(VertexMove(vertex='a', anchor='b'),))"
+    cand = EdgeCandidate(("a", "b"), ("c",), ())
+    assert repr(cand) == "EdgeCandidate(edge=('a', 'b'), left=('c',), right=())"
+    cls = AlmostPlanarClassification(ALMOST_PLANAR, (cand,))
+    assert repr(cls) == f"AlmostPlanarClassification(kind='almost-planar', candidates=({cand!r},))"
+    rep = VerificationReport(2, True, False, d)
+    assert repr(rep) == f"VerificationReport(moved_count=2, fixed_set_ok=True, planar_ok=False, result={dr})"
+    bd = block_decomposition(Graph(("a", "b", "c"), [("a", "b")]))
+    assert bd.components == (frozenset("ab"), frozenset("c"))
+    # incidence and component_of stay hidden
+    assert repr(bd) == f"BlockDecomposition(graph={gr}, blocks=(('a', 'b'),), components={bd.components!r})"
 
 
 def test_equal_records_hash_equal():
@@ -325,10 +348,68 @@ def test_equal_records_hash_equal():
         (g, Graph(list(g.vertices), [(b, a) for a, b in g.edges])),
         (c4_tangled(), rotated),
         (Untangling((VertexMove("v3", "v2"),)), Untangling((VertexMove("v3", "v2"),))),
+        (Untangling([VertexMove("v3", "v2")]), Untangling((VertexMove("v3", "v2"),))),
         (classify(c4_tangled()).candidates[0], classify(rotated).candidates[0]),
     ]
     for a, b in pairs:
         assert a is not b and a == b and hash(a) == hash(b)
+
+
+def _records() -> dict:
+    """One of each record: the seven of the model and the block-cut tree."""
+    d = gen_fig5(8)
+    u = Untangling((VertexMove("v3", "v2"), VertexMove("v1", "v3")))
+    cls = classify(d)
+    return {
+        "Graph": d.graph,
+        "CircularDrawing": d,
+        "VertexMove": u.moves[0],
+        "Untangling": u,
+        "EdgeCandidate": cls.candidates[0],
+        "AlmostPlanarClassification": cls,
+        "VerificationReport": verify_untangling(d, u),
+        "BlockDecomposition": block_decomposition(d.graph),
+    }
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_survive_pickle_and_copy(name):
+    record = RECORDS[name]
+    clones = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    clones += [copy.copy(record), copy.deepcopy(record)]
+    for clone in clones:
+        assert type(clone) is type(record) and clone == record
+        with pytest.raises(AttributeError):
+            clone.extra = 1
+
+
+def test_records_build_from_keywords():
+    d = c4_tangled()
+    rep = VerificationReport(moved_count=1, fixed_set_ok=True, planar_ok=False, result=d)
+    assert (rep.moved_count, rep.fixed_set_ok, rep.planar_ok, rep.result) == (1, True, False, d)
+    assert rep == VerificationReport(1, True, False, d)
+    assert VertexMove(vertex="a", anchor="b") == VertexMove("a", "b")
+    assert Untangling(moves=()) == Untangling(())
+    cand = EdgeCandidate(edge=("v1", "v2"), left=("v3",), right=("v4",))
+    assert AlmostPlanarClassification(kind=ALMOST_PLANAR, candidates=(cand,)).candidates[0].right == ("v4",)
+    assert Graph(vertices=("a", "b"), edges=[("a", "b")]) == Graph(("a", "b"), [("b", "a")])
+    assert CircularDrawing(graph=d.graph, order=d.order) == d
+    bd = block_decomposition(d.graph)
+    names = ("graph", "blocks", "components", "incidence", "component_of")
+    assert BlockDecomposition(**{name: getattr(bd, name) for name in names}) == bd
+    for bad in ({"moved_count": 1}, {"moved_count": 1, "fixed_set_ok": True, "planar_ok": True, "results": d}):
+        with pytest.raises(TypeError, match="takes the fields moved_count, fixed_set_ok, planar_ok, result"):
+            VerificationReport(**bad)
+    with pytest.raises(TypeError):
+        EdgeCandidate(("a", "b"), (), (), left=())
+
+
+def test_block_decomposition_stays_unhashable():
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(block_decomposition(cycle_graph(4)))
 
 
 @pytest.mark.parametrize(
@@ -338,12 +419,29 @@ def test_equal_records_hash_equal():
         (c4_tangled(), "order"),
         (VertexMove("a", "b"), "anchor"),
         (Untangling(()), "moves"),
+        (RECORDS["EdgeCandidate"], "left"),
+        (RECORDS["AlmostPlanarClassification"], "candidates"),
+        (RECORDS["VerificationReport"], "planar_ok"),
+        (RECORDS["BlockDecomposition"], "incidence"),
     ],
-    ids=["Graph", "CircularDrawing", "VertexMove", "Untangling"],
+    ids=[
+        "Graph",
+        "CircularDrawing",
+        "VertexMove",
+        "Untangling",
+        "EdgeCandidate",
+        "AlmostPlanarClassification",
+        "VerificationReport",
+        "BlockDecomposition",
+    ],
 )
 def test_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_apply_examples():
