@@ -17,7 +17,7 @@ from .io_formats import (
     parse_icor,
     parse_moves,
 )
-from .model import PROFILES, CircularDrawing, classify, crossings, moves_to_reach, Untangling, verify_untangling
+from .model import PROFILES, CircularDrawing, classify, crossing_pairs, moves_to_reach, Untangling, verify_untangling
 
 # Each command imports the algorithm modules it runs when it runs, so that a
 # cold `check` or `verify` compiles only errors, model, io_formats and cli.
@@ -52,7 +52,7 @@ def _read_moves(path: str, d: CircularDrawing) -> Untangling:
 def _cmd_check(args) -> int:
     d = parse_drawing(_read(args.file))
     cls = classify(d)
-    ncross = len(crossings(d))
+    ncross = sum(1 for _ in crossing_pairs(d.order, d.graph.edges))  # counted, not held
     cands = " ".join(f"{e.edge[0]}-{e.edge[1]}" for e in cls.candidates)
     print(f"crossings {ncross}")
     print(f"kind {cls.kind}")

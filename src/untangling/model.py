@@ -100,7 +100,7 @@ class Graph(_Record):
                 ia, ib = index[a], index[b]
             except KeyError:
                 raise UnknownVertex(f"edge ({a!r}, {b!r}) references undeclared vertex") from None
-            return (a, b) if ia < ib else (b, a)
+            return (edge if type(edge) is tuple else (a, b)) if ia < ib else (b, a)  # keep a tuple in rank order
 
         _set(self, "vertices", vs)
         _set(self, "edges", frozenset(map(normal, edges)))  # the first bad edge raises
@@ -133,7 +133,8 @@ class Graph(_Record):
         return {b if a == v else a for a, b in self.edges if v == a or v == b}
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges, key=lambda e: (self.index(e[0]), self.index(e[1])))
+        index, n = self._index, len(self.vertices)
+        return sorted(self.edges, key=lambda e: index[e[0]] * n + index[e[1]])
 
     def without_edge(self, e: Edge) -> "Graph":
         e = self.edge(*e)

@@ -32,10 +32,12 @@ from .model import CircularDrawing, Graph
 from .seqs import lis_length
 
 
-# The most chunk words `reduce_3p_to_disticor` builds.  Each word holds a
-# rank and a projection, so this bounds its memory to a few hundred MB; it
-# admits m = 3 instances such as (18, 18, 27) x 3 with K = 63 (2,046,546
-# words).
+# The most chunk words `reduce_3p_to_disticor` builds.  Each word holds its
+# own rank and a shared projection value, so this bounds the chunk words to
+# about 200 MB, 400 MB while they are built.  It admits m = 3 instances
+# such as (18, 18, 27) x 3 with K = 63 (2,046,546 words: 94 MB kept, 194 MB
+# while built), whose whole pipeline, chunks to drawing, peaks at about
+# 645 MB RSS.
 MAX_CHUNK_WORDS = 4_000_000
 
 
@@ -149,11 +151,14 @@ def reduce_3p_to_disticor(inst: ThreePartitionInstance) -> ReducedDistIcor:
         chunk_ranks.append(tuple(chain.from_iterable(reversed(run_ranks))))
     chunk_ranks.reverse()
 
+    # every projection slices one list of the values, so words of one value
+    # share its int
+    values = list(range(m_target + 2))
     chunks: list[ReducedChunk] = []
     for (run_len, starts), ranks in zip(runs_per_chunk, chunk_ranks):
         proj: list[int] = []
         for st in starts:
-            proj.extend(range(st, st + run_len))
+            proj.extend(values[st : st + run_len])
         chunks.append(
             ReducedChunk(
                 source_element=run_len - x,
@@ -280,14 +285,22 @@ def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]
     Entries are renumbered by rank to 1..L; the graph is one cycle per chunk,
     all sharing the hub v0, drawn in the clockwise order v0, v1, ..., vL.
     """
-    values = sorted(chain.from_iterable(inst.chunks))
-    total = len(values)
+    total = inst.total
     vertices = tuple(f"v{i}" for i in range(total + 1))
-    name = dict(zip(values, islice(vertices, 1, None)))  # the vertex of each entry, by its rank
+    g = Graph(vertices, _flower_edges(inst.chunks, vertices))  # the edge list goes when Graph returns
+    return CircularDrawing(g, vertices), total - inst.m_target
+
+
+def _flower_edges(chunks: Sequence[Sequence[int]], vertices: tuple[str, ...]) -> list[tuple[str, str]]:
+    """Each chunk's cycle through the hub vertices[0], every edge built once
+    with its lower-ranked end first, so `Graph` keeps it; the entry-to-vertex
+    map goes when this returns."""
+    # the vertex of each entry, by its rank
+    name = dict(zip(sorted(chain.from_iterable(chunks)), islice(vertices, 1, None)))
     hub = vertices[0]
     edges: list[tuple[str, str]] = []
-    for c in inst.chunks:
-        cycle = [hub, *map(name.__getitem__, c), hub]
-        edges.extend(zip(cycle, islice(cycle, 1, None)))
-    g = Graph(vertices, edges)
-    return CircularDrawing(g, vertices), total - inst.m_target
+    for c in chunks:
+        edges.append((hub, name[c[0]]))
+        edges.extend((name[x], name[y]) if x < y else (name[y], name[x]) for x, y in zip(c, islice(c, 1, None)))
+        edges.append((hub, name[c[-1]]))
+    return edges

@@ -4,6 +4,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -221,6 +222,22 @@ def test_cli_reductions(tmp_path, capsys):
     assert main(["generate", "reduce-icor", str(fic)]) == 0
     out = capsys.readouterr().out
     assert "# budget K=4" in out and "vertices 10" in out
+
+
+def test_cli_check_counts_crossings_without_holding_them(tmp_path, capsys):
+    """`check` counts the 288,876 crossing pairs of the 7,021-vertex
+    reduction as they come; holding them as frozensets took about 70 MB."""
+    red = reductions.reduce_3p_to_disticor(ThreePartitionInstance((6, 6, 6), 18))
+    drawing = tmp_path / "small.cdr"
+    drawing.write_text(format_drawing(reductions.reduce_disticor_to_cu(red.instance)[0]))
+    tracemalloc.start()
+    try:
+        assert main(["check", str(drawing)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.splitlines()[:2] == ["crossings 288876", "kind not-almost-planar"]
+    assert peak < 16 * 2**20
 
 
 def test_cli_render(tmp_path, capsys):

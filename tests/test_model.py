@@ -47,6 +47,10 @@ def test_graph_validation():
         Graph(("a", "b"), [("a", "c")])
     g = Graph(("a", "b"), [("b", "a"), ("a", "b")])
     assert g.edges == frozenset({("a", "b")})
+    assert Graph(("a", "b"), [["a", "b"]]).edges == frozenset({("a", "b")})
+    # an edge given as a tuple in rank order is kept, not copied
+    e = ("a", "b")
+    assert next(iter(Graph(("a", "b"), [e]).edges)) is e
 
 
 @pytest.mark.parametrize(

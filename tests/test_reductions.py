@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from itertools import chain
 
 import pytest
@@ -251,6 +252,29 @@ def test_reduce_disticor_fig3():
         frozenset({("v0", "v6"), ("v6", "v7"), ("v7", "v9"), ("v3", "v9"), ("v0", "v3")}),
     }
     assert frozenset(d.graph.edges) == frozenset(e for c in cycles for e in c)
+
+
+@pytest.mark.parametrize("inst", [ThreePartitionInstance((6, 6, 6), 18), ThreePartitionInstance((9, 9, 12), 30)], ids=str)
+def test_reduce_disticor_peaks_little_above_its_drawing(inst):
+    """Each edge is built once and kept by `Graph`, and the entry-to-vertex
+    map is gone before the graph is built: the traced peak stays within 20%
+    of the drawing it returns."""
+    di = reduce_3p_to_disticor(inst).instance
+    tracemalloc.start()
+    try:
+        result = reduce_disticor_to_cu(di)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result[1] == di.total - di.m_target
+    assert peak - kept <= 0.2 * kept
+
+
+def test_projections_share_one_int_per_value(reduced_m1):
+    """Words of one projection value hold the same int: at most M + 2
+    distinct objects over all chunks, not one per word."""
+    objects = {id(v) for ch in reduced_m1.chunks for v in ch.projection}
+    assert len(objects) <= reduced_m1.instance.m_target + 2 < reduced_m1.instance.total
 
 
 def test_reduce_disticor_increasing_chunk_is_planar():
