@@ -8,18 +8,19 @@ the blocks form.  `components` gives the same components from a plain DFS,
 for callers that need no blocks.
 `planar_order_keeping` lays the tree out keeping a given sequence of
 vertices in its cyclic order, each block with none of them from its entry
-vertex towards that vertex's lower-ranked cycle neighbour, and is
-`planar_circular_order` without `rng`; with `rng`, that function walks the
-tree at random.  Both walks are plain recursions run by `_run` on one
-explicit stack, so a deep tree never meets Python's recursion limit.  Both
-take the tree, so the caller that builds it once can lay it out many times.
+vertex towards that vertex's lower-ranked cycle neighbour; with nothing
+kept, that is one flat pre-order walk, `planar_circular_order` without
+`rng`.  With `rng`, that function walks the tree at random by a recursion
+on `_run`.  No walk nests Python calls, so a deep tree never meets the
+recursion limit.  All take the tree, to be built once and laid out often.
 
-The outerplanarity recognizer works by peeling: a 2-connected outerplanar
-block always has a vertex of degree 2, and removing it (recording its two
-neighbors as cycle-adjacent) leaves a smaller outerplanar block.  Unwinding
-the peel reconstructs the unique Hamiltonian cycle; any stall or inconsistent
-reinsertion certifies a forbidden substructure.  The reconstructed orders are
-re-checked with the crossing test, so the recognizer is self-verifying.
+A block with as many edges as vertices is a plain cycle, walked along its
+edges.  Any other block is peeled: a 2-connected outerplanar block always
+has a vertex of degree 2, and removing it (recording its two neighbors as
+cycle-adjacent) leaves a smaller outerplanar block.  Unwinding the peel
+reconstructs the unique Hamiltonian cycle; any stall or inconsistent
+reinsertion certifies a forbidden substructure.  The reconstructed orders
+are re-checked with the crossing test, so the recognizer is self-verifying.
 """
 
 from __future__ import annotations
@@ -157,26 +158,38 @@ def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ..
     3 or more vertices, given by its edges as rank pairs, from its lowest
     rank towards the lower of that vertex's two cycle neighbours.
 
-    Raises NotOuterplanar when the peel stalls, a reinsertion target is not
-    cycle-adjacent, or the reconstructed order leaves crossing chords.
+    A block with as many edges as vertices has no chord: it is walked along
+    its edges.  Any other block is peeled, and its chords are checked against
+    the cycle.  Raises NotOuterplanar when the walk does not close after all
+    vertices, the peel stalls, a peeled vertex has no slot, or chords cross.
     """
-    verts = sorted({x for e in block_edges for x in e})
-    adj: dict[int, set[int]] = {v: set() for v in verts}
+    adj: dict[int, set[int]] = {}
     for a, b in block_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    k, first = len(adj), min(adj)
+
+    if len(block_edges) == k:  # a plain cycle: no chord, so nothing can cross
+        cycle, x = [first], min(adj[first])
+        while x != first and len(cycle) < k and len(adj[x]) == 2:
+            cycle.append(x)
+            a, b = adj[x]
+            x = b if a == cycle[-2] else a
+        if x != first or len(cycle) != k:
+            raise NotOuterplanar("a block without chords is not one cycle")
+        return tuple(cycle)
 
     # a stack holds every vertex of degree 2; degrees never grow, so a
     # vertex found on it at another degree (or peeled) is stale
     peel: list[tuple[int, int, int]] = []
-    ready = [x for x in reversed(verts) if len(adj[x]) == 2]
+    ready = [x for x, nbrs in adj.items() if len(nbrs) == 2]
     while len(adj) > 2:
         while ready and len(adj.get(ready[-1], ())) != 2:
             ready.pop()
         if not ready:
             raise NotOuterplanar("degree-2 peel stalled (K4-like substructure)")
         w = ready.pop()
-        a, b = sorted(adj.pop(w))
+        a, b = adj.pop(w)
         peel.append((w, a, b))
         for x, y in ((a, b), (b, a)):
             adj[x].discard(w)
@@ -186,8 +199,8 @@ def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ..
 
     # unwind on successor links: w goes between a and b, which must be
     # cycle neighbours
-    first, second = adj
-    succ = {first: second, second: first}
+    a, b = adj
+    succ = {a: b, b: a}
     for w, a, b in reversed(peel):
         if succ[a] == b:
             succ[a], succ[w] = w, b
@@ -196,16 +209,14 @@ def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ..
         else:
             raise NotOuterplanar("peeled vertex has no cycle-adjacent reinsertion slot (K2,3-like)")
     cycle = [first]
-    while len(cycle) < len(verts):
+    for _ in range(k - 1):
         cycle.append(succ[cycle[-1]])
 
     if not is_crossing_free(cycle, block_edges):
         raise NotOuterplanar("block chords cross in the reconstructed Hamiltonian order")
-
-    ham = rotate_to(tuple(cycle), min(cycle))
-    if ham[-1] < ham[1]:
-        ham = (ham[0],) + ham[:0:-1]
-    return ham
+    if cycle[-1] < cycle[1]:
+        cycle[1:] = cycle[:0:-1]
+    return tuple(cycle)
 
 
 def _flatten(nested: list) -> list[Vertex]:
@@ -243,18 +254,18 @@ def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Rando
     """A crossing-free cyclic order of `decomp.graph`, given its
     `block_decomposition` as for `planar_order_keeping`.
 
-    Without `rng`, `planar_order_keeping(decomp, ())`; with `rng`, a
-    uniform-ish random member of the orders the block layout reaches: the
-    components in random order, each walked from a random root.  A visit
-    puts its vertex between two lists, shuffles its child blocks and, for
-    each, draws the block's direction (a bridge draws nothing), visits its
-    cut vertices in that direction, and puts the block's span in one of the
-    two lists at random.  Spans nest as lists, flattened once at the end.  No
-    crossing test is run here: the tree certifies that the graph is
-    outerplanar, and every walk of it is crossing-free.
+    Without `rng`, one flat `_walk`, as `planar_order_keeping(decomp, ())`;
+    with `rng`, a uniform-ish random member of the orders the block layout
+    reaches: the components in random order, each walked from a random root.
+    A visit puts its vertex between two lists, shuffles its child blocks
+    and, for each, draws the block's direction (a bridge draws nothing),
+    visits its cut vertices in that direction, and puts the block's span in
+    one of the two lists at random.  Spans nest as lists, flattened once at
+    the end.  No crossing test is run here: the tree certifies that the
+    graph is outerplanar, and every walk of it is crossing-free.
     """
     if rng is None:
-        return planar_order_keeping(decomp, ())
+        return tuple(_walk(decomp, range(len(decomp.components))))
     incidence, blocks = decomp.incidence, decomp.blocks
 
     def visit(v: Vertex, parent: Optional[int], out: list):
@@ -282,6 +293,30 @@ def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Rando
     return tuple(_flatten(order))
 
 
+def _walk(decomp: BlockDecomposition, comps: Iterable[int]) -> list[Vertex]:
+    """The components of indices `comps` one after another, each in pre-order
+    from its first vertex: a vertex, then its child blocks in `incidence`
+    order, each from the vertex towards its lower-ranked cycle neighbour and
+    each block vertex followed by its subtree.  `todo` holds the vertices
+    still to visit, last first, and `via` the block each was reached by."""
+    incidence, blocks, rank = decomp.incidence, decomp.blocks, decomp.graph._index
+    out: list[Vertex] = []
+    for c in comps:
+        todo, via = [min(decomp.components[c], key=rank.__getitem__)], [None]
+        while todo:
+            v, parent = todo.pop(), via.pop()
+            out.append(v)
+            kids = incidence[v]
+            if len(kids) == 1 and parent is not None:  # a leaf of the tree
+                continue
+            for bi in reversed(kids):
+                if bi != parent:
+                    cycle = rotate_to(blocks[bi], v)
+                    todo += cycle[:0:-1] if rank[cycle[1]] < rank[cycle[-1]] else cycle[1:]
+                    via += [bi] * (len(cycle) - 1)
+    return out
+
+
 def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> Optional[tuple[Vertex, ...]]:
     """A crossing-free cyclic order of `decomp.graph` whose restriction to
     the vertices of `walk` is `walk` up to rotation, or None when there is
@@ -298,8 +333,8 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
     2003).  `_keep_component` runs the bottom-up reorder test on that tree.
     Two components never interleave, since each must lie in one gap of the
     other, so a stack walk along the fixed sequence nests them.  Components
-    with no fixed vertex go last.  No crossing test is run here: the callers
-    that hand an order out check it once.
+    with no fixed vertex go last, laid out by `_walk`.  No crossing test is
+    run here: the callers that hand an order out check it once.
     """
     comp_of = decomp.component_of
     ranks: list[dict[Vertex, int]] = [{} for _ in decomp.components]
@@ -316,18 +351,12 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
     # each component's order, cut before each fixed vertex: the piece from a
     # fixed vertex up to the next one goes out where the walk reaches it
     piece: dict[Vertex, list[Vertex]] = {}
-    unfixed: list[Vertex] = []
-    first: dict[int, Vertex] = {}  # each component's first vertex, the root of one with none fixed
-    if not all(ranks):
-        for x in reversed(decomp.graph.vertices):
-            first[comp_of[x]] = x
-    for c, rank in enumerate(ranks):
-        laid = _keep_component(decomp, next(iter(rank)) if rank else first[c], rank)
+    for rank in ranks:
+        if not rank:
+            continue
+        laid = _keep_component(decomp, next(iter(rank)), rank)
         if laid is None:
             return None
-        if not rank:
-            unfixed.extend(laid)
-            continue
         for x in laid:  # laid starts at the rank-0 vertex
             if x in rank:
                 head = piece[x] = []
@@ -343,14 +372,14 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
         out.extend(piece[x])
         if i == last[c]:
             nest.pop()
-    out.extend(unfixed)
+    out += _walk(decomp, [c for c, rank in enumerate(ranks) if not rank])
     return tuple(out)
 
 
 def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex, int]) -> Optional[list[Vertex]]:
     """A crossing-free order of the component of `root`, starting at `root`,
     that lists the ranked vertices by increasing rank, or None when there is
-    none.  `root` must have rank 0 or the component no ranked vertex.
+    none.  `root` must have rank 0.
 
     Each tree node lays its subtree out as (lowest rank, ranked count,
     order).  In a crossing-free order every subtree without the root is one

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from operator import lt, mul, sub
+from operator import eq, lt, mul, sub
 from typing import Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, NotAWitness, NotDistinct, PropertyViolation, TooLarge
@@ -75,7 +75,8 @@ class DistIcorInstance:
             raise InvalidInstance("chunks must be nonempty")
         if min(map(min, self.chunks), default=1) <= 0:
             raise InvalidInstance("chunk entries must be positive integers")
-        if len(set().union(*self.chunks)) != self.total:
+        entries = sorted(chain.from_iterable(self.chunks))  # equal entries end up side by side
+        if any(map(eq, entries, islice(entries, 1, None))):
             raise NotDistinct("chunk entries repeat")
 
     @property

@@ -24,6 +24,7 @@ from untangling import (
     planar_order_keeping,
     verify_untangling,
 )
+from untangling import blocks
 from untangling.blocks import components
 from untangling.errors import InvalidInstance, NotOuterplanar, UnknownEdge, UnknownVertex
 from untangling.generators import PROFILES
@@ -266,6 +267,51 @@ def recursive_planar_order(g, rng=None):
     return tuple(order)
 
 
+def reference_peel(block_edges):
+    """Reference: the degree-2 peel that recovered every block's cycle before
+    blocks without chords were walked, kept as it was.  Takes a 2-connected
+    outerplanar block of 3 or more vertices as rank pairs and returns its
+    cycle from its lowest rank towards the lower of that rank's neighbours."""
+    verts = sorted({x for e in block_edges for x in e})
+    adj = {v: set() for v in verts}
+    for a, b in block_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    peel = []
+    ready = [x for x in reversed(verts) if len(adj[x]) == 2]
+    while len(adj) > 2:
+        while ready and len(adj.get(ready[-1], ())) != 2:
+            ready.pop()
+        if not ready:
+            raise NotOuterplanar("degree-2 peel stalled (K4-like substructure)")
+        w = ready.pop()
+        a, b = sorted(adj.pop(w))
+        peel.append((w, a, b))
+        for x, y in ((a, b), (b, a)):
+            adj[x].discard(w)
+            adj[x].add(y)
+            if len(adj[x]) == 2:
+                ready.append(x)
+    first, second = adj
+    succ = {first: second, second: first}
+    for w, a, b in reversed(peel):
+        if succ[a] == b:
+            succ[a], succ[w] = w, b
+        elif succ[b] == a:
+            succ[b], succ[w] = w, a
+        else:
+            raise NotOuterplanar("peeled vertex has no cycle-adjacent reinsertion slot (K2,3-like)")
+    cycle = [first]
+    while len(cycle) < len(verts):
+        cycle.append(succ[cycle[-1]])
+    if not is_crossing_free(cycle, block_edges):
+        raise NotOuterplanar("block chords cross in the reconstructed Hamiltonian order")
+    ham = rotate_to(tuple(cycle), min(cycle))
+    if ham[-1] < ham[1]:
+        ham = (ham[0],) + ham[:0:-1]
+    return ham
+
+
 def hub_of_triangles(k=12):
     """k triangles on one hub: a k-way shuffle and k side draws at it."""
     edges = [e for i in range(k) for e in (("h", f"a{i}"), (f"a{i}", f"b{i}"), (f"b{i}", "h"))]
@@ -283,6 +329,18 @@ def bridge_chain(n=40):
     pendants = [(v, f"{v}{s}") for v in g.vertices[::3] for s in "tu"]
     edges = list(g.edges) + pendants + [(f"{v}t", f"{v}u") for v in g.vertices[::3]]
     return Graph(g.vertices + tuple(w for _, w in pendants), edges)
+
+
+def triangle_chain(k=500, closed=False):
+    """k triangles in a row, each sharing one vertex with the next: k blocks
+    without chords.  Closed into a necklace, the last shares one with the
+    first, and the k triangles make one block of 2k vertices and k chords."""
+    ends = [f"v{i}" for i in range(k if closed else k + 1)]
+    edges = []
+    for i in range(k):
+        a, w, b = ends[i], f"w{i}", ends[(i + 1) % len(ends)]
+        edges += [(a, w), (w, b), (a, b)]
+    return Graph(tuple(ends) + tuple(f"w{i}" for i in range(k)), edges)
 
 
 HAND_BUILT = {"hub-of-triangles": hub_of_triangles, "isolated-vertices": isolated_vertices, "bridge-chain": bridge_chain}
@@ -308,12 +366,71 @@ def test_layout_matches_recursive_reference(profile):
     for g, seed in reference_inputs(profile):
         decomp = block_decomposition(g)
         assert planar_circular_order(decomp) == recursive_planar_order(g)
+        assert planar_circular_order(decomp) == planar_order_keeping(decomp, ())
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert planar_circular_order(decomp, rng) == recursive_planar_order(g, ref_rng)
         assert rng.random() == ref_rng.random()  # same number of draws
         assert is_crossing_free(planar_circular_order(decomp, random.Random(seed)), g.edges)
         checked += 1
     assert checked >= 30
+
+
+def _peel_inputs():
+    for profile in PROFILES:
+        for n in (10, 30, 100, 300):
+            for seed in range(10):
+                try:
+                    yield gen_random(n, seed, profile).graph
+                except InvalidInstance:  # disconnected draws with a one-vertex part
+                    continue
+    yield from (hub_of_triangles(), bridge_chain(), triangle_chain(), triangle_chain(closed=True))
+
+
+def test_block_cycles_match_reference_peel():
+    chordless = chorded = 0
+    for g in _peel_inputs():
+        decomp = block_decomposition(g)
+        edges = [[] for _ in decomp.blocks]
+        for e in g.edges:
+            edges[decomp.block_with_edge(e)].append(e)
+        for blk, bedges in zip(decomp.blocks, edges):
+            if len(blk) == 2:
+                continue
+            ranked = [(g.index(a), g.index(b)) for a, b in bedges]
+            assert tuple(map(g.index, blk)) == reference_peel(ranked)
+            # the cycle runs along edges, and the block's chords do not cross
+            assert all(g.edge(a, b) in bedges for a, b in zip(blk, blk[1:] + blk[:1]))
+            assert is_crossing_free(blk, bedges)
+            chordless += len(bedges) == len(blk)
+            chorded += len(bedges) > len(blk)
+    assert chordless > 1000 and chorded > 500
+
+
+def test_crossing_self_check_runs_only_on_chorded_blocks(monkeypatch):
+    calls, test = [], blocks.is_crossing_free  # the length of each order `blocks` tests
+    monkeypatch.setattr(blocks, "is_crossing_free", lambda order, edges: calls.append(len(order)) or test(order, edges))
+    block_decomposition(cycle_graph(50))
+    block_decomposition(hub_of_triangles(12))
+    assert calls == []  # no chord, nothing that could cross
+    vs = cycle_graph(20_000).vertices
+    block_decomposition(Graph(vs, [*zip(vs, vs[1:]), *((vs[0], x) for x in vs[2:])]))
+    assert calls == [20_000]  # the fan of test_hamiltonian_peel_of_large_blocks
+    for g in (k4(), k23()):
+        with pytest.raises(NotOuterplanar):
+            block_decomposition(g)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],  # two triangles: closes after 3 of 6
+        [(0, 1), (1, 2), (2, 0), (2, 3)],  # a triangle with a pendant edge: never closes
+        [(0, 1), (0, 2), (0, 3), (1, 2)],  # lowest rank of degree 3
+    ],
+)
+def test_walk_without_chords_must_close_on_every_vertex(edges):
+    with pytest.raises(NotOuterplanar, match="without chords"):
+        blocks._peel_hamiltonian(edges)
 
 
 @pytest.mark.parametrize("rng", [None, random.Random(0)])

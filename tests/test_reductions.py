@@ -97,6 +97,8 @@ def test_instance_validation():
         ThreePartitionInstance((9, 9), 30)
     with pytest.raises(NotDistinct):
         DistIcorInstance(((1, 2), (2, 3)), 1)
+    with pytest.raises(NotDistinct):  # a repeat within one chunk
+        DistIcorInstance(((1, 1),), 1)
 
 
 def test_chunk_sizes_match_closed_form(reduced_m1):
