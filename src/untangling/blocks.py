@@ -10,9 +10,9 @@ for callers that need no blocks.
 vertices in its cyclic order, each block with none of them from its entry
 vertex towards that vertex's lower-ranked cycle neighbour; with nothing
 kept, that is one flat pre-order walk, `planar_circular_order` without
-`rng`.  With `rng`, that function walks the tree at random by a recursion
-on `_run`.  No walk nests Python calls, so a deep tree never meets the
-recursion limit.  All take the tree, to be built once and laid out often.
+`rng`.  With `rng`, that function walks the tree at random.  Each walk runs
+on an explicit stack and nests no Python calls, so a deep tree never meets
+the recursion limit.  All take the tree, to be built once and laid out often.
 
 A block with as many edges as vertices is a plain cycle, walked along its
 edges.  Any other block is peeled: a 2-connected outerplanar block always
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from itertools import count
-from typing import Collection, Generator, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import InvalidInstance, NotOuterplanar, UnknownVertex
 from .model import Edge, Graph, Vertex, _Record, is_crossing_free, rotate_to
@@ -131,25 +131,27 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                     break
                 if disc[y] < disc[x] and y != parent:  # back edge to an ancestor
                     edge_stack.append((x, y))
-                    low[x] = min(low[x], disc[y])
+                    if disc[y] < low[x]:
+                        low[x] = disc[y]
             else:
                 stack.pop()
                 if parent >= 0:
-                    low[parent] = min(low[parent], low[x])
+                    if low[x] < low[parent]:
+                        low[parent] = low[x]
                     if low[x] >= disc[parent]:  # the parent separates x's subtree: pop its block
                         es = edge_stack[height:]
                         del edge_stack[height:]
-                        cycles.append(_peel_hamiltonian(es) if len(es) > 1 else (min(x, parent), max(x, parent)))
+                        cycles.append(_peel_hamiltonian(es) if len(es) > 1 else (x, parent) if x < parent else (parent, x))
         comps.append(comp)
 
     cycles.sort(key=sorted)
-    blocks = tuple(tuple(vs[i] for i in cyc) for cyc in cycles)
+    blocks = tuple([tuple([vs[i] for i in cyc]) for cyc in cycles])
     incidence: dict[Vertex, list[int]] = {x: [] for x in vs}
     for bi, cyc in enumerate(blocks):
         for x in cyc:
             incidence[x].append(bi)
     component_of = {vs[x]: ci for ci, comp in enumerate(comps) for x in comp}
-    components = tuple(frozenset(vs[i] for i in comp) for comp in comps)
+    components = tuple([frozenset([vs[i] for i in comp]) for comp in comps])
     return BlockDecomposition(g, blocks, components, incidence, component_of)
 
 
@@ -219,37 +221,6 @@ def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ..
     return tuple(cycle)
 
 
-def _flatten(nested: list) -> list[Vertex]:
-    """The vertices of nested lists in order, walked on an explicit stack.
-    Vertices are never lists, since they are hashable."""
-    out: list[Vertex] = []
-    stack = [iter(nested)]
-    while stack:
-        for x in stack[-1]:
-            if type(x) is list:
-                stack.append(iter(x))
-                break
-            out.append(x)
-        else:
-            stack.pop()
-    return out
-
-
-def _run(walk: Generator) -> object:
-    """The return value of the recursive generator `walk`, run on an explicit
-    stack: `x = yield child` runs the generator `child` and sends its return
-    value back as x, so no Python call is as deep as the recursion."""
-    stack, value = [walk], None
-    while stack:
-        try:
-            stack.append(stack[-1].send(value))
-            value = None
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-    return value
-
-
 def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Random] = None) -> tuple[Vertex, ...]:
     """A crossing-free cyclic order of `decomp.graph`, given its
     `block_decomposition` as for `planar_order_keeping`.
@@ -257,40 +228,61 @@ def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Rando
     Without `rng`, one flat `_walk`, as `planar_order_keeping(decomp, ())`;
     with `rng`, a uniform-ish random member of the orders the block layout
     reaches: the components in random order, each walked from a random root.
-    A visit puts its vertex between two lists, shuffles its child blocks
-    and, for each, draws the block's direction (a bridge draws nothing),
-    visits its cut vertices in that direction, and puts the block's span in
-    one of the two lists at random.  Spans nest as lists, flattened once at
-    the end.  No crossing test is run here: the tree certifies that the
+    A visit shuffles its vertex's child blocks and, for each, draws the
+    block's direction (a bridge draws nothing), visits its cut vertices in
+    that direction, and then puts the block before or after the vertex at
+    random.  The draws run on a stack of tasks: a visit (no walk yet) or a
+    block whose walk is done.  Each vertex's choices become its `_emit`
+    sequence.  No crossing test is run here: the tree certifies that the
     graph is outerplanar, and every walk of it is crossing-free.
     """
     if rng is None:
         return tuple(_walk(decomp, range(len(decomp.components))))
     incidence, blocks = decomp.incidence, decomp.blocks
-
-    def visit(v: Vertex, parent: Optional[int], out: list):
-        pre, post = [], []
-        out += (pre, v, post)
-        children = [bi for bi in incidence[v] if bi != parent]
-        rng.shuffle(children)
-        for bi in children:
+    comps = [sorted(c, key=decomp.graph.index) for c in decomp.components]
+    rng.shuffle(comps)
+    roots, seq, sides = [], {}, {}  # sides: each vertex being visited, its blocks before it and after it
+    for comp in comps:
+        roots.append(rng.choice(comp))
+        todo: list[tuple] = [(roots[-1], None, None, None)]
+        while todo:
+            v, bi, walk, kids = todo.pop()
+            if walk is None:  # visit v, entered by block bi
+                kids = [b for b in incidence[v] if b != bi]
+                rng.shuffle(kids)
+                kids, sides[v] = iter(kids), ([], [])
+            else:  # block bi's subtrees are drawn: put it on a side of v
+                sides[v][rng.random() >= 0.5].extend(walk)
+            bi = next(kids, None)
+            if bi is None:
+                before, after = sides.pop(v)
+                seq[v] = before + [v] + after
+                continue
             walk = rotate_to(blocks[bi], v)[1:]
             if len(walk) > 1 and rng.random() >= 0.5:
                 walk = walk[::-1]
-            span: list = []
-            for w in walk:
-                if len(incidence[w]) == 1:  # no other block: nothing to visit or draw
-                    span.append(w)
-                else:
-                    yield visit(w, bi, span)
-            (pre if rng.random() < 0.5 else post).append(span)
+            todo.append((v, bi, walk, kids))
+            todo += [(w, bi, None, None) for w in reversed(walk) if len(incidence[w]) > 1]
+    return tuple(_emit(seq, roots))
 
-    comps = [sorted(c, key=decomp.graph.index) for c in decomp.components]
-    rng.shuffle(comps)
-    order: list = []
-    for comp in comps:
-        _run(visit(rng.choice(comp), None, order))
-    return tuple(_flatten(order))
+
+def _emit(seq: dict[Vertex, list[Vertex]], roots: list[Vertex]) -> list[Vertex]:
+    """A layout of the block-cut tree in pre-order from each of `roots` in
+    turn, given `seq`, which maps each vertex with child blocks to itself and
+    their cycle walks in laid order.  A vertex is expanded the first time it
+    is met and put out the second, inside its own sequence; a tree leaf has
+    no sequence and is put out at once.  `seq` is emptied."""
+    out, stack = [], [iter(roots)]
+    while stack:
+        for x in stack[-1]:
+            s = seq.pop(x, None)
+            if s is not None:
+                stack.append(iter(s))
+                break
+            out.append(x)
+        else:
+            stack.pop()
+    return out
 
 
 def _walk(decomp: BlockDecomposition, comps: Iterable[int]) -> list[Vertex]:
@@ -332,9 +324,17 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
     Lueker, JCSS 13(3), 1976; cyclic form: Hsu and McConnell, TCS 292(1),
     2003).  `_keep_component` runs the bottom-up reorder test on that tree.
     Two components never interleave, since each must lie in one gap of the
-    other, so a stack walk along the fixed sequence nests them.  Components
-    with no fixed vertex go last, laid out by `_walk`.  No crossing test is
-    run here: the callers that hand an order out check it once.
+    other, so a stack walk along the fixed sequence nests them, and each
+    nested component's order goes in whole just before the next fixed
+    vertex of the one around it; a lone component's order is the answer
+    as laid.  Components with no fixed vertex go last, laid out by `_walk`.
+    No crossing test is run here: the callers that hand an order out check
+    it once.
+
+    A walk of at most three vertices is always kept: three vertices have
+    only two cyclic orders, each the mirror of the other, and the mirror of
+    a crossing-free order is crossing-free.  So `oracle._max_fixed_set`
+    does not ask about such sets (it still charges each probe).
     """
     comp_of = decomp.component_of
     ranks: list[dict[Vertex, int]] = [{} for _ in decomp.components]
@@ -348,30 +348,31 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
             raise InvalidInstance(f"walk repeats vertex {x!r}")
         ranks[c][x] = len(ranks[c])
         last[c] = i
-    # each component's order, cut before each fixed vertex: the piece from a
-    # fixed vertex up to the next one goes out where the walk reaches it
-    piece: dict[Vertex, list[Vertex]] = {}
-    for rank in ranks:
-        if not rank:
-            continue
-        laid = _keep_component(decomp, next(iter(rank)), rank)
-        if laid is None:
-            return None
-        for x in laid:  # laid starts at the rank-0 vertex
-            if x in rank:
-                head = piece[x] = []
-            head.append(x)
+    # a component is laid out when the walk opens it; one nested in another
+    # goes just before the next fixed vertex of the one around it: when it
+    # opens, that one's order goes out up to there, and each order's rest
+    # goes out when its last fixed vertex is met
     out: list[Vertex] = []
-    nest: list[int] = []  # the components open at this point of the walk
+    nest: list[list] = []  # the components open at this point of the walk: [index, order, how much of it is out]
     for i, x in enumerate(walk):
         c = comp_of[x]
-        if nest[-1:] != [c]:
+        if not nest or nest[-1][0] != c:
             if ranks[c][x]:  # c was opened before, and another component is open inside it
                 return None
-            nest.append(c)
-        out.extend(piece[x])
+            if nest and comp_of[walk[i - 1]] == nest[-1][0]:  # the first opened since that one's last fixed vertex
+                p, order, k = top = nest[-1]
+                rank, r, j = ranks[p], ranks[p][walk[i - 1]], k
+                while rank.get(order[j], -1) <= r:
+                    j += 1
+                out += order[k:j]
+                top[2] = j
+            order = _keep_component(decomp, x, ranks[c])
+            if order is None:
+                return None
+            nest.append([c, order, 0])
         if i == last[c]:
-            nest.pop()
+            _, order, k = nest.pop()
+            out += order[k:]
     out += _walk(decomp, [c for c, rank in enumerate(ranks) if not rank])
     return tuple(out)
 
@@ -381,57 +382,62 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
     that lists the ranked vertices by increasing rank, or None when there is
     none.  `root` must have rank 0.
 
-    Each tree node lays its subtree out as (lowest rank, ranked count,
-    order).  In a crossing-free order every subtree without the root is one
-    arc, so its ranks must run consecutively; a block's children must come
-    in rank order along its Hamiltonian cycle, one way or the other, which
-    sets the block's direction (with no ranked child, the entry vertex's
-    lower-ranked cycle neighbour goes first); a vertex and its child blocks
-    go by rank, the unranked ones right after the vertex.  The tree is laid
-    out bottom up by a recursion on `_run`, which stops at the first subtree
-    that fails; orders nest as lists and are flattened once at the end.
+    In a crossing-free order every subtree without the root is one arc, so
+    its ranks must run consecutively; a block's children must come in rank
+    order along its Hamiltonian cycle, one way or the other, which sets the
+    block's direction (with no ranked child, the entry vertex's lower-ranked
+    cycle neighbour goes first); a vertex and its child blocks go by rank,
+    the unranked ones right after the vertex.  A pre-order walk lists the
+    tree's inner vertices with their child blocks' cycle walks.  Then, on
+    that list reversed, so children before parents, each vertex fixes its
+    blocks' directions and its own sequence, and `span` its subtree's lowest
+    and highest rank; the first subtree whose ranks do not run on fails the
+    test.  `_emit` lays the sequences out in one flat list.  With at most
+    three ranks the test always passes (see `planar_order_keeping`).
     """
-    incidence, blocks, index = decomp.incidence, decomp.blocks, decomp.graph.index
-
-    def lay(v: Vertex, parent: Optional[int]):
-        spans = [(rank[v], 1, v) if v in rank else (0, 0, v)]
+    incidence, blocks, index = decomp.incidence, decomp.blocks, decomp.graph._index
+    inner, todo, via = [], [root], [None]
+    while todo:
+        v, parent = todo.pop(), via.pop()
+        walks = []
         for bi in incidence[v]:
             if bi != parent:
-                cycle, kids = rotate_to(blocks[bi], v), []
-                for w in cycle[1:]:
-                    if len(incidence[w]) == 1:  # a leaf of the tree lays out as its bare vertex
-                        kids.append((rank[w], 1, w) if w in rank else (0, 0, w))
-                    else:
-                        kids.append((yield lay(w, bi)))
-                        if kids[-1] is None:
-                            return None
-                ranked = [lo for lo, count, _ in kids if count]
-                if not ranked:
-                    ranked = [index(cycle[1]), index(cycle[-1])]
-                if ranked[0] > ranked[-1]:
-                    kids.reverse()
-                spans.append(_chain(kids))
-                if spans[-1] is None:
+                walk = rotate_to(blocks[bi], v)[1:]
+                walks.append(walk)
+                for w in walk:
+                    if len(incidence[w]) > 1:
+                        todo.append(w)
+                        via.append(bi)
+        inner.append((v, walks))
+    span = {x: (r, r) for x, r in rank.items()}
+    seq: dict[Vertex, list[Vertex]] = {}
+    for v, walks in reversed(inner):
+        own = rank.get(v)
+        ranked = [] if own is None else [(own, own, None)]  # None stands for v itself
+        free: list[Vertex] = []  # the blocks without a ranked vertex, one after another
+        for walk in walks:
+            runs = [span[w] for w in walk if w in span]
+            if not runs:
+                free += walk if index[walk[0]] <= index[walk[-1]] else walk[::-1]
+                continue
+            if runs[0][0] > runs[-1][0]:
+                walk, runs = walk[::-1], runs[::-1]
+            for (_, hi), (lo, _) in zip(runs, runs[1:]):
+                if lo != hi + 1:
                     return None
-        if any(count for _, count, _ in spans):  # else the stable sort keeps the order
-            own = rank.get(v, -1)
-            spans.sort(key=lambda s: (s[0], 0) if s[1] else (own, 1))
-        return _chain(spans)
-
-    laid = _run(lay(root, None))
-    return None if laid is None else _flatten(laid[2])
-
-
-def _chain(spans: list[tuple[int, int, list]]) -> Optional[tuple[int, int, list]]:
-    """The spans laid end to end as one nested list, or None unless their
-    ranks run on consecutively in this order."""
-    lo, count, out = 0, 0, []
-    for s_lo, s_count, s_order in spans:
-        if s_count:
-            if not count:
-                lo = s_lo
-            elif s_lo != lo + count:
+            ranked.append((runs[0][0], runs[-1][1], walk))
+        ranked.sort()  # by lowest rank, which no two share
+        for (_, hi, _), (lo, _, _) in zip(ranked, ranked[1:]):
+            if lo != hi + 1:
                 return None
-            count += s_count
-        out.append(s_order)
-    return lo, count, out
+        if ranked:
+            span[v] = ranked[0][0], ranked[-1][1]
+        order = [] if own is not None else [v, *free]
+        for _, _, walk in ranked:
+            if walk is None:
+                order.append(v)
+                order += free
+            else:
+                order += walk
+        seq[v] = order
+    return _emit(seq, [root])

@@ -120,8 +120,12 @@ def _max_fixed_set(decomp: BlockDecomposition, order: Sequence[Vertex], forced: 
     vertices are) that a crossing-free order of `decomp.graph` keeps in its
     cyclic order in `order`, listed in drawing order.  Branch and bound: each
     vertex is taken, while `planar_order_keeping` passes, before it is left
-    out, and ties keep the first set found.  Each test charges n against
-    FIXED_SET_BUDGET, past which it raises TooLarge."""
+    out, and ties keep the first set found.  A set of at most three vertices
+    is kept without asking: three vertices have only two cyclic orders, each
+    the mirror of the other, and the mirror of a crossing-free order is
+    crossing-free, so some crossing-free order keeps either.  Each probe,
+    asked or not, charges n against FIXED_SET_BUDGET, past which it raises
+    TooLarge."""
     n = len(order)
     free = [x for x in order if x not in forced]
     fixed, best, spent = set(forced), None, 0
@@ -136,7 +140,7 @@ def _max_fixed_set(decomp: BlockDecomposition, order: Sequence[Vertex], forced: 
                 if spent > FIXED_SET_BUDGET:
                     raise TooLarge(f"exact fixed-set search exceeded {FIXED_SET_BUDGET} vertex-tests at n={n}")
                 fixed.add(free[i])
-                if planar_order_keeping(decomp, restriction(order, fixed)) is None:
+                if len(fixed) > 3 and planar_order_keeping(decomp, restriction(order, fixed)) is None:
                     fixed.discard(free[i])
                 else:
                     taken.append(i)

@@ -636,6 +636,169 @@ def test_planar_order_keeping_matches_enumeration(exhaustive_corpus):
     assert checks > 20_000 and 0.2 * checks < feasible < 0.9 * checks
 
 
+def reference_keeping(decomp, walk):
+    """Reference: `planar_order_keeping` as it was before its keep pass was
+    made flat, kept as it was.  Each component is laid out by a post-order
+    recursion of generators driven by `run`, whose orders nest as lists
+    joined by `chain` and are flattened once by `flatten`; the orders are
+    cut before each fixed vertex, and the pieces go out in the order of the
+    walk."""
+
+    def flatten(nested):
+        out, stack = [], [iter(nested)]
+        while stack:
+            for x in stack[-1]:
+                if type(x) is list:
+                    stack.append(iter(x))
+                    break
+                out.append(x)
+            else:
+                stack.pop()
+        return out
+
+    def run(gen):
+        stack, value = [gen], None
+        while stack:
+            try:
+                stack.append(stack[-1].send(value))
+                value = None
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+        return value
+
+    def chain(spans):
+        lo, count, out = 0, 0, []
+        for s_lo, s_count, s_order in spans:
+            if s_count:
+                if not count:
+                    lo = s_lo
+                elif s_lo != lo + count:
+                    return None
+                count += s_count
+            out.append(s_order)
+        return lo, count, out
+
+    def keep_component(root, rank):
+        incidence, blocks, index = decomp.incidence, decomp.blocks, decomp.graph.index
+
+        def lay(v, parent):
+            spans = [(rank[v], 1, v) if v in rank else (0, 0, v)]
+            for bi in incidence[v]:
+                if bi != parent:
+                    cycle, kids = rotate_to(blocks[bi], v), []
+                    for w in cycle[1:]:
+                        if len(incidence[w]) == 1:
+                            kids.append((rank[w], 1, w) if w in rank else (0, 0, w))
+                        else:
+                            kids.append((yield lay(w, bi)))
+                            if kids[-1] is None:
+                                return None
+                    ranked = [lo for lo, count, _ in kids if count]
+                    if not ranked:
+                        ranked = [index(cycle[1]), index(cycle[-1])]
+                    if ranked[0] > ranked[-1]:
+                        kids.reverse()
+                    spans.append(chain(kids))
+                    if spans[-1] is None:
+                        return None
+            if any(count for _, count, _ in spans):
+                own = rank.get(v, -1)
+                spans.sort(key=lambda s: (s[0], 0) if s[1] else (own, 1))
+            return chain(spans)
+
+        laid = run(lay(root, None))
+        return None if laid is None else flatten(laid[2])
+
+    comp_of = decomp.component_of
+    ranks = [{} for _ in decomp.components]
+    last = {}
+    for i, x in enumerate(walk):
+        c = comp_of[x]
+        ranks[c][x] = len(ranks[c])
+        last[c] = i
+    piece = {}
+    for rank in ranks:
+        if not rank:
+            continue
+        laid = keep_component(next(iter(rank)), rank)
+        if laid is None:
+            return None
+        for x in laid:
+            if x in rank:
+                head = piece[x] = []
+            head.append(x)
+    out, nest = [], []
+    for i, x in enumerate(walk):
+        c = comp_of[x]
+        if nest[-1:] != [c]:
+            if ranks[c][x]:
+                return None
+            nest.append(c)
+        out.extend(piece[x])
+        if i == last[c]:
+            nest.pop()
+    out += blocks._walk(decomp, [c for c, rank in enumerate(ranks) if not rank])
+    return tuple(out)
+
+
+def _keeping_walks(g, rng):
+    """Walks to keep on g: a random order with a random fixed set, and a
+    random layout of g with 0-2 vertices relocated and most vertices fixed,
+    so that components nest."""
+    vs = list(g.vertices)
+    order = rng.sample(vs, len(vs))
+    yield restriction(order, [x for x in vs if rng.random() < 0.5])
+    order = list(planar_circular_order(block_decomposition(g), rng))
+    for _ in range(rng.randint(0, 2)):
+        order.insert(rng.randrange(len(order)), order.pop(rng.randrange(len(order))))
+    yield restriction(order, [x for x in vs if rng.random() < 0.8])
+
+
+def _multi_component_graphs():
+    """Graphs of several components, some nested in the walks above: disjoint
+    unions of cycles, paths, triangle hubs and isolated vertices."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        parts = [cycle_graph(rng.randint(3, 6)), path_graph(rng.randint(1, 5)), hub_of_triangles(rng.randint(1, 3))]
+        parts += [Graph(("o",), ())] * rng.randint(0, 2)
+        rng.shuffle(parts)
+        vs, edges = [], []
+        for k, part in enumerate(parts):
+            name = {x: f"{k}.{x}" for x in part.vertices}
+            vs += name.values()
+            edges += [(name[a], name[b]) for a, b in part.edges]
+        yield Graph(tuple(vs), edges)
+
+
+def test_keeping_matches_reference():
+    rng = random.Random(36)
+    graphs = [g for profile in PROFILES + tuple(HAND_BUILT) for g, _ in reference_inputs(profile)]
+    graphs += _multi_component_graphs()
+    kept = failed = nested = 0
+    for g in graphs:
+        decomp = block_decomposition(g)
+        for walk in _keeping_walks(g, rng):
+            got = planar_order_keeping(decomp, walk)
+            assert got == reference_keeping(decomp, walk), (g.vertices, sorted(g.edges), walk)
+            kept += got is not None
+            failed += got is None
+            nested += got is not None and len({decomp.component_of[x] for x in walk}) > 1
+    assert kept > 300 and failed > 500 and nested > 100, (kept, failed, nested)
+
+
+def test_keeping_matches_reference_on_deep_and_wide_trees():
+    vs = cycle_graph(20_000).vertices
+    fan = Graph(vs, [*zip(vs, vs[1:]), *((vs[0], x) for x in vs[2:])])
+    for g in (path_graph(20_000), fan):  # a tree of depth ~40,000; one block of 20,000 vertices
+        decomp = block_decomposition(g)
+        rng = random.Random(7)
+        for walk in _keeping_walks(g, rng):
+            assert planar_order_keeping(decomp, walk) == reference_keeping(decomp, walk)
+        for fixed in (g.vertices[:4], g.vertices[::-997], ("v1", "v3", "v2", "v4")):
+            assert planar_order_keeping(decomp, fixed) == reference_keeping(decomp, fixed)
+
+
 def test_planar_order_keeping_nests_components():
     g = Graph(("a", "b", "c", "x", "y"), [("a", "b"), ("b", "c"), ("x", "y")])
     bd = block_decomposition(g)

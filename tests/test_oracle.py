@@ -20,6 +20,7 @@ from untangling import (
     min_untangle,
     naive_planar_orders,
     oracle,
+    planar_order_keeping,
     verify_untangling,
 )
 from untangling.blocks import block_decomposition, components
@@ -181,6 +182,40 @@ def test_exact_solvers_budget(monkeypatch):
         exact_min_untangle(d)
     with pytest.raises(TooLarge):
         exact_min_untangle_edge_fixed(d, d.graph.sorted_edges()[0])
+
+
+def test_any_three_vertices_are_kept_in_either_cyclic_order(exhaustive_corpus):
+    # the mirror of a crossing-free order is crossing-free, and three
+    # vertices have two cyclic orders, each the other's mirror; checked on
+    # every corpus graph of n <= 6 and every 7th of the 10,282 of n = 7
+    graphs = [d.graph for d in exhaustive_corpus if len(d.order) < 7]
+    graphs += [d.graph for d in exhaustive_corpus if len(d.order) == 7][::7]
+    for profile in PROFILES:
+        for n in (8, 12):
+            for seed in range(4):
+                try:
+                    graphs.append(gen_random(n, seed, profile).graph)
+                except InvalidInstance:
+                    continue
+    walks = 0
+    for g in graphs:
+        decomp = block_decomposition(g)
+        for a, b, c in combinations(g.vertices, 3):
+            for walk in ((a, b, c), (a, c, b)):
+                assert planar_order_keeping(decomp, walk) is not None, (g, walk)
+                walks += 1
+    assert len(graphs) > 2_400 and walks > 140_000
+
+
+def test_fixed_set_search_asks_only_about_four_or_more_vertices(monkeypatch):
+    sizes, keep = [], oracle.planar_order_keeping
+    monkeypatch.setattr(oracle, "planar_order_keeping", lambda decomp, walk: sizes.append(len(walk)) or keep(decomp, walk))
+    for d in (gen_fig5(8), gen_random(9, 3, "almost-planar"), gen_random(9, 0, "disconnected")):
+        decomp = block_decomposition(d.graph)
+        assert len(oracle._max_fixed_set(decomp, d.order)) == len(d.order) - scan_exact_min(d)
+        for e in d.graph.sorted_edges():
+            oracle._max_fixed_set(decomp, d.order, e)
+    assert len(sizes) > 100 and min(sizes) == 4
 
 
 def test_enumerate_c4():
