@@ -27,7 +27,8 @@ _set = object.__setattr__  # how a record's own __init__ writes its slots
 
 
 class _Record:
-    """An immutable value over `__slots__`, built without `dataclasses`.
+    """An immutable value over `__slots__`, built without `dataclasses`: the
+    base of every record in the package.
 
     `_fields` lists the fields in constructor order: the __init__ here takes
     them by position or keyword, and a subclass's own writes them with `_set`.
@@ -105,14 +106,6 @@ class Graph(_Record):
         _set(self, "vertices", vs)
         _set(self, "edges", frozenset(map(normal, edges)))  # the first bad edge raises
         _set(self, "_index", index)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
 
     def index(self, v: Vertex) -> int:
         try:

@@ -17,13 +17,12 @@ ones.  The naive variant filters all rotation-normalized permutations.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Collection, Optional, Sequence
 
 from .blocks import BlockDecomposition, block_decomposition, planar_order_keeping
 from .errors import ConstructionFailed, TooLarge
-from .model import CircularDrawing, Edge, Graph, Vertex, is_crossing_free, restriction
+from .model import CircularDrawing, Edge, Graph, Vertex, _Record, is_crossing_free, restriction
 from .seqs import lis
 
 ORACLE_MAX_N = 9
@@ -108,11 +107,8 @@ def naive_planar_orders(g: Graph) -> list[tuple[Vertex, ...]]:
     ]
 
 
-@dataclass(frozen=True)
-class ExactUntangleResult:
-    moved_count: int
-    target_order: tuple[Vertex, ...]
-    fixed: tuple[Vertex, ...]
+class ExactUntangleResult(_Record):
+    __slots__ = _fields = ("moved_count", "target_order", "fixed")
 
 
 def _max_fixed_set(decomp: BlockDecomposition, order: Sequence[Vertex], forced: Collection[Vertex] = ()) -> tuple[Vertex, ...]:
@@ -172,11 +168,10 @@ def exact_min_untangle_edge_fixed(d: CircularDrawing, e: Edge) -> int:
     return len(d.order) - len(fixed)
 
 
-@dataclass(frozen=True)
-class DistIcorAnswer:
-    solvable: bool
-    witness: Optional[tuple[int, ...]]
-    arrangement: Optional[tuple[tuple[int, int], ...]]  # (chunk index, +1/-1) per slot
+class DistIcorAnswer(_Record):
+    """`arrangement` holds (chunk index, +1/-1) per slot; it and `witness` are None for a no."""
+
+    __slots__ = _fields = ("solvable", "witness", "arrangement")
 
 
 def exact_disticor(chunks: Sequence[Sequence[int]], M: int) -> DistIcorAnswer:

@@ -10,9 +10,12 @@ gives its first rank, and a backward pass hands each run of consecutive
 values its ranks as one slice.
 
 The second construction turns a distinct-chunk instance into a flower of
-cycles sharing one hub vertex, drawn with ranks in clockwise order, so
-untangling budget L - M is equivalent to finding an increasing subsequence
-of length M.
+cycles sharing one hub vertex, drawn with ranks in clockwise order, with
+the move budget K = L - M.  An increasing subsequence of length M gives an
+untangling within K moves.  The converse needs the hub held fixed: the
+no-instance of chunks (4, 3, 7, 2, 8, 6, 5) and (1,) with M = 5 has K = 3,
+and its drawing untangles in 3 moves when the hub moves but needs 4 with the
+hub fixed (ROADMAP item 6).
 
 One knob deviates from the narrowest reading of the source casework: the run
 starting offsets go up to K - a_i + 1 (not K - a_i).  With the shorter range
@@ -22,13 +25,12 @@ length exists; the extended range keeps all five chunk properties intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import eq, lt, mul, sub
 from typing import Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, NotAWitness, NotDistinct, PropertyViolation, TooLarge
-from .model import CircularDrawing, Graph
+from .model import CircularDrawing, Graph, _Record, _set
 from .seqs import lis_length
 
 
@@ -41,66 +43,64 @@ from .seqs import lis_length
 MAX_CHUNK_WORDS = 4_000_000
 
 
-@dataclass(frozen=True)
-class ThreePartitionInstance:
-    """Multiset of 3m positive integers, each strictly between K/4 and K/2."""
+class ThreePartitionInstance(_Record):
+    """Multiset `a` of 3m positive integers, each strictly between K/4 and K/2 for K = `k`."""
 
-    a: tuple[int, ...]
-    k: int
+    __slots__ = _fields = ("a", "k")
 
-    def __post_init__(self):
-        if len(self.a) == 0 or len(self.a) % 3 != 0:
+    def __init__(self, a: tuple[int, ...], k: int):
+        if len(a) == 0 or len(a) % 3 != 0:
             raise InvalidInstance("need 3m elements")
-        if any(x <= 0 for x in self.a) or self.k <= 0:
+        if any(x <= 0 for x in a) or k <= 0:
             raise InvalidInstance("elements and target must be positive")
-        if any(not (self.k < 4 * x and 2 * x < self.k) for x in self.a):
+        if any(not (k < 4 * x and 2 * x < k) for x in a):
             raise InvalidInstance("every element must satisfy K/4 < a < K/2")
+        _set(self, "a", a)
+        _set(self, "k", k)
 
     @property
     def m(self) -> int:
         return len(self.a) // 3
 
 
-@dataclass(frozen=True)
-class DistIcorInstance:
-    """Chunks plus the target increasing-subsequence length M."""
+class DistIcorInstance(_Record):
+    """Chunks plus the target increasing-subsequence length M (`m_target`)."""
 
-    chunks: tuple[tuple[int, ...], ...]
-    m_target: int
+    __slots__ = _fields = ("chunks", "m_target")
 
-    def __post_init__(self):
-        if self.m_target <= 0:
+    def __init__(self, chunks: tuple[tuple[int, ...], ...], m_target: int):
+        if m_target <= 0:
             raise InvalidInstance("M must be positive")
-        if any(len(c) == 0 for c in self.chunks):
+        if any(len(c) == 0 for c in chunks):
             raise InvalidInstance("chunks must be nonempty")
-        if min(map(min, self.chunks), default=1) <= 0:
+        if min(map(min, chunks), default=1) <= 0:
             raise InvalidInstance("chunk entries must be positive integers")
-        entries = sorted(chain.from_iterable(self.chunks))  # equal entries end up side by side
+        entries = sorted(chain.from_iterable(chunks))  # equal entries end up side by side
         if any(map(eq, entries, islice(entries, 1, None))):
             raise NotDistinct("chunk entries repeat")
+        _set(self, "chunks", chunks)
+        _set(self, "m_target", m_target)
 
     @property
     def total(self) -> int:
         return sum(len(c) for c in self.chunks)
 
 
-@dataclass(frozen=True)
-class ReducedChunk:
-    source_element: int
-    run_length: int                 # a_i + X
-    start_numbers: tuple[int, ...]  # decreasing
-    projection: tuple[int, ...]     # concatenated runs (values may repeat across chunks)
-    ranks: tuple[int, ...]          # globally distinct word ranks
+class ReducedChunk(_Record):
+    """The chunk of a_i = `source_element`: a run of `run_length` = a_i + X
+    values from each of the decreasing `start_numbers`, concatenated in
+    `projection` (values may repeat across chunks), and its word `ranks`,
+    distinct over all chunks."""
+
+    __slots__ = _fields = ("source_element", "run_length", "start_numbers", "projection", "ranks")
 
 
-@dataclass(frozen=True)
-class ReducedDistIcor:
-    source: ThreePartitionInstance  # after normalization
-    scale: int                      # 1, or 3m when normalization multiplied through
-    x: int                          # 3mK
-    block: int                      # K + 3X
-    chunks: tuple[ReducedChunk, ...]
-    instance: DistIcorInstance
+class ReducedDistIcor(_Record):
+    """The chunk instance of `source`, the 3-partition instance after
+    normalization; `scale` is 1, or 3m when normalization multiplied
+    through.  `x` is X = 3mK and `block` is K + 3X."""
+
+    __slots__ = _fields = ("source", "scale", "x", "block", "chunks", "instance")
 
 
 def reduce_3p_to_disticor(inst: ThreePartitionInstance) -> ReducedDistIcor:
@@ -183,11 +183,8 @@ def _chunk_length(ai: int, m: int, k: int, x: int) -> int:
     return (ai + x) * 3 * m * (k - ai + 1)
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
-    chunk_order: tuple[int, ...]
-    ranks: tuple[int, ...]
-    projection: tuple[int, ...]
+class PartitionWitness(_Record):
+    __slots__ = _fields = ("chunk_order", "ranks", "projection")
 
 
 def _run_slice(chunk: ReducedChunk, start: int) -> tuple[int, int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .model import CircularDrawing, Vertex, crossings
+from .model import CircularDrawing, Vertex, crossing_pairs
 
 _SIZE = 440
 _R = 180
@@ -26,7 +26,7 @@ def _xy(i: int, n: int, radius: float) -> tuple[float, float]:
 def render_svg(d: CircularDrawing, moved: Iterable[Vertex] = ()) -> str:
     n = len(d.order)
     moved = set(moved)
-    crossing_edges = frozenset().union(*crossings(d))
+    crossing_edges = {e for pair in crossing_pairs(d.order, d.graph.edges) for e in pair}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="0 0 {_SIZE} {_SIZE}">',

@@ -25,7 +25,7 @@ from untangling.io_formats import (
     parse_icor,
     parse_moves,
 )
-from untangling.model import CircularDrawing, Graph, Untangling, VertexMove
+from untangling.model import CircularDrawing, Graph, Untangling, VertexMove, crossing_pairs
 
 
 def test_drawing_roundtrip():
@@ -129,6 +129,23 @@ def test_render_svg_escapes_vertex_names():
     d = parse_drawing("vertices 4\norder a<b c&d e f\nedge a<b e\nedge c&d f\n")
     root = ElementTree.fromstring(render_svg(d, moved=("a<b",)))
     assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == ["a<b", "c&d", "e", "f"]
+
+
+def test_render_svg_colours_crossings_without_holding_them():
+    """The crossed edges of the 7,021-vertex reduction of `3p 1 18 6 6 6`
+    are read from its 288,876 crossing pairs as they come; holding the pairs
+    as frozensets peaked at about 73 MB."""
+    red = reductions.reduce_3p_to_disticor(ThreePartitionInstance((6, 6, 6), 18))
+    d = reductions.reduce_disticor_to_cu(red.instance)[0]
+    tracemalloc.start()
+    try:
+        svg = render_svg(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    crossed = {e for pair in crossing_pairs(d.order, d.graph.edges) for e in pair}
+    assert svg.count('stroke="#cc2222"') == len(crossed) == len(d.graph.edges)  # every edge is crossed
+    assert peak < 16 * 2**20
 
 
 def test_cli_reads_files_with_a_byte_order_mark(tmp_path, capsys):
@@ -405,10 +422,14 @@ def test_verification_pipeline_random(tmp_path, capsys):
 def test_cli_runs_without_networkx(tmp_path):
     """`import untangling` loads no submodule, and each CLI command loads
     only the modules it runs; networkx is never loaded, and neither is
-    `dataclasses` unless `site` loaded it first."""
+    `dataclasses` unless `site` loaded it first, not even by the oracle and
+    the reductions."""
     drawing, moves = tmp_path / "d.cdr", tmp_path / "d.mv"
     drawing.write_text("vertices 4\norder a b c d\nedge a c\nedge b d\n")
     moves.write_text("move a after b\n")
+    three_p, icor = tmp_path / "p.3p", tmp_path / "p.icor"
+    three_p.write_text("3p 1 9 3 3 3\n")
+    icor.write_text("icor 5\nchunk 2 5\nchunk 1 8 4\nchunk 6 7 9 3\n")
     script = (
         "import sys\n"
         "def loaded():\n"
@@ -428,6 +449,11 @@ def test_cli_runs_without_networkx(tmp_path):
         "extra = loaded() & {'oracle', 'generators', 'reductions', 'render'}\n"
         "assert not extra, f'untangle --algorithm min loaded {sorted(extra)}'\n"
         "assert site_loaded_dataclasses or 'dataclasses' not in sys.modules, 'untangle min loaded dataclasses'\n"
+        f"rc += untangling.cli.main(['untangle', {str(drawing)!r}, '--algorithm', 'exact'])\n"
+        f"rc += untangling.cli.main(['generate', 'reduce-3p', {str(three_p)!r}])\n"
+        f"rc += untangling.cli.main(['generate', 'reduce-icor', {str(icor)!r}])\n"
+        "assert {'oracle', 'reductions'} <= loaded(), f'exact and reduce loaded only {sorted(loaded())}'\n"
+        "assert site_loaded_dataclasses or 'dataclasses' not in sys.modules, 'exact or reduce loaded dataclasses'\n"
         "sys.exit(rc)\n"
     )
     src = str(Path(untangling.__file__).resolve().parents[1])
@@ -435,6 +461,7 @@ def test_cli_runs_without_networkx(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "crossings 1" in proc.stdout and "planarOk true" in proc.stdout
+    assert "icor 90\n" in proc.stdout and "# budget K=4\n" in proc.stdout
 
 
 # the public API as the package's eager imports bound it: every name each

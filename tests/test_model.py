@@ -30,9 +30,19 @@ from untangling import (
     verify_untangling,
 )
 from untangling import block_decomposition, model
-from untangling.errors import InvalidInstance, InvalidN, UnknownVertex
+from untangling.errors import InvalidInstance, InvalidN, NotDistinct, UnknownVertex
 from untangling.generators import PROFILES
 from untangling.model import EdgeCandidate, crossing_pairs, rotate_to, sides_of_edge
+from untangling.oracle import exact_disticor, exact_min_untangle
+from untangling.reductions import (
+    DistIcorInstance,
+    PartitionWitness,
+    ReducedChunk,
+    ReducedDistIcor,
+    ThreePartitionInstance,
+    reduce_3p_to_disticor,
+    witness_3p_to_disticor,
+)
 
 
 def c4_tangled():
@@ -345,6 +355,26 @@ def test_record_repr():
     assert repr(bd) == f"BlockDecomposition(graph={gr}, blocks=(('a', 'b'),), components={bd.components!r})"
 
 
+def test_oracle_and_reduction_record_repr():
+    assert repr(exact_min_untangle(gen_fig5(6))) == (
+        "ExactUntangleResult(moved_count=2, target_order=('v2', 'v3', 'v4', 'v5', 'v6', 'v1'), "
+        "fixed=('v2', 'v4', 'v6', 'v1'))"
+    )
+    yes, no = exact_disticor(((2, 5), (1, 8, 4)), 3), exact_disticor(((2, 5), (1, 8, 4)), 5)
+    assert repr(yes) == "DistIcorAnswer(solvable=True, witness=(2, 5, 8), arrangement=((0, 1), (1, 1)))"
+    assert repr(no) == "DistIcorAnswer(solvable=False, witness=None, arrangement=None)"
+    t = ThreePartitionInstance((3, 3, 3), 9)
+    di = DistIcorInstance(((2, 5), (1, 8, 4)), 3)
+    ch = ReducedChunk(3, 30, (2, 1), (2, 3, 1, 2), (4, 2, 3, 1))
+    assert repr(ReducedDistIcor(t, 1, 27, 90, (ch,), di)) == (
+        "ReducedDistIcor(source=ThreePartitionInstance(a=(3, 3, 3), k=9), scale=1, x=27, block=90, "
+        "chunks=(ReducedChunk(source_element=3, run_length=30, start_numbers=(2, 1), projection=(2, 3, 1, 2), "
+        "ranks=(4, 2, 3, 1)),), instance=DistIcorInstance(chunks=((2, 5), (1, 8, 4)), m_target=3))"
+    )
+    w = PartitionWitness((0, 1, 2), (1, 2), (3, 4))
+    assert repr(w) == "PartitionWitness(chunk_order=(0, 1, 2), ranks=(1, 2), projection=(3, 4))"
+
+
 def test_equal_records_hash_equal():
     g = cycle_graph(4)
     rotated = CircularDrawing(g, ("v2", "v4", "v1", "v3"))
@@ -360,10 +390,12 @@ def test_equal_records_hash_equal():
 
 
 def _records() -> dict:
-    """One of each record: the seven of the model and the block-cut tree."""
+    """One of each record: the seven of the model, the block-cut tree, the
+    two of the oracle and the five of the reductions."""
     d = gen_fig5(8)
     u = Untangling((VertexMove("v3", "v2"), VertexMove("v1", "v3")))
     cls = classify(d)
+    red = reduce_3p_to_disticor(ThreePartitionInstance((3, 3, 3), 9))
     return {
         "Graph": d.graph,
         "CircularDrawing": d,
@@ -373,6 +405,13 @@ def _records() -> dict:
         "AlmostPlanarClassification": cls,
         "VerificationReport": verify_untangling(d, u),
         "BlockDecomposition": block_decomposition(d.graph),
+        "ExactUntangleResult": exact_min_untangle(d),
+        "DistIcorAnswer": exact_disticor(((2, 5), (1, 8, 4)), 3),
+        "ThreePartitionInstance": red.source,
+        "DistIcorInstance": red.instance,
+        "ReducedChunk": red.chunks[0],
+        "ReducedDistIcor": red,
+        "PartitionWitness": witness_3p_to_disticor(red, [(0, 1, 2)]),
     }
 
 
@@ -411,39 +450,47 @@ def test_records_build_from_keywords():
         EdgeCandidate(("a", "b"), (), (), left=())
 
 
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_rebuild_from_their_fields_as_keywords(name):
+    record = RECORDS[name]
+    clone = type(record)(**dict(zip(record._fields, record._values())))
+    assert clone is not record and clone == record and repr(clone) == repr(record)
+
+
+@pytest.mark.parametrize(
+    "cls, args, error, message",
+    [
+        (ThreePartitionInstance, ((), 9), InvalidInstance, "need 3m elements"),
+        (ThreePartitionInstance, ((3, 3, 3, 3), 9), InvalidInstance, "need 3m elements"),
+        (ThreePartitionInstance, ((3, 0, 3), 9), InvalidInstance, "elements and target must be positive"),
+        (ThreePartitionInstance, ((3, 3, 3), 0), InvalidInstance, "elements and target must be positive"),
+        (ThreePartitionInstance, ((2, 3, 4), 9), InvalidInstance, "every element must satisfy K/4 < a < K/2"),
+        (DistIcorInstance, (((1, 2),), 0), InvalidInstance, "M must be positive"),
+        (DistIcorInstance, (((1, 2), ()), 2), InvalidInstance, "chunks must be nonempty"),
+        (DistIcorInstance, (((0, 2),), 2), InvalidInstance, "chunk entries must be positive integers"),
+        (DistIcorInstance, (((1, 2), (3, 2)), 2), NotDistinct, "chunk entries repeat"),
+    ],
+)
+def test_validated_records_check_keyword_fields_as_positional_ones(cls, args, error, message):
+    for build in (lambda: cls(*args), lambda: cls(**dict(zip(cls._fields, args)))):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+            build()
+        assert type(exc.value) is error
+
+
 def test_block_decomposition_stays_unhashable():
     with pytest.raises(TypeError, match="unhashable"):
         hash(block_decomposition(cycle_graph(4)))
 
 
-@pytest.mark.parametrize(
-    "record, field",
-    [
-        (cycle_graph(3), "edges"),
-        (c4_tangled(), "order"),
-        (VertexMove("a", "b"), "anchor"),
-        (Untangling(()), "moves"),
-        (RECORDS["EdgeCandidate"], "left"),
-        (RECORDS["AlmostPlanarClassification"], "candidates"),
-        (RECORDS["VerificationReport"], "planar_ok"),
-        (RECORDS["BlockDecomposition"], "incidence"),
-    ],
-    ids=[
-        "Graph",
-        "CircularDrawing",
-        "VertexMove",
-        "Untangling",
-        "EdgeCandidate",
-        "AlmostPlanarClassification",
-        "VerificationReport",
-        "BlockDecomposition",
-    ],
-)
-def test_records_are_immutable(record, field):
-    with pytest.raises(AttributeError):
-        setattr(record, field, getattr(record, field))
-    with pytest.raises(AttributeError):
-        delattr(record, field)
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_are_immutable(name):
+    record = RECORDS[name]
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
     with pytest.raises(AttributeError):
         record.extra = 1
 

@@ -1,6 +1,5 @@
 """Reduction constructions: chunk building, witnesses, drawing instances."""
 
-import dataclasses
 import random
 import tracemalloc
 from itertools import chain
@@ -10,6 +9,7 @@ import pytest
 from untangling import (
     DistIcorInstance,
     ThreePartitionInstance,
+    block_decomposition,
     chunk_property_check,
     classify,
     crossings,
@@ -20,7 +20,7 @@ from untangling import (
     reduce_disticor_to_cu,
     witness_3p_to_disticor,
 )
-from untangling import reductions
+from untangling import oracle, reductions
 from untangling.errors import InvalidInstance, NotAWitness, NotDistinct, PropertyViolation, TooLarge
 from untangling.reductions import MAX_CHUNK_WORDS, _chunk_length, _run_slice, expected_chunk_length
 
@@ -169,27 +169,28 @@ def test_chunk_properties_pass(reduced_m1):
     assert chunk_property_check(reduced_m1) is None
 
 
+def _replace(rec, **changes):
+    """`rec` with `changes`, rebuilt through its constructor."""
+    return type(rec)(**{**dict(zip(rec._fields, rec._values())), **changes})
+
+
 def test_chunk_properties_catch_mutation(reduced_m1):
     ch0 = reduced_m1.chunks[0]
     ranks = list(ch0.ranks)
     ranks[10], ranks[500] = ranks[500], ranks[10]
-    bad = dataclasses.replace(
-        reduced_m1, chunks=(dataclasses.replace(ch0, ranks=tuple(ranks)),) + reduced_m1.chunks[1:]
-    )
+    bad = _replace(reduced_m1, chunks=(_replace(ch0, ranks=tuple(ranks)),) + reduced_m1.chunks[1:])
     with pytest.raises(PropertyViolation):
         chunk_property_check(bad)
 
 
 def _with_chunk0(red, ch0):
-    return dataclasses.replace(red, chunks=(ch0,) + red.chunks[1:])
+    return _replace(red, chunks=(ch0,) + red.chunks[1:])
 
 
 def _rerun(chunk, starts):
     """`chunk` with its runs replaced by runs at `starts`, ranked as words."""
     proj = tuple(v for st in starts for v in range(st, st + chunk.run_length))
-    return dataclasses.replace(
-        chunk, start_numbers=tuple(starts), projection=proj, ranks=reference_ranks([proj])[0]
-    )
+    return _replace(chunk, start_numbers=tuple(starts), projection=proj, ranks=reference_ranks([proj])[0])
 
 
 def _violated(red):
@@ -205,14 +206,14 @@ def test_chunk_property_i_catches_tie_swap(reduced_m1):
     j2 = ch0.projection.index(v, j1 + 1)  # ... that a later run repeats
     ranks = list(ch0.ranks)
     ranks[j1], ranks[j2] = ranks[j2], ranks[j1]  # now the earlier word ranks first
-    assert _violated(_with_chunk0(reduced_m1, dataclasses.replace(ch0, ranks=tuple(ranks)))) == "i"
+    assert _violated(_with_chunk0(reduced_m1, _replace(ch0, ranks=tuple(ranks)))) == "i"
 
 
 def test_chunk_property_iii_catches_run_edit(reduced_m1):
     ch0 = reduced_m1.chunks[0]
     starts = list(ch0.start_numbers)
     starts[0], starts[1] = starts[1], starts[0]
-    assert _violated(_with_chunk0(reduced_m1, dataclasses.replace(ch0, start_numbers=tuple(starts)))) == "iii"
+    assert _violated(_with_chunk0(reduced_m1, _replace(ch0, start_numbers=tuple(starts)))) == "iii"
 
 
 def test_chunk_property_iii_checks_every_run():
@@ -222,7 +223,7 @@ def test_chunk_property_iii_checks_every_run():
     starts = list(ch0.start_numbers)
     assert len(starts) == 186
     starts[1], starts[2] = starts[2], starts[1]
-    assert _violated(_with_chunk0(red, dataclasses.replace(ch0, start_numbers=tuple(starts)))) == "iii"
+    assert _violated(_with_chunk0(red, _replace(ch0, start_numbers=tuple(starts)))) == "iii"
 
 
 def test_chunk_property_iv_catches_rising_runs(reduced_m1):
@@ -297,6 +298,32 @@ def test_solvable_reduced_drawing_untangles_within_budget():
     assert len(crossings(d)) == 17
     assert budget == 4
     assert exact_min_untangle(d).moved_count <= budget
+
+
+# The hub v0 can move.  Over every arrangement of these chunks the longest
+# increasing subsequence has 4 items, so M = 5 is a no-instance, with K = 3;
+# yet its drawing untangles in 3 moves, one of them the hub's (ROADMAP item 6).
+HUB_CHUNKS = ((4, 3, 7, 2, 8, 6, 5), (1,))
+
+
+@pytest.mark.xfail(strict=True, reason="open gap: the hub moves, so a no-instance's drawing untangles in K moves")
+def test_unsolvable_reduced_drawing_needs_more_than_budget():
+    """The paper's no => shift > K direction, on the drawing itself."""
+    assert not exact_disticor(HUB_CHUNKS, 5).solvable
+    d, budget = reduce_disticor_to_cu(DistIcorInstance(HUB_CHUNKS, 5))
+    assert exact_min_untangle(d).moved_count > budget
+
+
+@pytest.mark.parametrize("m_target, solvable, over_budget", [(5, False, 1), (4, True, 0)])
+def test_hub_pinned_untangling_meets_the_budget_exactly_when_solvable(m_target, solvable, over_budget):
+    """With the hub held fixed, the yes-instance M = 4 needs its K = 4 moves
+    and the no-instance M = 5 needs K + 1 = 4, while either drawing
+    untangles in 3 when the hub may move."""
+    assert exact_disticor(HUB_CHUNKS, m_target).solvable == solvable
+    d, budget = reduce_disticor_to_cu(DistIcorInstance(HUB_CHUNKS, m_target))
+    assert exact_min_untangle(d).moved_count == 3
+    pinned = oracle._max_fixed_set(block_decomposition(d.graph), d.order, ("v0",))
+    assert len(d.order) - len(pinned) == budget + over_budget
 
 
 def test_reduction_refuses_more_chunk_words_than_its_cap(monkeypatch, reduced_m1):
