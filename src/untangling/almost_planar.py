@@ -12,7 +12,10 @@ gives one slot cycle (a slot per vertex: its attachment and cuts), which
 does a bridge's side: its one qualifying block's from the apex's slot, or
 its input order as one slot when no edge of it crosses the bridge.  Each
 side is an arc of the input, so `seqs.best_opening` scores it alone
-against its cycle's openings.  One path, `_untangle`, runs all three: it
+against its cycle's openings.  Two answers the block-cut tree fixes are
+not searched or scored: a block vertex in no other block is the slot
+((b,), [0]) as it stands, and a side that unwraps to one slot is that
+slot's own source, so its best opening keeps all of it.  One path, `_untangle`, runs all three: it
 classifies, builds the block-cut tree once, and places the cheapest set
 with `blocks.planar_order_keeping` and `moves_to_reach`, keeping every
 other vertex in input order.
@@ -171,23 +174,32 @@ def _block_attachment_targets(
     cycle, either way round, with each attachment as a contiguous block in
     its input cyclic order.  Block vertex b's slot is its attachment in
     input cyclic order and the rotations in which no attachment edge spans b.
+
+    A block vertex in no other block is its own attachment, and no edge
+    lies within it: its slot is ((b,), [0]) without a search.  Only the cut
+    vertices' attachments are searched and read off the order and edges.
     """
     g = decomp.graph
     cycle = decomp.blocks[bi]
+    cuts = [b for b in cycle if len(decomp.incidence[b]) > 1]
     # attachments partition `side`, and every edge off the block inside
-    # `side` joins two vertices of one attachment
-    owner = {x: b for b in cycle for x in decomp.attachment(bi, b) & side}
-    att_orders: dict[Vertex, list[Vertex]] = {b: [] for b in cycle}
-    for x in d.order:
-        if x in owner:
-            att_orders[owner[x]].append(x)
-    att_edges: dict[Vertex, list[Edge]] = {b: [] for b in cycle}
-    for ed in g.edges:
-        b = owner.get(ed[0])
-        if b is not None and owner.get(ed[1]) == b:
-            att_edges[b].append(ed)
+    # `side` joins two vertices of one cut vertex's attachment
+    owner = {x: b for b in cuts for x in decomp.attachment(bi, b) & side}
+    att_orders: dict[Vertex, list[Vertex]] = {b: [] for b in cuts}
+    att_edges: dict[Vertex, list[Edge]] = {b: [] for b in cuts}
+    if cuts:
+        for x in d.order:
+            if x in owner:
+                att_orders[owner[x]].append(x)
+        for ed in g.edges:
+            b = owner.get(ed[0])
+            if b is not None and owner.get(ed[1]) == b:
+                att_edges[b].append(ed)
     slots = []
     for b in cycle:
+        if b not in att_orders:
+            slots.append(((b,), [0]))
+            continue
         sigma = tuple(att_orders[b])
         slots.append((sigma, _apex_cuts(sigma, b, att_edges[b])))
         _sassert(bool(slots[-1][1]), "attachment admits no valid linearization around its block vertex")
@@ -265,7 +277,10 @@ def _min_untangle_candidates(
 ) -> Iterator[set[Vertex]]:
     """The moved set of each way to untangle around one candidate edge; a
     cycle block's moved set depends only on the block, so it is scored once
-    into `by_block`."""
+    into `by_block`.  A bridge's sides partition its component, so v's side
+    is what u's leaves.  Only a side whose unwrapped cycle has more than
+    one slot, which takes an edge of it crossing the bridge, is scored: a
+    one-slot side keeps itself whole."""
     g = d.graph
     u, v = cand.edge
     bi = decomp.block_with_edge(cand.edge)
@@ -284,7 +299,8 @@ def _min_untangle_candidates(
         yield by_block[bi]
         return
     # e is a bridge, and G - e splits its component into u's and v's sides
-    comp_u, comp_v = decomp.attachment(bi, u), decomp.attachment(bi, v)
+    comp_u = decomp.attachment(bi, u)
+    comp_v = comp - comp_u
 
     # whole-side relocations: u's side lands right after v, or v's side
     # right after u, which makes the endpoints circle neighbors
@@ -301,7 +317,11 @@ def _min_untangle_candidates(
     for c in decomp.components:
         if c is not comp:
             moved |= _cheapest(g, (c & lset, c & rset))
+    # A side no edge of which crosses e unwraps to one slot: the side read
+    # from `other`, cut only at 0, which is the very source its opening is
+    # scored against, so it keeps the whole side and moves nothing.
     for side, apex, other in ((comp_v, v, u), (comp_u, u, v)):
         cycle = unwrap_linearizations(d, decomp, side, apex, other)
-        moved |= side.difference(best_opening(restriction(rotate_to(d.order, other), side), cycle))
+        if len(cycle) > 1:
+            moved |= side.difference(best_opening(restriction(rotate_to(d.order, other), side), cycle))
     yield moved

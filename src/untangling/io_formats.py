@@ -137,7 +137,7 @@ def parse_icor(text: str) -> DistIcorInstance:
     if m_target is None or not chunks:
         raise FormatError("icor file needs an `icor M` line and chunk lines")
     try:
-        return DistIcorInstance(tuple(chunks), m_target)
+        return DistIcorInstance(chunks, m_target)
     except UntanglingError as exc:
         raise FormatError(str(exc)) from exc
 

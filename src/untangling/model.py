@@ -133,6 +133,12 @@ class Graph(_Record):
         e = self.edge(*e)
         return Graph(self.vertices, self.edges - {e})
 
+    def __repr__(self) -> str:
+        # the edges in rank order, not the frozenset's, so that equal graphs
+        # print alike in every process
+        edges = f"frozenset({{{', '.join(map(repr, self.sorted_edges()))}}})" if self.edges else "frozenset()"
+        return f"Graph(vertices={self.vertices!r}, edges={edges})"
+
 
 class CircularDrawing(_Record):
     """A graph with a clockwise cyclic order of all its vertices.

@@ -49,6 +49,7 @@ class ThreePartitionInstance(_Record):
     __slots__ = _fields = ("a", "k")
 
     def __init__(self, a: tuple[int, ...], k: int):
+        a = tuple(a)  # what is checked is what is kept; a tuple is not copied
         if len(a) == 0 or len(a) % 3 != 0:
             raise InvalidInstance("need 3m elements")
         if any(x <= 0 for x in a) or k <= 0:
@@ -69,6 +70,7 @@ class DistIcorInstance(_Record):
     __slots__ = _fields = ("chunks", "m_target")
 
     def __init__(self, chunks: tuple[tuple[int, ...], ...], m_target: int):
+        chunks = tuple(map(tuple, chunks))  # as for `a`: no chunk tuple is copied
         if m_target <= 0:
             raise InvalidInstance("M must be positive")
         if any(len(c) == 0 for c in chunks):

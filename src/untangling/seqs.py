@@ -222,12 +222,18 @@ Laid = tuple[list[int], list[int], int]
 def _lay(rank: dict, n: int, sigma, cuts) -> Laid:
     """`(ranks, room, m)` of a slot of m items: their ranks, ascending, then
     again plus n, and twice over each item's room, the most items an arc of
-    sigma from it holds with some cut not strictly inside."""
+    sigma from it holds with some cut not strictly inside.
+
+    A one-item slot cut at 0, a block vertex in no other block, is laid
+    directly: its one rotation is itself, in order, and its room is 1.
+    """
     try:
         ranks = [rank[x] for x in sigma]
     except KeyError:
         raise InvalidInstance(_NOT_ONE_ITEM_SET) from None
     m, cut = len(ranks), set(cuts)
+    if m == 1 and cut == {0}:
+        return [ranks[0], ranks[0] + n], [1, 1], 1
     if not cut or not cut <= set(range(m)):
         raise InvalidInstance(f"a slot of {m} items needs cuts among 0..{m - 1}, got {sorted(cut)}")
     last, room = max(cut) - m, []  # last: the latest cut so far, the final one unrolled at first

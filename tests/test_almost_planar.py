@@ -628,22 +628,30 @@ def test_side_openings_keep_the_best_two_sided_target(case):
     assert any(cyclic_equal(tuple(kept), restriction(t, keep)) for t in targets)
 
 
-def _qualifying_cycles(d, decomp, side, apex, other):
-    """(crossed, cycles): whether an edge of the side crosses the bridge,
-    and the slot cycle, from the apex's slot, of every block at the apex
-    (the bridge aside) whose apex attachment holds no such edge."""
+def _qualifying_blocks(d, decomp, side, apex, other):
+    """(crossed, blocks): whether an edge of the side crosses the bridge,
+    and every block at the apex (the bridge aside) whose apex attachment
+    holds no such edge."""
     e = d.graph.edge(apex, other)
     crossing = [ed for pair in crossings(d) if e in pair for ed in pair - {e} if ed[0] in side]
-    crossed = bool(crossing)
+    return bool(crossing), [
+        bi
+        for bi in decomp.incidence[apex]
+        if other not in decomp.blocks[bi] and not any(ed[0] in decomp.attachment(bi, apex) for ed in crossing)
+    ]
+
+
+def _qualifying_cycles(d, decomp, side, apex, other):
+    """(crossed, cycles): whether an edge of the side crosses the bridge,
+    and the slot cycle, from the apex's slot, of every qualifying block."""
+    crossed, qualifying = _qualifying_blocks(d, decomp, side, apex, other)
     if side == {apex}:
         return crossed, [[((apex,), [0])]]
     cycles = []
-    for bi in decomp.incidence[apex]:
-        att = decomp.attachment(bi, apex)
-        if other not in decomp.blocks[bi] and not any(ed[0] in att for ed in crossing):
-            slots = almost_planar._block_attachment_targets(d, decomp, bi, side)
-            a = next(k for k, (sigma, _) in enumerate(slots) if apex in sigma)
-            cycles.append(slots[a:] + slots[:a])
+    for bi in qualifying:
+        slots = almost_planar._block_attachment_targets(d, decomp, bi, side)
+        a = next(k for k, (sigma, _) in enumerate(slots) if apex in sigma)
+        cycles.append(slots[a:] + slots[:a])
     return crossed, cycles
 
 
@@ -685,6 +693,58 @@ def test_unwrapped_sides_keep_as_much_as_split_orders():
     assert uncrossed >= 350 and several >= 40 and crossed >= 400
 
 
+def _searched_block_attachment_targets(d, decomp, bi, side):
+    """`_block_attachment_targets` with every block vertex's attachment
+    searched and read off the order and edges, one-vertex ones included."""
+    cycle = decomp.blocks[bi]
+    owner = {x: b for b in cycle for x in decomp.attachment(bi, b) & side}
+    att_orders = {b: [x for x in d.order if owner.get(x) == b] for b in cycle}
+    att_edges = {b: [ed for ed in d.graph.edges if owner.get(ed[0]) == owner.get(ed[1]) == b] for b in cycle}
+    return [(tuple(att_orders[b]), _apex_cuts(tuple(att_orders[b]), b, att_edges[b])) for b in cycle]
+
+
+def test_block_attachment_targets_match_a_search_of_every_attachment():
+    """Laying a block vertex in no other block as ((b,), [0]) without a
+    search gives the slot cycle that searching every attachment gives, on
+    every cycle block and every qualifying block of a bridge side."""
+    blocks_seen, bridge_blocks, single = 0, 0, 0
+    for profile, n, seed in product(("almost-planar", "case-2-2"), range(6, 41), range(4)):
+        d = gen_random(n, seed, profile)
+        decomp = block_decomposition(d.graph)
+        pairs = [(bi, decomp.components[decomp.component_of[b[0]]]) for bi, b in enumerate(decomp.blocks) if len(b) > 2]
+        for _, side, apex, other in _bridge_sides(d):
+            qualifying = _qualifying_blocks(d, decomp, side, apex, other)[1]
+            pairs += [(bi, side) for bi in qualifying]
+            bridge_blocks += len(qualifying)
+        for bi, side in pairs:
+            slots = almost_planar._block_attachment_targets(d, decomp, bi, side)
+            assert slots == _searched_block_attachment_targets(d, decomp, bi, side), (d, bi)
+            single += sum(len(sigma) == 1 for sigma, _ in slots)
+            blocks_seen += 1
+    assert blocks_seen >= 600 and bridge_blocks >= 140 and single >= 1800
+
+
+def test_one_slot_unwrapped_sides_are_their_own_source():
+    """A side that unwraps to one slot is the side read from `other`, cut
+    only at 0, which is the source its opening is scored against: its best
+    opening keeps all of it, so the bridge case need not score it.  Every
+    side with more than one slot has an edge crossing the bridge."""
+    one, more = 0, 0
+    for profile, n, seed in product(("case-2-2", "almost-planar"), range(6, 25), range(20)):
+        d = gen_random(n, seed, profile)
+        for decomp, side, apex, other in _bridge_sides(d):
+            source = restriction(rotate_to(d.order, other), side)
+            cycle = unwrap_linearizations(d, decomp, side, apex, other)
+            if len(cycle) == 1:
+                assert cycle == [(source, [0])]
+                assert best_opening(source, cycle) == list(source)
+                one += 1
+            else:
+                assert _qualifying_blocks(d, decomp, side, apex, other)[0]
+                more += 1
+    assert one >= 200 and more >= 200
+
+
 def test_min_untangle_lays_each_apex_slot_whole(monkeypatch):
     """A side with many pendant-leaf blocks at its apex costs one window
     per opening of its slot cycle, with one pass per slot: not one window
@@ -708,7 +768,8 @@ def test_min_untangle_lays_each_apex_slot_whole(monkeypatch):
 
 def test_min_untangle_scores_each_cycle_block_once(monkeypatch):
     """Candidate edges on one cycle block share its scored slots; each
-    bridge candidate scores each of its two sides once."""
+    bridge candidate scores once each side whose slot cycle has more than
+    one slot, and no side that unwraps to one slot, its own input order."""
     calls = {"best_slots": 0, "best_opening": 0}
 
     def counting(name):
@@ -722,18 +783,20 @@ def test_min_untangle_scores_each_cycle_block_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(almost_planar, name, counting(name))
-    shared, bridges = 0, 0
+    shared, bridges, scored = 0, 0, 0
     for seed in range(30):
         d = gen_random(12, seed, "almost-planar")
         decomp = block_decomposition(d.graph)
         cands = [decomp.block_with_edge(c.edge) for c in classify(d).candidates]
         on_cycles = [bi for bi in cands if len(decomp.blocks[bi]) > 2]
+        sides = sum(len(unwrap_linearizations(d, decomp, side, apex, other)) > 1 for _, side, apex, other in _bridge_sides(d))
         calls.update(dict.fromkeys(calls, 0))
         min_untangle(d)
-        assert calls == {"best_slots": len(set(on_cycles)), "best_opening": 2 * (len(cands) - len(on_cycles))}
+        assert calls == {"best_slots": len(set(on_cycles)), "best_opening": sides}
         shared += len(on_cycles) - len(set(on_cycles))
         bridges += len(cands) - len(on_cycles)
-    assert shared > 0 and bridges > 0
+        scored += sides
+    assert shared > 0 and 0 < scored < 2 * bridges
 
 
 def test_untanglers_decompose_once(monkeypatch):

@@ -1,8 +1,12 @@
 """Core model: crossings, classification, moves, verification."""
 
 import copy
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -353,6 +357,27 @@ def test_record_repr():
     assert bd.components == (frozenset("ab"), frozenset("c"))
     # incidence and component_of stay hidden
     assert repr(bd) == f"BlockDecomposition(graph={gr}, blocks=(('a', 'b'),), components={bd.components!r})"
+
+
+def test_graph_repr_lists_edges_in_rank_order():
+    g = Graph(("c", "a", "b", "d"), [("a", "d"), ("b", "a"), ("d", "c"), ("a", "c")])
+    assert repr(g) == "Graph(vertices=('c', 'a', 'b', 'd'), edges=frozenset({('c', 'a'), ('c', 'd'), ('a', 'b'), ('a', 'd')}))"
+    assert repr(Graph(("a",))) == "Graph(vertices=('a',), edges=frozenset())"
+    assert repr(Graph(g.vertices, reversed(g.sorted_edges()))) == repr(g)
+
+
+def test_graph_repr_is_the_same_in_every_process():
+    """A frozenset of strings iterates in an order that the process's hash
+    seed sets; the repr of a graph and of a drawing does not depend on it."""
+    script = "from untangling import gen_random; d = gen_random(12, 1, 'case-2-2'); print(repr(d))"
+    src = str(Path(model.__file__).resolve().parents[1])
+    reprs = set()
+    for seed in ("0", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reprs.add(proc.stdout.strip())
+    assert reprs == {repr(gen_random(12, 1, "case-2-2"))}
 
 
 def test_oracle_and_reduction_record_repr():

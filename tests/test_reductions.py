@@ -101,6 +101,25 @@ def test_instance_validation():
         DistIcorInstance(((1, 1),), 1)
 
 
+def test_instances_keep_what_they_checked():
+    """Instances built from lists hold tuples: changing the lists later
+    changes no field, equality or hash, and slips no repeat past the check.
+    Tuples passed in are kept as the same objects."""
+    a, chunks = [3, 3, 3], [[1, 2], [3]]
+    tp, di = ThreePartitionInstance(a, 9), DistIcorInstance(chunks, 2)
+    before = [(x, x._values(), hash(x), repr(x)) for x in (tp, di)]
+    a[0] = 100
+    chunks[1].append(2)
+    chunks.append([7])
+    assert [(x, x._values(), hash(x), repr(x)) for x in (tp, di)] == before
+    assert (tp.a, di.chunks) == ((3, 3, 3), ((1, 2), (3,)))
+    assert tp == ThreePartitionInstance((3, 3, 3), 9) and di == DistIcorInstance(((1, 2), (3,)), 2)
+    assert repr(tp) == "ThreePartitionInstance(a=(3, 3, 3), k=9)"
+    t, c = (3, 3, 3), ((1, 2), (3,))
+    assert ThreePartitionInstance(t, 9).a is t
+    assert all(x is y for x, y in zip(DistIcorInstance(c, 2).chunks, c))
+
+
 def test_chunk_sizes_match_closed_form(reduced_m1):
     red = reduced_m1
     assert red.scale == 1 and red.x == 90 and red.block == 300

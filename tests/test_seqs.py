@@ -418,6 +418,17 @@ def test_best_slots_edge_cases():
         best_opening(("a", "b"), [(("a",), [0]), (("b",), [])])
 
 
+def test_one_item_slots_are_laid_directly_and_checked():
+    """A one-item slot cut at 0 is its rank, again plus n, with room 1;
+    one cut elsewhere, or an item the source lacks, is still refused."""
+    rank = {"a": 0, "b": 1, "c": 2}
+    assert seqs._lay(rank, 3, ("b",), [0]) == ([1, 4], [1, 1], 1)
+    assert seqs._lay(rank, 3, ("b",), (0, 0)) == ([1, 4], [1, 1], 1)
+    for sigma, cuts in ((("b",), [1]), (("b",), [0, 1]), (("b",), []), (("z",), [0])):
+        with pytest.raises(InvalidInstance):
+            seqs._lay(rank, 3, sigma, cuts)
+
+
 def sequential_rotation_search(items, floor):
     """The rotation search of one target scored on its own: split points
     c = i * n // k from c = 0, each rejecting the target once no bound
