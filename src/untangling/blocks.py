@@ -10,9 +10,12 @@ for callers that need no blocks.
 vertices in its cyclic order, each block with none of them from its entry
 vertex towards that vertex's lower-ranked cycle neighbour; with nothing
 kept, that is one flat pre-order walk, `planar_circular_order` without
-`rng`.  With `rng`, that function walks the tree at random.  Each walk runs
-on an explicit stack and nests no Python calls, so a deep tree never meets
-the recursion limit.  All take the tree, to be built once and laid out often.
+`rng`.  `_keeps` runs the same test with no layout, for callers that only
+ask whether a sequence is kept; it takes each root's pre-order listing of
+the tree from a dict the caller keeps.  With `rng`, `planar_circular_order`
+walks the tree at random.  Each walk runs on an explicit stack and nests no
+Python calls, so a deep tree never meets the recursion limit.  All take the
+tree, to be built once and laid out often.
 
 A block with as many edges as vertices is a plain cycle, walked along its
 edges.  Any other block is peeled: a 2-connected outerplanar block always
@@ -322,20 +325,40 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
     Q-node whose children follow its Hamiltonian cycle in either direction,
     and each vertex a P-node over itself and its child blocks (Booth and
     Lueker, JCSS 13(3), 1976; cyclic form: Hsu and McConnell, TCS 292(1),
-    2003).  `_keep_component` runs the bottom-up reorder test on that tree.
+    2003).  `_kept` runs the bottom-up reorder test on that tree.
     Two components never interleave, since each must lie in one gap of the
     other, so a stack walk along the fixed sequence nests them, and each
     nested component's order goes in whole just before the next fixed
     vertex of the one around it; a lone component's order is the answer
     as laid.  Components with no fixed vertex go last, laid out by `_walk`.
     No crossing test is run here: the callers that hand an order out check
-    it once.
+    it once.  `_keeps` answers the same question by the same test without
+    laying anything out.
 
     A walk of at most three vertices is always kept: three vertices have
     only two cyclic orders, each the mirror of the other, and the mirror of
     a crossing-free order is crossing-free.  So `oracle._max_fixed_set`
     does not ask about such sets (it still charges each probe).
     """
+    return _keep(decomp, walk, {}, True)
+
+
+def _keeps(decomp: BlockDecomposition, walk: Sequence[Vertex], listings: dict[Vertex, list]) -> bool:
+    """Whether `planar_order_keeping(decomp, walk)` is not None, by the same
+    nesting and span tests with no layout: no vertex sequence, no `_emit`,
+    no order.  `listings` maps each root met so far to its `_listing`, which
+    depends only on `decomp` and the root; a caller that asks about many
+    walks of one `decomp` passes the same dict each time, so each root is
+    listed once."""
+    return _keep(decomp, walk, listings, False) is not None
+
+
+def _keep(
+    decomp: BlockDecomposition, walk: Sequence[Vertex], listings: dict[Vertex, list], lay: bool
+) -> Optional[tuple[Vertex, ...]]:
+    """`planar_order_keeping`, taking each component's `_listing` from
+    `listings` or putting it there.  Without `lay` nothing is laid out, and
+    a kept walk gives ()."""
     comp_of = decomp.component_of
     ranks: list[dict[Vertex, int]] = [{} for _ in decomp.components]
     last = {}
@@ -359,43 +382,36 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
         if not nest or nest[-1][0] != c:
             if ranks[c][x]:  # c was opened before, and another component is open inside it
                 return None
-            if nest and comp_of[walk[i - 1]] == nest[-1][0]:  # the first opened since that one's last fixed vertex
+            if lay and nest and comp_of[walk[i - 1]] == nest[-1][0]:  # the first opened since that one's last fixed vertex
                 p, order, k = top = nest[-1]
                 rank, r, j = ranks[p], ranks[p][walk[i - 1]], k
                 while rank.get(order[j], -1) <= r:
                     j += 1
                 out += order[k:j]
                 top[2] = j
-            order = _keep_component(decomp, x, ranks[c])
-            if order is None:
+            inner = listings.get(x)
+            if inner is None:
+                inner = listings[x] = _listing(decomp, x)
+            seq: Optional[dict[Vertex, list[Vertex]]] = {} if lay else None
+            if not _kept(decomp, inner, ranks[c], seq):
                 return None
-            nest.append([c, order, 0])
+            nest.append([c, _emit(seq, [x]) if lay else None, 0])
         if i == last[c]:
             _, order, k = nest.pop()
-            out += order[k:]
+            if lay:
+                out += order[k:]
+    if not lay:
+        return ()
     out += _walk(decomp, [c for c, rank in enumerate(ranks) if not rank])
     return tuple(out)
 
 
-def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex, int]) -> Optional[list[Vertex]]:
-    """A crossing-free order of the component of `root`, starting at `root`,
-    that lists the ranked vertices by increasing rank, or None when there is
-    none.  `root` must have rank 0.
-
-    In a crossing-free order every subtree without the root is one arc, so
-    its ranks must run consecutively; a block's children must come in rank
-    order along its Hamiltonian cycle, one way or the other, which sets the
-    block's direction (with no ranked child, the entry vertex's lower-ranked
-    cycle neighbour goes first); a vertex and its child blocks go by rank,
-    the unranked ones right after the vertex.  A pre-order walk lists the
-    tree's inner vertices with their child blocks' cycle walks.  Then, on
-    that list reversed, so children before parents, each vertex fixes its
-    blocks' directions and its own sequence, and `span` its subtree's lowest
-    and highest rank; the first subtree whose ranks do not run on fails the
-    test.  `_emit` lays the sequences out in one flat list.  With at most
-    three ranks the test always passes (see `planar_order_keeping`).
-    """
-    incidence, blocks, index = decomp.incidence, decomp.blocks, decomp.graph._index
+def _listing(decomp: BlockDecomposition, root: Vertex) -> list[tuple[Vertex, list[tuple[Vertex, ...]]]]:
+    """The inner vertices of the block-cut tree of `root`'s component in
+    pre-order from `root`, each with the cycle walks of its child blocks:
+    each block's cycle from the vertex, less the vertex.  A tree leaf other
+    than `root` has no entry.  Nothing in it depends on what is kept."""
+    incidence, blocks = decomp.incidence, decomp.blocks
     inner, todo, via = [], [root], [None]
     while todo:
         v, parent = todo.pop(), via.pop()
@@ -409,8 +425,34 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
                         todo.append(w)
                         via.append(bi)
         inner.append((v, walks))
+    return inner
+
+
+def _kept(
+    decomp: BlockDecomposition,
+    inner: list[tuple[Vertex, list[tuple[Vertex, ...]]]],
+    rank: dict[Vertex, int],
+    seq: Optional[dict[Vertex, list[Vertex]]],
+) -> bool:
+    """Whether some crossing-free order of the component listed in `inner`
+    (its `_listing`), starting at its root, lists the ranked vertices by
+    increasing rank.  The root must have rank 0.  With `seq`, a dict, each
+    inner vertex's sequence goes into it, for `_emit` to lay out from the
+    root.
+
+    In a crossing-free order every subtree without the root is one arc, so
+    its ranks must run consecutively; a block's children must come in rank
+    order along its Hamiltonian cycle, one way or the other, which sets the
+    block's direction (with no ranked child, the entry vertex's lower-ranked
+    cycle neighbour goes first); a vertex and its child blocks go by rank,
+    the unranked ones right after the vertex.  On the listing reversed, so
+    children before parents, each vertex fixes its blocks' directions and
+    its own sequence, and `span` its subtree's lowest and highest rank; the
+    first subtree whose ranks do not run on fails the test.  With at most
+    three ranks the test always passes (see `planar_order_keeping`).
+    """
+    index = decomp.graph._index
     span = {x: (r, r) for x, r in rank.items()}
-    seq: dict[Vertex, list[Vertex]] = {}
     for v, walks in reversed(inner):
         own = rank.get(v)
         ranked = [] if own is None else [(own, own, None)]  # None stands for v itself
@@ -418,26 +460,28 @@ def _keep_component(decomp: BlockDecomposition, root: Vertex, rank: dict[Vertex,
         for walk in walks:
             runs = [span[w] for w in walk if w in span]
             if not runs:
-                free += walk if index[walk[0]] <= index[walk[-1]] else walk[::-1]
+                if seq is not None:
+                    free += walk if index[walk[0]] <= index[walk[-1]] else walk[::-1]
                 continue
             if runs[0][0] > runs[-1][0]:
                 walk, runs = walk[::-1], runs[::-1]
             for (_, hi), (lo, _) in zip(runs, runs[1:]):
                 if lo != hi + 1:
-                    return None
+                    return False
             ranked.append((runs[0][0], runs[-1][1], walk))
         ranked.sort()  # by lowest rank, which no two share
         for (_, hi, _), (lo, _, _) in zip(ranked, ranked[1:]):
             if lo != hi + 1:
-                return None
+                return False
         if ranked:
             span[v] = ranked[0][0], ranked[-1][1]
-        order = [] if own is not None else [v, *free]
-        for _, _, walk in ranked:
-            if walk is None:
-                order.append(v)
-                order += free
-            else:
-                order += walk
-        seq[v] = order
-    return _emit(seq, [root])
+        if seq is not None:
+            order = [] if own is not None else [v, *free]
+            for _, _, walk in ranked:
+                if walk is None:
+                    order.append(v)
+                    order += free
+                else:
+                    order += walk
+            seq[v] = order
+    return True

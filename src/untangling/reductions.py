@@ -11,11 +11,13 @@ values its ranks as one slice.
 
 The second construction turns a distinct-chunk instance into a flower of
 cycles sharing one hub vertex, drawn with ranks in clockwise order, with
-the move budget K = L - M.  An increasing subsequence of length M gives an
-untangling within K moves.  The converse needs the hub held fixed: the
-no-instance of chunks (4, 3, 7, 2, 8, 6, 5) and (1,) with M = 5 has K = 3,
-and its drawing untangles in 3 moves when the hub moves but needs 4 with the
-hub fixed (ROADMAP item 6).
+the move budget K = L - M.  The entries of the first construction's output
+are the ranks 1..L already, so there each entry names its vertex directly;
+other entries are renumbered by a sort.  An increasing subsequence of
+length M gives an untangling within K moves.  The converse needs the hub
+held fixed: the no-instance of chunks (4, 3, 7, 2, 8, 6, 5) and (1,) with
+M = 5 has K = 3, and its drawing untangles in 3 moves when the hub moves
+but needs 4 with the hub fixed (ROADMAP item 6).
 
 One knob deviates from the narrowest reading of the source casework: the run
 starting offsets go up to K - a_i + 1 (not K - a_i).  With the shorter range
@@ -52,7 +54,7 @@ class ThreePartitionInstance(_Record):
         a = tuple(a)  # what is checked is what is kept; a tuple is not copied
         if len(a) == 0 or len(a) % 3 != 0:
             raise InvalidInstance("need 3m elements")
-        if any(x <= 0 for x in a) or k <= 0:
+        if not all(isinstance(x, int) and x > 0 for x in a) or not isinstance(k, int) or k <= 0:
             raise InvalidInstance("elements and target must be positive")
         if any(not (k < 4 * x and 2 * x < k) for x in a):
             raise InvalidInstance("every element must satisfy K/4 < a < K/2")
@@ -75,7 +77,9 @@ class DistIcorInstance(_Record):
             raise InvalidInstance("M must be positive")
         if any(len(c) == 0 for c in chunks):
             raise InvalidInstance("chunks must be nonempty")
-        if min(map(min, chunks), default=1) <= 0:
+        # one set of types, not a call per entry: this runs on every chunk word
+        types = set(map(type, chain.from_iterable(chunks)))
+        if not all(issubclass(t, int) for t in types) or min(map(min, chunks), default=1) <= 0:
             raise InvalidInstance("chunk entries must be positive integers")
         entries = sorted(chain.from_iterable(chunks))  # equal entries end up side by side
         if any(map(eq, entries, islice(entries, 1, None))):
@@ -282,8 +286,10 @@ def chunk_property_check(reduced: ReducedDistIcor) -> None:
 def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]:
     """Distinct chunks to a circular drawing plus a move budget K = L - M.
 
-    Entries are renumbered by rank to 1..L; the graph is one cycle per chunk,
-    all sharing the hub v0, drawn in the clockwise order v0, v1, ..., vL.
+    Entries are renumbered by rank to 1..L, which leaves entries that are
+    already 1..L, such as the ranks of `reduce_3p_to_disticor`, as they are;
+    the graph is one cycle per chunk, all sharing the hub v0, drawn in the
+    clockwise order v0, v1, ..., vL.
     """
     total = inst.total
     vertices = tuple(f"v{i}" for i in range(total + 1))
@@ -293,10 +299,15 @@ def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]
 
 def _flower_edges(chunks: Sequence[Sequence[int]], vertices: tuple[str, ...]) -> list[tuple[str, str]]:
     """Each chunk's cycle through the hub vertices[0], every edge built once
-    with its lower-ranked end first, so `Graph` keeps it; the entry-to-vertex
-    map goes when this returns."""
-    # the vertex of each entry, by its rank
-    name = dict(zip(sorted(chain.from_iterable(chunks)), islice(vertices, 1, None)))
+    with its lower-ranked end first, so `Graph` keeps it.  The entries are
+    distinct positive integers, so they are the ranks 1..L exactly when the
+    largest is L, as in every `reduce_3p_to_disticor` output: then each
+    entry indexes its vertex.  Otherwise a sort maps each entry to the
+    vertex of its rank, and the map goes when this returns."""
+    if max(map(max, chunks), default=0) == len(vertices) - 1:
+        name = vertices
+    else:
+        name = dict(zip(sorted(chain.from_iterable(chunks)), islice(vertices, 1, None)))
     hub = vertices[0]
     edges: list[tuple[str, str]] = []
     for c in chunks:

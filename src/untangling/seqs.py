@@ -40,15 +40,18 @@ def lis_indices(items: Sequence) -> list[int]:
 
 def lis_length(items: Iterable) -> int:
     """Length of a longest strictly increasing subsequence, from one
-    length-only patience pass that builds no witness and copies no input."""
+    length-only patience pass that builds no witness and copies no input;
+    the piles are counted as they open, not measured per item."""
     tails: list = []
+    piles = 0
     for x in items:
         j = bisect_left(tails, x)
-        if j == len(tails):
+        if j == piles:
             tails.append(x)
+            piles += 1
         else:
             tails[j] = x
-    return len(tails)
+    return piles
 
 
 def lis(s) -> list:
@@ -62,16 +65,19 @@ MAX_SPLITS = 4
 
 
 def _prefix_lis_lens(items: Sequence) -> list[int]:
-    """out[k] = LIS length of items[:k], from one patience pass."""
+    """out[k] = LIS length of items[:k], from one patience pass that counts
+    its piles as in `lis_length`."""
     tails: list = []
+    piles = 0
     out = [0]
     for x in items:
         j = bisect_left(tails, x)
-        if j == len(tails):
+        if j == piles:
             tails.append(x)
+            piles += 1
         else:
             tails[j] = x
-        out.append(len(tails))
+        out.append(piles)
     return out
 
 

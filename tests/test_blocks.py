@@ -777,10 +777,11 @@ def test_keeping_matches_reference():
     graphs += _multi_component_graphs()
     kept = failed = nested = 0
     for g in graphs:
-        decomp = block_decomposition(g)
+        decomp, listings = block_decomposition(g), {}
         for walk in _keeping_walks(g, rng):
             got = planar_order_keeping(decomp, walk)
             assert got == reference_keeping(decomp, walk), (g.vertices, sorted(g.edges), walk)
+            assert blocks._keeps(decomp, walk, listings) == (got is not None), (g.vertices, sorted(g.edges), walk)
             kept += got is not None
             failed += got is None
             nested += got is not None and len({decomp.component_of[x] for x in walk}) > 1
@@ -791,12 +792,12 @@ def test_keeping_matches_reference_on_deep_and_wide_trees():
     vs = cycle_graph(20_000).vertices
     fan = Graph(vs, [*zip(vs, vs[1:]), *((vs[0], x) for x in vs[2:])])
     for g in (path_graph(20_000), fan):  # a tree of depth ~40,000; one block of 20,000 vertices
-        decomp = block_decomposition(g)
+        decomp, listings = block_decomposition(g), {}
         rng = random.Random(7)
-        for walk in _keeping_walks(g, rng):
-            assert planar_order_keeping(decomp, walk) == reference_keeping(decomp, walk)
-        for fixed in (g.vertices[:4], g.vertices[::-997], ("v1", "v3", "v2", "v4")):
-            assert planar_order_keeping(decomp, fixed) == reference_keeping(decomp, fixed)
+        for walk in [*_keeping_walks(g, rng), g.vertices[:4], g.vertices[::-997], ("v1", "v3", "v2", "v4")]:
+            got = planar_order_keeping(decomp, walk)
+            assert got == reference_keeping(decomp, walk)
+            assert blocks._keeps(decomp, walk, listings) == (got is not None)
 
 
 def test_planar_order_keeping_nests_components():

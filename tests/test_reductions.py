@@ -276,6 +276,18 @@ def test_reduce_disticor_fig3():
     assert frozenset(d.graph.edges) == frozenset(e for c in cycles for e in c)
 
 
+@pytest.mark.parametrize("spread", [lambda x: 10 * x, lambda x: x + 100], ids=["x10", "+100"])
+def test_reduce_disticor_renumbers_entries_that_are_not_ranks(spread):
+    """Entries other than 1..L are renumbered by rank: fig3's chunks spread
+    out give the drawing and budget of `test_reduce_disticor_fig3`."""
+    chunks = ((2, 5), (1, 8, 4), (6, 7, 9, 3))
+    d, budget = reduce_disticor_to_cu(DistIcorInstance(chunks, 5))
+    spread_d, spread_budget = reduce_disticor_to_cu(DistIcorInstance(tuple(tuple(map(spread, c)) for c in chunks), 5))
+    assert spread_d.order == d.order
+    assert spread_d.graph.sorted_edges() == d.graph.sorted_edges()
+    assert spread_budget == budget == 4
+
+
 @pytest.mark.parametrize("inst", [ThreePartitionInstance((6, 6, 6), 18), ThreePartitionInstance((9, 9, 12), 30)], ids=str)
 def test_reduce_disticor_peaks_little_above_its_drawing(inst):
     """Each edge is built once and kept by `Graph`, and the entry-to-vertex
