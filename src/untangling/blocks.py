@@ -10,12 +10,12 @@ for callers that need no blocks.
 vertices in its cyclic order, each block with none of them from its entry
 vertex towards that vertex's lower-ranked cycle neighbour; with nothing
 kept, that is one flat pre-order walk, `planar_circular_order` without
-`rng`.  `_keeps` runs the same test with no layout, for callers that only
-ask whether a sequence is kept; it takes each root's pre-order listing of
-the tree from a dict the caller keeps.  With `rng`, `planar_circular_order`
-walks the tree at random.  Each walk runs on an explicit stack and nests no
-Python calls, so a deep tree never meets the recursion limit.  All take the
-tree, to be built once and laid out often.
+`rng`.  Its keep test `_keep` returns a plan or None; the plan holds each
+vertex's sequence, the roots, and what goes just before a vertex.  With
+`rng`, `planar_circular_order` draws such a plan at random.  `_emit` lays
+out every plan.  Each walk runs on an explicit stack and nests no Python
+calls, so a deep tree never meets the recursion limit.  All take the tree,
+to be built once and laid out often.
 
 A block with as many edges as vertices is a plain cycle, walked along its
 edges.  Any other block is peeled: a 2-connected outerplanar block always
@@ -235,16 +235,17 @@ def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Rando
     block's direction (a bridge draws nothing), visits its cut vertices in
     that direction, and then puts the block before or after the vertex at
     random.  The draws run on a stack of tasks: a visit (no walk yet) or a
-    block whose walk is done.  Each vertex's choices become its `_emit`
-    sequence.  No crossing test is run here: the tree certifies that the
-    graph is outerplanar, and every walk of it is crossing-free.
+    block whose walk is done.  A block drawn after v joins `seq[v]` and one
+    drawn before it `before[v]`, for `_emit`.  No crossing test is run
+    here: the tree certifies that the graph is outerplanar, and every walk
+    of it is crossing-free.
     """
     if rng is None:
         return tuple(_walk(decomp, range(len(decomp.components))))
     incidence, blocks = decomp.incidence, decomp.blocks
     comps = [sorted(c, key=decomp.graph.index) for c in decomp.components]
     rng.shuffle(comps)
-    roots, seq, sides = [], {}, {}  # sides: each vertex being visited, its blocks before it and after it
+    roots, seq, before = [], {}, {}
     for comp in comps:
         roots.append(rng.choice(comp))
         todo: list[tuple] = [(roots[-1], None, None, None)]
@@ -253,36 +254,41 @@ def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Rando
             if walk is None:  # visit v, entered by block bi
                 kids = [b for b in incidence[v] if b != bi]
                 rng.shuffle(kids)
-                kids, sides[v] = iter(kids), ([], [])
-            else:  # block bi's subtrees are drawn: put it on a side of v
-                sides[v][rng.random() >= 0.5].extend(walk)
+                kids, seq[v] = iter(kids), [v]
+            elif rng.random() >= 0.5:  # block bi's subtrees are drawn: put it after v or before it
+                seq[v] += walk
+            else:
+                before.setdefault(v, []).extend(walk)
             bi = next(kids, None)
             if bi is None:
-                before, after = sides.pop(v)
-                seq[v] = before + [v] + after
                 continue
             walk = rotate_to(blocks[bi], v)[1:]
             if len(walk) > 1 and rng.random() >= 0.5:
                 walk = walk[::-1]
             todo.append((v, bi, walk, kids))
             todo += [(w, bi, None, None) for w in reversed(walk) if len(incidence[w]) > 1]
-    return tuple(_emit(seq, roots))
+    return tuple(_emit(seq, roots, before))
 
 
-def _emit(seq: dict[Vertex, list[Vertex]], roots: list[Vertex]) -> list[Vertex]:
+def _emit(seq: dict[Vertex, list[Vertex]], roots: list[Vertex], before: dict[Vertex, list[Vertex]]) -> list[Vertex]:
     """A layout of the block-cut tree in pre-order from each of `roots` in
-    turn, given `seq`, which maps each vertex with child blocks to itself and
-    their cycle walks in laid order.  A vertex is expanded the first time it
-    is met and put out the second, inside its own sequence; a tree leaf has
-    no sequence and is put out at once.  `seq` is emptied."""
+    turn.  `seq` maps a vertex with child blocks to itself and their cycle
+    walks in laid order, and `before` a vertex to what goes just before it.
+    A vertex is expanded the first time it is met; the next time, its
+    `before` entry is laid out in the same way and then it is put out.  A
+    vertex in neither dict is put out at once.  Both dicts are emptied."""
     out, stack = [], [iter(roots)]
     while stack:
         for x in stack[-1]:
             s = seq.pop(x, None)
-            if s is not None:
-                stack.append(iter(s))
-                break
-            out.append(x)
+            if s is None:
+                s = before.pop(x, None)
+                if s is None:
+                    out.append(x)
+                    continue
+                stack.append(iter((x,)))
+            stack.append(iter(s))
+            break
         else:
             stack.pop()
     return out
@@ -312,7 +318,7 @@ def _walk(decomp: BlockDecomposition, comps: Iterable[int]) -> list[Vertex]:
     return out
 
 
-def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> Optional[tuple[Vertex, ...]]:
+def planar_order_keeping(decomp: BlockDecomposition, walk: Iterable[Vertex]) -> Optional[tuple[Vertex, ...]]:
     """A crossing-free cyclic order of `decomp.graph` whose restriction to
     the vertices of `walk` is `walk` up to rotation, or None when there is
     none.  `walk` lists distinct vertices in the cyclic order to keep, e.g.
@@ -327,38 +333,38 @@ def planar_order_keeping(decomp: BlockDecomposition, walk: Sequence[Vertex]) -> 
     Lueker, JCSS 13(3), 1976; cyclic form: Hsu and McConnell, TCS 292(1),
     2003).  `_kept` runs the bottom-up reorder test on that tree.
     Two components never interleave, since each must lie in one gap of the
-    other, so a stack walk along the fixed sequence nests them, and each
-    nested component's order goes in whole just before the next fixed
-    vertex of the one around it; a lone component's order is the answer
-    as laid.  Components with no fixed vertex go last, laid out by `_walk`.
-    No crossing test is run here: the callers that hand an order out check
-    it once.  `_keeps` answers the same question by the same test without
-    laying anything out.
+    other, so `_keep`, a stack walk along the fixed sequence, nests them,
+    and each nested component's order goes in whole just before the next
+    fixed vertex of the walk; `_emit` lays out its plan.  Components with
+    no fixed vertex go last, laid out by `_walk`.  No crossing test is run
+    here: the callers that hand an order out check it once.
 
     A walk of at most three vertices is always kept: three vertices have
     only two cyclic orders, each the mirror of the other, and the mirror of
     a crossing-free order is crossing-free.  So `oracle._max_fixed_set`
     does not ask about such sets (it still charges each probe).
     """
-    return _keep(decomp, walk, {}, True)
+    plan = _keep(decomp, tuple(walk), {})
+    if plan is None:
+        return None
+    seq, roots, before, ranks = plan
+    return tuple(_emit(seq, roots, before) + _walk(decomp, [c for c, rank in enumerate(ranks) if not rank]))
 
 
-def _keeps(decomp: BlockDecomposition, walk: Sequence[Vertex], listings: dict[Vertex, list]) -> bool:
-    """Whether `planar_order_keeping(decomp, walk)` is not None, by the same
-    nesting and span tests with no layout: no vertex sequence, no `_emit`,
-    no order.  `listings` maps each root met so far to its `_listing`, which
+def _keep(decomp: BlockDecomposition, walk: Sequence[Vertex], listings: dict[Vertex, list]) -> Optional[tuple]:
+    """The plan of `planar_order_keeping(decomp, walk)`, or None when there
+    is no such order: `(seq, roots, before, ranks)`, the first three for
+    `_emit`, and `ranks[c]` each fixed vertex of component c by its place
+    (empty when c has none).  A component opens at its first fixed vertex,
+    its root, and closes at its last.  One that closes at walk index i
+    inside another opened and closed between two of that one's fixed
+    vertices, so its root goes into `before[walk[i + 1]]`: that next fixed
+    vertex, or the root of a later component in the same gap, itself laid
+    just before it.  One that closes at top level joins `roots`.  `walk` is
+    read twice.  `listings` maps each root met so far to its `_listing`, which
     depends only on `decomp` and the root; a caller that asks about many
     walks of one `decomp` passes the same dict each time, so each root is
     listed once."""
-    return _keep(decomp, walk, listings, False) is not None
-
-
-def _keep(
-    decomp: BlockDecomposition, walk: Sequence[Vertex], listings: dict[Vertex, list], lay: bool
-) -> Optional[tuple[Vertex, ...]]:
-    """`planar_order_keeping`, taking each component's `_listing` from
-    `listings` or putting it there.  Without `lay` nothing is laid out, and
-    a kept walk gives ()."""
     comp_of = decomp.component_of
     ranks: list[dict[Vertex, int]] = [{} for _ in decomp.components]
     last = {}
@@ -371,39 +377,26 @@ def _keep(
             raise InvalidInstance(f"walk repeats vertex {x!r}")
         ranks[c][x] = len(ranks[c])
         last[c] = i
-    # a component is laid out when the walk opens it; one nested in another
-    # goes just before the next fixed vertex of the one around it: when it
-    # opens, that one's order goes out up to there, and each order's rest
-    # goes out when its last fixed vertex is met
-    out: list[Vertex] = []
-    nest: list[list] = []  # the components open at this point of the walk: [index, order, how much of it is out]
+    seq, roots, before = {}, [], {}
+    nest: list[tuple[int, Vertex]] = []  # the components open at this point of the walk, with their roots
     for i, x in enumerate(walk):
         c = comp_of[x]
         if not nest or nest[-1][0] != c:
             if ranks[c][x]:  # c was opened before, and another component is open inside it
                 return None
-            if lay and nest and comp_of[walk[i - 1]] == nest[-1][0]:  # the first opened since that one's last fixed vertex
-                p, order, k = top = nest[-1]
-                rank, r, j = ranks[p], ranks[p][walk[i - 1]], k
-                while rank.get(order[j], -1) <= r:
-                    j += 1
-                out += order[k:j]
-                top[2] = j
             inner = listings.get(x)
             if inner is None:
                 inner = listings[x] = _listing(decomp, x)
-            seq: Optional[dict[Vertex, list[Vertex]]] = {} if lay else None
             if not _kept(decomp, inner, ranks[c], seq):
                 return None
-            nest.append([c, _emit(seq, [x]) if lay else None, 0])
+            nest.append((c, x))
         if i == last[c]:
-            _, order, k = nest.pop()
-            if lay:
-                out += order[k:]
-    if not lay:
-        return ()
-    out += _walk(decomp, [c for c, rank in enumerate(ranks) if not rank])
-    return tuple(out)
+            root = nest.pop()[1]
+            if nest:
+                before[walk[i + 1]] = [root]
+            else:
+                roots.append(root)
+    return seq, roots, before, ranks
 
 
 def _listing(decomp: BlockDecomposition, root: Vertex) -> list[tuple[Vertex, list[tuple[Vertex, ...]]]]:
@@ -432,13 +425,12 @@ def _kept(
     decomp: BlockDecomposition,
     inner: list[tuple[Vertex, list[tuple[Vertex, ...]]]],
     rank: dict[Vertex, int],
-    seq: Optional[dict[Vertex, list[Vertex]]],
+    seq: dict[Vertex, list[Vertex]],
 ) -> bool:
     """Whether some crossing-free order of the component listed in `inner`
     (its `_listing`), starting at its root, lists the ranked vertices by
-    increasing rank.  The root must have rank 0.  With `seq`, a dict, each
-    inner vertex's sequence goes into it, for `_emit` to lay out from the
-    root.
+    increasing rank.  The root must have rank 0.  Each inner vertex's
+    sequence goes into `seq`, for `_emit` to lay out from the root.
 
     In a crossing-free order every subtree without the root is one arc, so
     its ranks must run consecutively; a block's children must come in rank
@@ -460,8 +452,7 @@ def _kept(
         for walk in walks:
             runs = [span[w] for w in walk if w in span]
             if not runs:
-                if seq is not None:
-                    free += walk if index[walk[0]] <= index[walk[-1]] else walk[::-1]
+                free += walk if index[walk[0]] <= index[walk[-1]] else walk[::-1]
                 continue
             if runs[0][0] > runs[-1][0]:
                 walk, runs = walk[::-1], runs[::-1]
@@ -475,13 +466,12 @@ def _kept(
                 return False
         if ranked:
             span[v] = ranked[0][0], ranked[-1][1]
-        if seq is not None:
-            order = [] if own is not None else [v, *free]
-            for _, _, walk in ranked:
-                if walk is None:
-                    order.append(v)
-                    order += free
-                else:
-                    order += walk
-            seq[v] = order
+        order = [] if own is not None else [v, *free]
+        for _, _, walk in ranked:
+            if walk is None:
+                order.append(v)
+                order += free
+            else:
+                order += walk
+        seq[v] = order
     return True

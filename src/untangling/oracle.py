@@ -4,9 +4,9 @@ Both exact untanglers are one branch and bound over fixed sets: a set can
 stay put exactly when `blocks.planar_order_keeping` keeps it, a linear test
 that holds for every subset of a kept set too, so the search takes vertices
 in drawing order while it passes and cuts branches that cannot beat the best.
-Its probes ask keepability only, through `blocks._keeps`, which lays
-nothing out and lists the block-cut tree from each root once per search;
-only the largest set found is laid out, by `planar_order_keeping`.
+Its probes ask keepability only, through `blocks._keep`, which builds a
+plan but lays no order out, on one listing per root per search; only the
+largest set found is laid out, by `planar_order_keeping`.
 
 The planar-order enumerators are exhaustive and independent of `blocks`, the
 reference that tests check the search against.  The enumerator backtracks
@@ -23,7 +23,7 @@ from bisect import bisect_right
 from itertools import permutations, product
 from typing import Collection, Optional, Sequence
 
-from .blocks import BlockDecomposition, _keeps, block_decomposition, planar_order_keeping
+from .blocks import BlockDecomposition, _keep, block_decomposition, planar_order_keeping
 from .errors import ConstructionFailed, TooLarge
 from .model import CircularDrawing, Edge, Graph, Vertex, _Record, is_crossing_free, restriction
 from .seqs import lis
@@ -118,10 +118,10 @@ def _max_fixed_set(decomp: BlockDecomposition, order: Sequence[Vertex], forced: 
     """A largest set containing `forced` (which must be keepable, as any two
     vertices are) that a crossing-free order of `decomp.graph` keeps in its
     cyclic order in `order`, listed in drawing order.  Branch and bound: each
-    vertex is taken, while `_keeps` passes (the test of
-    `planar_order_keeping` without its layout), before it is left out, and
-    ties keep the first set found.  A set of at most three vertices
-    is kept without asking: three vertices have only two cyclic orders, each
+    vertex is taken, while `_keep` finds a plan (the test of
+    `planar_order_keeping`, with no order laid out), before it is left out,
+    and ties keep the first set found.  A set of at most three vertices is
+    kept without asking: three vertices have only two cyclic orders, each
     the mirror of the other, and the mirror of a crossing-free order is
     crossing-free, so some crossing-free order keeps either.  Each probe,
     asked or not, charges n against FIXED_SET_BUDGET, past which it raises
@@ -129,7 +129,7 @@ def _max_fixed_set(decomp: BlockDecomposition, order: Sequence[Vertex], forced: 
     n = len(order)
     free = [x for x in order if x not in forced]
     fixed, best, spent = set(forced), None, 0
-    listings: dict = {}  # for `_keeps`: each root's listing, built once per search
+    listings: dict = {}  # for `_keep`: each root's listing, built once per search
     taken: list[int] = []  # the indices into `free` taken on this branch, ascending
     i = 0
     while True:
@@ -141,7 +141,7 @@ def _max_fixed_set(decomp: BlockDecomposition, order: Sequence[Vertex], forced: 
                 if spent > FIXED_SET_BUDGET:
                     raise TooLarge(f"exact fixed-set search exceeded {FIXED_SET_BUDGET} vertex-tests at n={n}")
                 fixed.add(free[i])
-                if len(fixed) > 3 and not _keeps(decomp, restriction(order, fixed), listings):
+                if len(fixed) > 3 and _keep(decomp, restriction(order, fixed), listings) is None:
                     fixed.discard(free[i])
                 else:
                     taken.append(i)

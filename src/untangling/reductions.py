@@ -73,7 +73,7 @@ class DistIcorInstance(_Record):
 
     def __init__(self, chunks: tuple[tuple[int, ...], ...], m_target: int):
         chunks = tuple(map(tuple, chunks))  # as for `a`: no chunk tuple is copied
-        if m_target <= 0:
+        if not isinstance(m_target, int) or m_target <= 0:
             raise InvalidInstance("M must be positive")
         if any(len(c) == 0 for c in chunks):
             raise InvalidInstance("chunks must be nonempty")

@@ -781,7 +781,7 @@ def test_keeping_matches_reference():
         for walk in _keeping_walks(g, rng):
             got = planar_order_keeping(decomp, walk)
             assert got == reference_keeping(decomp, walk), (g.vertices, sorted(g.edges), walk)
-            assert blocks._keeps(decomp, walk, listings) == (got is not None), (g.vertices, sorted(g.edges), walk)
+            assert (blocks._keep(decomp, walk, listings) is not None) == (got is not None), (g.vertices, sorted(g.edges), walk)
             kept += got is not None
             failed += got is None
             nested += got is not None and len({decomp.component_of[x] for x in walk}) > 1
@@ -797,7 +797,7 @@ def test_keeping_matches_reference_on_deep_and_wide_trees():
         for walk in [*_keeping_walks(g, rng), g.vertices[:4], g.vertices[::-997], ("v1", "v3", "v2", "v4")]:
             got = planar_order_keeping(decomp, walk)
             assert got == reference_keeping(decomp, walk)
-            assert blocks._keeps(decomp, walk, listings) == (got is not None)
+            assert (blocks._keep(decomp, walk, listings) is not None) == (got is not None)
 
 
 def test_planar_order_keeping_nests_components():
@@ -805,12 +805,24 @@ def test_planar_order_keeping_nests_components():
     bd = block_decomposition(g)
     # x-y sits in the gap between b and c
     assert planar_order_keeping(bd, ("a", "b", "x", "y", "c")) == ("a", "b", "x", "y", "c")
+    # a walk that can be read only once keeps its fixed components
+    assert planar_order_keeping(bd, iter(("a", "c", "b"))) == planar_order_keeping(bd, ("a", "c", "b")) == ("a", "c", "b", "x", "y")
     # x-y interleaves a-b-c, which no crossing-free order does
     assert planar_order_keeping(bd, ("a", "x", "b", "y", "c")) is None
     # y is free, so it goes next to x
     got = planar_order_keeping(bd, restriction(("a", "x", "b", "y", "c"), ("a", "b", "c", "x")))
     assert cyclic_equal(restriction(got, "abcx"), ("a", "x", "b", "c"))
     assert is_crossing_free(got, g.edges)
+    # nests in nests: each nested component goes just before the fixed vertex after it
+    nested = block_decomposition(Graph(("a", "b", "c", "x", "y", "u", "v", "w"), [("a", "b"), ("b", "c"), ("x", "y"), ("u", "v")]))
+    for walk, want in [
+        ("axyuvbc", "axyuvbcw"),  # two nests side by side
+        ("axuvybc", "axuvybcw"),  # a nest inside a nest
+        ("axuyvb", None),  # an interleaving inside a nest
+        ("auxyvc", "abuxyvcw"),  # a free vertex before a nest
+        ("xaby", "xabcyuvw"),  # the outer path kept inside the x-y component
+    ]:
+        assert planar_order_keeping(nested, tuple(walk)) == (want and tuple(want)), walk
     # no fixed vertex at all: some planar order
     assert is_crossing_free(planar_order_keeping(bd, ()), g.edges)
     assert planar_order_keeping(block_decomposition(Graph(())), ()) == ()

@@ -493,6 +493,8 @@ def test_records_rebuild_from_their_fields_as_keywords(name):
         (ThreePartitionInstance, ((6, 6, 6), 18.0), InvalidInstance, "elements and target must be positive"),
         (ThreePartitionInstance, ((2, 3, 4), 9), InvalidInstance, "every element must satisfy K/4 < a < K/2"),
         (DistIcorInstance, (((1, 2),), 0), InvalidInstance, "M must be positive"),
+        (DistIcorInstance, (((1, 2), (3,)), 2.5), InvalidInstance, "M must be positive"),
+        (DistIcorInstance, (((1, 2), (3,)), "2"), InvalidInstance, "M must be positive"),
         (DistIcorInstance, (((1, 2), ()), 2), InvalidInstance, "chunks must be nonempty"),
         (DistIcorInstance, (((0, 2),), 2), InvalidInstance, "chunk entries must be positive integers"),
         (DistIcorInstance, (((1.5, 2), (3,)), 2), InvalidInstance, "chunk entries must be positive integers"),

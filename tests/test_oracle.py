@@ -208,8 +208,8 @@ def test_any_three_vertices_are_kept_in_either_cyclic_order(exhaustive_corpus):
 
 
 def test_fixed_set_search_asks_only_about_four_or_more_vertices(monkeypatch):
-    sizes, keeps = [], oracle._keeps
-    monkeypatch.setattr(oracle, "_keeps", lambda decomp, walk, listings: sizes.append(len(walk)) or keeps(decomp, walk, listings))
+    sizes, keep = [], oracle._keep
+    monkeypatch.setattr(oracle, "_keep", lambda decomp, walk, listings: sizes.append(len(walk)) or keep(decomp, walk, listings))
     for d in (gen_fig5(8), gen_random(9, 3, "almost-planar"), gen_random(9, 0, "disconnected")):
         decomp = block_decomposition(d.graph)
         assert len(oracle._max_fixed_set(decomp, d.order)) == len(d.order) - scan_exact_min(d)
@@ -322,7 +322,7 @@ def test_exact_min_untangle_examples():
 
 def test_exact_min_untangle_checks_its_target(monkeypatch):
     # every probe passes and the target is the drawing's own crossing order
-    monkeypatch.setattr(oracle, "_keeps", lambda decomp, walk, listings: True)
+    monkeypatch.setattr(oracle, "_keep", lambda decomp, walk, listings: True)
     monkeypatch.setattr(oracle, "planar_order_keeping", lambda decomp, walk: tuple(walk))
     with pytest.raises(ConstructionFailed):
         exact_min_untangle(gen_fig5(6))
