@@ -78,7 +78,8 @@ class Graph(_Record):
     """Undirected simple graph over string-labeled vertices.
 
     `vertices` is an ordered set; its order defines the tie-breaking rank
-    used by all deterministic choices downstream.
+    used by all deterministic choices downstream.  An edge is any pair of
+    declared vertices but a string, kept with its lower-ranked end first.
     """
 
     _fields = ("vertices", "edges")
@@ -92,7 +93,7 @@ class Graph(_Record):
 
         def normal(edge: Sequence[Vertex]) -> Edge:
             try:
-                a, b = edge
+                a, b = () if isinstance(edge, str) else edge  # a string's characters are not its ends
             except (TypeError, ValueError):
                 raise InvalidInstance(f"edge {edge!r} does not have two ends") from None
             if a == b:

@@ -7,17 +7,21 @@ increasing subsequence of length exactly m * (K + 3X).  Each chunk word is
 ranked by (value, later position first) over all chunks, and the ranks
 follow by counting, with no sort: a prefix sum over the count of each value
 gives its first rank, and a backward pass hands each run of consecutive
-values its ranks as one slice.
+values its ranks as one slice.  `chunk_property_check` verifies the five
+chunk properties; once the runs tile each chunk and (i) and (iii) hold, the
+runs decide (iv) and (v), so a patience pass runs only to report the length
+where (iv) fails, and to measure (v) where a chunk has more than X runs.
 
 The second construction turns a distinct-chunk instance into a flower of
 cycles sharing one hub vertex, drawn with ranks in clockwise order, with
 the move budget K = L - M.  The entries of the first construction's output
 are the ranks 1..L already, so there each entry names its vertex directly;
-other entries are renumbered by a sort.  An increasing subsequence of
-length M gives an untangling within K moves.  The converse needs the hub
-held fixed: the no-instance of chunks (4, 3, 7, 2, 8, 6, 5) and (1,) with
-M = 5 has K = 3, and its drawing untangles in 3 moves when the hub moves
-but needs 4 with the hub fixed (ROADMAP item 6).
+other entries are renumbered by a sort.  The edges are fed to `Graph` one
+at a time, so no list of them is held beside the graph.  An increasing
+subsequence of length M gives an untangling within K moves.  The converse
+needs the hub held fixed: the no-instance of chunks (4, 3, 7, 2, 8, 6, 5)
+and (1,) with M = 5 has K = 3, and its drawing untangles in 3 moves when
+the hub moves but needs 4 with the hub fixed (ROADMAP item 6).
 
 One knob deviates from the narrowest reading of the source casework: the run
 starting offsets go up to K - a_i + 1 (not K - a_i).  With the shorter range
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, islice, repeat
 from operator import eq, lt, mul, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, NotAWitness, NotDistinct, PropertyViolation, TooLarge
 from .model import CircularDrawing, Graph, _Record, _set
@@ -248,12 +252,45 @@ def chunk_property_check(reduced: ReducedDistIcor) -> None:
     (iii) the advertised incremental runs exist with increasing ranks,
     (iv)  the longest increasing subsequence is exactly a_i + X,
     (v)   reversed, it is at most X.
+
+    First the runs must tile the chunk: its projection and ranks both hold
+    `len(start_numbers) * run_length` words.  Once (i) and (iii) hold, the
+    runs decide (iv) and (v):
+
+    - (iv) By (i), the ranks of an increasing-rank subsequence rise with
+      its projection values, strictly, since equal values rank backwards.
+      If the chunk has a run and its start numbers never rise, every value
+      of such a subsequence lies in the range of the last run it uses: it
+      is at most the value taken from that run, so below the run's top,
+      and at least its own run's start, which is no lower than the last
+      run's.  So the longest has at most `run_length` words, and one run,
+      rising by (iii), has exactly that many.  Otherwise, with
+      `run_length` > 0, (iv) fails: a chunk with no run is empty, and if a
+      start is below the next one, the earlier run and then the last word
+      of the later run, which by (i) outranks the whole earlier run, rise
+      over `run_length` + 1 words.  A length-only patience pass
+      (`seqs.lis_length`) runs there only to report the length.
+    - (v) The runs tile the chunk and each rises, by (iii), so a
+      decreasing subsequence takes at most one word of each run: at most
+      `len(start_numbers)` words, which is 3m(K - a_i + 1) <= 3mK = X in
+      every `reduce_3p_to_disticor` output.  A patience pass measures (v)
+      only when the chunk has more than X runs.
+
+    Each witness leads with the chunk index: (i) gives `(chunk, position,
+    position)` for two words out of order, (ii) `(chunk, start)`, (iii)
+    `(chunk, start)` for a bad run and `(chunk, len(projection),
+    len(ranks), len(start_numbers) * run_length)` when the runs do not
+    tile the chunk, (iv) and (v) `(chunk, length, bound)`.
     """
     block = reduced.block
     for ci, ch in enumerate(reduced.chunks):
+        n = len(ch.ranks)
+        runs = len(ch.start_numbers)
+        if not len(ch.projection) == n == runs * ch.run_length:
+            raise PropertyViolation("iii", (ci, len(ch.projection), n, runs * ch.run_length))
+
         # (i) holds iff the keys projection * n - position rise in rank order:
         # they order words by projection, then later position first
-        n = len(ch.ranks)
         by_rank = sorted(range(n), key=ch.ranks.__getitem__)
         keys = list(map(sub, map(mul, ch.projection, repeat(n)), range(n)))
         in_rank_order = list(map(keys.__getitem__, by_rank))
@@ -274,13 +311,15 @@ def chunk_property_check(reduced: ReducedDistIcor) -> None:
             if not in_order or ch.projection[run] != tuple(range(st, st + ch.run_length)):
                 raise PropertyViolation("iii", (ci, st))
 
-        best = lis_length(ch.ranks)
+        starts_never_rise = runs > 0 and not any(map(lt, ch.start_numbers, islice(ch.start_numbers, 1, None)))
+        best = ch.run_length if starts_never_rise else lis_length(ch.ranks)
         if best != ch.run_length:
             raise PropertyViolation("iv", (ci, best, ch.run_length))
 
-        best_rev = lis_length(reversed(ch.ranks))
-        if best_rev > reduced.x:
-            raise PropertyViolation("v", (ci, best_rev, reduced.x))
+        if runs > reduced.x:
+            best_rev = lis_length(reversed(ch.ranks))
+            if best_rev > reduced.x:
+                raise PropertyViolation("v", (ci, best_rev, reduced.x))
 
 
 def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]:
@@ -293,25 +332,25 @@ def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]
     """
     total = inst.total
     vertices = tuple(f"v{i}" for i in range(total + 1))
-    g = Graph(vertices, _flower_edges(inst.chunks, vertices))  # the edge list goes when Graph returns
+    g = Graph(vertices, _flower_edges(inst.chunks, vertices))
     return CircularDrawing(g, vertices), total - inst.m_target
 
 
-def _flower_edges(chunks: Sequence[Sequence[int]], vertices: tuple[str, ...]) -> list[tuple[str, str]]:
-    """Each chunk's cycle through the hub vertices[0], every edge built once
-    with its lower-ranked end first, so `Graph` keeps it.  The entries are
-    distinct positive integers, so they are the ranks 1..L exactly when the
-    largest is L, as in every `reduce_3p_to_disticor` output: then each
-    entry indexes its vertex.  Otherwise a sort maps each entry to the
-    vertex of its rank, and the map goes when this returns."""
+def _flower_edges(chunks: Sequence[Sequence[int]], vertices: tuple[str, ...]) -> Iterator[tuple[str, str]]:
+    """Yield each chunk's cycle through the hub vertices[0], every edge
+    built once with its lower-ranked end first, so `Graph` keeps it; no
+    list of the edges is held.  The entries are distinct positive integers,
+    so they are the ranks 1..L exactly when the largest is L, as in every
+    `reduce_3p_to_disticor` output: then each entry indexes its vertex.
+    Otherwise a sort maps each entry to the vertex of its rank, and the map
+    lives while the edges are yielded."""
     if max(map(max, chunks), default=0) == len(vertices) - 1:
         name = vertices
     else:
         name = dict(zip(sorted(chain.from_iterable(chunks)), islice(vertices, 1, None)))
     hub = vertices[0]
-    edges: list[tuple[str, str]] = []
     for c in chunks:
-        edges.append((hub, name[c[0]]))
-        edges.extend((name[x], name[y]) if x < y else (name[y], name[x]) for x, y in zip(c, islice(c, 1, None)))
-        edges.append((hub, name[c[-1]]))
-    return edges
+        yield hub, name[c[0]]
+        for x, y in zip(c, islice(c, 1, None)):
+            yield (name[x], name[y]) if x < y else (name[y], name[x])
+        yield hub, name[c[-1]]

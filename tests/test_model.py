@@ -65,6 +65,12 @@ def test_graph_validation():
     # an edge given as a tuple in rank order is kept, not copied
     e = ("a", "b")
     assert next(iter(Graph(("a", "b"), [e]).edges)) is e
+    # lists, reversed tuples and a one-shot generator give the same edges
+    vs = ("a", "b", "c")
+    edges = frozenset({("a", "b"), ("a", "c"), ("b", "c")})
+    for given in ([["b", "a"], ["a", "c"], ["c", "b"]], [("b", "a"), ("c", "a"), ("c", "b")]):
+        assert Graph(vs, given).edges == edges
+        assert Graph(vs, (e for e in given)).edges == edges
 
 
 @pytest.mark.parametrize(
@@ -79,6 +85,16 @@ def test_graph_validation():
         (("a", "b"), [("a", "b", "c")], InvalidInstance, "edge ('a', 'b', 'c') does not have two ends"),
         (("a", "b"), [("a", "b"), ("a",)], InvalidInstance, "edge ('a',) does not have two ends"),
         (("a", "b"), [5], InvalidInstance, "edge 5 does not have two ends"),
+        # a string is no pair of ends, whatever its length
+        (("a", "b"), ["ab"], InvalidInstance, "edge 'ab' does not have two ends"),
+        (("a", "b"), [("a", "b"), "abc"], InvalidInstance, "edge 'abc' does not have two ends"),
+        (("a", "b"), [["a", "b"], ["b", "b"]], InvalidInstance, "self-loop at 'b'"),
+        (("a", "b"), [["a", "z"]], UnknownVertex, "('a', 'z') references undeclared"),
+        (("a", "b"), [("b", "a"), ("b", "z")], UnknownVertex, "('b', 'z') references undeclared"),
+        (("a", "b"), [("b", "a"), ("a", "a")], InvalidInstance, "self-loop at 'a'"),
+        (("a", "b"), [("a", "b"), ([1], [1])], InvalidInstance, "self-loop at [1]"),  # before the index lookup
+        (("a", "b"), (e for e in [("a", "b"), ("b", "a"), ("z", "b"), ("a",)]), UnknownVertex, "('z', 'b') references"),
+        (("a", "b"), (e for e in [("b", "a"), ("a", "b", "a")]), InvalidInstance, "('a', 'b', 'a') does not have two"),
     ],
 )
 def test_graph_rejects_bad_input(vertices, edges, error, message):

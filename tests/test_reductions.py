@@ -20,7 +20,7 @@ from untangling import (
     reduce_disticor_to_cu,
     witness_3p_to_disticor,
 )
-from untangling import oracle, reductions
+from untangling import oracle, reductions, seqs
 from untangling.errors import InvalidInstance, NotAWitness, NotDistinct, PropertyViolation, TooLarge
 from untangling.reductions import MAX_CHUNK_WORDS, _chunk_length, _run_slice, expected_chunk_length
 
@@ -194,10 +194,7 @@ def _replace(rec, **changes):
 
 
 def test_chunk_properties_catch_mutation(reduced_m1):
-    ch0 = reduced_m1.chunks[0]
-    ranks = list(ch0.ranks)
-    ranks[10], ranks[500] = ranks[500], ranks[10]
-    bad = _replace(reduced_m1, chunks=(_replace(ch0, ranks=tuple(ranks)),) + reduced_m1.chunks[1:])
+    bad = _with_chunk0(reduced_m1, _rank_swap(reduced_m1.chunks[0], 10, 500))
     with pytest.raises(PropertyViolation):
         chunk_property_check(bad)
 
@@ -212,6 +209,31 @@ def _rerun(chunk, starts):
     return _replace(chunk, start_numbers=tuple(starts), projection=proj, ranks=reference_ranks([proj])[0])
 
 
+def _rank_swap(chunk, j1, j2):
+    ranks = list(chunk.ranks)
+    ranks[j1], ranks[j2] = ranks[j2], ranks[j1]
+    return _replace(chunk, ranks=tuple(ranks))
+
+
+def _tie_swapped(chunk):
+    """`chunk` with the ranks of two words of one value swapped, so the
+    earlier word ranks first."""
+    v = chunk.start_numbers[0] + 1  # a value of the first run ...
+    j1 = chunk.projection.index(v)
+    return _rank_swap(chunk, j1, chunk.projection.index(v, j1 + 1))  # ... that a later run repeats
+
+
+def _rising(chunk):
+    """`chunk` with its runs in ascending order of start."""
+    return _rerun(chunk, sorted(chunk.start_numbers))
+
+
+def _too_many_runs(red):
+    """Chunk 0 of `red` with its last run repeated up to X + 1 runs."""
+    ch0 = red.chunks[0]
+    return _rerun(ch0, ch0.start_numbers + (ch0.start_numbers[-1],) * (red.x + 1 - len(ch0.start_numbers)))
+
+
 def _violated(red):
     with pytest.raises(PropertyViolation) as exc:
         chunk_property_check(red)
@@ -219,13 +241,7 @@ def _violated(red):
 
 
 def test_chunk_property_i_catches_tie_swap(reduced_m1):
-    ch0 = reduced_m1.chunks[0]
-    v = ch0.start_numbers[0] + 1  # a value of the first run ...
-    j1 = ch0.projection.index(v)
-    j2 = ch0.projection.index(v, j1 + 1)  # ... that a later run repeats
-    ranks = list(ch0.ranks)
-    ranks[j1], ranks[j2] = ranks[j2], ranks[j1]  # now the earlier word ranks first
-    assert _violated(_with_chunk0(reduced_m1, _replace(ch0, ranks=tuple(ranks)))) == "i"
+    assert _violated(_with_chunk0(reduced_m1, _tie_swapped(reduced_m1.chunks[0]))) == "i"
 
 
 def test_chunk_property_iii_catches_run_edit(reduced_m1):
@@ -249,7 +265,7 @@ def test_chunk_property_iv_catches_rising_runs(reduced_m1):
     # (i) ties the rank order to the projection, so only edited runs, ranked
     # again as words, can lengthen the increasing subsequence
     ch0 = reduced_m1.chunks[0]
-    bad = _rerun(ch0, sorted(ch0.start_numbers))
+    bad = _rising(ch0)
     assert bad.ranks != ch0.ranks
     assert _violated(_with_chunk0(reduced_m1, bad)) == "iv"
 
@@ -257,10 +273,117 @@ def test_chunk_property_iv_catches_rising_runs(reduced_m1):
 def test_chunk_property_v_catches_too_many_runs(reduced_m1):
     # more than X runs give a decreasing subsequence longer than X, one word
     # per run, while the increasing one stays a_i + X
+    assert _violated(_with_chunk0(reduced_m1, _too_many_runs(reduced_m1))) == "v"
+
+
+def reference_property_check(reduced):
+    """The five passes with both patience passes always run, after the
+    tiling check that `chunk_property_check` makes first (without it a short
+    projection raises IndexError in (i)): None, or the letter of the first
+    property that fails."""
+    for ch in reduced.chunks:
+        n, w = len(ch.ranks), ch.run_length
+        if not len(ch.projection) == n == len(ch.start_numbers) * w:
+            return "iii"
+        keys = [ch.projection[j] * n - j for j in range(n)]
+        in_rank_order = [keys[j] for j in sorted(range(n), key=ch.ranks.__getitem__)]
+        if any(a >= b for a, b in zip(in_rank_order, in_rank_order[1:])):
+            return "i"
+        for st in ch.start_numbers:
+            first_multiple = ((st + reduced.block - 1) // reduced.block) * reduced.block
+            if st <= first_multiple <= st + w - 2:
+                return "ii"
+        for ri, st in enumerate(ch.start_numbers):
+            run = slice(ri * w, (ri + 1) * w)
+            seg = ch.ranks[run]
+            if any(a >= b for a, b in zip(seg, seg[1:])) or ch.projection[run] != tuple(range(st, st + w)):
+                return "iii"
+        if seqs.lis_length(ch.ranks) != w:
+            return "iv"
+        if seqs.lis_length(reversed(ch.ranks)) > reduced.x:
+            return "v"
+    return None
+
+
+def _verdict(red):
+    try:
+        return chunk_property_check(red)
+    except PropertyViolation as exc:
+        return exc.prop
+
+
+def _corruptions(red):
+    """Chunk 0 of `red` corrupted eight ways, each with the verdict both
+    checks give."""
+    ch0 = red.chunks[0]
+    starts = ch0.start_numbers
+    yield "rank swap in a run", _rank_swap(ch0, 10, 20), "i"
+    yield "rank swap across runs", _rank_swap(ch0, 10, 500), "i"
+    yield "tie swap", _tie_swapped(ch0), "i"
+    yield "ascending starts", _rising(ch0), "iv"
+    yield "one repeated start", _rerun(ch0, (starts[0],) + starts[:-1]), None
+    yield "more than X runs", _too_many_runs(red), "v"
+    yield "truncated projection", _replace(ch0, projection=ch0.projection[:-1]), "iii"
+    extra = _replace(ch0, projection=ch0.projection + (red.block,), ranks=ch0.ranks + (red.instance.total + 1,))
+    yield "extra word", extra, "iii"
+
+
+def test_chunk_property_check_matches_the_patience_passes(reduced_m1):
+    """(iv) and (v) read off the runs give the verdicts that measuring both
+    subsequences gives, on the outputs and on corrupted chunks."""
+    assert _verdict(reduced_m1) is reference_property_check(reduced_m1) is None
+    for what, ch0, letter in _corruptions(reduced_m1):
+        bad = _with_chunk0(reduced_m1, ch0)
+        assert (_verdict(bad), reference_property_check(bad)) == (letter, letter), what
+
+
+@pytest.fixture
+def lis_calls(monkeypatch):
+    calls = []
+
+    def counted(items):
+        calls.append(1)
+        return seqs.lis_length(items)
+
+    monkeypatch.setattr(reductions, "lis_length", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        ThreePartitionInstance((9, 9, 12), 30),
+        ThreePartitionInstance((3, 3, 4), 10),
+        ThreePartitionInstance((12, 12, 18, 12, 12, 18), 42),
+    ],
+    ids=str,
+)
+def test_chunk_property_check_runs_no_patience_pass_on_reductions(inst, lis_calls):
+    assert chunk_property_check(reduce_3p_to_disticor(inst)) is None
+    assert lis_calls == []
+
+
+def test_chunk_property_check_measures_where_a_premise_fails(reduced_m1, lis_calls):
+    """Rising starts leave (iv) to a patience pass, more than X runs (v)."""
+    for what, ch0, letter in _corruptions(reduced_m1):
+        del lis_calls[:]
+        assert _verdict(_with_chunk0(reduced_m1, ch0)) == letter
+        assert bool(lis_calls) == (what in ("ascending starts", "more than X runs")), what
+
+
+def test_chunk_property_check_needs_runs_that_tile_the_chunk(reduced_m1):
+    """A short projection or an extra word fails (iii) with the chunk index
+    and the three lengths, not an IndexError or a longer subsequence."""
     ch0 = reduced_m1.chunks[0]
-    extra = reduced_m1.x + 1 - len(ch0.start_numbers)
-    bad = _rerun(ch0, ch0.start_numbers + (ch0.start_numbers[-1],) * extra)
-    assert _violated(_with_chunk0(reduced_m1, bad)) == "v"
+    n = len(ch0.ranks)
+    with pytest.raises(PropertyViolation) as exc:
+        chunk_property_check(_with_chunk0(reduced_m1, _replace(ch0, projection=ch0.projection[:-1])))
+    assert (exc.value.prop, exc.value.witness) == ("iii", (0, n - 1, n, n))
+    ch2 = reduced_m1.chunks[2]
+    grown = _replace(ch2, projection=ch2.projection + (1,), ranks=ch2.ranks + (10**6,))
+    with pytest.raises(PropertyViolation) as exc:
+        chunk_property_check(_replace(reduced_m1, chunks=reduced_m1.chunks[:2] + (grown,)))
+    assert (exc.value.prop, exc.value.witness) == ("iii", (2, len(ch2.ranks) + 1, len(ch2.ranks) + 1, len(ch2.ranks)))
 
 
 def test_reduce_disticor_fig3():
@@ -289,11 +412,14 @@ def test_reduce_disticor_renumbers_entries_that_are_not_ranks(spread):
 
 
 @pytest.mark.parametrize("inst", [ThreePartitionInstance((6, 6, 6), 18), ThreePartitionInstance((9, 9, 12), 30)], ids=str)
-def test_reduce_disticor_peaks_little_above_its_drawing(inst):
-    """Each edge is built once and kept by `Graph`, and the entry-to-vertex
-    map is gone before the graph is built: the traced peak stays within 20%
-    of the drawing it returns."""
-    di = reduce_3p_to_disticor(inst).instance
+@pytest.mark.parametrize("spread, bound", [(1, 0.05), (10, 0.2)], ids=["ranks", "x10"])
+def test_reduce_disticor_peaks_little_above_its_drawing(inst, spread, bound):
+    """Each edge is built once, kept by `Graph` and fed to it one at a time:
+    with the ranks 1..L as entries the traced peak stays within 5% of the
+    drawing it returns.  Entries times 10 are renumbered through a map of
+    all L entries, held while the edges are fed: within 20%."""
+    ranked = reduce_3p_to_disticor(inst).instance
+    di = DistIcorInstance(tuple(tuple(spread * x for x in c) for c in ranked.chunks), ranked.m_target)
     tracemalloc.start()
     try:
         result = reduce_disticor_to_cu(di)
@@ -301,7 +427,7 @@ def test_reduce_disticor_peaks_little_above_its_drawing(inst):
     finally:
         tracemalloc.stop()
     assert result[1] == di.total - di.m_target
-    assert peak - kept <= 0.2 * kept
+    assert peak - kept <= bound * kept
 
 
 def test_projections_share_one_int_per_value(reduced_m1):
