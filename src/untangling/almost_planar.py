@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .blocks import BlockDecomposition, block_decomposition, components, planar_order_keeping
+from .blocks import BlockDecomposition, block_decomposition, planar_order_keeping
 from .errors import NotAlmostPlanar, StructuralAssertionFailed
 from .model import (
     ALMOST_PLANAR,
@@ -66,6 +66,12 @@ def _cheapest(g: Graph, sets: Iterable[Collection[Vertex]]) -> set[Vertex]:
     """The smallest of some vertex sets: on a tie the lexicographically first
     by sorted vertex ranks, then the first given."""
     return set(min(sets, key=lambda s: (len(s), sorted(map(g.index, s)))))
+
+
+def _smaller_sides(g: Graph, cand: EdgeCandidate, pieces: Iterable[frozenset[Vertex]]) -> set[Vertex]:
+    """The union of the candidate edge's smaller side within each of `pieces`."""
+    lset, rset = set(cand.left), set(cand.right)
+    return set().union(*[_cheapest(g, (c & lset, c & rset)) for c in pieces])
 
 
 def _moves_keeping(d: CircularDrawing, decomp: BlockDecomposition, moved: set[Vertex]) -> list[VertexMove]:
@@ -110,10 +116,10 @@ def one_side_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untanglin
 def edge_fixed_untangle(d: CircularDrawing, e: Optional[Edge] = None) -> Untangling:
     """Minimum untangling that never moves the endpoints of the crossing edge:
     each piece of G - u - v independently sends its smaller side across."""
-    return _untangle(d, e, lambda decomp, cands: (_edge_fixed_moved(d.graph, c) for c in cands))
+    return _untangle(d, e, lambda decomp, cands: (_edge_fixed_moved(decomp, c) for c in cands))
 
 
-def _edge_fixed_moved(g: Graph, cand: EdgeCandidate) -> set[Vertex]:
+def _edge_fixed_moved(decomp: BlockDecomposition, cand: EdgeCandidate) -> set[Vertex]:
     """The smaller side of every piece of G - u - v.
 
     With both endpoints pinned, a piece straddling e would need a path between
@@ -123,14 +129,23 @@ def _edge_fixed_moved(g: Graph, cand: EdgeCandidate) -> set[Vertex]:
     component containing u or v can keep vertices on both sides, connected
     through the fixed endpoint.)
     """
-    u, v = cand.edge
-    lset, rset = set(cand.left), set(cand.right)
-    inner = [x for x in g.vertices if x not in (u, v)]
-    inner_edges = [ed for ed in g.edges if u not in ed and v not in ed]
-    moved: set[Vertex] = set()
-    for c in components(inner, inner_edges):
-        moved |= _cheapest(g, (c & lset, c & rset))
-    return moved
+    return _smaller_sides(decomp.graph, cand, _edge_fixed_pieces(decomp, cand.edge))
+
+
+def _edge_fixed_pieces(decomp: BlockDecomposition, e: Edge) -> Iterator[frozenset[Vertex]]:
+    """The components of G - u - v for e = (u, v), read off the tree: every
+    component but e's, and for each block at u or v the union of its other
+    vertices' attachments, one piece each, as the tree joins such blocks only
+    through u or v.  e's own block gives none when e is a bridge, and else one:
+    e is an edge of its cycle, not a chord (see `_min_untangle_candidates`),
+    so the block less u and v is a path."""
+    u, v = e
+    comp = decomp.components[decomp.component_of[u]]
+    yield from (c for c in decomp.components if c is not comp)
+    for bi in {*decomp.incidence[u], *decomp.incidence[v]}:
+        piece = frozenset().union(*(decomp.attachment(bi, w) for w in decomp.blocks[bi] if w != u and w != v))
+        if piece:
+            yield piece
 
 
 # -- minimum untangling --------------------------------------------------
@@ -281,7 +296,6 @@ def _min_untangle_candidates(
     is what u's leaves.  Only a side whose unwrapped cycle has more than
     one slot, which takes an edge of it crossing the bridge, is scored: a
     one-slot side keeps itself whole."""
-    g = d.graph
     u, v = cand.edge
     bi = decomp.block_with_edge(cand.edge)
     comp = decomp.components[decomp.component_of[u]]
@@ -312,11 +326,7 @@ def _min_untangle_candidates(
     # less e is crossing-free), so a target lv + lu keeps on both of them a
     # linear common subsequence of each arc and its order; a set kept
     # within one side moves the other whole, as a relocation above does.
-    lset, rset = set(cand.left), set(cand.right)
-    moved: set[Vertex] = set()
-    for c in decomp.components:
-        if c is not comp:
-            moved |= _cheapest(g, (c & lset, c & rset))
+    moved = _smaller_sides(d.graph, cand, (c for c in decomp.components if c is not comp))
     # A side no edge of which crosses e unwraps to one slot: the side read
     # from `other`, cut only at 0, which is the very source its opening is
     # scored against, so it keeps the whole side and moves nothing.

@@ -4,8 +4,9 @@ One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973) over vertex ranks
 yields a graph's blocks, cut vertices and components in O(n + m), and peels
 each block's Hamiltonian cycle as it pops the block.  A block is that cycle
 (a bridge's is its two ends); attachments are read off the block-cut tree
-the blocks form.  `components` gives the same components from a plain DFS,
-for callers that need no blocks.
+the blocks form, as are the pieces of G - u - v for an edge u-v
+(`almost_planar._edge_fixed_pieces`); only the oracle's independent
+enumerator builds an adjacency of its own.
 `planar_order_keeping` lays the tree out keeping a given sequence of
 vertices in its cyclic order, each block with none of them from its entry
 vertex towards that vertex's lower-ranked cycle neighbour; with nothing
@@ -70,31 +71,6 @@ class BlockDecomposition(_Record):
         two blocks share at most one vertex."""
         a, b = self.graph.edge(*e)
         return next(i for i in self.incidence[a] if i in self.incidence[b])
-
-
-def components(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> list[frozenset[Vertex]]:
-    """The connected components of the graph (vertices, edges), ordered by
-    their first vertex in `vertices`, as in `block_decomposition`, without
-    the blocks."""
-    adj: dict[Vertex, list[Vertex]] = {x: [] for x in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[Vertex] = set()
-    out = []
-    for root in adj:
-        if root in seen:
-            continue
-        seen.add(root)
-        comp, stack = [root], [root]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        out.append(frozenset(comp))
-    return out
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:

@@ -83,7 +83,8 @@ def _cmd_untangle(args) -> int:
         }[args.algorithm]
         u = untangle(d)
     rep = verify_untangling(d, u)
-    fixed = [v for v in d.order if v not in u.moved_set()]
+    moved = u.moved_set()
+    fixed = [v for v in d.order if v not in moved]
     sys.stdout.write(format_moves(u, fixed=fixed))
     print(
         f"algorithm={args.algorithm} moved={rep.moved_count} planar={rep.planar_ok}",

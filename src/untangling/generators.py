@@ -11,7 +11,7 @@ from itertools import combinations
 from math import isqrt
 from typing import Iterator, Optional
 
-from .blocks import block_decomposition, components, planar_circular_order
+from .blocks import block_decomposition, planar_circular_order
 from .errors import ConstructionFailed, GenerationFailed, InvalidN, NotOuterplanar, TooLarge
 from .model import (
     ALMOST_PLANAR,
@@ -119,12 +119,22 @@ def _random_noncrossing_edges(rng: random.Random, n: int, hull_p: float, diag_p:
     if n >= 3:
         split(0, n - 1)
 
-    if connect:
-        # join each component to the previous position through its first
-        # (smallest) position, which is the DFS root that found it
-        roots = [min(c) for c in components(range(n), edges)]
-        edges.extend((r - 1, r) for r in roots[1:])
+    if connect:  # join each component to the previous position through its least one
+        edges.extend((r - 1, r) for r in _least_positions(n, edges)[1:])
     return sorted(set(edges))
+
+
+def _least_positions(n: int, chords: list[tuple[int, int]]) -> list[int]:
+    """The least position of each component of the chords over 0..n-1, in
+    order: the roots of a union-find that links the higher root to the lower."""
+    parent = list(range(n))
+    for a, b in chords:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[max(a, b)] = min(a, b)
+    return [x for x in range(n) if parent[x] == x]
 
 
 def _perturbed(rng: random.Random, n: int, k: Optional[int], connect: bool) -> CircularDrawing:
@@ -300,7 +310,7 @@ def enumerate_almost_planar_instances(n: int) -> Iterator[CircularDrawing]:
             members = [i for i in range(len(chords)) if mask >> i & 1]
             seen.update(sum(rot[i] for i in members) for rot in rotated)
             edges = [chords[i] for i in members]
-            if len(components(range(n), edges)) != 1:
+            if len(_least_positions(n, edges)) != 1:
                 continue
             g = Graph(vs, [(vs[a], vs[b]) for a, b in edges])
             try:

@@ -121,11 +121,6 @@ class Graph(_Record):
             raise UnknownEdge(f"({a!r}, {b!r})")
         return e
 
-    def neighbors(self, v: Vertex) -> set[Vertex]:
-        """The vertices sharing an edge with v, computed from `edges`."""
-        self.index(v)
-        return {b if a == v else a for a, b in self.edges if v == a or v == b}
-
     def sorted_edges(self) -> list[Edge]:
         index, n = self._index, len(self.vertices)
         return sorted(self.edges, key=lambda e: index[e[0]] * n + index[e[1]])
@@ -381,8 +376,8 @@ def verify_untangling(d: CircularDrawing, u: Untangling) -> VerificationReport:
     """Moved-vertex count, fixed-set order preservation, and planarity of the result."""
     result = apply_untangling(d, u)
     moved = u.moved_set()
-    fixed = [v for v in d.order if v not in moved]
-    fixed_ok = cyclic_equal(restriction(d.order, fixed), restriction(result.order, fixed))
+    fixed = [v for v in d.order if v not in moved]  # d.order restricted to the unmoved vertices
+    fixed_ok = cyclic_equal(fixed, restriction(result.order, fixed))
     return VerificationReport(len(moved), fixed_ok, is_planar_drawing(result), result)
 
 
@@ -403,10 +398,10 @@ def moves_to_reach(
     tt = tuple(target)
     if not tt:
         return []
-    fixed = [v for v in tt if v not in moved]
+    fixed = [v for v in tt if v not in moved]  # the target restricted to its unmoved vertices
     if not fixed:
         raise InvalidInstance("moves_to_reach needs at least one fixed vertex as anchor")
-    if not cyclic_equal(restriction(order, fixed), restriction(tt, fixed)):
+    if not cyclic_equal(restriction(order, fixed), fixed):
         raise InvalidInstance("fixed vertices are not in target order already")
     walk = rotate_to(tt, fixed[0])
     return [VertexMove(walk[i], walk[i - 1]) for i in range(1, len(walk)) if walk[i] in moved]

@@ -31,7 +31,7 @@ length exists; the extended range keeps all five chunk properties intact.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat, zip_longest
 from operator import eq, lt, mul, sub
 from typing import Iterator, Sequence
 
@@ -276,11 +276,13 @@ def chunk_property_check(reduced: ReducedDistIcor) -> None:
       every `reduce_3p_to_disticor` output.  A patience pass measures (v)
       only when the chunk has more than X runs.
 
-    Each witness leads with the chunk index: (i) gives `(chunk, position,
-    position)` for two words out of order, (ii) `(chunk, start)`, (iii)
-    `(chunk, start)` for a bad run and `(chunk, len(projection),
-    len(ranks), len(start_numbers) * run_length)` when the runs do not
-    tile the chunk, (iv) and (v) `(chunk, length, bound)`.
+    Last, the chunks' ranks must be `reduced.instance.chunks`, which
+    `reduce_disticor_to_cu` is given.  Each witness leads with the chunk
+    index: (i) gives `(chunk, position, position)` for two words out of
+    order, (ii) `(chunk, start)`, (iii) `(chunk, start)` for a bad run and
+    `(chunk, len(projection), len(ranks), len(start_numbers) * run_length)`
+    when the runs do not tile the chunk, (iv) and (v) `(chunk, length,
+    bound)`, and "instance" `(chunk,)` for the first chunk that differs.
     """
     block = reduced.block
     for ci, ch in enumerate(reduced.chunks):
@@ -320,6 +322,11 @@ def chunk_property_check(reduced: ReducedDistIcor) -> None:
             best_rev = lis_length(reversed(ch.ranks))
             if best_rev > reduced.x:
                 raise PropertyViolation("v", (ci, best_rev, reduced.x))
+
+    checked, given = tuple(ch.ranks for ch in reduced.chunks), reduced.instance.chunks
+    if checked != given:  # the same tuples in every reduction: O(#chunks)
+        ci = next(ci for ci, (a, b) in enumerate(zip_longest(checked, given)) if a != b)
+        raise PropertyViolation("instance", (ci,))
 
 
 def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]:

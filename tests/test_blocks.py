@@ -11,9 +11,11 @@ from untangling import (
     CircularDrawing,
     Graph,
     block_decomposition,
+    classify,
     crossings,
     cycle_graph,
     edge_fixed_untangle,
+    enumerate_almost_planar_instances,
     enumerate_planar_orders,
     gen_random,
     is_crossing_free,
@@ -24,8 +26,7 @@ from untangling import (
     planar_order_keeping,
     verify_untangling,
 )
-from untangling import blocks
-from untangling.blocks import components
+from untangling import almost_planar, blocks
 from untangling.errors import InvalidInstance, NotOuterplanar, UnknownEdge, UnknownVertex
 from untangling.generators import PROFILES
 from untangling.model import cyclic_equal, restriction, rotate_to
@@ -533,8 +534,7 @@ def _bfs_components(vertices, edges):
 def _check_against_definitions(g, tree):
     edges = sorted(g.edges)
     count = len(_bfs_components(g.vertices, edges))
-    assert set(tree.components) == set(_bfs_components(g.vertices, edges))
-    assert components(g.vertices, edges) == list(tree.components)
+    assert list(tree.components) == _bfs_components(g.vertices, edges)
     # each edge has both ends in exactly one block's cycle, and two blocks
     # share at most one vertex
     for e in edges:
@@ -589,6 +589,35 @@ def test_decomposition_of_arbitrary_graphs_matches_definitions(spec):
         return
     assert enumerate_planar_orders(g) != []
     _check_against_definitions(g, decomp)
+
+
+def _check_edge_fixed_pieces(d):
+    """The pieces that the edge-fixed rule reads off the tree for each
+    candidate edge e = (u, v) are the components of G - u - v, each once.
+    Returns how many pieces were checked."""
+    g = d.graph
+    decomp = block_decomposition(g)
+    checked = 0
+    for cand in classify(d).candidates:
+        u, v = cand.edge
+        rest = [x for x in g.vertices if x != u and x != v]
+        want = _bfs_components(rest, [e for e in g.edges if u not in e and v not in e])
+        got = list(almost_planar._edge_fixed_pieces(decomp, cand.edge))
+        assert len(got) == len(want) and set(got) == set(want), (d, cand.edge)
+        checked += len(got)
+    return checked
+
+
+def test_edge_fixed_pieces_are_the_components_without_the_ends():
+    drawings = list(enumerate_almost_planar_instances(6))
+    drawings += [gen_random(n, seed, profile) for profile in ("almost-planar", "case-2-2") for n in range(10, 31) for seed in range(20)]
+    # a disconnected drawing: a-d is crossed by b-f, a component of its own,
+    # and by c-e, which hangs off d through the bridge d-e; g-h and i lie apart
+    vs = tuple("abcdefghi")
+    apart = CircularDrawing(Graph(vs, [("a", "d"), ("b", "f"), ("c", "e"), ("d", "e"), ("g", "h")]), vs)
+    assert [c.edge for c in classify(apart).candidates] == [("a", "d")]
+    assert _check_edge_fixed_pieces(apart) == 4
+    assert sum(map(_check_edge_fixed_pieces, drawings)) > 5_000
 
 
 # -- planar_order_keeping against enumeration -----------------------------------

@@ -3,6 +3,7 @@ them.  And the layering: no algorithm module builds instances."""
 
 import ast
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,43 @@ def test_corpus_is_pinned():
     drawings = list(enumerate_almost_planar_instances(5))
     assert len(drawings) == 67
     assert _sha(map(format_drawing, drawings)) == "a42e9bf1c3811127880a8d0f72116d646ed6b8c2e763a0d7e2292157c5157cd8"
+
+
+def _bfs_least_positions(n, chords):
+    """Reference: the least position of each component by BFS, ascending."""
+    adj = [set() for _ in range(n)]
+    for a, b in chords:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, out = set(), []
+    for s in range(n):
+        if s not in seen:
+            out.append(s)
+            seen.add(s)
+            queue = [s]
+            while queue:
+                for y in adj[queue.pop()] - seen:
+                    seen.add(y)
+                    queue.append(y)
+    return out
+
+
+def test_union_find_roots_match_bfs():
+    """The union-find of the connect step and the corpus's connectivity
+    test gives each component's least position, as BFS does, on random
+    chord sets, with repeats and both orientations, and on one position
+    with the self-loop that its hull edge (0, 1 % 1) makes."""
+    assert generators._least_positions(1, [(0, 0)]) == [0]
+    assert generators._least_positions(0, []) == []
+    rng = random.Random(3)
+    merged = 0
+    for _ in range(2000):
+        n = rng.randint(1, 30)
+        chords = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n + 3))]
+        want = _bfs_least_positions(n, chords)
+        assert generators._least_positions(n, chords) == want, (n, chords)
+        merged += len(want) < n
+    assert merged > 1000
 
 
 def test_layout_tries_share_one_tree(monkeypatch):

@@ -227,6 +227,23 @@ def test_cli_general_on_long_path(tmp_path, capsys):
     assert "planarOk true" in capsys.readouterr().out
 
 
+def test_cli_untangle_builds_the_moved_set_a_fixed_number_of_times(tmp_path, capsys, monkeypatch):
+    """`untangle` reads the moved set a fixed number of times, not once per
+    vertex: the count is the same for fig5 at n = 20 and n = 200."""
+    calls = []
+    moved_set = Untangling.moved_set
+    monkeypatch.setattr(Untangling, "moved_set", lambda self: calls.append(1) or moved_set(self))
+    counts = []
+    for n in (20, 200):
+        drawing = tmp_path / f"fig5-{n}.cdr"
+        drawing.write_text(format_drawing(gen_fig5(n)))
+        del calls[:]
+        assert main(["untangle", str(drawing), "--algorithm", "one-side"]) == 0
+        assert f"moved={n // 2 - 1} planar=True" in capsys.readouterr().err
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_cli_reductions(tmp_path, capsys):
     f3 = tmp_path / "i.3p"
     f3.write_text("3p 1 30 9 9 12\n")

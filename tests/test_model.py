@@ -127,17 +127,6 @@ def test_drawing_in_vertex_order_reads_graph_ranks():
             CircularDrawing(g, order)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
-def test_neighbors_from_edges(spec):
-    n, pairs = spec
-    g = Graph([f"v{i}" for i in range(n)], [(f"v{a}", f"v{b}") for a, b in pairs if a != b])
-    for v in g.vertices:
-        assert g.neighbors(v) == {a for a, b in g.edges if b == v} | {b for a, b in g.edges if a == v}
-    with pytest.raises(UnknownVertex):
-        g.neighbors("z")
-
-
 def test_drawing_equality_up_to_rotation():
     g = cycle_graph(4)
     d1 = CircularDrawing(g, ("v1", "v2", "v3", "v4"))

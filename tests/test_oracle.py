@@ -23,7 +23,7 @@ from untangling import (
     planar_order_keeping,
     verify_untangling,
 )
-from untangling.blocks import block_decomposition, components
+from untangling.blocks import block_decomposition
 from untangling.errors import ConstructionFailed, InvalidInstance, NotOuterplanar, TooLarge
 from untangling.generators import PROFILES, enumerate_almost_planar_instances, vertex_names
 from untangling.model import ALMOST_PLANAR, classify, cyclic_equal, is_crossing_free, restriction, rotate_to
@@ -37,6 +37,10 @@ def scan_planar_orders(g):
     if n == 0:
         return [()]
     out, pos, prefix, placed = [], {g.vertices[0]: 0}, [g.vertices[0]], []
+    nbrs = {x: [] for x in g.vertices}
+    for a, b in g.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
 
     def crosses(i, j, a, b):
         return len({i, j, a, b}) == 4 and (min(i, j) < a < max(i, j)) != (min(i, j) < b < max(i, j))
@@ -49,7 +53,7 @@ def scan_planar_orders(g):
         for x in g.vertices:
             if x in pos:
                 continue
-            new = [(pos[y], p) for y in g.neighbors(x) if y in pos]
+            new = [(pos[y], p) for y in nbrs[x] if y in pos]
             if any(crosses(i, j, a, b) for i, j in new for a, b in placed):
                 continue
             pos[x] = p
@@ -107,11 +111,13 @@ def test_corpus_is_one_drawing_per_rotation_class_of_its_definition(n):
     for bits in range(1 << len(chords)):
         edges = [c for i, c in enumerate(chords) if bits >> i & 1]
         g = Graph(vs, [(vs[a], vs[b]) for a, b in edges])
-        if classify(CircularDrawing(g, vs)).kind != ALMOST_PLANAR or len(components(vs, g.edges)) != 1:
+        if classify(CircularDrawing(g, vs)).kind != ALMOST_PLANAR:
             continue
         try:
-            block_decomposition(g)
+            tree = block_decomposition(g)
         except NotOuterplanar:
+            continue
+        if len(tree.components) != 1:
             continue
         want.add(_rotation_class(n, edges))
     got = []

@@ -279,8 +279,9 @@ def test_chunk_property_v_catches_too_many_runs(reduced_m1):
 def reference_property_check(reduced):
     """The five passes with both patience passes always run, after the
     tiling check that `chunk_property_check` makes first (without it a short
-    projection raises IndexError in (i)): None, or the letter of the first
-    property that fails."""
+    projection raises IndexError in (i)), then the comparison with the
+    instance's chunks: None, or the letter of the first property that
+    fails."""
     for ch in reduced.chunks:
         n, w = len(ch.ranks), ch.run_length
         if not len(ch.projection) == n == len(ch.start_numbers) * w:
@@ -302,6 +303,8 @@ def reference_property_check(reduced):
             return "iv"
         if seqs.lis_length(reversed(ch.ranks)) > reduced.x:
             return "v"
+    if [ch.ranks for ch in reduced.chunks] != list(reduced.instance.chunks):
+        return "instance"
     return None
 
 
@@ -321,7 +324,7 @@ def _corruptions(red):
     yield "rank swap across runs", _rank_swap(ch0, 10, 500), "i"
     yield "tie swap", _tie_swapped(ch0), "i"
     yield "ascending starts", _rising(ch0), "iv"
-    yield "one repeated start", _rerun(ch0, (starts[0],) + starts[:-1]), None
+    yield "one repeated start", _rerun(ch0, (starts[0],) + starts[:-1]), "instance"
     yield "more than X runs", _too_many_runs(red), "v"
     yield "truncated projection", _replace(ch0, projection=ch0.projection[:-1]), "iii"
     extra = _replace(ch0, projection=ch0.projection + (red.block,), ranks=ch0.ranks + (red.instance.total + 1,))
@@ -335,6 +338,22 @@ def test_chunk_property_check_matches_the_patience_passes(reduced_m1):
     for what, ch0, letter in _corruptions(reduced_m1):
         bad = _with_chunk0(reduced_m1, ch0)
         assert (_verdict(bad), reference_property_check(bad)) == (letter, letter), what
+
+
+def test_chunk_property_check_compares_the_chunks_with_the_instance(reduced_m1):
+    """Chunks that pass (i)-(v) but are not `reduced.instance`'s fail with
+    the first chunk index where the two differ."""
+    chunks = reduced_m1.chunks
+    starts = chunks[0].start_numbers
+    swapped = DistIcorInstance((chunks[0].ranks, chunks[2].ranks, chunks[1].ranks), reduced_m1.instance.m_target)
+    for bad, ci in (
+        (_with_chunk0(reduced_m1, _rerun(chunks[0], (starts[0],) + starts[:-1])), 0),
+        (_replace(reduced_m1, instance=swapped), 1),
+        (_replace(reduced_m1, chunks=chunks[:2]), 2),
+    ):
+        with pytest.raises(PropertyViolation) as exc:
+            chunk_property_check(bad)
+        assert (exc.value.prop, exc.value.witness) == ("instance", (ci,))
 
 
 @pytest.fixture
