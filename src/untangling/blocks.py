@@ -219,7 +219,7 @@ def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Rando
     if rng is None:
         return tuple(_walk(decomp, range(len(decomp.components))))
     incidence, blocks = decomp.incidence, decomp.blocks
-    comps = [sorted(c, key=decomp.graph.index) for c in decomp.components]
+    comps = [sorted(c, key=decomp.graph._index.__getitem__) for c in decomp.components]
     rng.shuffle(comps)
     roots, seq, before = [], {}, {}
     for comp in comps:
@@ -229,16 +229,21 @@ def planar_circular_order(decomp: BlockDecomposition, rng: Optional[random.Rando
             v, bi, walk, kids = todo.pop()
             if walk is None:  # visit v, entered by block bi
                 kids = [b for b in incidence[v] if b != bi]
-                rng.shuffle(kids)
+                if len(kids) > 1:  # a shuffle of fewer draws nothing
+                    rng.shuffle(kids)
                 kids, seq[v] = iter(kids), [v]
             elif rng.random() >= 0.5:  # block bi's subtrees are drawn: put it after v or before it
                 seq[v] += walk
+            elif v in before:
+                before[v] += walk
             else:
-                before.setdefault(v, []).extend(walk)
+                before[v] = [*walk]
             bi = next(kids, None)
             if bi is None:
                 continue
-            walk = rotate_to(blocks[bi], v)[1:]
+            cycle = blocks[bi]
+            k = cycle.index(v)
+            walk = cycle[k + 1 :] + cycle[:k]
             if len(walk) > 1 and rng.random() >= 0.5:
                 walk = walk[::-1]
             todo.append((v, bi, walk, kids))

@@ -9,19 +9,11 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .blocks import block_decomposition, planar_circular_order
 from .errors import ConstructionFailed, GenerationFailed, InvalidN, NotOuterplanar, TooLarge
-from .model import (
-    ALMOST_PLANAR,
-    PROFILES,
-    CircularDrawing,
-    Graph,
-    Vertex,
-    classify,
-    is_crossing_free,
-)
+from .model import PROFILES, CircularDrawing, Edge, Graph, Vertex, is_crossing_free
 from .seqs import ES_TIGHT_MAX_LEN, es_tight_cyclic, lics
 
 GENERATION_RETRIES = 64  # graphs drawn per almost-planar or case-2-2 request
@@ -105,19 +97,21 @@ def _random_noncrossing_edges(rng: random.Random, n: int, hull_p: float, diag_p:
         if rng.random() < hull_p:
             edges.append((i, (i + 1) % n))
 
-    def split(lo: int, hi: int) -> None:
-        if hi - lo < 2:
-            return
-        mid = rng.randint(lo + 1, hi - 1)
-        if mid - lo > 1 and rng.random() < diag_p:
+    # the arcs still to split, each of 3 or more positions, split in
+    # pre-order: an arc, then all of its left part, then its right part
+    arcs = [(0, n - 1)] if n >= 3 else []
+    while arcs:
+        lo, hi = arcs.pop()
+        mid = rng.randrange(lo + 1, hi)
+        left, right = mid - lo > 1, hi - mid > 1
+        if left and rng.random() < diag_p:
             edges.append((lo, mid))
-        if hi - mid > 1 and rng.random() < diag_p:
+        if right and rng.random() < diag_p:
             edges.append((mid, hi))
-        split(lo, mid)
-        split(mid, hi)
-
-    if n >= 3:
-        split(0, n - 1)
+        if right:
+            arcs.append((mid, hi))
+        if left:
+            arcs.append((lo, mid))
 
     if connect:  # join each component to the previous position through its least one
         edges.extend((r - 1, r) for r in _least_positions(n, edges)[1:])
@@ -180,17 +174,39 @@ def _chain_graph(rng: random.Random, n: int) -> tuple[Graph, Vertex, Vertex]:
 
 def _almost_planar_from(g: Graph, u: Vertex, v: Vertex, rng: random.Random, tries: int) -> Optional[CircularDrawing]:
     """A drawing of g plus e = (u, v) in which e carries every crossing, or
-    None after `tries` random layouts of G - e, whose tree is built once."""
+    None after `tries` random layouts of G - e, whose tree is built once.
+
+    A layout is kept when the chord u-v crosses an edge of G - e on it
+    (`_chord_crosses`), and dropped with no drawing built.  The kept layout
+    must be crossing-free for G - e, so that e is in every crossing: one
+    `is_crossing_free` check, which raises ConstructionFailed if it fails,
+    since the tree's layouts never cross themselves."""
     if (u, v) in g.edges or (v, u) in g.edges:
         base, rest = g, g.without_edge((u, v))
     else:
         base, rest = Graph(g.vertices, set(g.edges) | {(u, v)}), g
     decomp = block_decomposition(rest)
     for _ in range(tries):
-        d = CircularDrawing(base, planar_circular_order(decomp, rng))
-        if classify(d).kind == ALMOST_PLANAR:
-            return d
+        order = planar_circular_order(decomp, rng)
+        if _chord_crosses(order, u, v, rest.edges):
+            if not is_crossing_free(order, rest.edges):
+                raise ConstructionFailed(f"a random layout of G - {u}-{v} crosses itself")
+            return CircularDrawing(base, order)
     return None
+
+
+def _chord_crosses(order: tuple[Vertex, ...], u: Vertex, v: Vertex, edges: Iterable[Edge]) -> bool:
+    """True iff the chord u-v crosses one of `edges` on the circle `order`:
+    some edge has exactly one end strictly between u and v, and neither end
+    at u or v.  The vertices between are marked 1 and u and v 2, so such an
+    edge is the one whose marks sum to 1."""
+    i, j = order.index(u), order.index(v)
+    if i > j:
+        i, j = j, i
+    mark = dict.fromkeys(order[i + 1 : j], 1)
+    mark[u] = mark[v] = 2
+    get = mark.get
+    return any(get(a, 0) + get(b, 0) == 1 for a, b in edges)
 
 
 def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None) -> CircularDrawing:
@@ -198,8 +214,10 @@ def gen_random(n: int, seed: int, profile: str, k: Optional[int] = None) -> Circ
 
     outerplanar-order-perturbed: random planar order plus non-crossing chords,
     then k random vertex relocations (k=0 gives a planar drawing).
-    almost-planar: connected graph and an edge carrying all crossings,
-    verified via classification before returning.
+    almost-planar: connected graph and an edge e carrying all crossings:
+    random layouts of G - e are tried until e crosses an edge on one (a
+    chord test, no classification), and the layout kept is checked to be
+    crossing-free for G - e before it is returned.
     case-2-2: almost-planar with the crossing edge's endpoints joined only
     through cut vertices.
     disconnected: a few perturbed components interleaved by relocations.
@@ -317,6 +335,6 @@ def enumerate_almost_planar_instances(n: int) -> Iterator[CircularDrawing]:
                 block_decomposition(g)
             except NotOuterplanar:
                 continue
-            d = CircularDrawing(g, vs)
-            assert not is_crossing_free(d.order, g.edges)
-            yield d
+            if is_crossing_free(vs, g.edges):
+                raise ConstructionFailed(f"the corpus chords {edges} over {n} positions cross nothing")
+            yield CircularDrawing(g, vs)

@@ -370,10 +370,50 @@ def test_layout_matches_recursive_reference(profile):
         assert planar_circular_order(decomp) == planar_order_keeping(decomp, ())
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert planar_circular_order(decomp, rng) == recursive_planar_order(g, ref_rng)
-        assert rng.random() == ref_rng.random()  # same number of draws
+        assert rng.getstate() == ref_rng.getstate()  # the same draws
         assert is_crossing_free(planar_circular_order(decomp, random.Random(seed)), g.edges)
         checked += 1
     assert checked >= 30
+
+
+def small_layout_inputs():
+    """(graph, seed) pairs at the sizes the generators lay out: G - e for
+    the drawings of every profile at n = 4-60 (e the crossing edge, or any
+    edge of a planar drawing), random trees of bridges, single cycles, and
+    trees with isolated vertices among theirs."""
+    for profile in PROFILES:
+        for n in range(4, 61, 4):
+            for seed in range(12):
+                try:
+                    d = gen_random(n, seed, profile)
+                except InvalidInstance:  # disconnected draws with a one-vertex part
+                    continue
+                cands = classify(d).candidates
+                edges = [c.edge for c in cands] or d.graph.sorted_edges()
+                yield (d.graph.without_edge(edges[seed % len(edges)]) if edges else d.graph), seed
+    rng = random.Random(4)
+    for seed in range(150):
+        vs = tuple(f"t{i}" for i in range(rng.randint(1, 60)))
+        yield Graph(vs, [(vs[i], vs[rng.randrange(i)]) for i in range(1, len(vs))]), seed
+    for n in range(3, 61):
+        for seed in range(2):
+            yield cycle_graph(n), seed
+    for seed in range(100):
+        vs = tuple(f"t{i}" for i in range(rng.randint(1, 40)))
+        tree = [i for i in range(len(vs)) if rng.random() < 0.6]  # the rest are isolated
+        yield Graph(vs, [(vs[i], vs[rng.choice(tree[:k])]) for k, i in enumerate(tree) if k]), seed
+
+
+def test_random_layout_matches_recursive_reference_on_small_graphs():
+    """`planar_circular_order` with `rng` makes the reference's draws, no
+    more and no fewer, and returns its order on over 1,000 small graphs."""
+    checked = 0
+    for g, seed in small_layout_inputs():
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert planar_circular_order(block_decomposition(g), rng) == recursive_planar_order(g, ref_rng), (g, seed)
+        assert rng.getstate() == ref_rng.getstate(), (g, seed)
+        checked += 1
+    assert checked >= 1000
 
 
 def _peel_inputs():

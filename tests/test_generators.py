@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from untangling import enumerate_almost_planar_instances, gen_random, generators
-from untangling.errors import InvalidInstance
+from untangling.errors import ConstructionFailed, InvalidInstance
 from untangling.generators import PROFILES
 from untangling.io_formats import format_drawing
+from untangling.model import crossing_pairs
 
 NS = (4, 10, 20, 100)
 SEEDS = range(8)
@@ -45,6 +46,82 @@ def test_gen_random_is_pinned(profile):
                 raised.append((n, seed))
     assert raised == RAISING.get(profile, [])
     assert _sha(texts) == GOLDEN[profile]
+
+
+# sha256 as in GOLDEN, over seeds 0-7 at sizes the ap-service benchmark draws
+BENCH_NS = {"almost-planar": (14, 24, 36), "case-2-2": (12, 14)}
+GOLDEN_BENCH = {
+    "almost-planar": "90030e10ef1a43a2caa3a57275a1f84eeddc4ffe093652118893237ba91059d1",
+    "case-2-2": "96a587becb82d1cd52149fc47df2703881fa3994f929e0c660ed590cf351a6de",
+}
+
+
+@pytest.mark.parametrize("profile", sorted(BENCH_NS))
+def test_gen_random_is_pinned_at_benchmark_sizes(profile):
+    texts = [format_drawing(gen_random(n, seed, profile)) for n in BENCH_NS[profile] for seed in SEEDS]
+    assert _sha(texts) == GOLDEN_BENCH[profile]
+
+
+def test_kept_layout_must_be_crossing_free(monkeypatch):
+    """A layout of G - e that crosses itself is a defect of the tree's
+    layout, not a random rejection: it raises."""
+    monkeypatch.setattr(generators, "is_crossing_free", lambda order, edges: False)
+    for profile in ("almost-planar", "case-2-2"):
+        with pytest.raises(ConstructionFailed):
+            gen_random(10, 0, profile)
+
+
+def test_chord_test_matches_crossing_pairs():
+    """`_chord_crosses` says that u-v crosses an edge exactly when some
+    crossing pair holds u-v, on random orders and random edge sets, which
+    may share an end with u-v and cross each other."""
+    rng = random.Random(5)
+    crossed = 0
+    for _ in range(3000):
+        n = rng.randint(2, 12)
+        order = tuple(f"v{i}" for i in range(n))
+        u, v = rng.sample(order, 2)
+        rest = {tuple(rng.sample(order, 2)) for _ in range(rng.randint(0, 2 * n))} - {(u, v), (v, u)}
+        order = tuple(rng.sample(order, n))
+        want = any((u, v) in pair for pair in crossing_pairs(order, rest | {(u, v)}))
+        assert generators._chord_crosses(order, u, v, rest) == want, (order, u, v, rest)
+        crossed += want
+    assert 500 < crossed < 2500
+
+
+def recursive_noncrossing_edges(rng, n, hull_p, diag_p, connect):
+    """Reference: `_random_noncrossing_edges` splitting its arcs by plain
+    recursion, which defines the order of every `rng` draw."""
+    edges = []
+    for i in range(n):
+        if rng.random() < hull_p:
+            edges.append((i, (i + 1) % n))
+
+    def split(lo, hi):
+        if hi - lo < 2:
+            return
+        mid = rng.randint(lo + 1, hi - 1)
+        if mid - lo > 1 and rng.random() < diag_p:
+            edges.append((lo, mid))
+        if hi - mid > 1 and rng.random() < diag_p:
+            edges.append((mid, hi))
+        split(lo, mid)
+        split(mid, hi)
+
+    if n >= 3:
+        split(0, n - 1)
+    if connect:
+        edges.extend((r - 1, r) for r in generators._least_positions(n, edges)[1:])
+    return sorted(set(edges))
+
+
+@pytest.mark.parametrize("connect", [False, True])
+def test_noncrossing_edges_match_recursive_reference(connect):
+    for n in range(201):
+        rng, ref_rng = random.Random(n), random.Random(n)
+        got = generators._random_noncrossing_edges(rng, n, hull_p=0.85, diag_p=0.45, connect=connect)
+        assert got == recursive_noncrossing_edges(ref_rng, n, 0.85, 0.45, connect), n
+        assert rng.getstate() == ref_rng.getstate(), n
 
 
 def test_corpus_is_pinned():
@@ -106,6 +183,14 @@ def test_layout_tries_share_one_tree(monkeypatch):
     for (g, u, v, *_), tree in zip(calls, trees):
         assert tree.vertices == g.vertices and tree.edges == g.edges - {(u, v), (v, u)}
     assert len(layouts) > len(trees)  # some calls take more than one try
+
+
+def test_corpus_drawing_must_cross(monkeypatch):
+    """Each corpus drawing is checked to have a crossing by a test that
+    `python -O` keeps, not by an assert."""
+    monkeypatch.setattr(generators, "is_crossing_free", lambda order, edges: True)
+    with pytest.raises(ConstructionFailed):
+        next(enumerate_almost_planar_instances(4))
 
 
 ALGORITHM_MODULES = ("model", "seqs", "blocks", "almost_planar", "general", "oracle", "reductions")
