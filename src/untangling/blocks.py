@@ -23,8 +23,9 @@ edges.  Any other block is peeled: a 2-connected outerplanar block always
 has a vertex of degree 2, and removing it (recording its two neighbors as
 cycle-adjacent) leaves a smaller outerplanar block.  Unwinding the peel
 reconstructs the unique Hamiltonian cycle; any stall or inconsistent
-reinsertion certifies a forbidden substructure.  The reconstructed orders
-are re-checked with the crossing test, so the recognizer is self-verifying.
+reinsertion certifies a forbidden substructure.  A peel that unwinds
+certifies the block: its chords cannot cross the cycle it rebuilds (see
+`_peel_hamiltonian`), so no crossing test is run on it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import count
 from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import InvalidInstance, NotOuterplanar, UnknownVertex
-from .model import Edge, Graph, Vertex, _Record, is_crossing_free, rotate_to
+from .model import Edge, Graph, Vertex, _Record, rotate_to
 
 
 class BlockDecomposition(_Record):
@@ -54,7 +55,13 @@ class BlockDecomposition(_Record):
 
     def attachment(self, block_index: int, v: Vertex) -> frozenset[Vertex]:
         """The component of G - E(B) containing v, for B the block at
-        `block_index`: v plus the tree subtrees hanging off v away from B."""
+        `block_index`: v plus the tree subtrees hanging off v away from B.
+        Raises InvalidInstance for an index outside 0..len(blocks) - 1 and
+        UnknownVertex for a vertex not in the graph."""
+        if not 0 <= block_index < len(self.blocks):
+            raise InvalidInstance(f"no block {block_index!r} among {len(self.blocks)}")
+        if v not in self.incidence:
+            raise UnknownVertex(repr(v))
         seen, out, stack = {block_index}, {v}, [v]
         while stack:
             for bi in self.incidence[stack.pop()]:
@@ -140,9 +147,15 @@ def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ..
     rank towards the lower of that vertex's two cycle neighbours.
 
     A block with as many edges as vertices has no chord: it is walked along
-    its edges.  Any other block is peeled, and its chords are checked against
-    the cycle.  Raises NotOuterplanar when the walk does not close after all
-    vertices, the peel stalls, a peeled vertex has no slot, or chords cross.
+    its edges.  Any other block is peeled down to two vertices and unwound,
+    which inserts each peeled w between its neighbours a and b, cycle
+    neighbours at that point.  The peel is the whole certificate.  Going back
+    from the last two vertices, every edge of each intermediate graph is a
+    side or a non-crossing chord of its cycle, by induction: w's two edges
+    become sides, a-b becomes a chord over w alone, and inserting w changes
+    no other pair's alternation.  The first intermediate graph is the block
+    itself.  Raises NotOuterplanar when the walk does not close after all
+    vertices, the peel stalls, or a peeled vertex has no slot.
     """
     adj: dict[int, set[int]] = {}
     for a, b in block_edges:
@@ -160,27 +173,36 @@ def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ..
             raise NotOuterplanar("a block without chords is not one cycle")
         return tuple(cycle)
 
-    # a stack holds every vertex of degree 2; degrees never grow, so a
-    # vertex found on it at another degree (or peeled) is stale
-    peel: list[tuple[int, int, int]] = []
+    # `ready` holds each vertex as it reaches degree 2, last first.  Degrees
+    # never grow and a peeled vertex's set is emptied, so an entry at another
+    # degree is stale: it is skipped where it is popped.
     ready = [x for x, nbrs in adj.items() if len(nbrs) == 2]
-    while len(adj) > 2:
-        while ready and len(adj.get(ready[-1], ())) != 2:
-            ready.pop()
-        if not ready:
-            raise NotOuterplanar("degree-2 peel stalled (K4-like substructure)")
-        w = ready.pop()
-        a, b = adj.pop(w)
+    pop, push = ready.pop, ready.append
+    peel: list[tuple[int, int, int]] = []
+    for _ in range(k - 2):  # one peel for each vertex but the last two
+        try:
+            w = pop()
+            while len(adj[w]) != 2:
+                w = pop()
+        except IndexError:
+            raise NotOuterplanar("degree-2 peel stalled (K4-like substructure)") from None
+        nbrs = adj[w]
+        a, b = nbrs
+        nbrs.clear()
         peel.append((w, a, b))
-        for x, y in ((a, b), (b, a)):
-            adj[x].discard(w)
-            adj[x].add(y)
-            if len(adj[x]) == 2:
-                ready.append(x)
+        nbrs = adj[a]
+        nbrs.discard(w)
+        nbrs.add(b)
+        if len(nbrs) == 2:
+            push(a)
+        nbrs = adj[b]
+        nbrs.discard(w)
+        nbrs.add(a)
+        if len(nbrs) == 2:
+            push(b)
 
-    # unwind on successor links: w goes between a and b, which must be
-    # cycle neighbours
-    a, b = adj
+    # unwind on successor links from the last two vertices, the ends of the
+    # last vertex peeled: w goes between a and b, which must be cycle neighbours
     succ = {a: b, b: a}
     for w, a, b in reversed(peel):
         if succ[a] == b:
@@ -193,8 +215,6 @@ def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ..
     for _ in range(k - 1):
         cycle.append(succ[cycle[-1]])
 
-    if not is_crossing_free(cycle, block_edges):
-        raise NotOuterplanar("block chords cross in the reconstructed Hamiltonian order")
     if cycle[-1] < cycle[1]:
         cycle[1:] = cycle[:0:-1]
     return tuple(cycle)

@@ -30,7 +30,7 @@ from untangling import (
     unwrap_linearizations,
     verify_untangling,
 )
-from untangling import almost_planar, blocks, seqs
+from untangling import almost_planar, blocks, model, seqs
 from untangling.almost_planar import _apex_cuts
 from untangling.cli import main
 from untangling.errors import NotAlmostPlanar, NotOuterplanar, StructuralAssertionFailed
@@ -857,7 +857,7 @@ def test_each_untangling_is_checked_for_crossings_once(monkeypatch):
         return check(order, edges)
 
     def no_check(order, edges):
-        raise AssertionError("planar_order_keeping ran a crossing test")
+        raise AssertionError("the tree build or planar_order_keeping ran a crossing sweep")
 
     monkeypatch.setattr(almost_planar, "is_crossing_free", counted)
     drawings = [c4_tangled(), two_path_satellites(), gen_fig5(10), gen_random(12, 1, "case-2-2")]
@@ -867,7 +867,6 @@ def test_each_untangling_is_checked_for_crossings_once(monkeypatch):
             u = untangle(d)
             assert len(checked) == 1, (untangle.__name__, d.order)
             assert cyclic_equal(verify_untangling(d, u).result.order, checked[0])
-    decomps = [block_decomposition(d.graph) for d in drawings]  # the recognizer runs crossing tests
-    monkeypatch.setattr(blocks, "is_crossing_free", no_check)
-    for d, bd in zip(drawings, decomps):
-        assert planar_order_keeping(bd, d.order[:2]) is not None
+    monkeypatch.setattr(model, "crossing_pairs", no_check)  # under every crossing test
+    for d in drawings:
+        assert planar_order_keeping(block_decomposition(d.graph), d.order[:2]) is not None

@@ -2,9 +2,10 @@
 free or keeping a fixed set in input order."""
 
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from untangling import (
@@ -26,7 +27,7 @@ from untangling import (
     planar_order_keeping,
     verify_untangling,
 )
-from untangling import almost_planar, blocks
+from untangling import almost_planar, blocks, model
 from untangling.errors import InvalidInstance, NotOuterplanar, UnknownEdge, UnknownVertex
 from untangling.generators import PROFILES
 from untangling.model import cyclic_equal, restriction, rotate_to
@@ -130,6 +131,17 @@ def test_attachments_partition_vertices():
             assert set(p) & set(blk) == {v}
 
 
+def test_attachment_checks_its_arguments():
+    bd = block_decomposition(Graph(("a", "b", "c"), [("a", "b"), ("b", "c")]))
+    assert bd.blocks == (("a", "b"), ("b", "c"))
+    assert bd.attachment(1, "a") == frozenset("ab")  # block (b, c) by a valid index
+    for bi in (-1, 2):  # unchecked, -1 would leave out no block and give the whole component
+        with pytest.raises(InvalidInstance):
+            bd.attachment(bi, "a")
+    with pytest.raises(UnknownVertex):
+        bd.attachment(0, "z")
+
+
 def test_block_edges_are_hull_or_noncrossing_chords():
     g = Graph(
         ("a", "b", "c", "d", "e"),
@@ -165,14 +177,18 @@ def test_hamiltonian_peel_matches_enumeration_uniqueness():
             assert cyclic_equal(t, ham) or cyclic_equal(t, (ham[0],) + tuple(reversed(ham[1:])))
 
 
-@pytest.mark.parametrize("shape", ["cycle", "fan"])
+@pytest.mark.parametrize("shape", ["cycle", "fan", "path-square"])
 def test_hamiltonian_peel_of_large_blocks(shape):
     # one block of 20,000 vertices; the fan's peel frees one path vertex per
-    # step, and its hub keeps a high degree to the end
+    # step, and its hub keeps a high degree to the end; the square of a path
+    # (i-(i+1) and i-(i+2)) is maximal outerplanar and peels from both ends,
+    # so many of the peel's stacked vertices are stale when popped
     g = cycle_graph(20_000)
     vs = g.vertices
     if shape == "fan":
         g = Graph(vs, [*zip(vs, vs[1:]), *((vs[0], x) for x in vs[2:])])
+    if shape == "path-square":
+        g = Graph(vs, [*zip(vs, vs[1:]), *zip(vs, vs[2:])])
     (ham,) = block_decomposition(g).blocks
     assert sorted(ham, key=g.index) == list(vs)
     for a, b in zip(ham, ham[1:] + ham[:1]):
@@ -180,7 +196,10 @@ def test_hamiltonian_peel_of_large_blocks(shape):
     assert is_crossing_free(ham, g.edges)
     # normalized: starts at the lowest rank, then its lower-ranked neighbour
     assert ham[0] == vs[0] and g.index(ham[1]) < g.index(ham[-1])
-    assert ham == vs
+    if shape == "path-square":  # the lowest rank, the odd ranks up, then the even ones down
+        assert ham == vs[:1] + vs[1::2] + vs[-2:0:-2]
+    else:
+        assert ham == vs
 
 
 def test_attachment_consecutive_in_every_planar_order():
@@ -447,18 +466,78 @@ def test_block_cycles_match_reference_peel():
     assert chordless > 1000 and chorded > 500
 
 
-def test_crossing_self_check_runs_only_on_chorded_blocks(monkeypatch):
-    calls, test = [], blocks.is_crossing_free  # the length of each order `blocks` tests
-    monkeypatch.setattr(blocks, "is_crossing_free", lambda order, edges: calls.append(len(order)) or test(order, edges))
-    block_decomposition(cycle_graph(50))
-    block_decomposition(hub_of_triangles(12))
-    assert calls == []  # no chord, nothing that could cross
+def test_tree_build_runs_no_crossing_sweep(monkeypatch):
+    """The peel certifies each chorded block on its own: no crossing sweep
+    runs while the tree is built, on chorded blocks, chordless ones or
+    graphs the peel refuses."""
+
+    def no_sweep(order, edges):
+        raise AssertionError("block_decomposition ran a crossing sweep")
+
+    monkeypatch.setattr(model, "crossing_pairs", no_sweep)
     vs = cycle_graph(20_000).vertices
-    block_decomposition(Graph(vs, [*zip(vs, vs[1:]), *((vs[0], x) for x in vs[2:])]))
-    assert calls == [20_000]  # the fan of test_hamiltonian_peel_of_large_blocks
+    fan = Graph(vs, [*zip(vs, vs[1:]), *((vs[0], x) for x in vs[2:])])  # as in test_hamiltonian_peel_of_large_blocks
+    assert block_decomposition(fan).blocks == (vs,)
+    assert len(block_decomposition(hub_of_triangles(12)).blocks) == 12
     for g in (k4(), k23()):
         with pytest.raises(NotOuterplanar):
             block_decomposition(g)
+
+
+def _labelled_graphs(n):
+    """Every graph on the n vertices "0".."n-1", one per set of edges."""
+    vs = tuple(map(str, range(n)))
+    pairs = list(combinations(vs, 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(vs, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def test_peel_refuses_exactly_the_graphs_without_a_planar_order():
+    """Over every labelled graph on at most 6 vertices, the tree is refused
+    exactly when the graph has no crossing-free order: for a refused graph
+    the oracle's enumeration, which does not use `blocks`, finds none, and
+    an accepted graph's layout passes the crossing sweep.  Every chorded
+    block's cycle is the reference peel's, which re-checks its chords for
+    crossings."""
+    refused = chorded = 0
+    for n in range(1, 7):
+        for g in _labelled_graphs(n):
+            try:
+                decomp = block_decomposition(g)
+            except NotOuterplanar:
+                refused += 1
+                assert not enumerate_planar_orders(g), g.edges
+                continue
+            assert is_crossing_free(planar_circular_order(decomp), g.edges), g.edges
+            for blk in decomp.blocks:
+                bedges = [(g.index(a), g.index(b)) for a, b in _block_edges(g, blk)]
+                if len(bedges) > len(blk):
+                    chorded += 1
+                    assert tuple(map(g.index, blk)) == reference_peel(bedges), g.edges
+    assert (refused, chorded) == (13_186, 10_656)
+
+
+def _edge_lists(n):
+    """Edge lists on ranks below n, repeats allowed: any pairs, or a cycle
+    through all n in random order plus any pairs, which the peel more
+    often gets through."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    around = st.permutations(range(n)).map(lambda p: list(zip(p, p[1:] + p[:1])))
+    return st.one_of(st.lists(pair, min_size=1), st.tuples(around, st.lists(pair, max_size=n)).map(lambda t: t[0] + t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 12).flatmap(_edge_lists))
+@example([(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])  # K2,3, which only the slot test refuses
+def test_peel_cycle_is_crossing_free_on_any_edges(edges):
+    """Whenever the peel returns on an edge list, which need not be a
+    2-connected block, the edges do not cross on the cycle it returns."""
+    assume(len(edges) != len({x for e in edges for x in e}))  # the peel's branch, not the chordless walk
+    try:
+        cycle = blocks._peel_hamiltonian(edges)
+    except NotOuterplanar:
+        return
+    assert is_crossing_free(cycle, edges)
 
 
 @pytest.mark.parametrize(
