@@ -18,24 +18,26 @@ out every plan.  Each walk runs on an explicit stack and nests no Python
 calls, so a deep tree never meets the recursion limit.  All take the tree,
 to be built once and laid out often.
 
-A block with as many edges as vertices is a plain cycle, walked along its
-edges.  Any other block is peeled: a 2-connected outerplanar block always
-has a vertex of degree 2, and removing it (recording its two neighbors as
-cycle-adjacent) leaves a smaller outerplanar block.  Unwinding the peel
-reconstructs the unique Hamiltonian cycle; any stall or inconsistent
-reinsertion certifies a forbidden substructure.  A peel that unwinds
-certifies the block: its chords cannot cross the cycle it rebuilds (see
-`_peel_hamiltonian`), so no crossing test is run on it.
+Every block of 3 or more vertices, chorded or a plain cycle, is peeled: a
+2-connected outerplanar block always has a vertex of degree 2, and
+removing it (recording its two neighbors as cycle-adjacent) leaves a
+smaller outerplanar block.  Unwinding the peel reconstructs the unique
+Hamiltonian cycle; any stall or inconsistent reinsertion certifies a
+forbidden substructure.  A peel that unwinds certifies the block: its
+chords cannot cross the cycle it rebuilds (see `_peel_hamiltonian`), so no
+crossing test is run on it.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import count
-from typing import Collection, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import InvalidInstance, NotOuterplanar, UnknownVertex
 from .model import Edge, Graph, Vertex, _Record, rotate_to
+
+if TYPE_CHECKING:  # only `planar_circular_order`'s annotation names random
+    import random
 
 
 class BlockDecomposition(_Record):
@@ -141,37 +143,26 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(g, blocks, components, incidence, component_of)
 
 
-def _peel_hamiltonian(block_edges: Collection[tuple[int, int]]) -> tuple[int, ...]:
+def _peel_hamiltonian(block_edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Unique Hamiltonian cyclic order of a 2-connected outerplanar block of
     3 or more vertices, given by its edges as rank pairs, from its lowest
     rank towards the lower of that vertex's two cycle neighbours.
 
-    A block with as many edges as vertices has no chord: it is walked along
-    its edges.  Any other block is peeled down to two vertices and unwound,
-    which inserts each peeled w between its neighbours a and b, cycle
-    neighbours at that point.  The peel is the whole certificate.  Going back
-    from the last two vertices, every edge of each intermediate graph is a
-    side or a non-crossing chord of its cycle, by induction: w's two edges
-    become sides, a-b becomes a chord over w alone, and inserting w changes
-    no other pair's alternation.  The first intermediate graph is the block
-    itself.  Raises NotOuterplanar when the walk does not close after all
-    vertices, the peel stalls, or a peeled vertex has no slot.
+    The block, chorded or a plain cycle, is peeled down to two vertices and
+    unwound, which inserts each peeled w between its neighbours a and b,
+    cycle neighbours at that point.  The peel is the whole certificate.
+    Going back from the last two vertices, every edge of each intermediate
+    graph is a side or a non-crossing chord of its cycle, by induction: w's
+    two edges become sides, a-b becomes a chord over w alone, and inserting
+    w changes no other pair's alternation.  The first intermediate graph is
+    the block itself.  Raises NotOuterplanar when the peel stalls or a
+    peeled vertex has no slot.
     """
     adj: dict[int, set[int]] = {}
     for a, b in block_edges:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     k, first = len(adj), min(adj)
-
-    if len(block_edges) == k:  # a plain cycle: no chord, so nothing can cross
-        cycle, x = [first], min(adj[first])
-        while x != first and len(cycle) < k and len(adj[x]) == 2:
-            cycle.append(x)
-            a, b = adj[x]
-            x = b if a == cycle[-2] else a
-        if x != first or len(cycle) != k:
-            raise NotOuterplanar("a block without chords is not one cycle")
-        return tuple(cycle)
 
     # `ready` holds each vertex as it reaches degree 2, last first.  Degrees
     # never grow and a peeled vertex's set is emptied, so an entry at another
@@ -308,10 +299,7 @@ def _walk(decomp: BlockDecomposition, comps: Iterable[int]) -> list[Vertex]:
         while todo:
             v, parent = todo.pop(), via.pop()
             out.append(v)
-            kids = incidence[v]
-            if len(kids) == 1 and parent is not None:  # a leaf of the tree
-                continue
-            for bi in reversed(kids):
+            for bi in reversed(incidence[v]):
                 if bi != parent:
                     cycle = rotate_to(blocks[bi], v)
                     todo += cycle[:0:-1] if rank[cycle[1]] < rank[cycle[-1]] else cycle[1:]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import FormatError, TooLarge, UntanglingError
@@ -31,7 +30,8 @@ EXIT_BUDGET = 4
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+        with open(path, encoding="utf-8-sig") as f:  # a leading byte-order mark is dropped
+            return f.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -142,7 +142,8 @@ def _cmd_render(args) -> int:
         moved = tuple(u.moved_set())
     svg = render_svg(d, moved=moved)
     try:
-        Path(args.output).write_text(svg, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.write(svg)
     except OSError as exc:
         raise FormatError(f"cannot write {args.output}: {exc}") from exc
     return EXIT_OK

@@ -103,6 +103,8 @@ def parse_3p(text: str) -> ThreePartitionInstance:
         a = tuple(int(x) for x in parts[3:])
     except (IndexError, ValueError) as exc:
         raise FormatError(f"bad 3p line: {exc}") from exc
+    if m < 1:
+        raise FormatError(f"bad 3p line: m = {m}, not a positive count of triples")
     if len(a) != 3 * m:
         raise FormatError(f"expected {3 * m} elements, found {len(a)}")
     try:

@@ -179,7 +179,9 @@ def test_hamiltonian_peel_matches_enumeration_uniqueness():
 
 @pytest.mark.parametrize("shape", ["cycle", "fan", "path-square"])
 def test_hamiltonian_peel_of_large_blocks(shape):
-    # one block of 20,000 vertices; the fan's peel frees one path vertex per
+    # one block of 20,000 vertices; the cycle's peel re-stacks both
+    # neighbours of each peeled vertex, still at degree 2, so stale stack
+    # entries outnumber live ones; the fan's peel frees one path vertex per
     # step, and its hub keeps a high degree to the end; the square of a path
     # (i-(i+1) and i-(i+2)) is maximal outerplanar and peels from both ends,
     # so many of the peel's stacked vertices are stale when popped
@@ -288,10 +290,10 @@ def recursive_planar_order(g, rng=None):
 
 
 def reference_peel(block_edges):
-    """Reference: the degree-2 peel that recovered every block's cycle before
-    blocks without chords were walked, kept as it was.  Takes a 2-connected
-    outerplanar block of 3 or more vertices as rank pairs and returns its
-    cycle from its lowest rank towards the lower of that rank's neighbours."""
+    """Reference: the degree-2 peel with the crossing re-check it once ended
+    with, kept as it was.  Takes a 2-connected outerplanar block of 3 or
+    more vertices as rank pairs and returns its cycle from its lowest rank
+    towards the lower of that rank's neighbours."""
     verts = sorted({x for e in block_edges for x in e})
     adj = {v: set() for v in verts}
     for a, b in block_edges:
@@ -467,9 +469,9 @@ def test_block_cycles_match_reference_peel():
 
 
 def test_tree_build_runs_no_crossing_sweep(monkeypatch):
-    """The peel certifies each chorded block on its own: no crossing sweep
-    runs while the tree is built, on chorded blocks, chordless ones or
-    graphs the peel refuses."""
+    """The peel certifies each block on its own: no crossing sweep runs
+    while the tree is built, on chorded blocks, chordless ones or graphs
+    the peel refuses."""
 
     def no_sweep(order, edges):
         raise AssertionError("block_decomposition ran a crossing sweep")
@@ -496,10 +498,10 @@ def test_peel_refuses_exactly_the_graphs_without_a_planar_order():
     """Over every labelled graph on at most 6 vertices, the tree is refused
     exactly when the graph has no crossing-free order: for a refused graph
     the oracle's enumeration, which does not use `blocks`, finds none, and
-    an accepted graph's layout passes the crossing sweep.  Every chorded
-    block's cycle is the reference peel's, which re-checks its chords for
-    crossings."""
-    refused = chorded = 0
+    an accepted graph's layout passes the crossing sweep.  Every cycle of 3
+    or more vertices, chorded or not, is the reference peel's, which
+    re-checks its chords for crossings."""
+    refused = peeled = 0
     for n in range(1, 7):
         for g in _labelled_graphs(n):
             try:
@@ -511,10 +513,10 @@ def test_peel_refuses_exactly_the_graphs_without_a_planar_order():
             assert is_crossing_free(planar_circular_order(decomp), g.edges), g.edges
             for blk in decomp.blocks:
                 bedges = [(g.index(a), g.index(b)) for a, b in _block_edges(g, blk)]
-                if len(bedges) > len(blk):
-                    chorded += 1
+                if len(blk) > 2:
+                    peeled += 1
                     assert tuple(map(g.index, blk)) == reference_peel(bedges), g.edges
-    assert (refused, chorded) == (13_186, 10_656)
+    assert (refused, peeled) == (13_186, 18_605)
 
 
 def _edge_lists(n):
@@ -529,28 +531,17 @@ def _edge_lists(n):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(3, 12).flatmap(_edge_lists))
 @example([(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])  # K2,3, which only the slot test refuses
+@example([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])  # two triangles: the peel stalls
+@example([(0, 1), (1, 2), (2, 0), (2, 3)])  # a triangle with a pendant edge
+@example([(0, 1), (0, 2), (0, 3), (1, 2)])  # lowest rank of degree 3
 def test_peel_cycle_is_crossing_free_on_any_edges(edges):
     """Whenever the peel returns on an edge list, which need not be a
     2-connected block, the edges do not cross on the cycle it returns."""
-    assume(len(edges) != len({x for e in edges for x in e}))  # the peel's branch, not the chordless walk
     try:
         cycle = blocks._peel_hamiltonian(edges)
     except NotOuterplanar:
         return
     assert is_crossing_free(cycle, edges)
-
-
-@pytest.mark.parametrize(
-    "edges",
-    [
-        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],  # two triangles: closes after 3 of 6
-        [(0, 1), (1, 2), (2, 0), (2, 3)],  # a triangle with a pendant edge: never closes
-        [(0, 1), (0, 2), (0, 3), (1, 2)],  # lowest rank of degree 3
-    ],
-)
-def test_walk_without_chords_must_close_on_every_vertex(edges):
-    with pytest.raises(NotOuterplanar, match="without chords"):
-        blocks._peel_hamiltonian(edges)
 
 
 @pytest.mark.parametrize("rng", [None, random.Random(0)])

@@ -110,6 +110,9 @@ def test_instance_file_roundtrips():
     assert parse_icor(format_icor(di)) == di
     with pytest.raises(FormatError):
         parse_3p("3p 1 30 9 9\n")
+    for m in (-1, 0):
+        with pytest.raises(FormatError, match=rf"^bad 3p line: m = {m}, "):
+            parse_3p(f"3p {m} 5\n")
     with pytest.raises(FormatError):
         parse_icor("chunk 1 2\n")
 
@@ -413,6 +416,8 @@ def test_cli_untangle_exits_1_when_its_answer_fails_verification(tmp_path, capsy
         ("reduce-icor", "icor \u00b2\nchunk 1 2\n".encode()),         # digit that int() rejects
         ("reduce-icor", b"icor 2\nicor 3\nchunk 1 2\n"),              # second icor line
         ("reduce-icor", b"icor 2\nchunk 1 \xfe\n"),                   # not UTF-8
+        ("reduce-3p", b"3p -1 5\n"),                                 # negative m
+        ("reduce-3p", b"3p 0 5\n"),                                  # no triples
     ],
 )
 def test_cli_malformed_file_exits_2(tmp_path, capsys, command, data):
@@ -440,7 +445,10 @@ def test_cli_runs_without_networkx(tmp_path):
     """`import untangling` loads no submodule, and each CLI command loads
     only the modules it runs; networkx is never loaded, and neither is
     `dataclasses` unless `site` loaded it first, not even by the oracle and
-    the reductions."""
+    the reductions.  Nor do `check` and `verify` load `pathlib`, or
+    `untangle --algorithm min` `random`, unless `site` loaded them.  The
+    script runs with `site` and without it (-S), where each of these
+    checks bites."""
     drawing, moves = tmp_path / "d.cdr", tmp_path / "d.mv"
     drawing.write_text("vertices 4\norder a b c d\nedge a c\nedge b d\n")
     moves.write_text("move a after b\n")
@@ -452,6 +460,7 @@ def test_cli_runs_without_networkx(tmp_path):
         "def loaded():\n"
         "    return {m.split('.', 1)[1] for m in sys.modules if m.startswith('untangling.')}\n"
         "site_loaded_dataclasses = 'dataclasses' in sys.modules\n"
+        "site_loaded = {m for m in ('pathlib', 'random') if m in sys.modules}\n"
         "import untangling\n"
         "assert 'networkx' not in sys.modules, 'import untangling loaded networkx'\n"
         "assert loaded() == set(), f'import untangling loaded {sorted(loaded())}'\n"
@@ -462,10 +471,12 @@ def test_cli_runs_without_networkx(tmp_path):
         "assert 'networkx' not in sys.modules, 'untangling check loaded networkx'\n"
         "assert loaded() <= {'errors', 'model', 'io_formats', 'cli'}, f'check and verify loaded {sorted(loaded())}'\n"
         "assert site_loaded_dataclasses or 'dataclasses' not in sys.modules, 'check and verify loaded dataclasses'\n"
+        "assert 'pathlib' in site_loaded or 'pathlib' not in sys.modules, 'check and verify loaded pathlib'\n"
         f"rc += untangling.cli.main(['untangle', {str(drawing)!r}, '--algorithm', 'min'])\n"
         "extra = loaded() & {'oracle', 'generators', 'reductions', 'render'}\n"
         "assert not extra, f'untangle --algorithm min loaded {sorted(extra)}'\n"
         "assert site_loaded_dataclasses or 'dataclasses' not in sys.modules, 'untangle min loaded dataclasses'\n"
+        "assert 'random' in site_loaded or 'random' not in sys.modules, 'untangle min loaded random'\n"
         f"rc += untangling.cli.main(['untangle', {str(drawing)!r}, '--algorithm', 'exact'])\n"
         f"rc += untangling.cli.main(['generate', 'reduce-3p', {str(three_p)!r}])\n"
         f"rc += untangling.cli.main(['generate', 'reduce-icor', {str(icor)!r}])\n"
@@ -475,10 +486,11 @@ def test_cli_runs_without_networkx(tmp_path):
     )
     src = str(Path(untangling.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "crossings 1" in proc.stdout and "planarOk true" in proc.stdout
-    assert "icor 90\n" in proc.stdout and "# budget K=4\n" in proc.stdout
+    for flags in ([], ["-S"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "crossings 1" in proc.stdout and "planarOk true" in proc.stdout
+        assert "icor 90\n" in proc.stdout and "# budget K=4\n" in proc.stdout
 
 
 # the public API as the package's eager imports bound it: every name each
