@@ -204,6 +204,22 @@ def test_hamiltonian_peel_of_large_blocks(shape):
         assert ham == vs
 
 
+@pytest.mark.parametrize("n", [3, 4, 1025])
+def test_chordless_block_is_peeled_to_its_normalized_cycle(n):
+    # a block without chords whose ranks run around it in shuffled order: the
+    # peel lays it like any other block, from its lowest rank towards that
+    # rank's lower-ranked neighbour
+    vs = tuple(f"v{i}" for i in range(n))
+    around = list(vs)
+    random.Random(n).shuffle(around)
+    g = Graph(vs, list(zip(around, around[1:] + around[:1])))
+    (ham,) = block_decomposition(g).blocks
+    start = around.index(vs[0])
+    forward = around[start:] + around[:start]
+    backward = forward[:1] + forward[:0:-1]
+    assert ham == tuple(min(forward, backward, key=lambda c: g.index(c[1])))
+
+
 def test_attachment_consecutive_in_every_planar_order():
     # a block with pendant trees: each attachment occupies a contiguous arc in
     # every crossing-free order
