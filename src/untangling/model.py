@@ -8,6 +8,8 @@ and pure.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInstance, UnknownEdge, UnknownVertex
@@ -87,9 +89,7 @@ class Graph(_Record):
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]] = ()):
         vs = tuple(vertices)
-        index = dict(zip(vs, range(len(vs))))
-        if len(index) != len(vs):
-            raise InvalidInstance("duplicate vertices")
+        index = _index_of(vs)
 
         def normal(edge: Sequence[Vertex]) -> Edge:
             try:
@@ -100,13 +100,55 @@ class Graph(_Record):
                 raise InvalidInstance(f"self-loop at {a!r}")
             try:
                 ia, ib = index[a], index[b]
-            except KeyError:
+            except (KeyError, TypeError):  # an unhashable end is no declared vertex
                 raise UnknownVertex(f"edge ({a!r}, {b!r}) references undeclared vertex") from None
             return (edge if type(edge) is tuple else (a, b)) if ia < ib else (b, a)  # keep a tuple in rank order
 
         _set(self, "vertices", vs)
         _set(self, "edges", frozenset(map(normal, edges)))  # the first bad edge raises
         _set(self, "_index", index)
+
+    @classmethod
+    def _from_rank_runs(
+        cls, vertices: Iterable[Vertex], runs: Iterable[tuple[Sequence[int], Sequence[int]]]
+    ) -> "Graph":
+        """The graph whose edges join `vertices[lo[k]]` and `vertices[hi[k]]`
+        for each run `(lo, hi)` of equal-length int sequences: `Graph` with
+        no Python call and no name lookup per edge, as each edge is built
+        lower-ranked end first.
+
+        Each run is checked whole by C-level passes, which hold exactly when
+        every rank is an `int` and lo[k] < hi[k] <= n - 1 and 0 <= lo[k].
+        A run that fails is walked to its first bad edge, which raises the
+        error `Graph` names: a rank that is not an `int` (a `bool` neither)
+        InvalidInstance, equal ends a self-loop, a rank outside 0..n-1
+        UnknownVertex (a negative one is no index from the end), and a
+        higher end first InvalidInstance.  The name index is built after the
+        edge set, so it does not sit beside the set's last resize.
+        """
+        vs = tuple(vertices)
+        try:
+            hash(vs)  # an unhashable vertex raises here, not in the edge set
+        except TypeError:
+            raise InvalidInstance("vertices must be hashable") from None
+        n = len(vs)
+        name = vs.__getitem__
+
+        def edges(run: tuple[Sequence[int], Sequence[int]]) -> Iterator[Edge]:
+            lo, hi = run
+            if len(lo) != len(hi):
+                raise InvalidInstance(f"rank run of {len(lo)} low ends and {len(hi)} high ends")
+            if lo and not (
+                {*map(type, lo), *map(type, hi)} == {int} and all(map(lt, lo, hi)) and min(lo) >= 0 and max(hi) < n
+            ):
+                _refuse_rank_edge(lo, hi, n)
+            return zip(map(name, lo), map(name, hi))
+
+        g = cls.__new__(cls)
+        _set(g, "vertices", vs)
+        _set(g, "edges", frozenset(chain.from_iterable(map(edges, runs))))  # the first bad run raises
+        _set(g, "_index", _index_of(vs))
+        return g
 
     def index(self, v: Vertex) -> int:
         try:
@@ -136,6 +178,30 @@ class Graph(_Record):
         return f"Graph(vertices={self.vertices!r}, edges={edges})"
 
 
+def _index_of(vs: tuple[Vertex, ...]) -> dict[Vertex, int]:
+    """Each vertex's rank; a repeated or unhashable vertex raises InvalidInstance."""
+    try:
+        index = dict(zip(vs, range(len(vs))))
+    except TypeError:
+        raise InvalidInstance("vertices must be hashable") from None
+    if len(index) != len(vs):
+        raise InvalidInstance("duplicate vertices")
+    return index
+
+
+def _refuse_rank_edge(lo: Sequence[int], hi: Sequence[int], n: int) -> None:
+    """Raise the error of the first bad edge of a rank run over n vertices."""
+    for i, j in zip(lo, hi):
+        if type(i) is not int or type(j) is not int:
+            raise InvalidInstance(f"rank edge ({i!r}, {j!r}) has an end that is not an int")
+        if i == j:
+            raise InvalidInstance(f"self-loop at rank {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise UnknownVertex(f"rank edge ({i}, {j}) has an end outside 0..{n - 1}")
+        if i > j:
+            raise InvalidInstance(f"rank edge ({i}, {j}) has its higher end first")
+
+
 class CircularDrawing(_Record):
     """A graph with a clockwise cyclic order of all its vertices.
 
@@ -151,7 +217,10 @@ class CircularDrawing(_Record):
         if ot == graph.vertices:
             pos = graph._index  # neither object ever writes to it
         else:
-            pos = dict(zip(ot, range(len(ot))))
+            try:
+                pos = dict(zip(ot, range(len(ot))))
+            except TypeError:  # an unhashable vertex is none of the graph's
+                raise InvalidInstance("order must be a permutation of the graph vertices") from None
             # no repeats, and the same vertex set: compared as dict views, in C
             if len(pos) != len(ot) or pos.keys() != graph._index.keys():
                 raise InvalidInstance("order must be a permutation of the graph vertices")
@@ -257,7 +326,10 @@ def crossing_pairs(order: Sequence[Vertex], edges: Iterable[Edge]) -> Iterator[t
     self-loop raises InvalidInstance, an edge end outside `order` UnknownVertex.
     """
     n = len(order)
-    pos = dict(zip(order, range(n)))
+    try:
+        pos = dict(zip(order, range(n)))
+    except TypeError:
+        raise InvalidInstance("order has an unhashable vertex") from None
     if len(pos) != n:
         raise InvalidInstance("order repeats a vertex")
     opens: list[list[tuple[int, Edge]]] = [[] for _ in range(n)]
@@ -265,7 +337,7 @@ def crossing_pairs(order: Sequence[Vertex], edges: Iterable[Edge]) -> Iterator[t
     for e in edges:
         try:
             i, j = pos[e[0]], pos[e[1]]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable end is not in the order
             raise UnknownVertex(f"edge {e!r} has an end outside the order") from None
         if i > j:
             i, j = j, i

@@ -15,9 +15,12 @@ where (iv) fails, and to measure (v) where a chunk has more than X runs.
 The second construction turns a distinct-chunk instance into a flower of
 cycles sharing one hub vertex, drawn with ranks in clockwise order, with
 the move budget K = L - M.  The entries of the first construction's output
-are the ranks 1..L already, so there each entry names its vertex directly;
-other entries are renumbered by a sort.  The edges are fed to `Graph` one
-at a time, so no list of them is held beside the graph.  An increasing
+are the ranks 1..L already, so there each entry is its vertex's rank;
+other entries are renumbered by a sort, one chunk at a time.  Each chunk's
+cycle goes to `Graph._from_rank_runs` as two runs of rank pairs, checked
+by C-level passes over the whole run, and only one chunk's runs are held
+beside the graph: no Python call and no name lookup is made per edge, and
+no list of the edges is held.  An increasing
 subsequence of length M gives an untangling within K moves.  The converse
 needs the hub held fixed: the no-instance of chunks (4, 3, 7, 2, 8, 6, 5)
 and (1,) with M = 5 has K = 3, and its drawing untangles in 3 moves when
@@ -31,9 +34,11 @@ length exists; the extended range keeps all five chunk properties intact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import partial
 from itertools import accumulate, chain, islice, repeat, zip_longest
 from operator import eq, lt, mul, sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConstructionFailed, InvalidInstance, NotAWitness, NotDistinct, PropertyViolation, TooLarge
 from .model import CircularDrawing, Graph, _Record, _set
@@ -81,9 +86,11 @@ class DistIcorInstance(_Record):
             raise InvalidInstance("M must be positive")
         if any(len(c) == 0 for c in chunks):
             raise InvalidInstance("chunks must be nonempty")
-        # one set of types, not a call per entry: this runs on every chunk word
+        # one set of types, not a call per entry: this runs on every chunk word.
+        # Plain ints only, as the entries 1..L are ranks in the reduction to
+        # a drawing, which refuses a bool or another int subclass as a rank
         types = set(map(type, chain.from_iterable(chunks)))
-        if not all(issubclass(t, int) for t in types) or min(map(min, chunks), default=1) <= 0:
+        if not types <= {int} or min(map(min, chunks), default=1) <= 0:
             raise InvalidInstance("chunk entries must be positive integers")
         entries = sorted(chain.from_iterable(chunks))  # equal entries end up side by side
         if any(map(eq, entries, islice(entries, 1, None))):
@@ -335,29 +342,29 @@ def reduce_disticor_to_cu(inst: DistIcorInstance) -> tuple[CircularDrawing, int]
     Entries are renumbered by rank to 1..L, which leaves entries that are
     already 1..L, such as the ranks of `reduce_3p_to_disticor`, as they are;
     the graph is one cycle per chunk, all sharing the hub v0, drawn in the
-    clockwise order v0, v1, ..., vL.
+    clockwise order v0, v1, ..., vL.  Vertex vr has rank r, so each chunk's
+    cycle goes to `Graph._from_rank_runs` as two runs of rank pairs: the
+    hub's two edges, then the edges between consecutive entries.
     """
     total = inst.total
     vertices = tuple(f"v{i}" for i in range(total + 1))
-    g = Graph(vertices, _flower_edges(inst.chunks, vertices))
-    return CircularDrawing(g, vertices), total - inst.m_target
+    chunks: Iterable[Sequence[int]] = inst.chunks
+    # distinct positive entries are the ranks 1..L exactly when the largest is L
+    if max(map(max, chunks), default=0) != total:
+        # an entry's rank is its place among them all after a 0: a sorted
+        # list holds no new int, as a map to each rank would, and each chunk
+        # is renumbered only while its runs are read
+        rank = partial(bisect_left, sorted(chain([0], chain.from_iterable(chunks))))
+        chunks = (list(map(rank, c)) for c in chunks)
+    return CircularDrawing(Graph._from_rank_runs(vertices, _flower_runs(chunks)), vertices), total - inst.m_target
 
 
-def _flower_edges(chunks: Sequence[Sequence[int]], vertices: tuple[str, ...]) -> Iterator[tuple[str, str]]:
-    """Yield each chunk's cycle through the hub vertices[0], every edge
-    built once with its lower-ranked end first, so `Graph` keeps it; no
-    list of the edges is held.  The entries are distinct positive integers,
-    so they are the ranks 1..L exactly when the largest is L, as in every
-    `reduce_3p_to_disticor` output: then each entry indexes its vertex.
-    Otherwise a sort maps each entry to the vertex of its rank, and the map
-    lives while the edges are yielded."""
-    if max(map(max, chunks), default=0) == len(vertices) - 1:
-        name = vertices
-    else:
-        name = dict(zip(sorted(chain.from_iterable(chunks)), islice(vertices, 1, None)))
-    hub = vertices[0]
+def _flower_runs(chunks: Iterable[Sequence[int]]) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
+    """Each chunk's cycle through the hub, rank 0, as rank runs with the
+    lower end of each edge in `lo`; only one chunk's runs are held."""
     for c in chunks:
-        yield hub, name[c[0]]
-        for x, y in zip(c, islice(c, 1, None)):
-            yield (name[x], name[y]) if x < y else (name[y], name[x])
-        yield hub, name[c[-1]]
+        yield (0, 0), (c[0], c[-1])
+        yield (
+            [x if x < y else y for x, y in zip(c, islice(c, 1, None))],
+            [y if x < y else x for x, y in zip(c, islice(c, 1, None))],
+        )

@@ -95,6 +95,10 @@ def test_graph_validation():
         (("a", "b"), [("a", "b"), ([1], [1])], InvalidInstance, "self-loop at [1]"),  # before the index lookup
         (("a", "b"), (e for e in [("a", "b"), ("b", "a"), ("z", "b"), ("a",)]), UnknownVertex, "('z', 'b') references"),
         (("a", "b"), (e for e in [("b", "a"), ("a", "b", "a")]), InvalidInstance, "('a', 'b', 'a') does not have two"),
+        # an unhashable end is no declared vertex, and an unhashable vertex no vertex at all
+        (("a", "b"), [(["x"], "b")], UnknownVertex, "(['x'], 'b') references undeclared"),
+        (("a", "b"), [("a", "b"), ("a", {"b"})], UnknownVertex, "('a', {'b'}) references undeclared"),
+        (("a", ["b"]), [], InvalidInstance, "vertices must be hashable"),
     ],
 )
 def test_graph_rejects_bad_input(vertices, edges, error, message):
@@ -102,9 +106,60 @@ def test_graph_rejects_bad_input(vertices, edges, error, message):
         Graph(vertices, edges)
 
 
+@st.composite
+def rank_runs(draw):
+    """Distinct vertices and runs of rank pairs over them, lower rank first."""
+    vs = tuple(draw(st.lists(st.text(max_size=3), min_size=2, max_size=12, unique=True)))
+    pair = st.lists(st.integers(0, len(vs) - 1), min_size=2, max_size=2, unique=True).map(sorted)
+    runs = [list(zip(*pairs)) or [(), ()] for pairs in draw(st.lists(st.lists(pair, max_size=6), max_size=4))]
+    return vs, runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_runs())
+def test_graph_from_rank_runs_matches_graph(vs_runs):
+    """Edge k of a run (lo, hi) joins vs[lo[k]] and vs[hi[k]], lower rank
+    first: the graph equals the one `Graph` builds from those names."""
+    vs, runs = vs_runs
+    g = Graph._from_rank_runs(vs, ((list(lo), tuple(hi)) for lo, hi in runs))
+    want = Graph(vs, [(vs[i], vs[j]) for lo, hi in runs for i, j in zip(lo, hi)])
+    assert g == want
+    assert repr(g) == repr(want)
+    assert g.sorted_edges() == want.sorted_edges()
+    assert g._index == want._index and list(g._index) == list(want._index)
+
+
+@pytest.mark.parametrize(
+    "runs, error, message",
+    [
+        ([([0, -1], [1, 2])], UnknownVertex, "(-1, 2) has an end outside 0..2"),  # no index from the end
+        ([([0], [1]), ([1], [3])], UnknownVertex, "(1, 3) has an end outside 0..2"),
+        ([([0, 2], [1, 2])], InvalidInstance, "self-loop at rank 2"),
+        ([([0, 2], [1, 1])], InvalidInstance, "(2, 1) has its higher end first"),
+        ([([True], [2])], InvalidInstance, "(True, 2) has an end that is not an int"),
+        ([([0], [1.0])], InvalidInstance, "(0, 1.0) has an end that is not an int"),
+        ([([0, 1], [2])], InvalidInstance, "rank run of 2 low ends and 1 high ends"),
+        ([([0], [1, 2])], InvalidInstance, "rank run of 1 low ends and 2 high ends"),
+        ([([3, 0], [3, 1])], InvalidInstance, "self-loop at rank 3"),  # before its range, as `Graph` does
+        ([([0, 5], [1, 4])], UnknownVertex, "(5, 4) has an end outside"),  # the first bad edge's first failure
+    ],
+    ids=["negative", "n", "equal", "lo-above-hi", "bool", "float", "long-lo", "long-hi", "loop-out-of-range", "both"],
+)
+def test_graph_from_rank_runs_rejects_bad_runs(runs, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        Graph._from_rank_runs(("a", "b", "c"), runs)
+
+
+def test_graph_from_rank_runs_rejects_bad_vertices():
+    with pytest.raises(InvalidInstance, match="duplicate vertices"):
+        Graph._from_rank_runs(("a", "b", "a"), [([0], [1])])
+    with pytest.raises(InvalidInstance, match="vertices must be hashable"):
+        Graph._from_rank_runs(("a", ["b"]), [([0], [1])])
+
+
 @pytest.mark.parametrize(
     "order",
-    [("a", "b"), ("a", "b", "c", "d"), ("a", "b", "c", "a"), ("a", "b", "b"), ("a", "b", "z"), ()],
+    [("a", "b"), ("a", "b", "c", "d"), ("a", "b", "c", "a"), ("a", "b", "b"), ("a", "b", "z"), (), ("a", ["b"], "c")],
 )
 def test_drawing_rejects_non_permutations(order):
     g = Graph(("a", "b", "c"), [("a", "b")])
@@ -306,8 +361,10 @@ def test_classify_matches_brute_force(d):
         (("a", "b", "c", "c"), [("a", "b")], InvalidInstance),
         (("a", "b"), [("a", "z")], UnknownVertex),
         (("a", "b"), [("b", "b")], InvalidInstance),
+        (("a", "b"), [(["a"], "b")], UnknownVertex),
+        (("a", ["b"]), [("a", "b")], InvalidInstance),
     ],
-    ids=["repeated-end", "repeated-unused", "missing-end", "self-loop"],
+    ids=["repeated-end", "repeated-unused", "missing-end", "self-loop", "unhashable-end", "unhashable-vertex"],
 )
 def test_is_crossing_free_rejects_malformed_input(order, edges, error):
     with pytest.raises(error):
@@ -504,6 +561,7 @@ def test_records_rebuild_from_their_fields_as_keywords(name):
         (DistIcorInstance, (((0, 2),), 2), InvalidInstance, "chunk entries must be positive integers"),
         (DistIcorInstance, (((1.5, 2), (3,)), 2), InvalidInstance, "chunk entries must be positive integers"),
         (DistIcorInstance, (((1, 2), ("3",)), 2), InvalidInstance, "chunk entries must be positive integers"),
+        (DistIcorInstance, (((True, 2),), 2), InvalidInstance, "chunk entries must be positive integers"),
         (DistIcorInstance, (((1, 2), (3, 2)), 2), NotDistinct, "chunk entries repeat"),
     ],
 )

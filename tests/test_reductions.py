@@ -2,12 +2,16 @@
 
 import random
 import tracemalloc
-from itertools import chain
+from itertools import accumulate, chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from untangling import (
+    CircularDrawing,
     DistIcorInstance,
+    Graph,
     ThreePartitionInstance,
     block_decomposition,
     chunk_property_check,
@@ -20,6 +24,7 @@ from untangling import (
     reduce_disticor_to_cu,
     witness_3p_to_disticor,
 )
+from untangling.io_formats import format_drawing
 from untangling import oracle, reductions, seqs
 from untangling.errors import InvalidInstance, NotAWitness, NotDistinct, PropertyViolation, TooLarge
 from untangling.reductions import MAX_CHUNK_WORDS, _chunk_length, _run_slice, expected_chunk_length
@@ -428,6 +433,47 @@ def test_reduce_disticor_renumbers_entries_that_are_not_ranks(spread):
     assert spread_d.order == d.order
     assert spread_d.graph.sorted_edges() == d.graph.sorted_edges()
     assert spread_budget == budget == 4
+
+
+def reference_flower(inst):
+    """The drawing of `reduce_disticor_to_cu`, built by name through `Graph`:
+    entry x of rank r is vertex vr, and each chunk closes a cycle through v0."""
+    vertices = tuple(f"v{r}" for r in range(inst.total + 1))
+    name = dict(zip(sorted(chain.from_iterable(inst.chunks)), vertices[1:]))
+    edges = []
+    for c in inst.chunks:
+        cycle = ["v0", *map(name.__getitem__, c)]
+        edges.extend(zip(cycle, cycle[1:] + cycle[:1]))
+    return CircularDrawing(Graph(vertices, edges), vertices), inst.total - inst.m_target
+
+
+@st.composite
+def chunk_instances(draw, spread):
+    """Distinct chunks over 1..L; spread, each entry is moved up by a
+    random rising offset, so the entries are not 1..L and are renumbered."""
+    total = draw(st.integers(1, 30))
+    entries = draw(st.permutations(range(1, total + 1)))
+    if spread:
+        gaps = draw(st.lists(st.integers(1, 4), min_size=total, max_size=total))
+        up = list(accumulate([1, *gaps[1:]], initial=gaps[0]))  # the first entry is at least 2
+        entries = [up[x] for x in entries]
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=6))) if total > 1 else []
+    chunks = tuple(tuple(entries[i:j]) for i, j in zip([0, *cuts], [*cuts, total]))
+    return DistIcorInstance(chunks, draw(st.integers(1, total)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(chunk_instances))
+def test_reduce_disticor_matches_the_flower_built_by_name(inst):
+    """The rank runs give the graph, order, budget and file bytes of the
+    flower built edge by edge through the named `Graph` constructor, with
+    entries 1..L and with entries that must be renumbered."""
+    d, budget = reduce_disticor_to_cu(inst)
+    want, want_budget = reference_flower(inst)
+    assert (d, budget) == (want, want_budget)
+    assert d.order == want.order
+    assert repr(d.graph) == repr(want.graph) and d.graph._index == want.graph._index
+    assert format_drawing(d).encode() == format_drawing(want).encode()
 
 
 @pytest.mark.parametrize("inst", [ThreePartitionInstance((6, 6, 6), 18), ThreePartitionInstance((9, 9, 12), 30)], ids=str)
